@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, dataclass, field, fields
@@ -54,6 +55,12 @@ class RunConfig:
     all_pairs: bool = False
 
     def validate(self) -> None:
+        for a in self.alpha:
+            if not math.isfinite(a):
+                raise ValueError(f"alpha values must be finite, got {a}")
+        for name in ("t_max", "rk4_step", "tol", "s", "fd_step"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.alpha or any(a <= 0 for a in self.alpha):
             raise ValueError("alpha values must be positive")
         for name in ("t_max", "rk4_step", "tol", "fd_step"):

@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import pauli_family
-from .linalg import check_hermitian, kron
+from .linalg import check_hermitian
 from .superop import Superoperator
 
 __all__ = [
@@ -177,8 +177,8 @@ def _dissipator_terms(g: GeneratorSpec) -> np.ndarray:
             for j, fj in enumerate(g.basis):
                 a = fj.conj().T @ fi
                 terms[i, j] = (
-                    kron(fj.conj(), fi)
-                    - 0.5 * (kron(eye, a) + kron(a.T, eye))
+                    np.kron(fj.conj(), fi)
+                    - 0.5 * (np.kron(eye, a) + np.kron(a.T, eye))
                 )
         g._terms = terms
     return g._terms
@@ -198,7 +198,7 @@ def liouvillian(g: GeneratorSpec) -> Callable[[float], np.ndarray]:
         mat = np.einsum("ij,ijkl->kl", g.coefficient_matrix(t), terms)
         if g.hamiltonian is not None:
             h = check_hermitian(g.hamiltonian(t))
-            mat = mat + (-1j) * (kron(eye, h) - kron(h.T, eye))
+            mat = mat + (-1j) * (np.kron(eye, h) - np.kron(h.T, eye))
         return mat
 
     return at

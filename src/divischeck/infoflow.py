@@ -13,13 +13,12 @@ clean scan only supports monotonicity, it does not prove it.
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
+from .linalg import PAULI
 from .superop import Superoperator, apply
 
 __all__ = [
@@ -83,16 +82,25 @@ class FlowSample:
     one_sided: bool = False
 
 
-def _floored_trace_norm(a: np.ndarray) -> float:
-    # evolved differences are Hermitian; tiny eigenvalues are finite-difference
-    # noise floor and are treated as exact zeros
-    w = np.linalg.eigvalsh(0.5 * (a + a.conj().T))
-    w = np.where(np.abs(w) < EIGEN_FLOOR, 0.0, w)
-    return float(np.sum(np.abs(w)))
+def _flow_column(map_at: Callable[[float], Superoperator], deltas: np.ndarray,
+                 t: float, h: float) -> tuple[np.ndarray, bool]:
+    """Finite-difference flow rates at time t for a stack of pair differences.
 
-
-def _norm_at(map_at: Callable[[float], Superoperator], delta: np.ndarray, t: float) -> float:
-    return _floored_trace_norm(apply(map_at(t), delta))
+    Each map is applied to the whole stack at once and all trace norms come
+    from one batched eigensolve.  Evolved differences are Hermitian; tiny
+    eigenvalues are finite-difference noise floor and count as exact zeros.
+    Returns the rates and whether the difference was one-sided (t < h).
+    """
+    one_sided = t < h
+    if one_sided:
+        t_lo, t_hi, denom = t, t + h, h
+    else:
+        t_lo, t_hi, denom = t - h, t + h, 2.0 * h
+    out = np.stack([apply(map_at(t_lo), deltas), apply(map_at(t_hi), deltas)])
+    w = np.linalg.eigvalsh(0.5 * (out + out.conj().swapaxes(-1, -2)))
+    w[np.abs(w) < EIGEN_FLOOR] = 0.0
+    n_lo, n_hi = np.abs(w).sum(axis=-1)
+    return (n_hi - n_lo) / denom, one_sided
 
 
 def information_flow(map_at: Callable[[float], Superoperator], pair: StatePair,
@@ -104,14 +112,8 @@ def information_flow(map_at: Callable[[float], Superoperator], pair: StatePair,
     """
     if h <= 0:
         raise ValueError(f"step h must be positive, got {h}")
-    delta = pair.difference()
-    if t < h:
-        n0 = _norm_at(map_at, delta, t)
-        n1 = _norm_at(map_at, delta, t + h)
-        return FlowSample(t=float(t), sigma=(n1 - n0) / h, h=h, one_sided=True)
-    n_minus = _norm_at(map_at, delta, t - h)
-    n_plus = _norm_at(map_at, delta, t + h)
-    return FlowSample(t=float(t), sigma=(n_plus - n_minus) / (2.0 * h), h=h)
+    sigma, one_sided = _flow_column(map_at, pair.difference()[None], float(t), h)
+    return FlowSample(t=float(t), sigma=float(sigma[0]), h=h, one_sided=one_sided)
 
 
 def _projector(vec: np.ndarray) -> np.ndarray:
@@ -180,13 +182,8 @@ def tilted_parity_pairs() -> list[StatePair]:
     coefficients come from a numerical search; back-flow of the tanh-rate
     tensor square on this pair is verified for strengths 0.5 <= a <= 0.9.
     """
-    pauli = [np.eye(2, dtype=complex),
-             np.array([[0, 1], [1, 0]], dtype=complex),
-             np.array([[0, -1j], [1j, 0]], dtype=complex),
-             np.array([[1, 0], [0, -1]], dtype=complex)]
-
     def two(mu, nu):
-        return np.kron(pauli[mu], pauli[nu])
+        return np.kron(PAULI[mu], PAULI[nu])
 
     tilt = ((two(1, 0) - two(0, 1)) / 8.0
             + (two(2, 0) - two(0, 2)) / 16.0
@@ -232,25 +229,14 @@ class BackflowReport:
     one_sided: np.ndarray | None = None
 
 
-def _max_workers() -> int:
-    value = os.environ.get("DIVISCHECK_THREADS", "1")
-    try:
-        return max(1, int(value))
-    except ValueError:
-        return 1
-
-
 def backflow_scan(map_at: Callable[[float], Superoperator], dim: int, grid,
                   samples: int = 100, seed: int = 0, h: float = 1e-4,
-                  include_library: bool = True,
-                  max_workers: int | None = None) -> BackflowReport:
+                  include_library: bool = True) -> BackflowReport:
     """Scan flow rates over a grid for library plus random state pairs.
 
     Random pairs are Haar-orthogonal pure pairs drawn deterministically
-    from ``seed``.  Evaluation is organized per grid time so each map is
-    built once, and may be spread over threads (capped by the
-    ``DIVISCHECK_THREADS`` environment variable); the result is identical
-    either way.
+    from ``seed``.  Evaluation is organized per grid time: the two maps of
+    each finite difference are built once and applied to every pair at once.
     """
     grid = np.asarray(grid, dtype=float)
     rng = np.random.default_rng(seed)
@@ -259,28 +245,8 @@ def backflow_scan(map_at: Callable[[float], Superoperator], dim: int, grid,
                      for k in range(samples)]
     if not pairs:
         raise ValueError("no state pairs to scan")
-    deltas = [p.difference() for p in pairs]
-
-    def column(t: float) -> tuple[np.ndarray, bool]:
-        one_sided = t < h
-        if one_sided:
-            s_lo, s_hi, denom = map_at(t), map_at(t + h), h
-        else:
-            s_lo, s_hi, denom = map_at(t - h), map_at(t + h), 2.0 * h
-        vals = np.empty(len(deltas))
-        for k, delta in enumerate(deltas):
-            n_lo = _floored_trace_norm(apply(s_lo, delta))
-            n_hi = _floored_trace_norm(apply(s_hi, delta))
-            vals[k] = (n_hi - n_lo) / denom
-        return vals, one_sided
-
-    workers = max_workers if max_workers is not None else _max_workers()
-    times = [float(t) for t in grid]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            columns = list(pool.map(column, times))
-    else:
-        columns = [column(t) for t in times]
+    deltas = np.stack([p.difference() for p in pairs])
+    columns = [_flow_column(map_at, deltas, float(t), h) for t in grid]
 
     sigma = np.stack([c[0] for c in columns], axis=1)
     one_sided = np.array([c[1] for c in columns])

@@ -19,7 +19,6 @@ __all__ = [
     "check_hermitian",
     "hermitian_eig",
     "inverse",
-    "kron",
     "max_asymmetry",
     "similarity_to_transpose",
     "trace_norm",
@@ -108,11 +107,6 @@ def trace_norm(a) -> float:
         w = np.linalg.eigvalsh(0.5 * (a + a.conj().T))
         return float(np.sum(np.abs(w)))
     return float(np.sum(np.linalg.svd(a, compute_uv=False)))
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product (thin wrapper kept for a uniform namespace)."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
 def inverse(a, cond_limit: float = CONDITION_LIMIT) -> np.ndarray:

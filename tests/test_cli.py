@@ -186,6 +186,27 @@ class TestConfigAndErrors:
         assert run(["scan", "--grid-points", "1", "--output", str(tmp_path / "x")]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--tol", "nan"], "tol must be finite"),
+        (["--alpha", "nan"], "alpha values must be finite"),
+        (["--alpha", "0.6,inf"], "alpha values must be finite"),
+        (["--t-max", "nan"], "t_max must be finite"),
+        (["--rk4-step", "inf"], "rk4_step must be finite"),
+        (["--s=-inf"], "error: s must be finite"),
+        (["--fd-step", "inf"], "fd_step must be finite"),
+    ])
+    def test_non_finite_values_exit_2(self, tmp_path, capsys, flags, message):
+        code = run(["divisibility", *flags, "--output", str(tmp_path / "x")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
+
+    def test_non_finite_config_value_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"tol": NaN}')
+        assert run(["scan", "--config", str(cfg)]) == 2
+        assert "tol must be finite" in capsys.readouterr().err
+
     def test_unwritable_output_exits_2(self, capsys):
         code = run(["scan", "--alpha", "1.0", "--grid-points", "5",
                     "--output", "/nonexistent-dir-zz/out"])

@@ -8,7 +8,6 @@ from divischeck.linalg import (
     NumericalError,
     hermitian_eig,
     inverse,
-    kron,
     max_asymmetry,
     similarity_to_transpose,
     trace_norm,
@@ -124,24 +123,6 @@ class TestTraceNorm:
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
             trace_norm(np.ones((2, 3)))
-
-
-class TestKron:
-    def test_identity(self):
-        np.testing.assert_allclose(kron(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_pauli_x_squared(self):
-        np.testing.assert_allclose(kron(PAULI[1], PAULI[1]),
-                                   np.fliplr(np.eye(4)), atol=1e-15)
-
-    def test_mixed_product_identity(self):
-        rng = np.random.default_rng(8)
-        for _ in range(100):
-            a, b, c, d = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-                          for _ in range(4))
-            lhs = kron(a, b) @ kron(c, d)
-            rhs = kron(a @ c, b @ d)
-            assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
 
 class TestInverse:

@@ -67,6 +67,18 @@ class TestApply:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
             so.apply(so.identity(2), np.eye(3))
+        with pytest.raises(ValueError, match="dimension"):
+            so.apply(so.identity(2), np.zeros((5, 3, 3)))
+
+    def test_stack_matches_single_operators(self):
+        rng = np.random.default_rng(9)
+        ch = pf.channel(0.8, 0.6)
+        stack = np.stack([[random_operator(rng, 2) for _ in range(3)] for _ in range(4)])
+        out = so.apply(ch, stack)
+        assert out.shape == (4, 3, 2, 2)
+        for idx in np.ndindex(4, 3):
+            np.testing.assert_allclose(out[idx], so.apply(ch, stack[idx]),
+                                       rtol=0, atol=1e-13)
 
 
 class TestCompose:
@@ -183,13 +195,22 @@ class TestIsCp:
 class TestFlags:
     def test_model_maps_preserve_trace_and_hermiticity(self):
         ch = pf.channel(1.7, 0.65)
-        assert so.is_trace_preserving(ch, samples=20, seed=0, tol=1e-10)
-        assert so.is_hermiticity_preserving(ch, samples=20, seed=0, tol=1e-10)
+        assert so.is_trace_preserving(ch, tol=1e-10)
+        assert so.is_hermiticity_preserving(ch, tol=1e-10)
 
     def test_tensor_preserves_flags(self):
         big = so.tensor(pf.channel(0.9, 0.6), pf.channel(0.9, 0.6))
         assert big.trace_preserving
-        assert so.is_trace_preserving(big, samples=20, seed=1, tol=1e-9)
+        assert so.is_trace_preserving(big, tol=1e-9)
+
+    def test_scaled_identity_not_trace_preserving(self):
+        doubled = so.Superoperator(2, 2 * so.identity(2).mat)
+        assert so.is_trace_preserving(doubled) is False
+        assert so.is_hermiticity_preserving(doubled) is True
+
+    def test_imaginary_identity_not_hermiticity_preserving(self):
+        rotated = so.Superoperator(2, 1j * so.identity(2).mat)
+        assert so.is_hermiticity_preserving(rotated) is False
 
 
 class TestPositivityProbe:

@@ -1,0 +1,106 @@
+"""Property tests pinning the conventions the superoperator reshapes rely on.
+
+The loop builds below are the defining constructions of ``tensor`` and
+``choi`` (column by column on the product operator basis, and the sum
+over matrix units); the reshaped versions must reproduce them bit for bit.
+"""
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from divischeck import superop as so
+
+DIMS = st.sampled_from([2, 3])
+ENTRIES = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False,
+                    allow_subnormal=False)
+PROPERTY = settings(max_examples=60, deadline=None)
+
+
+def operators(n):
+    real = arrays(np.float64, (n, n), elements=ENTRIES)
+    return st.tuples(real, real).map(lambda ri: ri[0] + 1j * ri[1])
+
+
+def maps(d):
+    return operators(d * d).map(lambda mat: so.Superoperator(d, mat))
+
+
+def unit(d, i, j):
+    e = np.zeros((d, d), dtype=complex)
+    e[i, j] = 1.0
+    return e
+
+
+def loop_tensor(s1, s2):
+    d1, d2 = s1.dim, s2.dim
+    d = d1 * d2
+    img1 = [[so.apply(s1, unit(d1, a, b)) for b in range(d1)] for a in range(d1)]
+    img2 = [[so.apply(s2, unit(d2, a, b)) for b in range(d2)] for a in range(d2)]
+    mat = np.empty((d * d, d * d), dtype=complex)
+    for a1 in range(d1):
+        for a2 in range(d2):
+            for b1 in range(d1):
+                for b2 in range(d2):
+                    col = (b1 * d2 + b2) * d + (a1 * d2 + a2)
+                    mat[:, col] = so.vec(np.kron(img1[a1][b1], img2[a2][b2]))
+    return mat
+
+
+def loop_choi(s):
+    d = s.dim
+    c = np.zeros((d * d, d * d), dtype=complex)
+    for i in range(d):
+        for j in range(d):
+            c += np.kron(so.apply(s, unit(d, i, j)), unit(d, i, j))
+    return c
+
+
+@PROPERTY
+@given(st.data(), DIMS)
+def test_vec_unvec_roundtrip(data, d):
+    x = data.draw(operators(d))
+    v = so.vec(x)
+    assert v.shape == (d * d,)
+    np.testing.assert_array_equal(v[:d], x[:, 0])
+    np.testing.assert_array_equal(so.unvec(v, d), x)
+
+
+@PROPERTY
+@given(st.data(), DIMS)
+def test_vec_of_product(data, d):
+    a, x, b = (data.draw(operators(d)) for _ in range(3))
+    np.testing.assert_allclose(so.vec(a @ x @ b), np.kron(b.T, a) @ so.vec(x),
+                               rtol=0, atol=1e-10)
+
+
+@PROPERTY
+@given(st.data(), DIMS, DIMS)
+def test_tensor_is_the_loop_build(data, d1, d2):
+    s1, s2 = data.draw(maps(d1)), data.draw(maps(d2))
+    np.testing.assert_array_equal(so.tensor(s1, s2).mat, loop_tensor(s1, s2))
+
+
+@PROPERTY
+@given(st.data(), DIMS, DIMS)
+def test_tensor_acts_on_products(data, d1, d2):
+    s1, s2 = data.draw(maps(d1)), data.draw(maps(d2))
+    x, y = data.draw(operators(d1)), data.draw(operators(d2))
+    lhs = so.apply(so.tensor(s1, s2), np.kron(x, y))
+    rhs = np.kron(so.apply(s1, x), so.apply(s2, y))
+    np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-9)
+
+
+@PROPERTY
+@given(st.data(), DIMS)
+def test_choi_is_the_defining_sum(data, d):
+    s = data.draw(maps(d))
+    np.testing.assert_array_equal(so.choi(s).mat, loop_choi(s))
+
+
+@PROPERTY
+@given(st.data(), DIMS)
+def test_compose_applies_in_turn(data, d):
+    s1, s2, x = data.draw(maps(d)), data.draw(maps(d)), data.draw(operators(d))
+    np.testing.assert_allclose(so.apply(so.compose(s1, s2), x),
+                               so.apply(s1, so.apply(s2, x)), rtol=0, atol=1e-9)

@@ -18,6 +18,7 @@ import math
 import sys
 import time
 from dataclasses import asdict, dataclass, field, fields
+from typing import get_type_hints
 
 import numpy as np
 
@@ -27,18 +28,31 @@ from .linalg import NumericalError
 __all__ = ["RunConfig", "main"]
 
 DYNAMICS = ("model", "semigroup", "identity")
+FORMATS = ("csv", "json")
 
 SCAN_HEADER = ["alpha", "t", "p0", "p1", "p2", "p3", "q0", "q1", "q2", "q3",
                "l1", "l3", "choi_min", "cp", "gamma3"]
 INFOFLOW_HEADER = ["pair_id", "t", "sigma_single", "sigma_tensor"]
 
 
+def _parse_alpha(text: str) -> list[float]:
+    return [float(part) for part in text.split(",") if part.strip()]
+
+
 @dataclass
 class RunConfig:
     """Flat run configuration; a JSON config file carries the same fields
-    and individual command-line flags override it."""
+    and individual command-line flags override it.
 
-    alpha: list[float] = field(default_factory=lambda: [0.6])
+    Each field is one command-line flag, ``--`` plus the field name with
+    dashes unless the metadata names the ``flag``.  The metadata also holds
+    the flag's ``help``, ``choices``, ``metavar`` and, where the field type
+    cannot parse the flag's text, a ``parse`` function.
+    """
+
+    alpha: list[float] = field(default_factory=lambda: [0.6], metadata={
+        "parse": _parse_alpha, "metavar": "A[,A...]",
+        "help": "channel strength(s), comma separated"})
     t_max: float = 5.0
     grid_points: int = 200
     rk4_step: float = 1e-3
@@ -46,13 +60,16 @@ class RunConfig:
     probe_steps: int = 500
     tol: float = 1e-9
     seed: int = 0
-    output_path: str = "divischeck-out"
-    format: str = "csv"
-    s: float = 1.0
-    dynamics: str = "model"
-    samples: int = 100
-    fd_step: float = 1e-4
-    all_pairs: bool = False
+    output_path: str = field(default="divischeck-out", metadata={
+        "flag": "--output", "help": "output path stem"})
+    format: str = field(default="csv", metadata={"choices": FORMATS})
+    s: float = field(default=1.0, metadata={"help": "witness construction time"})
+    dynamics: str = field(default="model", metadata={"choices": DYNAMICS})
+    samples: int = field(default=100, metadata={"help": "random state pairs per scan"})
+    fd_step: float = field(default=1e-4, metadata={
+        "help": "finite-difference step for flow rates / witness checks"})
+    all_pairs: bool = field(default=False, metadata={
+        "help": "scan all grid pairs, not just consecutive"})
 
     def validate(self) -> None:
         for a in self.alpha:
@@ -73,7 +90,7 @@ class RunConfig:
             raise ValueError("grid_points must be at least 2")
         if self.s < 0:
             raise ValueError("s must be nonnegative")
-        if self.format not in ("csv", "json"):
+        if self.format not in FORMATS:
             raise ValueError(f"format must be csv or json, got {self.format!r}")
         if self.dynamics not in DYNAMICS:
             raise ValueError(f"dynamics must be one of {DYNAMICS}, got {self.dynamics!r}")
@@ -269,13 +286,9 @@ def cmd_infoflow(cfg: RunConfig) -> tuple[list[str], dict]:
     grid = cfg.grid()
     single = _single_channel(cfg, alpha)
 
-    if cfg.dynamics == "identity":
-        def tensor_map(t):
-            return superop.identity(4)
-    else:
-        def tensor_map(t):
-            ch = single(t)
-            return superop.tensor(ch, ch)
+    def tensor_map(t):
+        ch = single(t)
+        return superop.tensor(ch, ch)
 
     rep_single = infoflow.backflow_scan(single, 2, grid, samples=cfg.samples,
                                         seed=cfg.seed, h=cfg.fd_step)
@@ -328,15 +341,12 @@ COMMANDS = {
 }
 
 
-def _parse_alpha(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part.strip()]
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="divischeck",
         description="Positivity and divisibility diagnostics for qubit dynamical maps.",
     )
+    hints = get_type_hints(RunConfig)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in [
         ("scan", "tabulate weights, Bloch eigenvalues and CP verdicts over (alpha, t)"),
@@ -346,44 +356,36 @@ def _build_parser() -> argparse.ArgumentParser:
     ]:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON file with RunConfig fields")
-        p.add_argument("--alpha", type=_parse_alpha, metavar="A[,A...]",
-                       help="channel strength(s), comma separated")
-        p.add_argument("--t-max", type=float, dest="t_max")
-        p.add_argument("--grid-points", type=int, dest="grid_points")
-        p.add_argument("--rk4-step", type=float, dest="rk4_step")
-        p.add_argument("--restarts", type=int)
-        p.add_argument("--probe-steps", type=int, dest="probe_steps")
-        p.add_argument("--tol", type=float)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--output", dest="output_path", help="output path stem")
-        p.add_argument("--format", choices=["csv", "json"])
-        p.add_argument("--s", type=float, help="witness construction time")
-        p.add_argument("--dynamics", choices=list(DYNAMICS))
-        p.add_argument("--samples", type=int, help="random state pairs per scan")
-        p.add_argument("--fd-step", type=float, dest="fd_step",
-                       help="finite-difference step for flow rates / witness checks")
-        p.add_argument("--all-pairs", action="store_true", default=None,
-                       dest="all_pairs", help="scan all grid pairs, not just consecutive")
+        for f in fields(RunConfig):
+            meta = f.metadata
+            flag = meta.get("flag", "--" + f.name.replace("_", "-"))
+            if hints[f.name] is bool:
+                p.add_argument(flag, action="store_true", default=None,
+                               dest=f.name, help=meta.get("help"))
+            else:
+                p.add_argument(flag, type=meta.get("parse", hints[f.name]),
+                               dest=f.name, choices=meta.get("choices"),
+                               metavar=meta.get("metavar"), help=meta.get("help"))
     return parser
 
 
-_FIELD_CASTS = {
-    "alpha": lambda v: [float(a) for a in (v if isinstance(v, (list, tuple)) else [v])],
-    "t_max": float,
-    "grid_points": int,
-    "rk4_step": float,
-    "restarts": int,
-    "probe_steps": int,
-    "tol": float,
-    "seed": int,
-    "output_path": str,
-    "format": str,
-    "s": float,
-    "dynamics": str,
-    "samples": int,
-    "fd_step": float,
-    "all_pairs": bool,
-}
+def _cast(value, hint):
+    """Strict conversion of a config value to the RunConfig field type.
+
+    Numeric fields take numbers but never bools, and int fields only
+    integral ones; bool and str fields take exactly that JSON type.
+    """
+    if hint == list[float]:
+        return [_cast(a, float) for a in (value if isinstance(value, list) else [value])]
+    if hint is bool or hint is str:
+        if isinstance(value, hint):
+            return value
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        if hint is float:
+            return float(value)
+        if isinstance(value, int) or value.is_integer():
+            return int(value)
+    raise ValueError(f"expected {hint.__name__}, got {value!r}")
 
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
@@ -402,12 +404,12 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         flag_value = getattr(args, f.name, None)
         if flag_value is not None:
             values[f.name] = flag_value
-    for name, cast in _FIELD_CASTS.items():
-        if name in values:
-            try:
-                values[name] = cast(values[name])
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"config field {name!r} has an invalid value: {exc}")
+    hints = get_type_hints(RunConfig)
+    for name in values:
+        try:
+            values[name] = _cast(values[name], hints[name])
+        except ValueError as exc:
+            raise ValueError(f"config field {name!r} has an invalid value: {exc}")
     cfg = RunConfig(**values)
     cfg.validate()
     return cfg

@@ -26,9 +26,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import pauli_family, superop
-from .generator import GeneratorSpec, PropagatedFamily, liouvillian
+from .generator import GeneratorSpec, PropagatedFamily, liouvillian, rk4_step
 from .linalg import NumericalError, similarity_to_transpose
-from .superop import Superoperator, identity, tensor
+from .superop import VIOLATED, Superoperator, identity, tensor
 
 __all__ = [
     "HOLDS",
@@ -45,7 +45,6 @@ __all__ = [
 ]
 
 HOLDS = "holds-on-grid"
-VIOLATED = "violated"
 
 
 @dataclass
@@ -91,13 +90,14 @@ def _pair_indices(n: int, all_pairs: bool) -> list[tuple[int, int]]:
     return [(i, i + 1) for i in range(n - 1)]
 
 
-def cp_divisibility_scan(family: PropagatedFamily, tol: float = 1e-9,
-                         all_pairs: bool = False) -> DivisibilityReport:
-    """Exact CP test of every intermediate map on the selected grid pairs.
+def _scan(family: PropagatedFamily, kind: str, test, tol: float,
+          all_pairs: bool, stop_on_violation: bool, witness_kind: str,
+          note: str) -> DivisibilityReport:
+    """Run ``test(inter, i, j) -> (value, witness)`` on every selected pair.
 
-    Consecutive pairs by default (divisibility failures of the families
-    studied here already show at infinitesimal steps); ``all_pairs``
-    switches to the full upper-triangular pair set.
+    Pairs whose earlier map cannot be inverted reliably are flagged and
+    skipped.  The lowest value wins (the first one on ties); it is a
+    violation when below ``-tol``.
     """
     grid = np.asarray(family.grid, dtype=float)
     worst = np.inf
@@ -105,66 +105,21 @@ def cp_divisibility_scan(family: PropagatedFamily, tol: float = 1e-9,
     worst_idx = None
     witness = None
     flagged = []
-    pairs = _pair_indices(len(grid), all_pairs)
-    for i, j in pairs:
-        try:
-            inter = superop.intermediate(family.maps[j], family.maps[i])
-        except NumericalError as exc:
-            flagged.append((float(grid[i]), float(grid[j]), str(exc)))
-            continue
-        cmat = superop.choi(inter).mat
-        w, v = np.linalg.eigh(0.5 * (cmat + cmat.conj().T))
-        if w[0] < worst:
-            worst = float(w[0])
-            worst_pair = (float(grid[i]), float(grid[j]))
-            worst_idx = (i, j)
-            witness = v[:, 0]
-    verdict = VIOLATED if worst < -tol else HOLDS
-    return DivisibilityReport(
-        kind="CP",
-        verdict=verdict,
-        worst_pair=worst_pair,
-        worst_indices=worst_idx,
-        worst_value=worst,
-        witness=witness if verdict == VIOLATED else None,
-        witness_kind="choi-eigenvector" if verdict == VIOLATED else None,
-        flagged_pairs=flagged,
-        pairs_scanned=len(pairs) - len(flagged),
-        grid=grid,
-        note="exact Choi-spectrum test on the scanned pairs",
-    )
-
-
-def _positivity_scan(family: PropagatedFamily, kind: str, lift, restarts: int,
-                     steps: int, tol: float, seed: int, all_pairs: bool,
-                     stop_on_violation: bool) -> DivisibilityReport:
-    grid = np.asarray(family.grid, dtype=float)
-    worst = np.inf
-    worst_pair = None
-    worst_idx = None
-    witness = None
-    flagged = []
-    pairs = _pair_indices(len(grid), all_pairs)
     scanned = 0
-    for i, j in pairs:
+    for i, j in _pair_indices(len(grid), all_pairs):
         try:
             inter = superop.intermediate(family.maps[j], family.maps[i])
         except NumericalError as exc:
             flagged.append((float(grid[i]), float(grid[j]), str(exc)))
             continue
-        probed = lift(inter)
-        result = superop.positivity_probe(
-            probed, restarts=restarts, steps=steps, tol=tol,
-            seed=np.random.SeedSequence([seed, i, j]).generate_state(1)[0],
-            stop_at=-tol if stop_on_violation else None,
-        )
+        value, vector = test(inter, i, j)
         scanned += 1
-        if result.min_value < worst:
-            worst = result.min_value
+        if value < worst:
+            worst = float(value)
             worst_pair = (float(grid[i]), float(grid[j]))
             worst_idx = (i, j)
-            witness = result.argmin_state
-        if stop_on_violation and result.verdict == superop.VIOLATED:
+            witness = vector
+        if stop_on_violation and value < -tol:
             break
     verdict = VIOLATED if worst < -tol else HOLDS
     return DivisibilityReport(
@@ -174,13 +129,47 @@ def _positivity_scan(family: PropagatedFamily, kind: str, lift, restarts: int,
         worst_indices=worst_idx,
         worst_value=worst,
         witness=witness if verdict == VIOLATED else None,
-        witness_kind="pure-state" if verdict == VIOLATED else None,
+        witness_kind=witness_kind if verdict == VIOLATED else None,
         flagged_pairs=flagged,
         pairs_scanned=scanned,
         grid=grid,
-        note=("randomized search: a violation is certified by its witness, "
-              "a clean scan is evidence only"),
+        note=note,
     )
+
+
+def cp_divisibility_scan(family: PropagatedFamily, tol: float = 1e-9,
+                         all_pairs: bool = False) -> DivisibilityReport:
+    """Exact CP test of every intermediate map on the selected grid pairs.
+
+    Consecutive pairs by default (divisibility failures of the families
+    studied here already show at infinitesimal steps); ``all_pairs``
+    switches to the full upper-triangular pair set.
+    """
+    def choi_min(inter, i, j):
+        cmat = superop.choi(inter).mat
+        w, v = np.linalg.eigh(0.5 * (cmat + cmat.conj().T))
+        return w[0], v[:, 0]
+
+    return _scan(family, "CP", choi_min, tol, all_pairs, False,
+                 "choi-eigenvector",
+                 "exact Choi-spectrum test on the scanned pairs")
+
+
+def _positivity_scan(family: PropagatedFamily, kind: str, lift, restarts: int,
+                     steps: int, tol: float, seed: int, all_pairs: bool,
+                     stop_on_violation: bool) -> DivisibilityReport:
+    def probe(inter, i, j):
+        result = superop.positivity_probe(
+            lift(inter), restarts=restarts, steps=steps, tol=tol,
+            seed=np.random.SeedSequence([seed, i, j]).generate_state(1)[0],
+            stop_at=-tol if stop_on_violation else None,
+        )
+        return result.min_value, result.argmin_state
+
+    return _scan(family, kind, probe, tol, all_pairs, stop_on_violation,
+                 "pure-state",
+                 "randomized search: a violation is certified by its witness, "
+                 "a clean scan is evidence only")
 
 
 def p_divisibility_probe(family: PropagatedFamily, restarts: int = 100,
@@ -275,7 +264,7 @@ def first_order_witness(g: GeneratorSpec, s: float) -> FirstOrderWitness:
 
     t2 = _tensor_liouvillian(g, liouvillian(g))(s)
     rho = np.outer(psi, psi.conj())
-    out = superop.unvec(t2 @ superop.vec(rho), g.dim * g.dim)
+    out = superop.apply(Superoperator(g.dim * g.dim, t2), rho)
     delta_rate = float(np.real(np.vdot(phi, out @ phi)))
     if delta_rate >= 0:
         raise NumericalError(
@@ -296,15 +285,8 @@ def verify_witness(g: GeneratorSpec, s: float, w: FirstOrderWitness,
         raise ValueError(f"dt must be positive, got {dt}")
     t2 = _tensor_liouvillian(g, liouvillian(g))
     big = g.dim * g.dim
-    m0 = np.eye(big * big, dtype=complex)
-    l0 = t2(s)
-    l_mid = t2(s + 0.5 * dt)
-    l1 = t2(s + dt)
-    k1 = l0 @ m0
-    k2 = l_mid @ (m0 + 0.5 * dt * k1)
-    k3 = l_mid @ (m0 + 0.5 * dt * k2)
-    k4 = l1 @ (m0 + dt * k3)
-    step = m0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    step = rk4_step(np.eye(big * big, dtype=complex),
+                    t2(s), t2(s + 0.5 * dt), t2(s + dt), dt)
     propagator = Superoperator(big, step)
     out = superop.apply(propagator, np.outer(w.psi, w.psi.conj()))
     return float(np.real(np.vdot(w.phi, out @ w.phi)))

@@ -41,6 +41,7 @@ __all__ = [
     "p_divisibility_check_pauli",
     "propagate",
     "qubit_rate_generator",
+    "rk4_step",
 ]
 
 BASIS_TOL = 1e-12
@@ -216,6 +217,19 @@ class PropagatedFamily:
         return self.maps[0].dim
 
 
+def rk4_step(m: np.ndarray, l_left: np.ndarray, l_mid: np.ndarray,
+             l_right: np.ndarray, h: float) -> np.ndarray:
+    """One classical RK4 step of d/dt M = L_t M over [t, t + h].
+
+    ``l_left``, ``l_mid`` and ``l_right`` are L at t, t + h/2 and t + h.
+    """
+    k1 = l_left @ m
+    k2 = l_mid @ (m + 0.5 * h * k1)
+    k3 = l_mid @ (m + 0.5 * h * k2)
+    k4 = l_right @ (m + h * k3)
+    return m + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def propagate(g: GeneratorSpec, grid, step: float) -> PropagatedFamily:
     """Integrate d/dt M_t = L_t M_t with fixed-step classical RK4.
 
@@ -247,11 +261,7 @@ def propagate(g: GeneratorSpec, grid, step: float) -> PropagatedFamily:
             t = float(t0) + k * h
             l_mid = lmat(t + 0.5 * h)
             l_right = lmat(t + h)
-            k1 = l_left @ m
-            k2 = l_mid @ (m + 0.5 * h * k1)
-            k3 = l_mid @ (m + 0.5 * h * k2)
-            k4 = l_right @ (m + h * k3)
-            m = m + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            m = rk4_step(m, l_left, l_mid, l_right, h)
             l_left = l_right
         maps.append(Superoperator(g.dim, m.copy(), trace_preserving=True))
     return PropagatedFamily(grid, maps)
@@ -275,6 +285,36 @@ class GeneratorCheckReport:
     note: str
 
 
+def _grid_check(g: GeneratorSpec, grid, tol: float, criterion: str,
+                value_at) -> GeneratorCheckReport:
+    """Minimize ``value_at(C(t), t) -> (value, pair)`` over the grid.
+
+    The first worst time (and pair) is kept on ties; the criterion is
+    satisfied when the minimum is at least ``-tol``.
+    """
+    grid = np.asarray(grid, dtype=float)
+    worst_value = np.inf
+    worst_time = float(grid[0])
+    worst_pair = None
+    for t in grid:
+        value, pair = value_at(g.coefficient_matrix(float(t)), float(t))
+        if value < worst_value:
+            worst_value = float(value)
+            worst_time = float(t)
+            worst_pair = pair
+    spacing = float(np.min(np.diff(grid))) if len(grid) > 1 else 0.0
+    return GeneratorCheckReport(
+        criterion=criterion,
+        satisfied=worst_value >= -tol,
+        worst_time=worst_time,
+        worst_value=worst_value,
+        worst_pair=worst_pair,
+        grid_points=len(grid),
+        grid_spacing=spacing,
+        note=f"verdict holds at grid resolution {spacing:g} only",
+    )
+
+
 def cp_divisibility_check(g: GeneratorSpec, grid, tol: float = 1e-9) -> GeneratorCheckReport:
     """CP-divisibility criterion: min eigenvalue of C(t) >= -tol on the grid.
 
@@ -282,25 +322,8 @@ def cp_divisibility_check(g: GeneratorSpec, grid, tol: float = 1e-9) -> Generato
     intermediate maps to be completely positive; a negative eigenvalue
     pinpoints where and by how much the criterion fails.
     """
-    grid = np.asarray(grid, dtype=float)
-    worst_value = np.inf
-    worst_time = float(grid[0])
-    for t in grid:
-        w = np.linalg.eigvalsh(g.coefficient_matrix(float(t)))
-        if w[0] < worst_value:
-            worst_value = float(w[0])
-            worst_time = float(t)
-    spacing = float(np.min(np.diff(grid))) if len(grid) > 1 else 0.0
-    return GeneratorCheckReport(
-        criterion="kossakowski-positive",
-        satisfied=worst_value >= -tol,
-        worst_time=worst_time,
-        worst_value=worst_value,
-        worst_pair=None,
-        grid_points=len(grid),
-        grid_spacing=spacing,
-        note=f"verdict holds at grid resolution {spacing:g} only",
-    )
+    return _grid_check(g, grid, tol, "kossakowski-positive",
+                       lambda c, t: (np.linalg.eigvalsh(c)[0], None))
 
 
 def p_divisibility_check_pauli(g: GeneratorSpec, grid, tol: float = 1e-9) -> GeneratorCheckReport:
@@ -312,33 +335,15 @@ def p_divisibility_check_pauli(g: GeneratorSpec, grid, tol: float = 1e-9) -> Gen
     """
     if g.dim != 2:
         raise ValueError("the pairwise rate-sum criterion is specific to qubit generators")
-    grid = np.asarray(grid, dtype=float)
-    worst_value = np.inf
-    worst_time = float(grid[0])
-    worst_pair = (0, 1)
-    for t in grid:
-        c = g.coefficient_matrix(float(t))
+
+    def rate_sums(c: np.ndarray, t: float):
         off = c - np.diag(np.diag(c))
         if np.max(np.abs(off)) > 1e-12 * max(1.0, float(np.max(np.abs(c)))):
             raise ValueError(
                 f"coefficient matrix at t={t} is not diagonal; the criterion does not apply"
             )
         gam = np.real(np.diag(c))
-        for i in range(3):
-            for j in range(i + 1, 3):
-                val = float(gam[i] + gam[j])
-                if val < worst_value:
-                    worst_value = val
-                    worst_time = float(t)
-                    worst_pair = (i, j)
-    spacing = float(np.min(np.diff(grid))) if len(grid) > 1 else 0.0
-    return GeneratorCheckReport(
-        criterion="pairwise-rate-sums",
-        satisfied=worst_value >= -tol,
-        worst_time=worst_time,
-        worst_value=worst_value,
-        worst_pair=worst_pair,
-        grid_points=len(grid),
-        grid_spacing=spacing,
-        note=f"verdict holds at grid resolution {spacing:g} only",
-    )
+        sums = [(float(gam[i] + gam[j]), (i, j)) for i, j in ((0, 1), (0, 2), (1, 2))]
+        return min(sums, key=lambda vp: vp[0])
+
+    return _grid_check(g, grid, tol, "pairwise-rate-sums", rate_sums)

@@ -91,6 +91,8 @@ def _flow_column(map_at: Callable[[float], Superoperator], deltas: np.ndarray,
     eigenvalues are finite-difference noise floor and count as exact zeros.
     Returns the rates and whether the difference was one-sided (t < h).
     """
+    if not h > 0:
+        raise ValueError(f"step h must be positive, got {h}")
     one_sided = t < h
     if one_sided:
         t_lo, t_hi, denom = t, t + h, h
@@ -110,8 +112,6 @@ def information_flow(map_at: Callable[[float], Superoperator], pair: StatePair,
     Times closer to the origin than h fall back to a one-sided forward
     difference; the returned sample is flagged accordingly.
     """
-    if h <= 0:
-        raise ValueError(f"step h must be positive, got {h}")
     sigma, one_sided = _flow_column(map_at, pair.difference()[None], float(t), h)
     return FlowSample(t=float(t), sigma=float(sigma[0]), h=h, one_sided=one_sided)
 

@@ -1,5 +1,7 @@
+import argparse
 import csv
 import json
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -163,15 +165,35 @@ class TestConfigAndErrors:
         rows = read_csv(str(tmp_path / "from-config.csv"))
         assert len(rows) == 1 + 7  # header + points+1 grid rows
 
+    def test_integral_float_config_value_accepted(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grid_points": 6.0, "t_max": 2,
+                                   "output_path": str(tmp_path / "x")}))
+        assert run(["scan", "--config", str(cfg)]) == 0
+        config = json.loads(capsys.readouterr().out)["config"]
+        assert config["grid_points"] == 6 and type(config["grid_points"]) is int
+        assert config["t_max"] == 2.0 and type(config["t_max"]) is float
+
     def test_unknown_config_field(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"alhpa": 1.0}))
         assert run(["scan", "--config", str(cfg)]) == 2
         assert "unknown config fields" in capsys.readouterr().err
 
-    def test_mistyped_config_value(self, tmp_path, capsys):
+    @pytest.mark.parametrize("raw", [
+        pytest.param({"grid_points": "many"}, id="grid_points-string"),
+        pytest.param({"grid_points": 2.9}, id="grid_points-fraction"),
+        pytest.param({"restarts": 1.5}, id="restarts-fraction"),
+        pytest.param({"seed": True}, id="seed-bool"),
+        pytest.param({"tol": True}, id="tol-bool"),
+        pytest.param({"alpha": [0.6, False]}, id="alpha-bool"),
+        pytest.param({"all_pairs": "false"}, id="all_pairs-string"),
+        pytest.param({"all_pairs": 0}, id="all_pairs-int"),
+        pytest.param({"format": 1}, id="format-int"),
+    ])
+    def test_mistyped_config_value(self, tmp_path, capsys, raw):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"grid_points": "many"}))
+        cfg.write_text(json.dumps(raw))
         assert run(["scan", "--config", str(cfg)]) == 2
         assert "invalid value" in capsys.readouterr().err
 
@@ -217,3 +239,39 @@ class TestConfigAndErrors:
         with pytest.raises(SystemExit) as exc:
             run(["scan", "--format", "xml"])
         assert exc.value.code == 2
+
+
+class TestFlagsMirrorRunConfig:
+    def _actions(self, command):
+        sub = next(a for a in cli._build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        return [a for a in sub.choices[command]._actions
+                if a.dest not in ("help", "config")]
+
+    @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+    def test_one_flag_per_field(self, command):
+        actions = self._actions(command)
+        assert sorted(a.dest for a in actions) == sorted(f.name for f in fields(cli.RunConfig))
+        assert all(len(a.option_strings) == 1 for a in actions)
+
+    def test_every_flag_reaches_the_config(self, tmp_path, capsys):
+        expected = {
+            "alpha": [0.7, 0.8], "t_max": 1.0, "grid_points": 4,
+            "rk4_step": 5e-3, "restarts": 2, "probe_steps": 50, "tol": 1e-6,
+            "seed": 3, "output_path": str(tmp_path / "div"), "format": "json",
+            "s": 0.5, "dynamics": "semigroup", "samples": 7, "fd_step": 2e-4,
+            "all_pairs": True,
+        }
+        defaults = asdict(cli.RunConfig())
+        assert all(expected[k] != defaults[k] for k in defaults)
+        flags = {a.dest: a.option_strings for a in self._actions("divisibility")}
+        argv = ["divisibility"]
+        for name, value in expected.items():
+            if value is True:
+                argv += flags[name]
+            elif isinstance(value, list):
+                argv += flags[name] + [",".join(map(str, value))]
+            else:
+                argv += flags[name] + [str(value)]
+        assert run(argv) == 0
+        assert json.loads(capsys.readouterr().out)["config"] == expected

@@ -246,3 +246,15 @@ class TestPDivisibilityCheckPauli:
         g = gen.GeneratorSpec(2, lambda t: c, gen.gell_mann_basis(2))
         with pytest.raises(ValueError, match="diagonal"):
             gen.p_divisibility_check_pauli(g, np.linspace(0.0, 1.0, 3))
+
+
+@pytest.mark.parametrize("check, pair", [
+    (gen.cp_divisibility_check, None),
+    (gen.p_divisibility_check_pauli, (0, 1)),
+])
+def test_grid_checks_keep_first_worst_on_ties(check, pair):
+    # constant equal rates: every grid time and every rate pair ties
+    report = check(gen.qubit_rate_generator((1.0, 1.0, 1.0)),
+                   np.linspace(0.0, 2.0, 5))
+    assert report.worst_time == 0.0
+    assert report.worst_pair == pair

@@ -163,3 +163,9 @@ class TestBackflowScan:
         with pytest.raises(ValueError, match="pairs"):
             iflow.backflow_scan(lambda t: so.identity(3), 3,
                                 np.array([0.0, 1.0]), samples=0, seed=0)
+
+    @pytest.mark.parametrize("h", [0.0, -1e-4])
+    def test_rejects_nonpositive_step(self, h):
+        with pytest.raises(ValueError, match="must be positive"):
+            iflow.backflow_scan(model_map(0.6), 2, np.array([0.0, 1.0]),
+                                samples=2, seed=0, h=h)

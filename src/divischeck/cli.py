@@ -57,7 +57,8 @@ class RunConfig:
     grid_points: int = 200
     rk4_step: float = 1e-3
     restarts: int = 100
-    probe_steps: int = 500
+    probe_steps: int = field(default=500, metadata={
+        "help": "maximum seesaw sweeps per positivity probe"})
     tol: float = 1e-9
     seed: int = 0
     output_path: str = field(default="divischeck-out", metadata={

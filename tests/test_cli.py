@@ -1,7 +1,11 @@
 import argparse
 import csv
 import json
+import os
+import subprocess
+import sys
 from dataclasses import asdict, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -275,3 +279,14 @@ class TestFlagsMirrorRunConfig:
                 argv += flags[name] + [str(value)]
         assert run(argv) == 0
         assert json.loads(capsys.readouterr().out)["config"] == expected
+
+
+def test_import_does_not_load_scipy():
+    """scipy is a test-only dependency; importing the CLI must not pull it in."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, divischeck.cli; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert proc.stdout.strip() == "False"

@@ -244,6 +244,33 @@ class TestPositivityProbe:
         assert result.verdict == so.VIOLATED
         assert result.restarts_used < 200
 
+    def test_restarts_used_without_and_with_stop_at(self):
+        inter = pf.intermediate_channel(1.2, 1.0, 0.6)
+        big = so.tensor(inter, inter)
+        full = so.positivity_probe(big, restarts=50, steps=400, tol=1e-6, seed=3)
+        assert full.restarts_used == 50
+        early = so.positivity_probe(big, restarts=50, steps=400, tol=1e-6, seed=3,
+                                    stop_at=-1e-6)
+        assert 1 <= early.restarts_used < 50
+        assert early.min_value < -1e-6
+        again = so.min_output_eigenvalue(big, early.argmin_state)
+        assert again == pytest.approx(early.min_value, abs=1e-10)
+
+    @pytest.mark.parametrize("steps", [0, -1])
+    def test_rejects_nonpositive_steps(self, steps):
+        big = so.tensor(so.identity(2), so.identity(2))
+        with pytest.raises(ValueError, match="steps must be >= 1"):
+            so.positivity_probe(big, restarts=2, steps=steps)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_value_never_rises_with_more_steps(self, seed):
+        inter = pf.intermediate_channel(1.2, 1.0, 0.6)
+        big = so.tensor(inter, inter)
+        values = [so.positivity_probe(big, restarts=1, steps=k, seed=seed).min_value
+                  for k in range(1, 11)]
+        assert all(later <= earlier for earlier, later in zip(values, values[1:]))
+        assert values[-1] < values[0]
+
     def test_deterministic_given_seed(self):
         ch = pf.channel(0.8, 0.55)
         big = so.tensor(ch, ch)

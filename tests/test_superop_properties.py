@@ -1,15 +1,17 @@
-"""Property tests pinning the conventions the superoperator reshapes rely on.
+"""Property tests pinning the conventions the superoperator reshapes rely on,
+and the positivity probe against an exact answer.
 
 The loop builds below are the defining constructions of ``tensor`` and
 ``choi`` (column by column on the product operator basis, and the sum
 over matrix units); the reshaped versions must reproduce them bit for bit.
 """
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from divischeck import superop as so
+from divischeck.linalg import PAULI
 
 DIMS = st.sampled_from([2, 3])
 ENTRIES = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False,
@@ -104,3 +106,37 @@ def test_compose_applies_in_turn(data, d):
     s1, s2, x = data.draw(maps(d)), data.draw(maps(d)), data.draw(operators(d))
     np.testing.assert_allclose(so.apply(so.compose(s1, s2), x),
                                so.apply(s1, so.apply(s2, x)), rtol=0, atol=1e-9)
+
+
+def unital_qubit_map(t):
+    """The qubit map taking (I + r.sigma)/2 to (I + (t r).sigma)/2 (Bloch form,
+    no translation), extended linearly."""
+    bloch = np.eye(4)
+    bloch[1:, 1:] = t
+    basis = np.array([so.vec(p) for p in PAULI]).T
+    return so.Superoperator(2, 0.5 * basis @ bloch @ basis.conj().T)
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays(np.float64, (3, 3), elements=st.floats(-2.0, 2.0, allow_nan=False,
+                                                    allow_infinity=False,
+                                                    allow_subnormal=False)),
+       st.integers(0, 2**32 - 1))
+def test_probe_finds_unital_qubit_minimum(t, seed):
+    """A pure input with Bloch vector r has output eigenvalues (1 +- |t r|)/2,
+    so the smallest over pure inputs is (1 - sigma_max(t))/2 (King and
+    Ruskai, IEEE Trans. Inf. Theory 47, 192 (2001)).
+
+    The probe reports the value of a real state, so it never undercuts that
+    minimum.  It reaches it when the two largest singular values of t are
+    apart; when they nearly coincide the objective is almost flat along a
+    circle of states, and the seesaw's gain-based stop can end the search
+    early (t = [[a, 0, 1], [0, 0, 0], [0, 1, 0]] with a = 4.2e-4 stops
+    2e-9 short), so the accuracy check skips those maps.
+    """
+    sigma = np.linalg.svd(t, compute_uv=False)
+    exact = (1.0 - sigma[0]) / 2
+    value = so.positivity_probe(unital_qubit_map(t), restarts=4, seed=seed).min_value
+    assert value >= exact - 1e-12
+    assume(sigma[0] - sigma[1] >= 1e-5)
+    assert abs(value - exact) <= 1e-9

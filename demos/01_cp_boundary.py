@@ -37,7 +37,7 @@ for alpha in alphas:
 print()
 print("Choi spectrum vs 2*p_mu at (alpha, t) = (0.75, 1.0):")
 weights = pf.pauli_weights(1.0, 0.75)
-choi_eigs = np.linalg.eigvalsh(so.choi(pf.channel(1.0, 0.75)).mat)
+choi_eigs = np.linalg.eigvalsh(so.choi(pf.channel(1.0, 0.75)))
 print("  choi eigenvalues :", np.round(np.sort(choi_eigs), 6))
 print("  2 * weights      :", np.round(np.sort(2 * weights.as_array()), 6))
 

@@ -63,7 +63,8 @@ class RunConfig:
     seed: int = 0
     output_path: str = field(default="divischeck-out", metadata={
         "flag": "--output", "help": "output path stem"})
-    format: str = field(default="csv", metadata={"choices": FORMATS})
+    format: str = field(default="csv", metadata={
+        "choices": FORMATS, "help": "payload format of scan; the other commands ignore it"})
     s: float = field(default=1.0, metadata={"help": "witness construction time"})
     dynamics: str = field(default="model", metadata={"choices": DYNAMICS})
     samples: int = field(default=100, metadata={"help": "random state pairs per scan"})
@@ -146,19 +147,6 @@ def _generator(cfg: RunConfig, alpha: float) -> generator.GeneratorSpec:
     return generator.qubit_rate_generator((0.0, 0.0, 0.0))
 
 
-def _check_report_payload(report: generator.GeneratorCheckReport) -> dict:
-    return {
-        "criterion": report.criterion,
-        "satisfied": report.satisfied,
-        "worst_time": report.worst_time,
-        "worst_value": report.worst_value,
-        "worst_pair": list(report.worst_pair) if report.worst_pair else None,
-        "grid_points": report.grid_points,
-        "grid_spacing": report.grid_spacing,
-        "note": report.note,
-    }
-
-
 def _scan_report_payload(report: divisibility.DivisibilityReport) -> dict:
     return {
         "kind": report.kind,
@@ -232,8 +220,8 @@ def cmd_divisibility(cfg: RunConfig) -> tuple[list[str], dict]:
         "alpha": alpha,
         "dynamics": cfg.dynamics,
         "grid": {"t_max": cfg.t_max, "points": len(grid)},
-        "cp_divisibility_check": _check_report_payload(cp_check),
-        "p_divisibility_check": _check_report_payload(p_check),
+        "cp_divisibility_check": asdict(cp_check),
+        "p_divisibility_check": asdict(p_check),
         "cp_divisibility_scan": _scan_report_payload(cp_scan),
         "tensor_p_divisibility_probe": _scan_report_payload(tensor_probe),
         "tensor_witness_reevaluated": reevaluated,
@@ -422,6 +410,8 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         cfg = _load_config(args)
+        if args.command != "scan" and len(cfg.alpha) > 1:
+            raise ValueError(f"{args.command} takes one alpha, got {len(cfg.alpha)}")
         outputs, summary = COMMANDS[args.command](cfg)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"divischeck: error: {exc}", file=sys.stderr)

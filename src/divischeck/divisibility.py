@@ -146,7 +146,7 @@ def cp_divisibility_scan(family: PropagatedFamily, tol: float = 1e-9,
     switches to the full upper-triangular pair set.
     """
     def choi_min(inter, i, j):
-        cmat = superop.choi(inter).mat
+        cmat = superop.choi(inter)
         w, v = np.linalg.eigh(0.5 * (cmat + cmat.conj().T))
         return w[0], v[:, 0]
 

@@ -251,7 +251,7 @@ def propagate(g: GeneratorSpec, grid, step: float) -> PropagatedFamily:
     lmat = liouvillian(g)
     d2 = g.dim * g.dim
     m = np.eye(d2, dtype=complex)
-    maps = [Superoperator(g.dim, m.copy(), trace_preserving=True)]
+    maps = [Superoperator(g.dim, m.copy())]
     l_left = lmat(float(grid[0]))
     for t0, t1 in zip(grid[:-1], grid[1:]):
         span = float(t1 - t0)
@@ -263,7 +263,7 @@ def propagate(g: GeneratorSpec, grid, step: float) -> PropagatedFamily:
             l_right = lmat(t + h)
             m = rk4_step(m, l_left, l_mid, l_right, h)
             l_left = l_right
-        maps.append(Superoperator(g.dim, m.copy(), trace_preserving=True))
+        maps.append(Superoperator(g.dim, m.copy()))
     return PropagatedFamily(grid, maps)
 
 

@@ -230,9 +230,9 @@ class BackflowReport:
 
 
 def backflow_scan(map_at: Callable[[float], Superoperator], dim: int, grid,
-                  samples: int = 100, seed: int = 0, h: float = 1e-4,
-                  include_library: bool = True) -> BackflowReport:
-    """Scan flow rates over a grid for library plus random state pairs.
+                  samples: int = 100, seed: int = 0, h: float = 1e-4) -> BackflowReport:
+    """Scan flow rates over a grid for the :func:`pair_library` pairs, in
+    order, followed by ``samples`` random state pairs.
 
     Random pairs are Haar-orthogonal pure pairs drawn deterministically
     from ``seed``.  Evaluation is organized per grid time: the two maps of
@@ -240,9 +240,8 @@ def backflow_scan(map_at: Callable[[float], Superoperator], dim: int, grid,
     """
     grid = np.asarray(grid, dtype=float)
     rng = np.random.default_rng(seed)
-    pairs = pair_library(dim) if include_library else []
-    pairs = pairs + [haar_orthogonal_pair(dim, rng, label=f"haar:{k}")
-                     for k in range(samples)]
+    pairs = pair_library(dim) + [haar_orthogonal_pair(dim, rng, label=f"haar:{k}")
+                                 for k in range(samples)]
     if not pairs:
         raise ValueError("no state pairs to scan")
     deltas = np.stack([p.difference() for p in pairs])

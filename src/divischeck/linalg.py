@@ -8,20 +8,16 @@ results are verified against explicit residual bounds.
 from __future__ import annotations
 
 import warnings
-from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "PAULI",
-    "EigResult",
     "NumericalError",
     "check_hermitian",
-    "hermitian_eig",
     "inverse",
     "max_asymmetry",
     "similarity_to_transpose",
-    "trace_norm",
 ]
 
 #: Pauli matrices, identity first.
@@ -80,48 +76,19 @@ def check_hermitian(a, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
     return 0.5 * (a + a.conj().T)
 
 
-class EigResult(NamedTuple):
-    """Hermitian eigendecomposition; eigenvalues ascending, eigenvectors in columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def hermitian_eig(a) -> EigResult:
-    """Full real spectrum and orthonormal eigenbasis of a Hermitian matrix.
-
-    Rejects non-square or non-Hermitian input (the error message carries the
-    measured asymmetry).  Deterministic for a fixed input matrix.
-    """
-    h = check_hermitian(a)
-    w, v = np.linalg.eigh(h)
-    return EigResult(w, v)
-
-
-def trace_norm(a) -> float:
-    """Sum of singular values; for Hermitian input, the sum of |eigenvalues|."""
-    a = _as_matrix(a)
-    _require_square(a)
-    scale = max(1.0, float(np.max(np.abs(a))) if a.size else 0.0)
-    if max_asymmetry(a) <= 1e-10 * scale:
-        w = np.linalg.eigvalsh(0.5 * (a + a.conj().T))
-        return float(np.sum(np.abs(w)))
-    return float(np.sum(np.linalg.svd(a, compute_uv=False)))
-
-
-def inverse(a, cond_limit: float = CONDITION_LIMIT) -> np.ndarray:
+def inverse(a) -> np.ndarray:
     """Matrix inverse gated on conditioning and verified by residual.
 
     Raises :class:`NumericalError` when the condition estimate exceeds
-    ``cond_limit`` or when ``||A A^-1 - I||_F`` ends up above 1e-8.
+    ``CONDITION_LIMIT`` or when ``||A A^-1 - I||_F`` ends up above 1e-8.
     """
     a = _as_matrix(a)
     _require_square(a)
     cond = float(np.linalg.cond(a))
-    if not np.isfinite(cond) or cond > cond_limit:
+    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
         raise NumericalError(
             f"matrix is singular or ill-conditioned: cond estimate {cond:.3e} "
-            f"exceeds {cond_limit:.1e}"
+            f"exceeds {CONDITION_LIMIT:.1e}"
         )
     inv = np.linalg.inv(a)
     residual = float(np.linalg.norm(a @ inv - np.eye(a.shape[0])))
@@ -159,23 +126,23 @@ def _min_eigenvalue_separation(m: np.ndarray) -> float:
     return float(np.min(diffs))
 
 
-def similarity_to_transpose(m, rtol: float = RESIDUAL_TOL, perturb_seed: int = 7) -> np.ndarray:
+def similarity_to_transpose(m) -> np.ndarray:
     """Invertible U with ``m.T = U @ m @ inv(U)``.
 
     The primary path needs m to be diagonalizable with reasonably separated
     eigenvalues; near-defective input is perturbed once by seeded noise at
     1e-10 scale (reported through a warning) before giving up.  The returned
-    U always satisfies ``||m.T - U m U^-1||_F <= rtol * max(1, ||m||_F)``.
+    U always satisfies ``||m.T - U m U^-1||_F <= RESIDUAL_TOL * max(1, ||m||_F)``.
     """
     m = _as_matrix(m)
     _require_square(m)
     scale = max(1.0, float(np.linalg.norm(m)))
     u, residual = _transpose_similarity_candidate(m)
-    if u is not None and residual <= rtol * scale:
+    if u is not None and residual <= RESIDUAL_TOL * scale:
         return u
 
     amp = 1e-10 * max(1.0, float(np.max(np.abs(m))) if m.size else 0.0)
-    rng = np.random.default_rng(perturb_seed)
+    rng = np.random.default_rng(7)    # fixed seed: the retry is deterministic
     noise = rng.standard_normal(m.shape) + 1j * rng.standard_normal(m.shape)
     warnings.warn(
         "transpose-similarity construction hit a near-defective matrix; "
@@ -185,12 +152,12 @@ def similarity_to_transpose(m, rtol: float = RESIDUAL_TOL, perturb_seed: int = 7
     u2, _ = _transpose_similarity_candidate(m + amp * noise)
     if u2 is not None:
         residual2 = float(np.linalg.norm(m.T - u2 @ m @ np.linalg.inv(u2)))
-        if residual2 <= rtol * scale:
+        if residual2 <= RESIDUAL_TOL * scale:
             return u2
 
     sep = _min_eigenvalue_separation(m)
     raise NumericalError(
         "no transpose similarity found within residual "
-        f"{rtol:.1e} * {scale:.3e}: best residual {residual:.3e}, "
+        f"{RESIDUAL_TOL:.1e} * {scale:.3e}: best residual {residual:.3e}, "
         f"eigenvalue separation {sep:.3e}"
     )

@@ -162,7 +162,7 @@ def pauli_channel(l1: float, l2: float, l3: float) -> Superoperator:
     for lam, sigma in zip((1.0, l1, l2, l3), PAULI):
         v = vec(sigma)
         mat += 0.5 * lam * np.outer(v, v.conj())
-    return Superoperator(2, mat, trace_preserving=True)
+    return Superoperator(2, mat)
 
 
 def channel(t: float, alpha: float) -> Superoperator:

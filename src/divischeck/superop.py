@@ -28,10 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import NumericalError, check_hermitian, inverse, max_asymmetry
+from .linalg import RESIDUAL_TOL, NumericalError, check_hermitian, inverse, max_asymmetry
 
 __all__ = [
-    "ChoiMatrix",
     "HOLDS_NO_VIOLATION",
     "PositivityProbeResult",
     "Superoperator",
@@ -76,13 +75,11 @@ def unvec(v, dim: int) -> np.ndarray:
 class Superoperator:
     """A linear map on d x d matrices stored as a d^2 x d^2 matrix.
 
-    ``mat`` acts on column-vectorized operators.  ``trace_preserving`` is
-    metadata set by constructors that guarantee it; ``None`` means unknown.
+    ``mat`` acts on column-vectorized operators.
     """
 
     dim: int
     mat: np.ndarray
-    trace_preserving: bool | None = None
 
     def __post_init__(self):
         self.mat = np.asarray(self.mat, dtype=complex)
@@ -92,14 +89,6 @@ class Superoperator:
                 f"superoperator on dimension {self.dim} needs a {d2} x {d2} "
                 f"matrix, got shape {self.mat.shape}"
             )
-
-
-@dataclass(eq=False)
-class ChoiMatrix:
-    """Choi matrix of a map on d x d operators (unnormalized, trace d if TP)."""
-
-    dim: int
-    mat: np.ndarray
 
 
 @dataclass
@@ -119,7 +108,7 @@ class PositivityProbeResult:
 
 def identity(dim: int) -> Superoperator:
     """The identity map on dim x dim operators."""
-    return Superoperator(dim, np.eye(dim * dim, dtype=complex), trace_preserving=True)
+    return Superoperator(dim, np.eye(dim * dim, dtype=complex))
 
 
 def apply(s: Superoperator, x) -> np.ndarray:
@@ -140,8 +129,7 @@ def compose(s1: Superoperator, s2: Superoperator) -> Superoperator:
     """The map s1 after s2."""
     if s1.dim != s2.dim:
         raise ValueError(f"dimension mismatch: {s1.dim} vs {s2.dim}")
-    tp = True if (s1.trace_preserving and s2.trace_preserving) else None
-    return Superoperator(s1.dim, s1.mat @ s2.mat, trace_preserving=tp)
+    return Superoperator(s1.dim, s1.mat @ s2.mat)
 
 
 def tensor(s1: Superoperator, s2: Superoperator) -> Superoperator:
@@ -156,19 +144,18 @@ def tensor(s1: Superoperator, s2: Superoperator) -> Superoperator:
     d = d1 * d2
     mat = (s1.mat.reshape(d1, 1, d1, 1, d1, 1, d1, 1)
            * s2.mat.reshape(1, d2, 1, d2, 1, d2, 1, d2)).reshape(d * d, d * d)
-    tp = True if (s1.trace_preserving and s2.trace_preserving) else None
-    return Superoperator(d, mat, trace_preserving=tp)
+    return Superoperator(d, mat)
 
 
-def choi(s: Superoperator) -> ChoiMatrix:
-    """Choi matrix C = sum_ij S[E_ij] kron E_ij (output factor first).
+def choi(s: Superoperator) -> np.ndarray:
+    """Choi matrix C = sum_ij S[E_ij] kron E_ij (output factor first), as a
+    d^2 x d^2 array; unnormalized, so trace d for trace-preserving S.
 
     The entry C[(k, i), (l, j)] = S[E_ij][k, l] sits at S[(l, k), (j, i)],
     so C is a realignment of the superoperator matrix.
     """
     d = s.dim
-    c = s.mat.reshape(d, d, d, d).transpose(1, 3, 0, 2).reshape(d * d, d * d)
-    return ChoiMatrix(d, c)
+    return s.mat.reshape(d, d, d, d).transpose(1, 3, 0, 2).reshape(d * d, d * d)
 
 
 def is_cp(s: Superoperator, tol: float = 1e-9) -> tuple[bool, float]:
@@ -178,8 +165,7 @@ def is_cp(s: Superoperator, tol: float = 1e-9) -> tuple[bool, float]:
     hermiticity-preserving, otherwise the Choi matrix fails its
     Hermiticity check and the call is rejected.
     """
-    c = choi(s)
-    h = check_hermitian(c.mat, rtol=1e-10)
+    h = check_hermitian(choi(s), rtol=1e-10)
     w = np.linalg.eigvalsh(h)
     min_eig = float(w[0])
     return min_eig >= -tol, min_eig
@@ -193,7 +179,7 @@ def is_trace_preserving(s: Superoperator, tol: float = 1e-10) -> bool:
 
 def is_hermiticity_preserving(s: Superoperator, tol: float = 1e-10) -> bool:
     """Exact check that the Choi matrix is Hermitian, entrywise within tol."""
-    return max_asymmetry(choi(s).mat) <= tol
+    return max_asymmetry(choi(s)) <= tol
 
 
 def _min_output_eigenvalue(s: Superoperator, psi: np.ndarray) -> float:
@@ -300,8 +286,7 @@ def positivity_probe(s: Superoperator, restarts: int = 100, steps: int = 500,
     return PositivityProbeResult(min_value, state, used, verdict)
 
 
-def intermediate(s_t: Superoperator, s_s: Superoperator,
-                 residual_tol: float = 1e-8) -> Superoperator:
+def intermediate(s_t: Superoperator, s_s: Superoperator) -> Superoperator:
     """Two-time propagator s_t composed with the inverse of s_s.
 
     Requires s_s to be invertible (condition estimate below 1e12) and
@@ -312,12 +297,11 @@ def intermediate(s_t: Superoperator, s_s: Superoperator,
     inv_s = inverse(s_s.mat)
     mat = s_t.mat @ inv_s
     residual = float(np.linalg.norm(mat @ s_s.mat - s_t.mat))
-    if residual > residual_tol:
+    if residual > RESIDUAL_TOL:
         raise NumericalError(
-            f"intermediate-map residual {residual:.3e} exceeds {residual_tol:.1e}"
+            f"intermediate-map residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e}"
         )
-    tp = True if (s_t.trace_preserving and s_s.trace_preserving) else None
-    return Superoperator(s_t.dim, mat, trace_preserving=tp)
+    return Superoperator(s_t.dim, mat)
 
 
 def min_output_eigenvalue(s: Superoperator, psi) -> float:

@@ -233,6 +233,13 @@ class TestConfigAndErrors:
         assert run(["scan", "--config", str(cfg)]) == 2
         assert "tol must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["divisibility", "witness", "infoflow"])
+    def test_single_alpha_commands_reject_an_alpha_list(self, tmp_path, capsys, command):
+        code = run([command, "--alpha", "0.75,0.5", "--output", str(tmp_path / "x")])
+        assert code == 2
+        assert f"{command} takes one alpha, got 2" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_unwritable_output_exits_2(self, capsys):
         code = run(["scan", "--alpha", "1.0", "--grid-points", "5",
                     "--output", "/nonexistent-dir-zz/out"])
@@ -260,7 +267,7 @@ class TestFlagsMirrorRunConfig:
 
     def test_every_flag_reaches_the_config(self, tmp_path, capsys):
         expected = {
-            "alpha": [0.7, 0.8], "t_max": 1.0, "grid_points": 4,
+            "alpha": [0.7], "t_max": 1.0, "grid_points": 4,
             "rk4_step": 5e-3, "restarts": 2, "probe_steps": 50, "tol": 1e-6,
             "seed": 3, "output_path": str(tmp_path / "div"), "format": "json",
             "s": 0.5, "dynamics": "semigroup", "samples": 7, "fd_step": 2e-4,

@@ -21,7 +21,7 @@ class TestCpDivisibilityScan:
         i, j = report.worst_indices
         inter = so.intermediate(pf.channel(float(grid[j]), 0.75),
                                 pf.channel(float(grid[i]), 0.75))
-        c = so.choi(inter).mat
+        c = so.choi(inter)
         value = float(np.real(np.vdot(report.witness, c @ report.witness)))
         assert value == pytest.approx(report.worst_value, abs=1e-9)
 

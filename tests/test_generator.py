@@ -169,7 +169,7 @@ class TestPropagate:
         grid = np.linspace(0.0, 3.0, 7)
         fam = gen.propagate(g, grid, 1e-3)
         for t, m in zip(grid, fam.maps):
-            eigs = np.sort(np.linalg.eigvalsh(so.choi(m).mat))
+            eigs = np.sort(np.linalg.eigvalsh(so.choi(m)))
             expected = np.sort(2 * pf.pauli_weights(float(t), alpha).as_array())
             np.testing.assert_allclose(eigs, expected, atol=1e-7)
 

@@ -159,6 +159,21 @@ class TestBackflowScan:
         assert report.one_sided[0]
         assert not report.one_sided[1]
 
+    @pytest.mark.parametrize("dim, labels", [
+        (2, ["axis:z", "axis:x", "axis:y"]),
+        (4, ["bell:phi+/phi-", "bell:phi+/psi+", "bell:phi+/psi-",
+             "bell:phi-/psi+", "bell:phi-/psi-", "bell:psi+/psi-",
+             "prod:00/01", "prod:00/10", "prod:00/11",
+             "prod:01/10", "prod:01/11", "prod:10/11",
+             "mixed:tilted-parity"]),
+    ])
+    def test_scans_the_library_in_order(self, dim, labels):
+        report = iflow.backflow_scan(lambda t: so.identity(dim), dim,
+                                     np.array([0.0, 1.0]), samples=0, seed=0)
+        assert [p.label for p in report.pairs] == labels
+        assert [p.label for p in iflow.pair_library(dim)] == labels
+        assert report.sigma.shape == (len(labels), 2)
+
     def test_requires_pairs(self):
         with pytest.raises(ValueError, match="pairs"):
             iflow.backflow_scan(lambda t: so.identity(3), 3,

@@ -154,7 +154,7 @@ class TestChannel:
     def test_choi_spectrum_is_twice_weights(self):
         for t in (0.3, 1.0, 2.5):
             for alpha in (0.5, 1.0, 1.5):
-                eigs = np.sort(np.linalg.eigvalsh(so.choi(pf.channel(t, alpha)).mat))
+                eigs = np.sort(np.linalg.eigvalsh(so.choi(pf.channel(t, alpha))))
                 expected = np.sort(2 * pf.pauli_weights(t, alpha).as_array())
                 np.testing.assert_allclose(eigs, expected, atol=1e-12)
 
@@ -164,7 +164,7 @@ class TestChannel:
         l = pf.bloch_eigenvalues(t, alpha)
         expected = pf.pauli_channel(l.l1 ** 2, l.l2 ** 2, l.l3 ** 2)
         np.testing.assert_allclose(squared.mat, expected.mat, atol=1e-12)
-        eigs = np.sort(np.linalg.eigvalsh(so.choi(squared).mat))
+        eigs = np.sort(np.linalg.eigvalsh(so.choi(squared)))
         q = np.sort(2 * pf.squared_pauli_weights(t, alpha).as_array())
         np.testing.assert_allclose(eigs, q, atol=1e-12)
 

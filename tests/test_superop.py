@@ -25,7 +25,7 @@ def transpose_map():
             e = np.zeros((2, 2), dtype=complex)
             e[i, j] = 1.0
             mat[:, j * 2 + i] = so.vec(e.T)
-    return so.Superoperator(2, mat, trace_preserving=True)
+    return so.Superoperator(2, mat)
 
 
 class TestVec:
@@ -127,7 +127,7 @@ class TestTensor:
         alpha, t = 1.0, 0.9
         ch = pf.channel(t, alpha)
         big = so.tensor(ch, ch)
-        eigs = np.sort(np.linalg.eigvalsh(so.choi(big).mat))
+        eigs = np.sort(np.linalg.eigvalsh(so.choi(big)))
         p = pf.pauli_weights(t, alpha).as_array()
         expected = np.sort([4 * a * b for a in p for b in p])
         np.testing.assert_allclose(eigs, expected, atol=1e-10)
@@ -135,9 +135,9 @@ class TestTensor:
     def test_choi_spectrum_multiplies_for_distinct_channels(self):
         s1 = pf.channel(0.7, 0.6)
         s2 = pf.channel(1.8, 1.4)
-        eigs = np.sort(np.linalg.eigvalsh(so.choi(so.tensor(s1, s2)).mat))
-        e1 = np.linalg.eigvalsh(so.choi(s1).mat)
-        e2 = np.linalg.eigvalsh(so.choi(s2).mat)
+        eigs = np.sort(np.linalg.eigvalsh(so.choi(so.tensor(s1, s2))))
+        e1 = np.linalg.eigvalsh(so.choi(s1))
+        e2 = np.linalg.eigvalsh(so.choi(s2))
         expected = np.sort([a * b for a in e1 for b in e2])
         np.testing.assert_allclose(eigs, expected, atol=1e-10)
 
@@ -145,9 +145,9 @@ class TestTensor:
 class TestChoi:
     def test_identity_choi(self):
         c = so.choi(so.identity(2))
-        eigs = np.sort(np.linalg.eigvalsh(c.mat))
+        eigs = np.sort(np.linalg.eigvalsh(c))
         np.testing.assert_allclose(eigs, [0.0, 0.0, 0.0, 2.0], atol=1e-12)
-        assert np.trace(c.mat).real == pytest.approx(2.0)
+        assert np.trace(c).real == pytest.approx(2.0)
 
     def test_transpose_map_choi_is_swap(self):
         c = so.choi(transpose_map())
@@ -155,15 +155,15 @@ class TestChoi:
         for i in range(2):
             for j in range(2):
                 swap[j * 2 + i, i * 2 + j] = 1.0
-        np.testing.assert_allclose(c.mat, swap, atol=1e-14)
-        assert np.linalg.eigvalsh(c.mat)[0] == pytest.approx(-1.0)
+        np.testing.assert_allclose(c, swap, atol=1e-14)
+        assert np.linalg.eigvalsh(c)[0] == pytest.approx(-1.0)
 
     def test_pauli_channel_choi_spectrum(self):
         rng = np.random.default_rng(4)
         w = rng.dirichlet(np.ones(4))
         mat = sum(wi * np.kron(s.conj(), s) for wi, s in zip(w, PAULI))
-        ch = so.Superoperator(2, mat, trace_preserving=True)
-        eigs = np.sort(np.linalg.eigvalsh(so.choi(ch).mat))
+        ch = so.Superoperator(2, mat)
+        eigs = np.sort(np.linalg.eigvalsh(so.choi(ch)))
         np.testing.assert_allclose(eigs, np.sort(2 * w), atol=1e-12)
 
 
@@ -200,7 +200,6 @@ class TestFlags:
 
     def test_tensor_preserves_flags(self):
         big = so.tensor(pf.channel(0.9, 0.6), pf.channel(0.9, 0.6))
-        assert big.trace_preserving
         assert so.is_trace_preserving(big, tol=1e-9)
 
     def test_scaled_identity_not_trace_preserving(self):

@@ -97,7 +97,7 @@ def test_tensor_acts_on_products(data, d1, d2):
 @given(st.data(), DIMS)
 def test_choi_is_the_defining_sum(data, d):
     s = data.draw(maps(d))
-    np.testing.assert_array_equal(so.choi(s).mat, loop_choi(s))
+    np.testing.assert_array_equal(so.choi(s), loop_choi(s))
 
 
 @PROPERTY

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import pauli_family, superop
-from .generator import GeneratorSpec, PropagatedFamily, liouvillian, rk4_step
+from .generator import GeneratorSpec, PropagatedFamily, liouvillian, rk4_increment
 from .linalg import NumericalError, similarity_to_transpose
 from .superop import VIOLATED, Superoperator, identity, tensor
 
@@ -276,7 +276,7 @@ def first_order_witness(g: GeneratorSpec, s: float) -> FirstOrderWitness:
 
 def verify_witness(g: GeneratorSpec, s: float, w: FirstOrderWitness,
                    dt: float = 1e-4) -> float:
-    """Finite-dt check of a witness: one RK4 step of the tensor propagator.
+    """Finite-dt check of a witness: one RK4 step I + D of the tensor propagator.
 
     Returns <phi| T_{s+dt,s} [|psi><psi|] |phi>, which should agree with
     dt * delta_rate up to O(dt^2).
@@ -285,8 +285,7 @@ def verify_witness(g: GeneratorSpec, s: float, w: FirstOrderWitness,
         raise ValueError(f"dt must be positive, got {dt}")
     t2 = _tensor_liouvillian(g, liouvillian(g))
     big = g.dim * g.dim
-    step = rk4_step(np.eye(big * big, dtype=complex),
-                    t2(s), t2(s + 0.5 * dt), t2(s + dt), dt)
-    propagator = Superoperator(big, step)
+    dm = rk4_increment(t2(s), t2(s + 0.5 * dt), t2(s + dt), dt)
+    propagator = Superoperator(big, np.eye(big * big, dtype=complex) + dm)
     out = superop.apply(propagator, np.outer(w.psi, w.psi.conj()))
     return float(np.real(np.vdot(w.phi, out @ w.phi)))

@@ -20,7 +20,7 @@ fixed-step RK4.  Divisibility criteria at the generator level:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -33,7 +33,6 @@ __all__ = [
     "GeneratorCheckReport",
     "GeneratorSpec",
     "PropagatedFamily",
-    "apply_generator",
     "cp_divisibility_check",
     "gell_mann_basis",
     "liouvillian",
@@ -41,10 +40,13 @@ __all__ = [
     "p_divisibility_check_pauli",
     "propagate",
     "qubit_rate_generator",
-    "rk4_step",
+    "rk4_increment",
 ]
 
 BASIS_TOL = 1e-12
+# Substeps whose L(t) matrices ``propagate`` stacks at once; bounds the
+# memory of a long grid segment (block sizes 16 to 256 time the same).
+_BLOCK = 64
 
 
 def gell_mann_basis(d: int) -> list[np.ndarray]:
@@ -82,14 +84,14 @@ class GeneratorSpec:
     ``kossakowski`` maps t to the Hermitian (d^2-1) x (d^2-1) coefficient
     matrix; ``basis`` holds the d^2-1 orthonormal traceless operators it
     refers to.  Basis orthonormality and tracelessness are validated on
-    construction; C(t) Hermiticity is validated on every evaluation.
+    construction; C(t) finiteness and Hermiticity are validated on every
+    evaluation.
     """
 
     dim: int
     kossakowski: Callable[[float], np.ndarray]
     basis: Sequence[np.ndarray]
     hamiltonian: Callable[[float], np.ndarray] | None = None
-    _terms: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         n = self.dim * self.dim - 1
@@ -143,60 +145,39 @@ def model_generator(alpha: float) -> GeneratorSpec:
     return qubit_rate_generator(lambda t: pauli_family.rates(t, alpha))
 
 
-def apply_generator(g: GeneratorSpec, t: float, rho) -> np.ndarray:
-    """Evaluate L_t[rho] directly from the defining form."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (g.dim, g.dim):
-        raise ValueError(f"state shape {rho.shape} does not match dimension {g.dim}")
-    out = np.zeros_like(rho)
-    if g.hamiltonian is not None:
-        h = check_hermitian(g.hamiltonian(t))
-        out += -1j * (h @ rho - rho @ h)
-    c = g.coefficient_matrix(t)
+def _dissipator_terms(g: GeneratorSpec) -> np.ndarray:
+    """The t-independent structure of the dissipator in matrix form.
+
+    Row i*n + j of the returned (n^2, d^4) array is the flattened
+    superoperator matrix of X -> F_i X F_j† - (1/2){F_j† F_i, X} under
+    column stacking, so C(t) contracts with it in one matmul.
+    """
+    d = g.dim
+    n = d * d - 1
+    eye = np.eye(d, dtype=complex)
+    terms = np.empty((n, n, d * d, d * d), dtype=complex)
     for i, fi in enumerate(g.basis):
         for j, fj in enumerate(g.basis):
-            cij = c[i, j]
-            if cij == 0:
-                continue
             a = fj.conj().T @ fi
-            out += cij * (fi @ rho @ fj.conj().T - 0.5 * (a @ rho + rho @ a))
-    return out
-
-
-def _dissipator_terms(g: GeneratorSpec) -> np.ndarray:
-    """Precomputed t-independent structure of the dissipator in matrix form.
-
-    terms[i, j] is the superoperator matrix of
-    X -> F_i X F_j† - (1/2){F_j† F_i, X} under column stacking.
-    """
-    if g._terms is None:
-        d = g.dim
-        n = d * d - 1
-        eye = np.eye(d, dtype=complex)
-        terms = np.empty((n, n, d * d, d * d), dtype=complex)
-        for i, fi in enumerate(g.basis):
-            for j, fj in enumerate(g.basis):
-                a = fj.conj().T @ fi
-                terms[i, j] = (
-                    np.kron(fj.conj(), fi)
-                    - 0.5 * (np.kron(eye, a) + np.kron(a.T, eye))
-                )
-        g._terms = terms
-    return g._terms
+            terms[i, j] = (
+                np.kron(fj.conj(), fi)
+                - 0.5 * (np.kron(eye, a) + np.kron(a.T, eye))
+            )
+    return terms.reshape(n * n, d ** 4)
 
 
 def liouvillian(g: GeneratorSpec) -> Callable[[float], np.ndarray]:
     """Matrix form of the generator, as a cheap-to-evaluate closure.
 
-    The basis-dependent structure is assembled once; each call then only
-    contracts it with C(t) and adds the Hamiltonian part.
+    The basis-dependent structure is assembled once per closure; each call
+    then only contracts it with C(t) and adds the Hamiltonian part.
     """
     terms = _dissipator_terms(g)
     d = g.dim
     eye = np.eye(d, dtype=complex)
 
     def at(t: float) -> np.ndarray:
-        mat = np.einsum("ij,ijkl->kl", g.coefficient_matrix(t), terms)
+        mat = (g.coefficient_matrix(t).reshape(-1) @ terms).reshape(d * d, d * d)
         if g.hamiltonian is not None:
             h = check_hermitian(g.hamiltonian(t))
             mat = mat + (-1j) * (np.kron(eye, h) - np.kron(h.T, eye))
@@ -217,32 +198,42 @@ class PropagatedFamily:
         return self.maps[0].dim
 
 
-def rk4_step(m: np.ndarray, l_left: np.ndarray, l_mid: np.ndarray,
-             l_right: np.ndarray, h: float) -> np.ndarray:
-    """One classical RK4 step of d/dt M = L_t M over [t, t + h].
+def rk4_increment(l_left: np.ndarray, l_mid: np.ndarray, l_right: np.ndarray,
+                  h: float) -> np.ndarray:
+    """Increment D of one classical RK4 step of d/dt M = L_t M over [t, t + h].
 
-    ``l_left``, ``l_mid`` and ``l_right`` are L at t, t + h/2 and t + h.
+    ``l_left``, ``l_mid`` and ``l_right`` are L at t, t + h/2 and t + h; the
+    step maps M to M + D M.  The L arguments may be stacks (..., n, n), one
+    step per leading index, and D is stacked alike.
     """
-    k1 = l_left @ m
-    k2 = l_mid @ (m + 0.5 * h * k1)
-    k3 = l_mid @ (m + 0.5 * h * k2)
-    k4 = l_right @ (m + h * k3)
-    return m + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    eye = np.eye(l_left.shape[-1], dtype=complex)
+    k1 = l_left
+    k2 = l_mid @ (eye + 0.5 * h * k1)
+    k3 = l_mid @ (eye + 0.5 * h * k2)
+    k4 = l_right @ (eye + h * k3)
+    return (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def propagate(g: GeneratorSpec, grid, step: float) -> PropagatedFamily:
     """Integrate d/dt M_t = L_t M_t with fixed-step classical RK4.
 
     Each grid segment is covered by an integer number of substeps of size
-    at most ``step``, so grid points are hit exactly.  Deterministic.
+    at most ``step``, so grid points are hit exactly.  The substeps go in
+    blocks of at most ``_BLOCK``: one stacked ``rk4_increment`` call forms
+    every increment D_n of a block, and M is chained as M + D_n M (chaining
+    the full steps I + D_n would round every D_n against I).  Deterministic.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 1:
         raise ValueError("grid must be a nonempty 1-d array of times")
+    if not np.all(np.isfinite(grid)):
+        raise ValueError("grid must be finite")
     if abs(grid[0]) > 1e-12:
         raise ValueError(f"grid must start at 0, got {grid[0]}")
     if len(grid) > 1 and np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be strictly ascending")
+    if not math.isfinite(step):
+        raise ValueError("step must be finite")
     if step <= 0:
         raise ValueError(f"step must be positive, got {step}")
     if len(grid) > 1 and step > np.min(np.diff(grid)) + 1e-12:
@@ -251,19 +242,21 @@ def propagate(g: GeneratorSpec, grid, step: float) -> PropagatedFamily:
     lmat = liouvillian(g)
     d2 = g.dim * g.dim
     m = np.eye(d2, dtype=complex)
-    maps = [Superoperator(g.dim, m.copy())]
+    maps = [Superoperator(g.dim, m)]
     l_left = lmat(float(grid[0]))
     for t0, t1 in zip(grid[:-1], grid[1:]):
         span = float(t1 - t0)
         nsub = max(1, math.ceil(span / step - 1e-12))
         h = span / nsub
-        for k in range(nsub):
-            t = float(t0) + k * h
-            l_mid = lmat(t + 0.5 * h)
-            l_right = lmat(t + h)
-            m = rk4_step(m, l_left, l_mid, l_right, h)
-            l_left = l_right
-        maps.append(Superoperator(g.dim, m.copy()))
+        for start in range(0, nsub, _BLOCK):
+            times = [float(t0) + k * h for k in range(start, min(start + _BLOCK, nsub))]
+            mids = [lmat(t + 0.5 * h) for t in times]
+            rights = [lmat(t + h) for t in times]
+            lefts = [l_left] + rights[:-1]
+            for dm in rk4_increment(np.stack(lefts), np.stack(mids), np.stack(rights), h):
+                m = m + dm @ m
+            l_left = rights[-1]
+        maps.append(Superoperator(g.dim, m))
     return PropagatedFamily(grid, maps)
 
 

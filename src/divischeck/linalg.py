@@ -61,19 +61,26 @@ def max_asymmetry(a) -> float:
 def check_hermitian(a, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
     """Validate Hermiticity within ``rtol`` (relative to max entry size).
 
-    Returns the exactly Hermitian part (a + a†)/2 for downstream use so
-    callers never propagate the asymmetric rounding noise.
+    Non-finite entries are rejected.  Returns the exactly Hermitian part
+    (a + a†)/2 for downstream use so callers never propagate the asymmetric
+    rounding noise.  The scale max(1, max |a_ij|) is computed only when the
+    asymmetry exceeds ``rtol``, since below that it cannot exceed
+    ``rtol * scale``.
     """
     a = _as_matrix(a)
     _require_square(a)
-    scale = max(1.0, float(np.max(np.abs(a))) if a.size else 0.0)
-    asym = max_asymmetry(a)
-    if asym > rtol * scale:
-        raise ValueError(
-            f"matrix is not Hermitian: max asymmetry {asym:.3e} exceeds "
-            f"{rtol:.1e} * {scale:.3e}"
-        )
-    return 0.5 * (a + a.conj().T)
+    if not np.isfinite(a).all():
+        raise ValueError("matrix has non-finite entries")
+    adj = a.conj().T
+    asym = float(np.abs(a - adj).max(initial=0.0))
+    if asym > rtol:
+        scale = max(1.0, float(np.abs(a).max()))
+        if asym > rtol * scale:
+            raise ValueError(
+                f"matrix is not Hermitian: max asymmetry {asym:.3e} exceeds "
+                f"{rtol:.1e} * {scale:.3e}"
+            )
+    return 0.5 * (a + adj)
 
 
 def inverse(a) -> np.ndarray:

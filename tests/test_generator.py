@@ -7,7 +7,61 @@ from scipy.linalg import expm
 from divischeck import generator as gen
 from divischeck import pauli_family as pf
 from divischeck import superop as so
-from divischeck.linalg import PAULI
+from divischeck.linalg import PAULI, check_hermitian
+
+
+def apply_generator(g, t, rho):
+    """Reference L_t[rho], evaluated directly from the defining form."""
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (g.dim, g.dim):
+        raise ValueError(f"state shape {rho.shape} does not match dimension {g.dim}")
+    out = np.zeros_like(rho)
+    if g.hamiltonian is not None:
+        h = check_hermitian(g.hamiltonian(t))
+        out += -1j * (h @ rho - rho @ h)
+    c = g.coefficient_matrix(t)
+    for i, fi in enumerate(g.basis):
+        for j, fj in enumerate(g.basis):
+            cij = c[i, j]
+            if cij == 0:
+                continue
+            a = fj.conj().T @ fi
+            out += cij * (fi @ rho @ fj.conj().T - 0.5 * (a @ rho + rho @ a))
+    return out
+
+
+def sequential_propagate(g, grid, step):
+    """Reference propagation, one full RK4 step M -> M + (h/6)(k1 + 2k2 + 2k3 + k4)
+    at a time: the per-step loop ``propagate`` ran before it was block-batched."""
+    lmat = gen.liouvillian(g)
+    m = np.eye(g.dim * g.dim, dtype=complex)
+    maps = [m.copy()]
+    l_left = lmat(float(grid[0]))
+    for t0, t1 in zip(grid[:-1], grid[1:]):
+        span = float(t1 - t0)
+        nsub = max(1, math.ceil(span / step - 1e-12))
+        h = span / nsub
+        for k in range(nsub):
+            t = float(t0) + k * h
+            l_mid = lmat(t + 0.5 * h)
+            l_right = lmat(t + h)
+            k1 = l_left @ m
+            k2 = l_mid @ (m + 0.5 * h * k1)
+            k3 = l_mid @ (m + 0.5 * h * k2)
+            k4 = l_right @ (m + h * k3)
+            m = m + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            l_left = l_right
+        maps.append(m.copy())
+    return maps
+
+
+def hamiltonian_nondiagonal_generator():
+    h = 0.35 * PAULI[1]
+    c = np.array([[0.3, 0.1j, 0.0],
+                  [-0.1j, 0.2, 0.05],
+                  [0.0, 0.05, 0.1]], dtype=complex)
+    return gen.GeneratorSpec(2, lambda t: c, gen.gell_mann_basis(2),
+                             hamiltonian=lambda t: h)
 
 
 class TestGellMannBasis:
@@ -39,6 +93,11 @@ class TestGeneratorSpec:
         with pytest.raises(ValueError, match="orthonormal"):
             gen.GeneratorSpec(2, lambda t: np.eye(3, dtype=complex), basis)
 
+    def test_rejects_nonfinite_coefficients(self):
+        g = gen.qubit_rate_generator(lambda t: (1.0, math.nan, 1.0))
+        with pytest.raises(ValueError, match="non-finite"):
+            g.coefficient_matrix(0.5)
+
     def test_rejects_non_hermitian_coefficients(self):
         g = gen.GeneratorSpec(2, lambda t: np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0]],
                                                     dtype=complex),
@@ -62,13 +121,13 @@ class TestModelGenerator:
             for t in (0.0, 0.8, 2.5):
                 expected = pf.generator_eigenvalues(t, alpha)
                 for mu, sigma in enumerate(PAULI):
-                    out = gen.apply_generator(g, t, sigma)
+                    out = apply_generator(g, t, sigma)
                     np.testing.assert_allclose(out, expected[mu] * sigma,
                                                atol=1e-14)
 
     def test_identity_maps_to_zero(self):
         g = gen.model_generator(1.0)
-        np.testing.assert_allclose(gen.apply_generator(g, 0.7, PAULI[0]),
+        np.testing.assert_allclose(apply_generator(g, 0.7, PAULI[0]),
                                    np.zeros((2, 2)), atol=1e-14)
 
     def test_output_traceless_on_random_states(self):
@@ -78,7 +137,7 @@ class TestModelGenerator:
             b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
             rho = b @ b.conj().T
             rho /= np.trace(rho).real
-            assert abs(np.trace(gen.apply_generator(g, 1.1, rho))) <= 1e-13
+            assert abs(np.trace(apply_generator(g, 1.1, rho))) <= 1e-13
 
 
 class TestLiouvillian:
@@ -91,7 +150,7 @@ class TestLiouvillian:
             for _ in range(5):
                 x = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
                 lhs = so.unvec(mat @ so.vec(x), 2)
-                np.testing.assert_allclose(lhs, gen.apply_generator(g, t, x),
+                np.testing.assert_allclose(lhs, apply_generator(g, t, x),
                                            atol=1e-13)
 
     def test_hamiltonian_part(self):
@@ -129,12 +188,7 @@ class TestPropagate:
             np.testing.assert_allclose(m.mat, expm(lmat * t), atol=1e-8)
 
     def test_hamiltonian_and_nondiagonal_coefficients_match_expm(self):
-        h = 0.35 * PAULI[1]
-        c = np.array([[0.3, 0.1j, 0.0],
-                      [-0.1j, 0.2, 0.05],
-                      [0.0, 0.05, 0.1]], dtype=complex)
-        g = gen.GeneratorSpec(2, lambda t: c, gen.gell_mann_basis(2),
-                              hamiltonian=lambda t: h)
+        g = hamiltonian_nondiagonal_generator()
         lmat = gen.liouvillian(g)(0.0)
         grid = np.linspace(0.0, 1.5, 4)
         fam = gen.propagate(g, grid, 1e-3)
@@ -191,6 +245,41 @@ class TestPropagate:
             gen.propagate(g, np.array([0.5, 1.0]), 0.01)
         with pytest.raises(ValueError, match="spacing"):
             gen.propagate(g, np.array([0.0, 0.1, 0.2]), 0.5)
+
+    @pytest.mark.parametrize("grid, step, message", [
+        ([0.0, math.nan], 0.01, "grid must be finite"),
+        ([0.0, math.inf], 0.01, "grid must be finite"),
+        ([0.0, 1.0], math.nan, "step must be finite"),
+        ([0.0, 1.0], math.inf, "step must be finite"),
+    ], ids=["grid-nan", "grid-inf", "step-nan", "step-inf"])
+    def test_rejects_nonfinite_input(self, grid, step, message):
+        with pytest.raises(ValueError, match=message):
+            gen.propagate(gen.model_generator(1.0), np.array(grid), step)
+
+    @pytest.mark.parametrize("g, grid, step", [
+        # non-uniform grid; span/step is not an integer on any segment
+        (gen.model_generator(0.6), [0.0, 0.013, 0.05, 0.2, 0.237, 1.0], 0.004),
+        # one segment of 500 substeps, several blocks and a partial one
+        (gen.model_generator(0.6), [0.0, 0.5], 1e-3),
+        (hamiltonian_nondiagonal_generator(), np.linspace(0.0, 1.5, 4), 1e-3),
+    ], ids=["model-nonuniform", "model-long-segment", "hamiltonian-nondiagonal"])
+    def test_matches_sequential_rk4(self, g, grid, step):
+        fam = gen.propagate(g, grid, step)
+        expected = sequential_propagate(g, grid, step)
+        assert len(fam.maps) == len(expected)
+        for m, ref in zip(fam.maps, expected):
+            np.testing.assert_allclose(m.mat, ref, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("g, closed", [
+        (gen.model_generator(0.6), lambda t: pf.channel(t, 0.6)),
+        (gen.qubit_rate_generator((0.6, 0.6, 0.6)), lambda t: pf.semigroup_channel(t, 0.6)),
+    ], ids=["model", "semigroup"])
+    def test_closed_form_error_on_default_grid(self, g, closed):
+        grid = pf.default_grid()
+        fam = gen.propagate(g, grid, 1e-3)
+        worst = max(np.max(np.abs(m.mat - closed(float(t)).mat))
+                    for t, m in zip(grid, fam.maps))
+        assert worst <= 1e-14
 
 
 class TestCpDivisibilityCheck:

@@ -22,6 +22,25 @@ class TestCheckHermitian:
             check_hermitian(bad)
         assert max_asymmetry(bad) == 1.0
 
+    @pytest.mark.parametrize("bad", [
+        [[np.nan, 0.0], [0.0, 1.0]],
+        [[np.inf, 0.0], [0.0, 1.0]],
+        [[1.0, np.nan], [0.0, 1.0]],
+    ], ids=["nan", "inf", "offdiagonal-nan"])
+    def test_rejects_nonfinite(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            check_hermitian(bad)
+
+    def test_asymmetry_is_relative_to_max_entry(self):
+        # asymmetry above rtol = 1e-12 but within rtol * 100 passes
+        ok = np.array([[100.0, 5e-11], [0.0, 1.0]])
+        np.testing.assert_array_equal(check_hermitian(ok), 0.5 * (ok + ok.conj().T))
+        bad = np.array([[100.0, 2e-10], [0.0, 1.0]])
+        msg = "matrix is not Hermitian: max asymmetry 2.000e-10 exceeds 1.0e-12 * 1.000e+02"
+        with pytest.raises(ValueError) as err:
+            check_hermitian(bad)
+        assert str(err.value) == msg
+
 
 class TestInverse:
     def test_identity(self):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import sys
@@ -270,6 +271,23 @@ def cmd_witness(cfg: RunConfig) -> tuple[list[str], dict]:
     return [path], summary
 
 
+def _flow_rows(grid: np.ndarray, sigma_single: np.ndarray, sigma_tensor: np.ndarray):
+    """Rows (pair k, t, single sigma, tensor sigma), k-major, then t.
+
+    Yields one row at a time and formats every number once; a cell is
+    blank where a family has fewer than k + 1 pairs.
+    """
+    times = [_fmt(t) for t in grid.tolist()]
+    blank = [""] * len(times)
+
+    def cells(sigma: np.ndarray, k: int) -> list[str]:
+        return [_fmt(x) for x in sigma[k].tolist()] if k < len(sigma) else blank
+
+    for k in range(max(len(sigma_single), len(sigma_tensor))):
+        yield from zip(itertools.repeat(str(k)), times,
+                       cells(sigma_single, k), cells(sigma_tensor, k))
+
+
 def cmd_infoflow(cfg: RunConfig) -> tuple[list[str], dict]:
     alpha = cfg.alpha[0]
     grid = cfg.grid()
@@ -284,16 +302,9 @@ def cmd_infoflow(cfg: RunConfig) -> tuple[list[str], dict]:
     rep_tensor = infoflow.backflow_scan(tensor_map, 4, grid, samples=cfg.samples,
                                         seed=cfg.seed, h=cfg.fd_step)
 
-    n_single = rep_single.sigma.shape[0]
-    n_tensor = rep_tensor.sigma.shape[0]
-    rows = []
-    for k in range(max(n_single, n_tensor)):
-        for ti, t in enumerate(grid):
-            s_val = _fmt(rep_single.sigma[k, ti]) if k < n_single else ""
-            t_val = _fmt(rep_tensor.sigma[k, ti]) if k < n_tensor else ""
-            rows.append([str(k), _fmt(float(t)), s_val, t_val])
     csv_path = cfg.output_path + ".csv"
-    _write_csv(csv_path, INFOFLOW_HEADER, rows)
+    _write_csv(csv_path, INFOFLOW_HEADER,
+               _flow_rows(grid, rep_single.sigma, rep_tensor.sigma))
 
     payload = {
         "alpha": alpha,

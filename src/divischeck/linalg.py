@@ -7,8 +7,6 @@ results are verified against explicit residual bounds.
 """
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 __all__ = [
@@ -107,64 +105,69 @@ def inverse(a) -> np.ndarray:
     return inv
 
 
-def _transpose_similarity_candidate(m: np.ndarray):
-    """One shot at U with m.T = U m U^-1 via the eigendecomposition of m.
+def _scale(m: np.ndarray) -> float:
+    return max(1.0, float(np.linalg.norm(m)))
+
+
+def _well_conditioned(a: np.ndarray) -> bool:
+    cond = float(np.linalg.cond(a))
+    return np.isfinite(cond) and cond <= CONDITION_LIMIT
+
+
+def _eigenvector_similarity(m: np.ndarray):
+    """(U, U^-1) from the eigendecomposition of m, or None.
 
     If m = V D V^-1 then transpose-inverse(V) diagonalizes m.T with the same
-    eigenvalue ordering, which collapses to U = inv(V V^T).  Returns
-    (U, residual) or (None, inf) when V V^T is numerically singular.
+    eigenvalue ordering, which collapses to U = inv(V V^T).  None when V V^T
+    is numerically singular, as it is for a defective m.
     """
-    w, v = np.linalg.eig(m)
+    _, v = np.linalg.eig(m)
     u_inv = v @ v.T
-    cond = float(np.linalg.cond(u_inv))
-    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
-        return None, np.inf
-    u = np.linalg.inv(u_inv)
-    residual = float(np.linalg.norm(m.T - u @ m @ u_inv))
-    return u, residual
+    if not _well_conditioned(u_inv):
+        return None
+    return np.linalg.inv(u_inv), u_inv
 
 
-def _min_eigenvalue_separation(m: np.ndarray) -> float:
-    w = np.linalg.eigvals(m)
-    if len(w) < 2:
-        return np.inf
-    diffs = np.abs(w[:, None] - w[None, :])
-    diffs[np.diag_indices_from(diffs)] = np.inf
-    return float(np.min(diffs))
+def _null_space_similarity(m: np.ndarray):
+    """(U, U^-1) from the solutions of m.T U = U m, or None.
+
+    Under column stacking the solutions are the null space of
+    kron(I, m.T) - kron(m.T, I), which has dimension at least n for every
+    n x n matrix.  The sum of its orthonormal basis is the candidate U; None
+    when that sum is numerically singular.
+    """
+    eye = np.eye(m.shape[0])
+    _, sv, vh = np.linalg.svd(np.kron(eye, m.T) - np.kron(m.T, eye))
+    null = vh[sv <= RESIDUAL_TOL * _scale(m)].conj()
+    u = null.sum(axis=0).reshape(m.shape, order="F")
+    if not _well_conditioned(u):
+        return None
+    return u, np.linalg.inv(u)
 
 
 def similarity_to_transpose(m) -> np.ndarray:
     """Invertible U with ``m.T = U @ m @ inv(U)``.
 
-    The primary path needs m to be diagonalizable with reasonably separated
-    eigenvalues; near-defective input is perturbed once by seeded noise at
-    1e-10 scale (reported through a warning) before giving up.  The returned
-    U always satisfies ``||m.T - U m U^-1||_F <= RESIDUAL_TOL * max(1, ||m||_F)``.
+    The eigendecomposition gives U for diagonalizable m.  Where it fails, as
+    for a defective m such as a Jordan block, U is solved for exactly from
+    the linear equation m.T U = U m.  The returned U always satisfies
+    ``||m.T - U m U^-1||_F <= RESIDUAL_TOL * max(1, ||m||_F)`` and has
+    condition number at most ``CONDITION_LIMIT``.
     """
     m = _as_matrix(m)
     _require_square(m)
-    scale = max(1.0, float(np.linalg.norm(m)))
-    u, residual = _transpose_similarity_candidate(m)
-    if u is not None and residual <= RESIDUAL_TOL * scale:
-        return u
-
-    amp = 1e-10 * max(1.0, float(np.max(np.abs(m))) if m.size else 0.0)
-    rng = np.random.default_rng(7)    # fixed seed: the retry is deterministic
-    noise = rng.standard_normal(m.shape) + 1j * rng.standard_normal(m.shape)
-    warnings.warn(
-        "transpose-similarity construction hit a near-defective matrix; "
-        f"retrying once with a seeded perturbation of scale {amp:.1e}",
-        stacklevel=2,
-    )
-    u2, _ = _transpose_similarity_candidate(m + amp * noise)
-    if u2 is not None:
-        residual2 = float(np.linalg.norm(m.T - u2 @ m @ np.linalg.inv(u2)))
-        if residual2 <= RESIDUAL_TOL * scale:
-            return u2
-
-    sep = _min_eigenvalue_separation(m)
+    scale = _scale(m)
+    best = np.inf
+    for solve in (_eigenvector_similarity, _null_space_similarity):
+        candidate = solve(m)
+        if candidate is None:
+            continue
+        u, u_inv = candidate
+        residual = float(np.linalg.norm(m.T - u @ m @ u_inv))
+        if residual <= RESIDUAL_TOL * scale:
+            return u
+        best = min(best, residual)
     raise NumericalError(
         "no transpose similarity found within residual "
-        f"{RESIDUAL_TOL:.1e} * {scale:.3e}: best residual {residual:.3e}, "
-        f"eigenvalue separation {sep:.3e}"
+        f"{RESIDUAL_TOL:.1e} * {scale:.3e}: best residual {best:.3e}"
     )

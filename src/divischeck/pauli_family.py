@@ -32,8 +32,6 @@ __all__ = [
     "channel",
     "cp_criterion",
     "default_grid",
-    "generator_eigenvalues",
-    "intermediate_channel",
     "log_cosh",
     "pauli_channel",
     "pauli_weights",
@@ -43,6 +41,11 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
+
+
+# outer(vec sigma_k, vec sigma_k*), identity first: twice the spectral
+# projectors of every Pauli channel, built once.
+_PAULI_PROJECTORS = tuple(np.outer(vec(sigma), vec(sigma).conj()) for sigma in PAULI)
 
 
 def _validate(t: float, alpha: float) -> None:
@@ -63,17 +66,6 @@ def rates(t: float, alpha: float) -> tuple[float, float, float]:
     _validate(t, alpha)
     # + 0.0 normalizes the negative zero at t = 0
     return (alpha, alpha, -alpha * math.tanh(t) + 0.0)
-
-
-def generator_eigenvalues(t: float, alpha: float) -> tuple[float, float, float, float]:
-    """Eigenvalues of the generator on (identity, sigma_1, sigma_2, sigma_3).
-
-    The identity eigenvalue is 0 (trace preservation); the transverse pair
-    is a (tanh t - 1) and the longitudinal one is -2a.
-    """
-    _validate(t, alpha)
-    transverse = alpha * (math.tanh(t) - 1.0)
-    return (0.0, transverse, transverse, -2.0 * alpha)
 
 
 @dataclass(frozen=True)
@@ -159,9 +151,8 @@ def pauli_channel(l1: float, l2: float, l3: float) -> Superoperator:
     is fixed, sigma_k is scaled by l_k.
     """
     mat = np.zeros((4, 4), dtype=complex)
-    for lam, sigma in zip((1.0, l1, l2, l3), PAULI):
-        v = vec(sigma)
-        mat += 0.5 * lam * np.outer(v, v.conj())
+    for lam, proj in zip((1.0, l1, l2, l3), _PAULI_PROJECTORS):
+        mat += 0.5 * lam * proj
     return Superoperator(2, mat)
 
 
@@ -169,19 +160,6 @@ def channel(t: float, alpha: float) -> Superoperator:
     """The family's channel at time t (identity at t = 0)."""
     l = bloch_eigenvalues(t, alpha)
     return pauli_channel(l.l1, l.l2, l.l3)
-
-
-def intermediate_channel(t: float, s: float, alpha: float) -> Superoperator:
-    """Two-time propagator from s to t, t >= s >= 0.
-
-    A Pauli channel with eigenvalue ratios l_k(t)/l_k(s); the ratios lie in
-    (0, 1] because every l_k is positive and non-increasing.
-    """
-    if t < s:
-        raise ValueError(f"need t >= s, got t={t}, s={s}")
-    lt = bloch_eigenvalues(t, alpha)
-    ls = bloch_eigenvalues(s, alpha)
-    return pauli_channel(lt.l1 / ls.l1, lt.l2 / ls.l2, lt.l3 / ls.l3)
 
 
 def semigroup_channel(t: float, alpha: float) -> Superoperator:

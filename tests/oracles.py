@@ -1,0 +1,44 @@
+"""Closed forms and defining constructions that tests compare the package
+against.  Nothing under ``src/`` uses them.
+"""
+import math
+
+import numpy as np
+
+from divischeck import pauli_family as pf
+from divischeck.linalg import PAULI
+from divischeck.superop import Superoperator, vec
+
+
+def generator_eigenvalues(t: float, alpha: float) -> tuple[float, float, float, float]:
+    """Eigenvalues of the model generator on (identity, sigma_1, sigma_2, sigma_3).
+
+    The identity eigenvalue is 0 (trace preservation); the transverse pair
+    is a (tanh t - 1) and the longitudinal one is -2a.
+    """
+    pf._validate(t, alpha)
+    transverse = alpha * (math.tanh(t) - 1.0)
+    return (0.0, transverse, transverse, -2.0 * alpha)
+
+
+def intermediate_channel(t: float, s: float, alpha: float) -> Superoperator:
+    """Two-time propagator of the model family from s to t, t >= s >= 0.
+
+    A Pauli channel with eigenvalue ratios l_k(t)/l_k(s); the ratios lie in
+    (0, 1] because every l_k is positive and non-increasing.
+    """
+    if t < s:
+        raise ValueError(f"need t >= s, got t={t}, s={s}")
+    lt = pf.bloch_eigenvalues(t, alpha)
+    ls = pf.bloch_eigenvalues(s, alpha)
+    return pf.pauli_channel(lt.l1 / ls.l1, lt.l2 / ls.l2, lt.l3 / ls.l3)
+
+
+def loop_pauli_channel(l1: float, l2: float, l3: float) -> np.ndarray:
+    """Matrix of the unital qubit channel with Bloch eigenvalues (l1, l2, l3),
+    summed Pauli by Pauli with each outer product built in place."""
+    mat = np.zeros((4, 4), dtype=complex)
+    for lam, sigma in zip((1.0, l1, l2, l3), PAULI):
+        v = vec(sigma)
+        mat += 0.5 * lam * np.outer(v, v.conj())
+    return mat

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -157,6 +158,48 @@ class TestInfoflow:
         run(args + ["--output", str(tmp_path / "b")])
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    def test_csv_cells_are_the_report_sigmas(self, tmp_path, monkeypatch):
+        reports = []
+        scan = cli.infoflow.backflow_scan
+
+        def recording_scan(*args, **kwargs):
+            reports.append(scan(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(cli.infoflow, "backflow_scan", recording_scan)
+        out = tmp_path / "flow"
+        code = run(["infoflow", "--alpha", "0.6", "--grid-points", "9",
+                    "--samples", "7", "--seed", "4", "--output", str(out)])
+        assert code == 0
+        single, tensor = reports
+        grid = cli.RunConfig(grid_points=9).grid()
+        rows = read_csv(str(out) + ".csv")
+        assert rows[0] == cli.INFOFLOW_HEADER
+        n_pairs = max(len(single.sigma), len(tensor.sigma))
+        assert len(single.sigma) < len(tensor.sigma)
+        assert len(rows) == 1 + n_pairs * len(grid)
+        for r, row in enumerate(rows[1:]):
+            k, ti = divmod(r, len(grid))
+            assert row[:2] == [str(k), format(float(grid[ti]), ".17g")]
+            for cell, report in zip(row[2:], (single, tensor)):
+                if k < len(report.sigma):
+                    assert float(cell) == report.sigma[k, ti]
+                else:
+                    assert cell == ""
+
+    def test_peak_memory_does_not_grow_with_the_rows(self, tmp_path, capsys):
+        # the default grid gives 22,713 CSV rows; held in one list before
+        # writing, they would take about 8.5 MB
+        tracemalloc.start()
+        try:
+            code = run(["infoflow", "--samples", "100", "--seed", "1",
+                        "--output", str(tmp_path / "flow")])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 3e6
 
 
 class TestConfigAndErrors:

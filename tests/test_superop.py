@@ -6,6 +6,7 @@ import pytest
 from divischeck import pauli_family as pf
 from divischeck import superop as so
 from divischeck.linalg import PAULI, NumericalError
+from oracles import intermediate_channel
 
 
 def random_state(rng, d):
@@ -227,7 +228,7 @@ class TestPositivityProbe:
         assert result.min_value >= -1e-9
 
     def test_finds_tensor_intermediate_violation(self):
-        inter = pf.intermediate_channel(1.2, 1.0, 0.6)
+        inter = intermediate_channel(1.2, 1.0, 0.6)
         big = so.tensor(inter, inter)
         result = so.positivity_probe(big, restarts=40, steps=400, tol=1e-6, seed=2)
         assert result.verdict == so.VIOLATED
@@ -236,7 +237,7 @@ class TestPositivityProbe:
         assert again == pytest.approx(result.min_value, abs=1e-10)
 
     def test_early_stop(self):
-        inter = pf.intermediate_channel(1.2, 1.0, 0.6)
+        inter = intermediate_channel(1.2, 1.0, 0.6)
         big = so.tensor(inter, inter)
         result = so.positivity_probe(big, restarts=200, steps=400, tol=1e-6,
                                      seed=3, stop_at=-1e-6)
@@ -244,7 +245,7 @@ class TestPositivityProbe:
         assert result.restarts_used < 200
 
     def test_restarts_used_without_and_with_stop_at(self):
-        inter = pf.intermediate_channel(1.2, 1.0, 0.6)
+        inter = intermediate_channel(1.2, 1.0, 0.6)
         big = so.tensor(inter, inter)
         full = so.positivity_probe(big, restarts=50, steps=400, tol=1e-6, seed=3)
         assert full.restarts_used == 50
@@ -263,7 +264,7 @@ class TestPositivityProbe:
 
     @pytest.mark.parametrize("seed", range(20))
     def test_value_never_rises_with_more_steps(self, seed):
-        inter = pf.intermediate_channel(1.2, 1.0, 0.6)
+        inter = intermediate_channel(1.2, 1.0, 0.6)
         big = so.tensor(inter, inter)
         values = [so.positivity_probe(big, restarts=1, steps=k, seed=seed).min_value
                   for k in range(1, 11)]
@@ -303,7 +304,7 @@ class TestIntermediate:
         alpha, s, t = 0.6, 0.9, 2.2
         inter = so.intermediate(pf.channel(t, alpha), pf.channel(s, alpha))
         np.testing.assert_allclose(inter.mat,
-                                   pf.intermediate_channel(t, s, alpha).mat,
+                                   intermediate_channel(t, s, alpha).mat,
                                    atol=1e-10)
 
     def test_rejects_singular(self):

@@ -288,6 +288,15 @@ def _flow_rows(grid: np.ndarray, sigma_single: np.ndarray, sigma_tensor: np.ndar
                        cells(sigma_single, k), cells(sigma_tensor, k))
 
 
+def _flow_report_payload(report: infoflow.BackflowReport) -> dict:
+    return {
+        "max_sigma": report.max_sigma,
+        "argmax_pair": report.argmax_label,
+        "argmax_t": report.argmax_t,
+        "pair_labels": [p.label for p in report.pairs],
+    }
+
+
 def cmd_infoflow(cfg: RunConfig) -> tuple[list[str], dict]:
     alpha = cfg.alpha[0]
     grid = cfg.grid()
@@ -311,18 +320,8 @@ def cmd_infoflow(cfg: RunConfig) -> tuple[list[str], dict]:
         "dynamics": cfg.dynamics,
         "samples": cfg.samples,
         "fd_step": cfg.fd_step,
-        "single": {
-            "max_sigma": rep_single.max_sigma,
-            "argmax_pair": rep_single.argmax_label,
-            "argmax_t": rep_single.argmax_t,
-            "pair_labels": [p.label for p in rep_single.pairs],
-        },
-        "tensor": {
-            "max_sigma": rep_tensor.max_sigma,
-            "argmax_pair": rep_tensor.argmax_label,
-            "argmax_t": rep_tensor.argmax_t,
-            "pair_labels": [p.label for p in rep_tensor.pairs],
-        },
+        "single": _flow_report_payload(rep_single),
+        "tensor": _flow_report_payload(rep_tensor),
     }
     json_path = cfg.output_path + ".json"
     _write_json(json_path, payload)

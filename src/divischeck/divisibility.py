@@ -38,7 +38,6 @@ __all__ = [
     "cp_divisibility_scan",
     "first_order_witness",
     "model_family",
-    "p_divisibility_probe",
     "semigroup_family",
     "tensor_p_divisibility_probe",
     "verify_witness",
@@ -52,12 +51,12 @@ class DivisibilityReport:
     """Verdict of a divisibility scan plus the evidence behind it.
 
     ``witness`` is present whenever the verdict is "violated": a Choi
-    eigenvector for CP scans, a pure input state for positivity probes.
+    eigenvector for CP scans, a pure input state for the tensor probe.
     ``flagged_pairs`` lists grid pairs skipped because the earlier map could
     not be inverted reliably.
     """
 
-    kind: str                                # "CP" | "P" | "tensor-P"
+    kind: str                                # "CP" | "tensor-P"
     verdict: str                             # HOLDS | VIOLATED
     worst_pair: tuple[float, float] | None
     worst_indices: tuple[int, int] | None
@@ -66,7 +65,6 @@ class DivisibilityReport:
     witness_kind: str | None = None
     flagged_pairs: list = field(default_factory=list)
     pairs_scanned: int = 0
-    grid: np.ndarray | None = None
     note: str = ""
 
 
@@ -132,7 +130,6 @@ def _scan(family: PropagatedFamily, kind: str, test, tol: float,
         witness_kind=witness_kind if verdict == VIOLATED else None,
         flagged_pairs=flagged,
         pairs_scanned=scanned,
-        grid=grid,
         note=note,
     )
 
@@ -155,46 +152,29 @@ def cp_divisibility_scan(family: PropagatedFamily, tol: float = 1e-9,
                  "exact Choi-spectrum test on the scanned pairs")
 
 
-def _positivity_scan(family: PropagatedFamily, kind: str, lift, restarts: int,
-                     steps: int, tol: float, seed: int, all_pairs: bool,
-                     stop_on_violation: bool) -> DivisibilityReport:
-    def probe(inter, i, j):
-        result = superop.positivity_probe(
-            lift(inter), restarts=restarts, steps=steps, tol=tol,
-            seed=np.random.SeedSequence([seed, i, j]).generate_state(1)[0],
-            stop_at=-tol if stop_on_violation else None,
-        )
-        return result.min_value, result.argmin_state
-
-    return _scan(family, kind, probe, tol, all_pairs, stop_on_violation,
-                 "pure-state",
-                 "randomized search: a violation is certified by its witness, "
-                 "a clean scan is evidence only")
-
-
-def p_divisibility_probe(family: PropagatedFamily, restarts: int = 100,
-                         steps: int = 500, tol: float = 1e-9, seed: int = 0,
-                         all_pairs: bool = False,
-                         stop_on_violation: bool = True) -> DivisibilityReport:
-    """Randomized positivity search over the intermediate maps themselves."""
-    return _positivity_scan(family, "P", lambda s: s, restarts, steps, tol,
-                            seed, all_pairs, stop_on_violation)
-
-
 def tensor_p_divisibility_probe(family: PropagatedFamily, restarts: int = 100,
                                 steps: int = 500, tol: float = 1e-9,
-                                seed: int = 0, all_pairs: bool = False,
-                                stop_on_violation: bool = True) -> DivisibilityReport:
+                                seed: int = 0,
+                                all_pairs: bool = False) -> DivisibilityReport:
     """Randomized positivity search over tensor squares of intermediate maps.
 
     For families whose coefficient matrix dips below zero somewhere, some
     tensor-squared intermediate map fails positivity; the scan hunts for a
     pure two-party state exposing that failure and reports it with the
-    violating (s, t) pair.
+    violating (s, t) pair.  It stops at the first violating pair.
     """
-    return _positivity_scan(family, "tensor-P", lambda s: tensor(s, s),
-                            restarts, steps, tol, seed, all_pairs,
-                            stop_on_violation)
+    def probe(inter, i, j):
+        result = superop.positivity_probe(
+            tensor(inter, inter), restarts=restarts, steps=steps, tol=tol,
+            seed=np.random.SeedSequence([seed, i, j]).generate_state(1)[0],
+            stop_at=-tol,
+        )
+        return result.min_value, result.argmin_state
+
+    return _scan(family, "tensor-P", probe, tol, all_pairs, True,
+                 "pure-state",
+                 "randomized search: a violation is certified by its witness, "
+                 "a clean scan is evidence only")
 
 
 @dataclass
@@ -281,7 +261,7 @@ def verify_witness(g: GeneratorSpec, s: float, w: FirstOrderWitness,
     Returns <phi| T_{s+dt,s} [|psi><psi|] |phi>, which should agree with
     dt * delta_rate up to O(dt^2).
     """
-    if dt <= 0:
+    if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
     t2 = _tensor_liouvillian(g, liouvillian(g))
     big = g.dim * g.dim

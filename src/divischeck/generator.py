@@ -193,10 +193,6 @@ class PropagatedFamily:
     grid: np.ndarray
     maps: list[Superoperator]
 
-    @property
-    def dim(self) -> int:
-        return self.maps[0].dim
-
 
 def rk4_increment(l_left: np.ndarray, l_mid: np.ndarray, l_right: np.ndarray,
                   h: float) -> np.ndarray:

@@ -13,6 +13,7 @@ clean scan only supports monotonicity, it does not prove it.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -64,10 +65,6 @@ class StatePair:
             if np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0] < -STATE_TOL:
                 raise ValueError(f"{name} is not positive semidefinite within {STATE_TOL:.0e}")
 
-    @property
-    def dim(self) -> int:
-        return self.rho1.shape[0]
-
     def difference(self) -> np.ndarray:
         return self.rho1 - self.rho2
 
@@ -78,7 +75,6 @@ class FlowSample:
 
     t: float
     sigma: float
-    h: float
     one_sided: bool = False
 
 
@@ -113,7 +109,7 @@ def information_flow(map_at: Callable[[float], Superoperator], pair: StatePair,
     difference; the returned sample is flagged accordingly.
     """
     sigma, one_sided = _flow_column(map_at, pair.difference()[None], float(t), h)
-    return FlowSample(t=float(t), sigma=float(sigma[0]), h=h, one_sided=one_sided)
+    return FlowSample(t=float(t), sigma=float(sigma[0]), one_sided=one_sided)
 
 
 def _projector(vec: np.ndarray) -> np.ndarray:
@@ -133,28 +129,20 @@ def bell_states() -> list[np.ndarray]:
     ]
 
 
+def _unordered_pairs(prefix: str, names: list[str], vectors) -> list[StatePair]:
+    """Pure-state pairs for every unordered pair of the named vectors, in order."""
+    return [StatePair(_projector(a), _projector(b), label=f"{prefix}:{na}/{nb}")
+            for (na, a), (nb, b) in itertools.combinations(zip(names, vectors), 2)]
+
+
 def bell_pairs() -> list[StatePair]:
     """All six unordered pairs of distinct Bell states."""
-    names = ["phi+", "phi-", "psi+", "psi-"]
-    states = bell_states()
-    pairs = []
-    for i in range(4):
-        for j in range(i + 1, 4):
-            pairs.append(StatePair(_projector(states[i]), _projector(states[j]),
-                                   label=f"bell:{names[i]}/{names[j]}"))
-    return pairs
+    return _unordered_pairs("bell", ["phi+", "phi-", "psi+", "psi-"], bell_states())
 
 
 def product_pairs() -> list[StatePair]:
     """Orthogonal computational product pairs on two qubits."""
-    basis = np.eye(4, dtype=complex)
-    names = ["00", "01", "10", "11"]
-    pairs = []
-    for i in range(4):
-        for j in range(i + 1, 4):
-            pairs.append(StatePair(_projector(basis[:, i]), _projector(basis[:, j]),
-                                   label=f"prod:{names[i]}/{names[j]}"))
-    return pairs
+    return _unordered_pairs("prod", ["00", "01", "10", "11"], np.eye(4, dtype=complex))
 
 
 def qubit_axis_pairs() -> list[StatePair]:
@@ -223,9 +211,7 @@ class BackflowReport:
     argmax_label: str
     argmax_t: float
     sigma: np.ndarray                 # shape (n_pairs, n_times)
-    grid: np.ndarray
     pairs: list[StatePair] = field(repr=False)
-    h: float = 1e-4
     one_sided: np.ndarray | None = None
 
 
@@ -256,8 +242,6 @@ def backflow_scan(map_at: Callable[[float], Superoperator], dim: int, grid,
         argmax_label=pairs[p_idx].label or f"pair:{p_idx}",
         argmax_t=float(grid[t_idx]),
         sigma=sigma,
-        grid=grid,
         pairs=pairs,
-        h=h,
         one_sided=one_sided,
     )

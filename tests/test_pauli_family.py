@@ -30,6 +30,12 @@ class TestRates:
             pf.rates(-0.1, 1.0)
         with pytest.raises(ValueError):
             pf.rates(1.0, 0.0)
+        with pytest.raises(ValueError, match="time"):
+            pf.rates(math.nan, 0.6)
+        with pytest.raises(ValueError, match="alpha"):
+            pf.rates(1.0, math.nan)
+        with pytest.raises(ValueError, match="alpha"):
+            pf.channel(0.5, math.nan)
 
 
 class TestGeneratorEigenvalues:
@@ -230,3 +236,5 @@ class TestGrid:
             pf.default_grid(points=0)
         with pytest.raises(ValueError):
             pf.default_grid(t_max=-1.0)
+        with pytest.raises(ValueError, match="t_max"):
+            pf.default_grid(t_max=math.nan, points=3)

@@ -81,15 +81,16 @@ def gell_mann_basis(d: int) -> list[np.ndarray]:
 class GeneratorSpec:
     """Kossakowski-form time-local generator.
 
-    ``kossakowski`` maps t to the Hermitian (d^2-1) x (d^2-1) coefficient
-    matrix; ``basis`` holds the d^2-1 orthonormal traceless operators it
-    refers to.  Basis orthonormality and tracelessness are validated on
-    construction; C(t) finiteness and Hermiticity are validated on every
-    evaluation.
+    ``kossakowski`` is the Hermitian (d^2-1) x (d^2-1) coefficient matrix,
+    either fixed or as a callable t -> C(t); ``basis`` holds the d^2-1
+    orthonormal traceless operators it refers to.  Basis orthonormality and
+    tracelessness are validated on construction.  A fixed C is validated
+    (finite, Hermitian, right shape) once, on construction, and stored
+    read-only; a callable C(t) is validated on every evaluation.
     """
 
     dim: int
-    kossakowski: Callable[[float], np.ndarray]
+    kossakowski: Callable[[float], np.ndarray] | np.ndarray
     basis: Sequence[np.ndarray]
     hamiltonian: Callable[[float], np.ndarray] | None = None
 
@@ -110,29 +111,40 @@ class GeneratorSpec:
                     raise ValueError(
                         f"basis is not orthonormal: Tr(F_{i}^dag F_{j}) = {overlap:.3e}"
                     )
+        if not callable(self.kossakowski):
+            c = check_hermitian(self.kossakowski)
+            if c.shape != (n, n):
+                raise ValueError(f"coefficient matrix has shape {c.shape}, expected {(n, n)}")
+            c.flags.writeable = False
+            self.kossakowski = c
 
     def coefficient_matrix(self, t: float) -> np.ndarray:
-        """Validated Hermitian C(t)."""
-        c = check_hermitian(self.kossakowski(t))
+        """Validated Hermitian C(t); the read-only matrix itself when C is fixed."""
+        c = self.kossakowski
+        if not callable(c):
+            return c
+        c = check_hermitian(c(t))
         n = self.dim * self.dim - 1
         if c.shape != (n, n):
             raise ValueError(f"coefficient matrix at t={t} has shape {c.shape}, expected {(n, n)}")
         return c
 
 
+def _rate_matrix(rates) -> np.ndarray:
+    return np.diag(np.asarray(rates, dtype=float)).astype(complex)
+
+
 def qubit_rate_generator(rates) -> GeneratorSpec:
     """Qubit generator with diagonal coefficient matrix diag(rates(t)).
 
-    ``rates`` is either a fixed triple or a callable t -> triple.  With the
-    basis sigma_k/sqrt(2), a coefficient c_k produces the dissipator
-    (c_k/2)(sigma_k rho sigma_k - rho).
+    ``rates`` is either a fixed triple, which becomes a fixed coefficient
+    matrix validated once on construction, or a callable t -> triple,
+    validated on every evaluation.  With the basis sigma_k/sqrt(2), a
+    coefficient c_k produces the dissipator (c_k/2)(sigma_k rho sigma_k - rho).
     """
-    fn = rates if callable(rates) else (lambda t: rates)
-
-    def koss(t: float) -> np.ndarray:
-        return np.diag(np.asarray(fn(t), dtype=float)).astype(complex)
-
-    return GeneratorSpec(2, koss, gell_mann_basis(2))
+    if callable(rates):
+        return GeneratorSpec(2, lambda t: _rate_matrix(rates(t)), gell_mann_basis(2))
+    return GeneratorSpec(2, _rate_matrix(rates), gell_mann_basis(2))
 
 
 def model_generator(alpha: float) -> GeneratorSpec:
@@ -170,14 +182,25 @@ def liouvillian(g: GeneratorSpec) -> Callable[[float], np.ndarray]:
     """Matrix form of the generator, as a cheap-to-evaluate closure.
 
     The basis-dependent structure is assembled once per closure; each call
-    then only contracts it with C(t) and adds the Hamiltonian part.
+    then only contracts it with C(t) and adds the Hamiltonian part.  A fixed
+    C is contracted once, here: without a Hamiltonian every call returns
+    that one read-only matrix.
     """
     terms = _dissipator_terms(g)
     d = g.dim
     eye = np.eye(d, dtype=complex)
+    fixed = None
+    if not callable(g.kossakowski):
+        fixed = (g.kossakowski.reshape(-1) @ terms).reshape(d * d, d * d)
+        fixed.flags.writeable = False
+        if g.hamiltonian is None:
+            return lambda t: fixed
 
     def at(t: float) -> np.ndarray:
-        mat = (g.coefficient_matrix(t).reshape(-1) @ terms).reshape(d * d, d * d)
+        if fixed is None:
+            mat = (g.coefficient_matrix(t).reshape(-1) @ terms).reshape(d * d, d * d)
+        else:
+            mat = fixed
         if g.hamiltonian is not None:
             h = check_hermitian(g.hamiltonian(t))
             mat = mat + (-1j) * (np.kron(eye, h) - np.kron(h.T, eye))

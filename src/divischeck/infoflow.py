@@ -218,12 +218,15 @@ class BackflowReport:
 def backflow_scan(map_at: Callable[[float], Superoperator], dim: int, grid,
                   samples: int = 100, seed: int = 0, h: float = 1e-4) -> BackflowReport:
     """Scan flow rates over a grid for the :func:`pair_library` pairs, in
-    order, followed by ``samples`` random state pairs.
+    order, followed by ``samples`` random state pairs (``samples=0`` scans
+    the library only; a negative count is rejected).
 
     Random pairs are Haar-orthogonal pure pairs drawn deterministically
     from ``seed``.  Evaluation is organized per grid time: the two maps of
     each finite difference are built once and applied to every pair at once.
     """
+    if samples < 0:
+        raise ValueError(f"samples must be nonnegative, got {samples}")
     grid = np.asarray(grid, dtype=float)
     rng = np.random.default_rng(seed)
     pairs = pair_library(dim) + [haar_orthogonal_pair(dim, rng, label=f"haar:{k}")

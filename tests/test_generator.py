@@ -56,12 +56,14 @@ def sequential_propagate(g, grid, step):
     return maps
 
 
-def hamiltonian_nondiagonal_generator():
+def hamiltonian_nondiagonal_generator(fixed=True):
+    """Driven qubit generator with a non-diagonal C, given as a fixed matrix
+    or, with ``fixed=False``, as its constant callable twin."""
     h = 0.35 * PAULI[1]
     c = np.array([[0.3, 0.1j, 0.0],
                   [-0.1j, 0.2, 0.05],
                   [0.0, 0.05, 0.1]], dtype=complex)
-    return gen.GeneratorSpec(2, lambda t: c, gen.gell_mann_basis(2),
+    return gen.GeneratorSpec(2, c if fixed else (lambda t: c), gen.gell_mann_basis(2),
                              hamiltonian=lambda t: h)
 
 
@@ -98,13 +100,36 @@ class TestGeneratorSpec:
         g = gen.qubit_rate_generator(lambda t: (1.0, math.nan, 1.0))
         with pytest.raises(ValueError, match="non-finite"):
             g.coefficient_matrix(0.5)
+        # a fixed triple is validated on construction
+        with pytest.raises(ValueError, match="non-finite"):
+            gen.qubit_rate_generator((1.0, math.nan, 1.0))
 
     def test_rejects_non_hermitian_coefficients(self):
-        g = gen.GeneratorSpec(2, lambda t: np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0]],
-                                                    dtype=complex),
-                              gen.gell_mann_basis(2))
+        c = np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0]], dtype=complex)
+        g = gen.GeneratorSpec(2, lambda t: c, gen.gell_mann_basis(2))
         with pytest.raises(ValueError, match="Hermitian"):
             g.coefficient_matrix(0.5)
+        with pytest.raises(ValueError, match="Hermitian"):
+            gen.GeneratorSpec(2, c, gen.gell_mann_basis(2))
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_rejects_wrong_coefficient_shape(self, n):
+        c = np.eye(n, dtype=complex)
+        with pytest.raises(ValueError, match=r"coefficient matrix has shape"):
+            gen.GeneratorSpec(2, c, gen.gell_mann_basis(2))
+        g = gen.GeneratorSpec(2, lambda t: c, gen.gell_mann_basis(2))
+        with pytest.raises(ValueError, match=r"coefficient matrix at t=0.5 has shape"):
+            g.coefficient_matrix(0.5)
+
+    def test_fixed_coefficients_are_read_only(self):
+        c = np.diag([1.0, 0.5, 0.2]).astype(complex)
+        g = gen.GeneratorSpec(2, c, gen.gell_mann_basis(2))
+        assert c.flags.writeable  # the caller's matrix is not frozen
+        np.testing.assert_array_equal(g.coefficient_matrix(0.3), c)
+        with pytest.raises(ValueError, match="read-only"):
+            g.coefficient_matrix(0.3)[0, 0] = 2.0
+        with pytest.raises(ValueError, match="read-only"):
+            gen.liouvillian(g)(0.3)[0, 0] = 2.0
 
 
 class TestModelGenerator:
@@ -270,6 +295,21 @@ class TestPropagate:
         assert len(fam.maps) == len(expected)
         for m, ref in zip(fam.maps, expected):
             np.testing.assert_allclose(m.mat, ref, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("fixed, twin", [
+        (gen.qubit_rate_generator((0.6, 0.6, 0.6)),
+         gen.qubit_rate_generator(lambda t: (0.6, 0.6, 0.6))),
+        (hamiltonian_nondiagonal_generator(), hamiltonian_nondiagonal_generator(fixed=False)),
+    ], ids=["semigroup", "hamiltonian-nondiagonal"])
+    def test_fixed_coefficients_match_callable_twin(self, fixed, twin):
+        # the fixed-C shortcut changes no bit of L(t) or of the maps
+        l_fixed, l_twin = gen.liouvillian(fixed), gen.liouvillian(twin)
+        for t in (0.0, 0.37, 2.0):
+            assert np.array_equal(l_fixed(t), l_twin(t))
+        grid = np.linspace(0.0, 1.5, 4)
+        for m, ref in zip(gen.propagate(fixed, grid, 1e-3).maps,
+                          gen.propagate(twin, grid, 1e-3).maps):
+            assert np.array_equal(m.mat, ref.mat)
 
     @pytest.mark.parametrize("g, closed", [
         (gen.model_generator(0.6), lambda t: pf.channel(t, 0.6)),

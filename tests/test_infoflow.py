@@ -179,6 +179,11 @@ class TestBackflowScan:
             iflow.backflow_scan(lambda t: so.identity(3), 3,
                                 np.array([0.0, 1.0]), samples=0, seed=0)
 
+    def test_rejects_negative_samples(self):
+        with pytest.raises(ValueError, match="samples must be nonnegative"):
+            iflow.backflow_scan(model_map(0.6), 2, np.array([0.0, 1.0]),
+                                samples=-1, seed=0)
+
     @pytest.mark.parametrize("h", [0.0, -1e-4])
     def test_rejects_nonpositive_step(self, h):
         with pytest.raises(ValueError, match="must be positive"):

@@ -30,3 +30,11 @@ def perfbench():
 def test_traced_invocation_passes_the_benchmark_checks(perfbench, name, tmp_path):
     inv = perfbench.run_traced(cli, perfbench.WORKLOADS[name], 1, tmp_path)
     assert inv.problems == []
+
+
+def test_probe_clean_validates_its_fixed_coefficients_once(perfbench, tmp_path):
+    # the semigroup's C is fixed: validated on construction, never per L(t)
+    inv = perfbench.run_traced(cli, perfbench.WORKLOADS["probe-clean"], 1, tmp_path)
+    assert inv.problems == []
+    assert inv.layers["linalg.check_hermitian.calls"] <= 2
+    assert inv.layers["generator.propagate.rk4_steps"] == 5000

@@ -1,8 +1,9 @@
 """Time-local generators in Kossakowski form and their numerical propagation.
 
-A generator is specified by an optional Hamiltonian callback, a callback
-for the Hermitian coefficient matrix C(t) over an orthonormal traceless
-operator basis {F_i}, and that basis itself:
+A generator is specified by an optional Hamiltonian callback, the Hermitian
+coefficient matrix C(t) over an orthonormal traceless operator basis {F_i}
+(fixed or a callback; a diagonal C may be given as its real rates), and that
+basis itself:
 
     L_t[rho] = -i [H_t, rho]
                + sum_ij C_ij(t) (F_i rho F_j† - (1/2){F_j† F_i, rho})
@@ -77,16 +78,43 @@ def gell_mann_basis(d: int) -> list[np.ndarray]:
     return mats
 
 
+def _coefficients(value, n: int, t: float | None = None) -> np.ndarray:
+    """Validated Kossakowski coefficients in either of their two forms.
+
+    A one-dimensional value is the real diagonal of C, its rate vector: a
+    real diagonal is Hermitian, so only its length, its real dtype and each
+    entry's finiteness are checked, and the rates are returned as floats.
+    Any other value must be a finite Hermitian (n, n) matrix, and its exact
+    Hermitian part is returned.  ``t`` only labels error messages.
+    """
+    c = np.asarray(value)
+    if c.ndim == 1:
+        if c.dtype.kind not in "iuf":
+            raise ValueError(f"rates must be real, got dtype {c.dtype}")
+        if not all(map(math.isfinite, c.tolist())):
+            raise ValueError("rates have non-finite entries")
+        c, form, expected = c.astype(float, copy=False), "rate vector", (n,)
+    else:
+        c, form, expected = check_hermitian(c), "matrix", (n, n)
+    if c.shape != expected:
+        at = "" if t is None else f" at t={t}"
+        raise ValueError(f"coefficient {form}{at} has shape {c.shape}, expected {expected}")
+    return c
+
+
 @dataclass
 class GeneratorSpec:
     """Kossakowski-form time-local generator.
 
-    ``kossakowski`` is the Hermitian (d^2-1) x (d^2-1) coefficient matrix,
-    either fixed or as a callable t -> C(t); ``basis`` holds the d^2-1
-    orthonormal traceless operators it refers to.  Basis orthonormality and
-    tracelessness are validated on construction.  A fixed C is validated
-    (finite, Hermitian, right shape) once, on construction, and stored
-    read-only; a callable C(t) is validated on every evaluation.
+    ``kossakowski`` is the Hermitian (d^2-1) x (d^2-1) coefficient matrix
+    or, for a diagonal C, its real length-(d^2-1) rate vector; either form
+    may be fixed or a callable t -> C(t), and a callable may return either
+    form.  ``basis`` holds the d^2-1 orthonormal traceless operators C
+    refers to.  Basis orthonormality and tracelessness are validated on
+    construction.  A fixed C is validated once, on construction, and stored
+    read-only as its matrix; a callable C(t) is validated on every
+    evaluation.  A matrix must be finite, Hermitian and of the right shape;
+    a rate vector needs only the right length and real, finite entries.
     """
 
     dim: int
@@ -112,39 +140,32 @@ class GeneratorSpec:
                         f"basis is not orthonormal: Tr(F_{i}^dag F_{j}) = {overlap:.3e}"
                     )
         if not callable(self.kossakowski):
-            c = check_hermitian(self.kossakowski)
-            if c.shape != (n, n):
-                raise ValueError(f"coefficient matrix has shape {c.shape}, expected {(n, n)}")
+            c = _coefficients(self.kossakowski, n)
+            c = np.diag(c).astype(complex) if c.ndim == 1 else c
             c.flags.writeable = False
             self.kossakowski = c
 
     def coefficient_matrix(self, t: float) -> np.ndarray:
-        """Validated Hermitian C(t); the read-only matrix itself when C is fixed."""
+        """Validated Hermitian C(t) as a matrix, diag(rates) for a rate
+        vector; the read-only matrix itself when C is fixed."""
         c = self.kossakowski
         if not callable(c):
             return c
-        c = check_hermitian(c(t))
-        n = self.dim * self.dim - 1
-        if c.shape != (n, n):
-            raise ValueError(f"coefficient matrix at t={t} has shape {c.shape}, expected {(n, n)}")
-        return c
-
-
-def _rate_matrix(rates) -> np.ndarray:
-    return np.diag(np.asarray(rates, dtype=float)).astype(complex)
+        c = _coefficients(c(t), self.dim * self.dim - 1, t)
+        return np.diag(c).astype(complex) if c.ndim == 1 else c
 
 
 def qubit_rate_generator(rates) -> GeneratorSpec:
     """Qubit generator with diagonal coefficient matrix diag(rates(t)).
 
-    ``rates`` is either a fixed triple, which becomes a fixed coefficient
-    matrix validated once on construction, or a callable t -> triple,
-    validated on every evaluation.  With the basis sigma_k/sqrt(2), a
-    coefficient c_k produces the dissipator (c_k/2)(sigma_k rho sigma_k - rho).
+    ``rates`` is either a fixed real triple, which becomes a fixed
+    coefficient matrix validated once on construction, or a callable
+    t -> real triple, whose rates are validated (length, real, finite) on
+    every evaluation and contracted without building C(t).  With the basis
+    sigma_k/sqrt(2), a coefficient c_k produces the dissipator
+    (c_k/2)(sigma_k rho sigma_k - rho).
     """
-    if callable(rates):
-        return GeneratorSpec(2, lambda t: _rate_matrix(rates(t)), gell_mann_basis(2))
-    return GeneratorSpec(2, _rate_matrix(rates), gell_mann_basis(2))
+    return GeneratorSpec(2, rates, gell_mann_basis(2))
 
 
 def model_generator(alpha: float) -> GeneratorSpec:
@@ -184,10 +205,13 @@ def liouvillian(g: GeneratorSpec) -> Callable[[float], np.ndarray]:
     The basis-dependent structure is assembled once per closure; each call
     then only contracts it with C(t) and adds the Hamiltonian part.  A fixed
     C is contracted once, here: without a Hamiltonian every call returns
-    that one read-only matrix.
+    that one read-only matrix.  A rate vector returned by a callable C is
+    written into the diagonal slots of a zero flattened C, so the contraction
+    is the matrix form's, bit for bit, without building and checking C(t).
     """
     terms = _dissipator_terms(g)
     d = g.dim
+    n = d * d - 1
     eye = np.eye(d, dtype=complex)
     fixed = None
     if not callable(g.kossakowski):
@@ -198,7 +222,13 @@ def liouvillian(g: GeneratorSpec) -> Callable[[float], np.ndarray]:
 
     def at(t: float) -> np.ndarray:
         if fixed is None:
-            mat = (g.coefficient_matrix(t).reshape(-1) @ terms).reshape(d * d, d * d)
+            c = _coefficients(g.kossakowski(t), n, t)
+            if c.ndim == 1:
+                flat = np.zeros(n * n, dtype=complex)
+                flat[::n + 1] = c
+            else:
+                flat = c.reshape(-1)
+            mat = (flat @ terms).reshape(d * d, d * d)
         else:
             mat = fixed
         if g.hamiltonian is not None:

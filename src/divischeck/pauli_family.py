@@ -49,10 +49,10 @@ _PAULI_PROJECTORS = tuple(np.outer(vec(sigma), vec(sigma).conj()) for sigma in P
 
 
 def _validate(t: float, alpha: float) -> None:
-    if not alpha > 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    if not t >= 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
+    if not (alpha > 0 and math.isfinite(alpha)):
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
+    if not (t >= 0 and math.isfinite(t)):
+        raise ValueError(f"time must be nonnegative and finite, got {t}")
 
 
 def log_cosh(t: float) -> float:
@@ -174,6 +174,6 @@ def default_grid(t_max: float = 5.0, points: int = 200) -> np.ndarray:
     """Uniform time grid: ``points`` steps on [0, t_max] plus the origin."""
     if points < 1:
         raise ValueError("points must be >= 1")
-    if not t_max > 0:
-        raise ValueError("t_max must be positive")
+    if not (t_max > 0 and math.isfinite(t_max)):
+        raise ValueError(f"t_max must be positive and finite, got {t_max}")
     return np.linspace(0.0, float(t_max), points + 1)

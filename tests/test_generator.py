@@ -100,6 +100,9 @@ class TestGeneratorSpec:
         g = gen.qubit_rate_generator(lambda t: (1.0, math.nan, 1.0))
         with pytest.raises(ValueError, match="non-finite"):
             g.coefficient_matrix(0.5)
+        # the L(t) closure contracts the rates without coefficient_matrix
+        with pytest.raises(ValueError, match="non-finite"):
+            gen.liouvillian(g)(0.5)
         # a fixed triple is validated on construction
         with pytest.raises(ValueError, match="non-finite"):
             gen.qubit_rate_generator((1.0, math.nan, 1.0))
@@ -111,6 +114,14 @@ class TestGeneratorSpec:
             g.coefficient_matrix(0.5)
         with pytest.raises(ValueError, match="Hermitian"):
             gen.GeneratorSpec(2, c, gen.gell_mann_basis(2))
+        # complex rates: a complex diagonal is not Hermitian either
+        with pytest.raises(ValueError, match="rates must be real"):
+            gen.qubit_rate_generator(np.array([1, 1 + 0.5j, 1]))
+        g = gen.qubit_rate_generator(lambda t: (1.0, complex(1.0, 0.5), 1.0))
+        with pytest.raises(ValueError, match="rates must be real"):
+            g.coefficient_matrix(0.5)
+        with pytest.raises(ValueError, match="rates must be real"):
+            gen.liouvillian(g)(0.5)
 
     @pytest.mark.parametrize("n", [2, 4])
     def test_rejects_wrong_coefficient_shape(self, n):
@@ -120,6 +131,15 @@ class TestGeneratorSpec:
         g = gen.GeneratorSpec(2, lambda t: c, gen.gell_mann_basis(2))
         with pytest.raises(ValueError, match=r"coefficient matrix at t=0.5 has shape"):
             g.coefficient_matrix(0.5)
+        # a rate vector of the wrong length, fixed and callable
+        rates = np.ones(n)
+        with pytest.raises(ValueError, match="shape"):
+            gen.qubit_rate_generator(rates)
+        g = gen.qubit_rate_generator(lambda t: rates)
+        with pytest.raises(ValueError, match="shape"):
+            g.coefficient_matrix(0.5)
+        with pytest.raises(ValueError, match="shape"):
+            gen.liouvillian(g)(0.5)
 
     def test_fixed_coefficients_are_read_only(self):
         c = np.diag([1.0, 0.5, 0.2]).astype(complex)
@@ -308,6 +328,25 @@ class TestPropagate:
             assert np.array_equal(l_fixed(t), l_twin(t))
         grid = np.linspace(0.0, 1.5, 4)
         for m, ref in zip(gen.propagate(fixed, grid, 1e-3).maps,
+                          gen.propagate(twin, grid, 1e-3).maps):
+            assert np.array_equal(m.mat, ref.mat)
+
+    @pytest.mark.parametrize("rated, twin", [
+        (gen.qubit_rate_generator((0.6, 0.6, -0.3)),
+         gen.GeneratorSpec(2, np.diag((0.6, 0.6, -0.3)).astype(complex),
+                           gen.gell_mann_basis(2))),
+        (gen.model_generator(0.6),
+         gen.GeneratorSpec(2, lambda t: np.diag(pf.rates(t, 0.6)).astype(complex),
+                           gen.gell_mann_basis(2))),
+    ], ids=["fixed", "callable"])
+    def test_rate_vector_matches_matrix_twin(self, rated, twin):
+        # rates contracted directly give the diagonal matrix's L(t) and maps, bit for bit
+        l_rated, l_twin = gen.liouvillian(rated), gen.liouvillian(twin)
+        for t in (0.0, 0.37, 2.0):
+            assert np.array_equal(rated.coefficient_matrix(t), twin.coefficient_matrix(t))
+            assert np.array_equal(l_rated(t), l_twin(t))
+        grid = np.linspace(0.0, 1.5, 4)
+        for m, ref in zip(gen.propagate(rated, grid, 1e-3).maps,
                           gen.propagate(twin, grid, 1e-3).maps):
             assert np.array_equal(m.mat, ref.mat)
 

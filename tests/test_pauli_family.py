@@ -36,6 +36,14 @@ class TestRates:
             pf.rates(1.0, math.nan)
         with pytest.raises(ValueError, match="alpha"):
             pf.channel(0.5, math.nan)
+        with pytest.raises(ValueError, match="alpha"):
+            pf.channel(0.0, math.inf)
+        with pytest.raises(ValueError, match="alpha"):
+            pf.bloch_eigenvalues(0.0, math.inf)
+        with pytest.raises(ValueError, match="time"):
+            pf.channel(math.inf, 0.6)
+        with pytest.raises(ValueError, match="time"):
+            pf.rates(math.inf, 0.6)
 
 
 class TestGeneratorEigenvalues:
@@ -238,3 +246,5 @@ class TestGrid:
             pf.default_grid(t_max=-1.0)
         with pytest.raises(ValueError, match="t_max"):
             pf.default_grid(t_max=math.nan, points=3)
+        with pytest.raises(ValueError, match="t_max"):
+            pf.default_grid(t_max=math.inf, points=3)

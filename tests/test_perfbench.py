@@ -38,3 +38,13 @@ def test_probe_clean_validates_its_fixed_coefficients_once(perfbench, tmp_path):
     assert inv.problems == []
     assert inv.layers["linalg.check_hermitian.calls"] <= 2
     assert inv.layers["generator.propagate.rk4_steps"] == 5000
+
+
+def test_violation_report_checks_rates_without_hermiticity(perfbench, tmp_path):
+    # the model's C(t) is a callable rate vector: each L(t) evaluation checks
+    # its rates' finiteness, not a matrix's Hermiticity (the remaining calls
+    # are the CP scan's Choi checks)
+    inv = perfbench.run_traced(cli, perfbench.WORKLOADS["violation-report"], 1, tmp_path)
+    assert inv.problems == []
+    assert inv.layers["linalg.check_hermitian.calls"] <= 1000
+    assert inv.layers["generator.propagate.rk4_steps"] == 5000

@@ -34,7 +34,7 @@ p_check = gen.p_divisibility_check_pauli(g, grid)
 print(f"pairwise rate sums >= 0 on the grid?  {p_check.satisfied}")
 print(f"  worst sum {p_check.worst_value:.4f} for rate pair {p_check.worst_pair}")
 
-family = dv.model_family(grid, alpha)
+family = gen.propagate(g, grid, 1e-3)
 cp_scan = dv.cp_divisibility_scan(family)
 print()
 print(f"CP scan over consecutive intermediate maps: {cp_scan.verdict}")
@@ -47,9 +47,7 @@ print(f"tensor-square positivity probe: {probe.verdict}")
 if probe.verdict == dv.VIOLATED:
     s, t = probe.worst_pair
     print(f"  at (s, t) = ({s:.3f}, {t:.3f}): min output eigenvalue {probe.worst_value:.4e}")
-    i, j = probe.worst_indices
-    inter = so.intermediate(family.maps[j], family.maps[i])
-    big = so.tensor(inter, inter)
+    big = so.tensor(probe.worst_map, probe.worst_map)
     again = so.min_output_eigenvalue(big, probe.witness)
     print(f"  witness re-evaluates to {again:.4e} "
           f"(difference {abs(again - probe.worst_value):.1e})")
@@ -62,7 +60,7 @@ semi = gen.qubit_rate_generator((alpha, alpha, alpha))
 semi_grid = pf.default_grid(t_max=2.0, points=20)
 print(f"  C >= 0: {gen.cp_divisibility_check(semi, semi_grid).satisfied}")
 print(f"  rate sums >= 0: {gen.p_divisibility_check_pauli(semi, semi_grid).satisfied}")
-semi_family = dv.semigroup_family(semi_grid, alpha)
+semi_family = gen.propagate(semi, semi_grid, 1e-3)
 print(f"  CP scan: {dv.cp_divisibility_scan(semi_family).verdict}")
 print(f"  tensor probe: "
       f"{dv.tensor_p_divisibility_probe(semi_family, restarts=20, steps=300, seed=7).verdict}")

@@ -157,7 +157,6 @@ def _scan_report_payload(report: divisibility.DivisibilityReport) -> dict:
         "witness": _complex_vector(report.witness) if report.witness is not None else None,
         "witness_kind": report.witness_kind,
         "pairs_scanned": report.pairs_scanned,
-        "flagged_pairs": [[s, t, msg] for (s, t, msg) in report.flagged_pairs],
         "note": report.note,
     }
 
@@ -169,11 +168,11 @@ def cmd_scan(cfg: RunConfig) -> tuple[list[str], dict]:
     for alpha in cfg.alpha:
         for t in grid:
             t = float(t)
-            p = pauli_family.pauli_weights(t, alpha)
-            q = pauli_family.squared_pauli_weights(t, alpha)
             l = pauli_family.bloch_eigenvalues(t, alpha)
+            p = l.pauli_weights()
+            q = pauli_family.squared_pauli_weights(t, alpha)
             cp = pauli_family.cp_criterion(t, alpha)
-            _, choi_min = superop.is_cp(pauli_family.channel(t, alpha))
+            _, choi_min = superop.is_cp(pauli_family.pauli_channel(l.l1, l.l2, l.l3))
             gamma3 = pauli_family.rates(t, alpha)[2]
             if not cp:
                 non_cp_alphas.add(alpha)
@@ -212,8 +211,7 @@ def cmd_divisibility(cfg: RunConfig) -> tuple[list[str], dict]:
 
     reevaluated = None
     if tensor_probe.verdict == divisibility.VIOLATED:
-        i, j = tensor_probe.worst_indices
-        inter = superop.intermediate(family.maps[j], family.maps[i])
+        inter = tensor_probe.worst_map
         big = superop.tensor(inter, inter)
         reevaluated = superop.min_output_eigenvalue(big, tensor_probe.witness)
 

@@ -1,10 +1,13 @@
 """Divisibility scans over map families and the first-order tensor witness.
 
-Scans factor a family of maps recorded on a grid into two-time propagators
-and test each one: exactly for complete positivity (Choi spectrum), and by
-randomized search for plain positivity of the tensor square.  A "violated"
-verdict always ships a witness that reproduces the reported value; a clean
-scan is only a statement about the grid and the search budget.
+Scans take the two-time propagators V(t_j, t_i) of a propagated family
+from its integrated grid segments, never from an inverse: a consecutive
+pair is one segment, a wider pair the running product of the segments it
+spans.  Each is tested exactly for complete positivity (Choi spectrum), or
+by randomized search for plain positivity of its tensor square.  A
+"violated" verdict always ships a witness that reproduces the reported
+value on ``worst_map``; a clean scan is only a statement about the grid and
+the search budget.
 
 The witness construction makes the tensor-square positivity failure
 explicit at first order.  Given the coefficient matrix C(s) with a negative
@@ -21,11 +24,11 @@ stacking used for superoperator matrices; the two layers never mix.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import pauli_family, superop
+from . import superop
 from .generator import GeneratorSpec, PropagatedFamily, liouvillian, rk4_increment
 from .linalg import NumericalError, similarity_to_transpose
 from .superop import VIOLATED, Superoperator, identity, tensor
@@ -37,8 +40,6 @@ __all__ = [
     "FirstOrderWitness",
     "cp_divisibility_scan",
     "first_order_witness",
-    "model_family",
-    "semigroup_family",
     "tensor_p_divisibility_probe",
     "verify_witness",
 ]
@@ -50,42 +51,35 @@ HOLDS = "holds-on-grid"
 class DivisibilityReport:
     """Verdict of a divisibility scan plus the evidence behind it.
 
+    ``worst_map`` is the intermediate map that scored ``worst_value``.
     ``witness`` is present whenever the verdict is "violated": a Choi
     eigenvector for CP scans, a pure input state for the tensor probe.
-    ``flagged_pairs`` lists grid pairs skipped because the earlier map could
-    not be inverted reliably.
     """
 
     kind: str                                # "CP" | "tensor-P"
     verdict: str                             # HOLDS | VIOLATED
     worst_pair: tuple[float, float] | None
-    worst_indices: tuple[int, int] | None
+    worst_map: Superoperator | None
     worst_value: float
     witness: np.ndarray | None = None
     witness_kind: str | None = None
-    flagged_pairs: list = field(default_factory=list)
     pairs_scanned: int = 0
     note: str = ""
 
 
-def model_family(grid, alpha: float) -> PropagatedFamily:
-    """Closed-form family of the tanh-rate channels on a time grid."""
-    grid = np.asarray(grid, dtype=float)
-    maps = [pauli_family.channel(float(t), alpha) for t in grid]
-    return PropagatedFamily(grid, maps)
+def _intermediates(family: PropagatedFamily, all_pairs: bool):
+    """Yield ``(i, j, V(t_j, t_i))`` for the selected grid pairs, i-major.
 
-
-def semigroup_family(grid, alpha: float) -> PropagatedFamily:
-    """Constant-rate depolarizing comparison family on a time grid."""
-    grid = np.asarray(grid, dtype=float)
-    maps = [pauli_family.semigroup_channel(float(t), alpha) for t in grid]
-    return PropagatedFamily(grid, maps)
-
-
-def _pair_indices(n: int, all_pairs: bool) -> list[tuple[int, int]]:
-    if all_pairs:
-        return [(i, j) for i in range(n) for j in range(i + 1, n)]
-    return [(i, i + 1) for i in range(n - 1)]
+    Consecutive pairs are the integrated segments themselves; an all-pairs
+    row i chains them as segs[j-1] @ ... @ segs[i], one product per j.
+    """
+    for i, seg in enumerate(family.segments):
+        yield i, i + 1, seg
+        if all_pairs:
+            mat = seg.mat
+            for j in range(i + 2, len(family.grid)):
+                mat = family.segments[j - 1].mat @ mat
+                yield i, j, Superoperator(seg.dim, mat)
 
 
 def _scan(family: PropagatedFamily, kind: str, test, tol: float,
@@ -93,29 +87,22 @@ def _scan(family: PropagatedFamily, kind: str, test, tol: float,
           note: str) -> DivisibilityReport:
     """Run ``test(inter, i, j) -> (value, witness)`` on every selected pair.
 
-    Pairs whose earlier map cannot be inverted reliably are flagged and
-    skipped.  The lowest value wins (the first one on ties); it is a
-    violation when below ``-tol``.
+    The lowest value wins (the first one on ties); it is a violation when
+    below ``-tol``.
     """
     grid = np.asarray(family.grid, dtype=float)
     worst = np.inf
     worst_pair = None
-    worst_idx = None
+    worst_map = None
     witness = None
-    flagged = []
     scanned = 0
-    for i, j in _pair_indices(len(grid), all_pairs):
-        try:
-            inter = superop.intermediate(family.maps[j], family.maps[i])
-        except NumericalError as exc:
-            flagged.append((float(grid[i]), float(grid[j]), str(exc)))
-            continue
+    for i, j, inter in _intermediates(family, all_pairs):
         value, vector = test(inter, i, j)
         scanned += 1
         if value < worst:
             worst = float(value)
             worst_pair = (float(grid[i]), float(grid[j]))
-            worst_idx = (i, j)
+            worst_map = inter
             witness = vector
         if stop_on_violation and value < -tol:
             break
@@ -124,11 +111,10 @@ def _scan(family: PropagatedFamily, kind: str, test, tol: float,
         kind=kind,
         verdict=verdict,
         worst_pair=worst_pair,
-        worst_indices=worst_idx,
+        worst_map=worst_map,
         worst_value=worst,
         witness=witness if verdict == VIOLATED else None,
         witness_kind=witness_kind if verdict == VIOLATED else None,
-        flagged_pairs=flagged,
         pairs_scanned=scanned,
         note=note,
     )

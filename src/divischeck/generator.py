@@ -241,10 +241,15 @@ def liouvillian(g: GeneratorSpec) -> Callable[[float], np.ndarray]:
 
 @dataclass
 class PropagatedFamily:
-    """Maps recorded on an ascending time grid starting at 0 (identity first)."""
+    """Maps recorded on an ascending time grid starting at 0 (identity first).
+
+    ``segments[i]`` is the integrated propagator from ``grid[i]`` to
+    ``grid[i + 1]``, the intermediate map V(t_{i+1}, t_i).
+    """
 
     grid: np.ndarray
     maps: list[Superoperator]
+    segments: list[Superoperator]
 
 
 def rk4_increment(l_left: np.ndarray, l_mid: np.ndarray, l_right: np.ndarray,
@@ -269,8 +274,10 @@ def propagate(g: GeneratorSpec, grid, step: float) -> PropagatedFamily:
     Each grid segment is covered by an integer number of substeps of size
     at most ``step``, so grid points are hit exactly.  The substeps go in
     blocks of at most ``_BLOCK``: one stacked ``rk4_increment`` call forms
-    every increment D_n of a block, and M is chained as M + D_n M (chaining
-    the full steps I + D_n would round every D_n against I).  Deterministic.
+    every increment D_n of a block.  The segment propagator P, started from
+    I at each grid point, and the map M are chained side by side as one
+    block [P | M] + D_n [P | M] (chaining the full steps I + D_n would round
+    every D_n against I).  Deterministic.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 1:
@@ -290,8 +297,10 @@ def propagate(g: GeneratorSpec, grid, step: float) -> PropagatedFamily:
 
     lmat = liouvillian(g)
     d2 = g.dim * g.dim
-    m = np.eye(d2, dtype=complex)
-    maps = [Superoperator(g.dim, m)]
+    eye = np.eye(d2, dtype=complex)
+    pm = np.hstack([eye, eye])
+    maps = [Superoperator(g.dim, eye)]
+    segments = []
     l_left = lmat(float(grid[0]))
     for t0, t1 in zip(grid[:-1], grid[1:]):
         span = float(t1 - t0)
@@ -303,10 +312,12 @@ def propagate(g: GeneratorSpec, grid, step: float) -> PropagatedFamily:
             rights = [lmat(t + h) for t in times]
             lefts = [l_left] + rights[:-1]
             for dm in rk4_increment(np.stack(lefts), np.stack(mids), np.stack(rights), h):
-                m = m + dm @ m
+                pm = pm + dm @ pm
             l_left = rights[-1]
-        maps.append(Superoperator(g.dim, m))
-    return PropagatedFamily(grid, maps)
+        segments.append(Superoperator(g.dim, pm[:, :d2]))
+        maps.append(Superoperator(g.dim, pm[:, d2:]))
+        pm = np.hstack([eye, pm[:, d2:]])
+    return PropagatedFamily(grid, maps, segments)
 
 
 @dataclass

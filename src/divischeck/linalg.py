@@ -14,7 +14,6 @@ __all__ = [
     "NumericalError",
     "check_hermitian",
     "inverse",
-    "max_asymmetry",
     "similarity_to_transpose",
 ]
 
@@ -45,15 +44,6 @@ def _as_matrix(a) -> np.ndarray:
 def _require_square(a: np.ndarray) -> None:
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-
-
-def max_asymmetry(a) -> float:
-    """Largest entrywise deviation of a square matrix from its adjoint."""
-    a = _as_matrix(a)
-    _require_square(a)
-    if a.size == 0:
-        return 0.0
-    return float(np.max(np.abs(a - a.conj().T)))
 
 
 def check_hermitian(a, rtol: float = HERMITICITY_RTOL) -> np.ndarray:

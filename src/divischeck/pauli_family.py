@@ -56,8 +56,8 @@ def _validate(t: float, alpha: float) -> None:
 
 
 def log_cosh(t: float) -> float:
-    """log(cosh t) for t >= 0 without overflow (cosh overflows past t ~ 710)."""
-    t = float(t)
+    """log(cosh t) without overflow (cosh overflows past |t| ~ 710); even in t."""
+    t = abs(float(t))
     return t - _LN2 + math.log1p(math.exp(-2.0 * t))
 
 
@@ -78,6 +78,16 @@ class BlochEigenvalues:
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.l1, self.l2, self.l3)
+
+    def pauli_weights(self) -> PauliWeights:
+        """Pauli mixing weights of the unital channel with these eigenvalues
+        and l1 = l2 (see :func:`pauli_weights`)."""
+        return PauliWeights(
+            0.25 * (1.0 + 2.0 * self.l1 + self.l3),
+            0.25 * (1.0 - self.l3),
+            0.25 * (1.0 - self.l3),
+            0.25 * (1.0 - 2.0 * self.l1 + self.l3),
+        )
 
 
 def bloch_eigenvalues(t: float, alpha: float) -> BlochEigenvalues:
@@ -115,13 +125,7 @@ def pauli_weights(t: float, alpha: float) -> PauliWeights:
     p3 is the only weight that can go negative, and it does for every
     t > 0 whenever alpha < 1.
     """
-    l = bloch_eigenvalues(t, alpha)
-    return PauliWeights(
-        0.25 * (1.0 + 2.0 * l.l1 + l.l3),
-        0.25 * (1.0 - l.l3),
-        0.25 * (1.0 - l.l3),
-        0.25 * (1.0 - 2.0 * l.l1 + l.l3),
-    )
+    return bloch_eigenvalues(t, alpha).pauli_weights()
 
 
 def squared_pauli_weights(t: float, alpha: float) -> PauliWeights:

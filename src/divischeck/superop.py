@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import RESIDUAL_TOL, NumericalError, check_hermitian, inverse, max_asymmetry
+from .linalg import RESIDUAL_TOL, NumericalError, check_hermitian, inverse
 
 __all__ = [
     "HOLDS_NO_VIOLATION",
@@ -37,12 +37,9 @@ __all__ = [
     "VIOLATED",
     "apply",
     "choi",
-    "compose",
     "identity",
     "intermediate",
     "is_cp",
-    "is_hermiticity_preserving",
-    "is_trace_preserving",
     "min_output_eigenvalue",
     "positivity_probe",
     "tensor",
@@ -125,13 +122,6 @@ def apply(s: Superoperator, x) -> np.ndarray:
     return (vecs @ s.mat.T).reshape(x.shape).swapaxes(-1, -2)
 
 
-def compose(s1: Superoperator, s2: Superoperator) -> Superoperator:
-    """The map s1 after s2."""
-    if s1.dim != s2.dim:
-        raise ValueError(f"dimension mismatch: {s1.dim} vs {s2.dim}")
-    return Superoperator(s1.dim, s1.mat @ s2.mat)
-
-
 def tensor(s1: Superoperator, s2: Superoperator) -> Superoperator:
     """Tensor product map, defined by (s1 tensor s2)[X kron Y] = s1[X] kron s2[Y].
 
@@ -169,17 +159,6 @@ def is_cp(s: Superoperator, tol: float = 1e-9) -> tuple[bool, float]:
     w = np.linalg.eigvalsh(h)
     min_eig = float(w[0])
     return min_eig >= -tol, min_eig
-
-
-def is_trace_preserving(s: Superoperator, tol: float = 1e-10) -> bool:
-    """Exact check vec(I)^dagger S = vec(I)^dagger, entrywise within tol."""
-    row = vec(np.eye(s.dim))
-    return bool(np.max(np.abs(row @ s.mat - row)) <= tol)
-
-
-def is_hermiticity_preserving(s: Superoperator, tol: float = 1e-10) -> bool:
-    """Exact check that the Choi matrix is Hermitian, entrywise within tol."""
-    return max_asymmetry(choi(s)) <= tol
 
 
 def _min_output_eigenvalue(s: Superoperator, psi: np.ndarray) -> float:

@@ -1,5 +1,5 @@
-"""Closed forms and defining constructions that tests compare the package
-against.  Nothing under ``src/`` uses them.
+"""Closed forms, defining constructions and exact map checks that tests
+compare the package against.  Nothing under ``src/`` uses them.
 """
 import math
 
@@ -7,7 +7,7 @@ import numpy as np
 
 from divischeck import pauli_family as pf
 from divischeck.linalg import PAULI
-from divischeck.superop import Superoperator, vec
+from divischeck.superop import Superoperator, choi, vec
 
 
 def generator_eigenvalues(t: float, alpha: float) -> tuple[float, float, float, float]:
@@ -42,3 +42,31 @@ def loop_pauli_channel(l1: float, l2: float, l3: float) -> np.ndarray:
         v = vec(sigma)
         mat += 0.5 * lam * np.outer(v, v.conj())
     return mat
+
+
+def compose(s1: Superoperator, s2: Superoperator) -> Superoperator:
+    """The map s1 after s2."""
+    if s1.dim != s2.dim:
+        raise ValueError(f"dimension mismatch: {s1.dim} vs {s2.dim}")
+    return Superoperator(s1.dim, s1.mat @ s2.mat)
+
+
+def is_trace_preserving(s: Superoperator, tol: float = 1e-10) -> bool:
+    """Exact check vec(I)^dagger S = vec(I)^dagger, entrywise within tol."""
+    row = vec(np.eye(s.dim))
+    return bool(np.max(np.abs(row @ s.mat - row)) <= tol)
+
+
+def max_asymmetry(a) -> float:
+    """Largest entrywise deviation of a square matrix from its adjoint."""
+    a = np.asarray(a, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if a.size == 0:
+        return 0.0
+    return float(np.max(np.abs(a - a.conj().T)))
+
+
+def is_hermiticity_preserving(s: Superoperator, tol: float = 1e-10) -> bool:
+    """Exact check that the Choi matrix is Hermitian, entrywise within tol."""
+    return max_asymmetry(choi(s)) <= tol

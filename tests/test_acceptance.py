@@ -65,16 +65,14 @@ def test_criterion_3_tensor_square_positivity_evidence():
 
 def test_criterion_4_tensor_intermediates_violated():
     with criterion(4, "tensor-squared intermediate maps fail positivity at a=0.6"):
-        family = dv.model_family(pf.default_grid(), 0.6)
+        family = gen.propagate(gen.model_generator(0.6), pf.default_grid(), 1e-3)
         report = dv.tensor_p_divisibility_probe(family, restarts=100, steps=500,
                                                 tol=1e-6, seed=7)
         assert report.verdict == dv.VIOLATED
         s, t = report.worst_pair
         assert s > 0.0
         assert report.worst_value < -1e-6
-        i, j = report.worst_indices
-        inter = so.intermediate(family.maps[j], family.maps[i])
-        big = so.tensor(inter, inter)
+        big = so.tensor(report.worst_map, report.worst_map)
         again = so.min_output_eigenvalue(big, report.witness)
         assert abs(again - report.worst_value) <= 1e-9
 

@@ -2,33 +2,44 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from divischeck import divisibility as dv
 from divischeck import generator as gen
 from divischeck import pauli_family as pf
 from divischeck import superop as so
 from divischeck.linalg import PAULI
+from oracles import intermediate_channel
+
+STEP = 1e-3
+
+
+def model_family(grid, alpha):
+    return gen.propagate(gen.model_generator(alpha), grid, STEP)
+
+
+def semigroup_family(grid, alpha):
+    return gen.propagate(gen.qubit_rate_generator((alpha, alpha, alpha)), grid, STEP)
 
 
 class TestCpDivisibilityScan:
     def test_model_violated(self):
         grid = pf.default_grid(t_max=3.0, points=60)
-        report = dv.cp_divisibility_scan(dv.model_family(grid, 0.75))
+        report = dv.cp_divisibility_scan(model_family(grid, 0.75))
         assert report.verdict == dv.VIOLATED
         assert report.worst_value < -1e-4
         assert report.witness is not None
-        # witness reproduces the worst Choi eigenvalue
-        i, j = report.worst_indices
-        inter = so.intermediate(pf.channel(float(grid[j]), 0.75),
-                                pf.channel(float(grid[i]), 0.75))
-        c = so.choi(inter)
+        # witness reproduces the worst Choi eigenvalue on the closed form
+        s, t = report.worst_pair
+        c = so.choi(intermediate_channel(t, s, 0.75))
         value = float(np.real(np.vdot(report.witness, c @ report.witness)))
         assert value == pytest.approx(report.worst_value, abs=1e-9)
 
     def test_worst_value_tracks_first_order_rate(self):
         grid = pf.default_grid(t_max=3.0, points=60)
         alpha = 0.75
-        report = dv.cp_divisibility_scan(dv.model_family(grid, alpha))
+        report = dv.cp_divisibility_scan(model_family(grid, alpha))
         s = report.worst_pair[0]
         dt = report.worst_pair[1] - s
         assert report.worst_value == pytest.approx(-alpha * math.tanh(s) * dt,
@@ -36,13 +47,13 @@ class TestCpDivisibilityScan:
 
     def test_semigroup_holds(self):
         grid = pf.default_grid(t_max=2.0, points=20)
-        report = dv.cp_divisibility_scan(dv.semigroup_family(grid, 1.0))
+        report = dv.cp_divisibility_scan(semigroup_family(grid, 1.0))
         assert report.verdict == dv.HOLDS
         assert report.witness is None
 
     def test_all_pairs_mode(self):
         grid = pf.default_grid(t_max=1.0, points=6)
-        report = dv.cp_divisibility_scan(dv.model_family(grid, 0.6), all_pairs=True)
+        report = dv.cp_divisibility_scan(model_family(grid, 0.6), all_pairs=True)
         assert report.pairs_scanned == 6 * 7 // 2
         assert report.verdict == dv.VIOLATED
 
@@ -50,22 +61,20 @@ class TestCpDivisibilityScan:
 class TestTensorProbe:
     def test_model_violated_with_reproducible_witness(self):
         grid = pf.default_grid(t_max=2.0, points=40)
-        family = dv.model_family(grid, 0.6)
+        family = model_family(grid, 0.6)
         report = dv.tensor_p_divisibility_probe(family, restarts=60, steps=400,
                                                 tol=1e-6, seed=0)
         assert report.verdict == dv.VIOLATED
         s, t = report.worst_pair
         assert s > 0.0
         assert report.worst_value < -1e-6
-        i, j = report.worst_indices
-        inter = so.intermediate(family.maps[j], family.maps[i])
-        big = so.tensor(inter, inter)
+        big = so.tensor(report.worst_map, report.worst_map)
         again = so.min_output_eigenvalue(big, report.witness)
         assert again == pytest.approx(report.worst_value, abs=1e-9)
 
     def test_semigroup_holds(self):
         grid = pf.default_grid(t_max=1.0, points=8)
-        family = dv.semigroup_family(grid, 1.0)
+        family = semigroup_family(grid, 1.0)
         report = dv.tensor_p_divisibility_probe(family, restarts=15, steps=300,
                                                 tol=1e-9, seed=1)
         assert report.verdict == dv.HOLDS
@@ -73,34 +82,54 @@ class TestTensorProbe:
 
     def test_deterministic(self):
         grid = pf.default_grid(t_max=1.0, points=10)
-        family = dv.model_family(grid, 0.6)
+        family = model_family(grid, 0.6)
         r1 = dv.tensor_p_divisibility_probe(family, restarts=10, steps=200, seed=3)
         r2 = dv.tensor_p_divisibility_probe(family, restarts=10, steps=200, seed=3)
         assert r1.worst_value == r2.worst_value
         assert r1.worst_pair == r2.worst_pair
 
 
-class TestFlaggedPairs:
-    """Strong semigroup decay makes the later maps too ill-conditioned to
-    invert; those pairs are skipped and listed, never scanned."""
+class TestStiffSemigroup:
+    """Strong semigroup decay leaves the later maps too ill-conditioned to
+    invert, but the integrated segments need no inverse: every pair is
+    scanned."""
 
     @pytest.fixture(scope="class")
     def family(self):
-        return dv.semigroup_family(pf.default_grid(5.0, 20), 10.0)
+        return semigroup_family(pf.default_grid(5.0, 20), 10.0)
+
+    def test_segments_match_the_closed_form(self, family):
+        expected = pf.semigroup_channel(0.25, 10.0).mat
+        for seg in family.segments:
+            np.testing.assert_allclose(seg.mat, expected, rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize("scan", [
         dv.cp_divisibility_scan,
         lambda fam: dv.tensor_p_divisibility_probe(fam, restarts=4, steps=100, seed=1),
     ], ids=["cp-scan", "tensor-probe"])
-    def test_flagged_pairs_are_skipped(self, family, scan):
+    def test_every_pair_is_scanned(self, family, scan):
         report = scan(family)
-        flagged = [(s, t) for s, t, _ in report.flagged_pairs]
-        assert flagged
-        assert report.pairs_scanned + len(flagged) == 20
-        for _, _, msg in report.flagged_pairs:
-            assert msg.startswith(("inverse residual", "matrix is singular or ill-conditioned"))
-        assert (0.0, 0.25) not in flagged
-        assert report.worst_pair not in flagged
+        assert report.pairs_scanned == 20
+        assert report.verdict == dv.HOLDS
+
+
+GRIDS = st.lists(st.floats(0.01, 1.0), min_size=1, max_size=5).map(
+    lambda spans: np.concatenate([[0.0], np.cumsum(spans)]))
+
+
+@settings(max_examples=25, deadline=None)
+@given(GRIDS, st.floats(0.3, 2.0), st.booleans())
+def test_intermediates_match_the_closed_form(grid, alpha, all_pairs):
+    family = model_family(grid, alpha)
+    n = len(grid)
+    selected = n * (n - 1) // 2 if all_pairs else n - 1
+    pairs = list(dv._intermediates(family, all_pairs))
+    assert len(pairs) == selected
+    for i, j, inter in pairs:
+        expected = intermediate_channel(float(grid[j]), float(grid[i]), alpha)
+        np.testing.assert_allclose(inter.mat, expected.mat, rtol=0, atol=1e-12)
+    report = dv.cp_divisibility_scan(family, all_pairs=all_pairs)
+    assert report.pairs_scanned == selected
 
 
 class TestCorollaryChain:
@@ -124,7 +153,7 @@ class TestCorollaryChain:
         assert probe.verdict == so.HOLDS_NO_VIOLATION
 
         # tensor-squared intermediates violated (constructive)
-        family = dv.model_family(grid, alpha)
+        family = model_family(grid, alpha)
         report = dv.tensor_p_divisibility_probe(family, restarts=60, steps=400,
                                                 tol=1e-6, seed=6)
         assert report.verdict == dv.VIOLATED

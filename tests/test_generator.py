@@ -8,7 +8,7 @@ from divischeck import generator as gen
 from divischeck import pauli_family as pf
 from divischeck import superop as so
 from divischeck.linalg import PAULI, check_hermitian
-from oracles import generator_eigenvalues
+from oracles import generator_eigenvalues, is_trace_preserving
 
 
 def apply_generator(g, t, rho):
@@ -241,14 +241,14 @@ class TestPropagate:
         for t, m in zip(grid, fam.maps):
             np.testing.assert_allclose(m.mat, expm(lmat * t), atol=1e-8)
         for m in fam.maps:
-            assert so.is_trace_preserving(m, tol=1e-8)
+            assert is_trace_preserving(m, tol=1e-8)
 
     def test_first_map_is_identity_and_trace_preserving(self):
         g = gen.model_generator(0.6)
         fam = gen.propagate(g, np.linspace(0.0, 1.0, 6), 1e-2)
         np.testing.assert_allclose(fam.maps[0].mat, np.eye(4), atol=1e-15)
         for m in fam.maps:
-            assert so.is_trace_preserving(m, tol=1e-8)
+            assert is_trace_preserving(m, tol=1e-8)
 
     def test_fourth_order_convergence(self):
         # large enough steps that truncation dominates roundoff
@@ -276,8 +276,7 @@ class TestPropagate:
     def test_nonnegative_coefficients_give_cp_intermediates(self):
         g = gen.qubit_rate_generator((1.0, 1.0, 1.0))
         fam = gen.propagate(g, np.linspace(0.0, 2.0, 9), 1e-3)
-        for i in range(len(fam.maps) - 1):
-            inter = so.intermediate(fam.maps[i + 1], fam.maps[i])
+        for i, inter in enumerate(fam.segments):
             ok, min_eig = so.is_cp(inter, tol=1e-7)
             assert ok, f"intermediate {i} has Choi eigenvalue {min_eig}"
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from divischeck import pauli_family as pf
 from divischeck import superop as so
-from oracles import generator_eigenvalues, intermediate_channel, loop_pauli_channel
+from oracles import compose, generator_eigenvalues, intermediate_channel, loop_pauli_channel
 
 EIGENVALUES = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
 
@@ -78,6 +78,13 @@ class TestBlochEigenvalues:
         l = pf.bloch_eigenvalues(5000.0, 2.0)
         assert math.isfinite(l.l1) and math.isfinite(l.l3)
         assert l.l1 == pytest.approx(0.25, abs=1e-12)
+
+    @pytest.mark.parametrize("t", [0.0, 0.7, -0.7, 800.0, -800.0])
+    def test_log_cosh_is_even_and_never_overflows(self, t):
+        # cosh(800) overflows a double; log cosh 800 = 800 - ln 2 + log1p(e^-1600)
+        expected = 800.0 - math.log(2.0) if abs(t) == 800.0 else math.log(math.cosh(t))
+        assert pf.log_cosh(t) == pytest.approx(expected, rel=1e-15, abs=1e-16)
+        assert pf.log_cosh(t) == pf.log_cosh(-t)
 
     def test_never_exceed_one(self):
         for alpha in (0.1, 0.5, 1.0, 3.0):
@@ -179,7 +186,7 @@ class TestChannel:
 
     def test_self_composition_matches_squared_weights(self):
         t, alpha = 1.2, 0.6
-        squared = so.compose(pf.channel(t, alpha), pf.channel(t, alpha))
+        squared = compose(pf.channel(t, alpha), pf.channel(t, alpha))
         l = pf.bloch_eigenvalues(t, alpha)
         expected = pf.pauli_channel(l.l1 ** 2, l.l2 ** 2, l.l3 ** 2)
         np.testing.assert_allclose(squared.mat, expected.mat, atol=1e-12)
@@ -226,7 +233,7 @@ class TestIntermediateChannel:
             for t in grid:
                 if t < s:
                     continue
-                lhs = so.compose(intermediate_channel(float(t), float(s), alpha),
+                lhs = compose(intermediate_channel(float(t), float(s), alpha),
                                  pf.channel(float(s), alpha))
                 np.testing.assert_allclose(lhs.mat, pf.channel(float(t), alpha).mat,
                                            atol=1e-10)

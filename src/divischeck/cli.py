@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import itertools
 import json
 import math
 import sys
@@ -269,21 +268,23 @@ def cmd_witness(cfg: RunConfig) -> tuple[list[str], dict]:
     return [path], summary
 
 
-def _flow_rows(grid: np.ndarray, sigma_single: np.ndarray, sigma_tensor: np.ndarray):
-    """Rows (pair k, t, single sigma, tensor sigma), k-major, then t.
+def _flow_blocks(grid: np.ndarray, sigma_single: np.ndarray, sigma_tensor: np.ndarray):
+    """CSV text of the rows (pair k, t, single sigma, tensor sigma), k-major,
+    then t, as one block per pair k.
 
-    Yields one row at a time and formats every number once; a cell is
-    blank where a family has fewer than k + 1 pairs.
+    Every number is formatted once as ``.17g``; a cell is blank where a
+    family has fewer than k + 1 pairs.  No cell needs quoting, so the text
+    is what ``csv.writer`` would write row by row.
     """
-    times = [_fmt(t) for t in grid.tolist()]
+    times = ["%.17g" % t for t in grid.tolist()]
     blank = [""] * len(times)
 
     def cells(sigma: np.ndarray, k: int) -> list[str]:
-        return [_fmt(x) for x in sigma[k].tolist()] if k < len(sigma) else blank
+        return ["%.17g" % x for x in sigma[k].tolist()] if k < len(sigma) else blank
 
     for k in range(max(len(sigma_single), len(sigma_tensor))):
-        yield from zip(itertools.repeat(str(k)), times,
-                       cells(sigma_single, k), cells(sigma_tensor, k))
+        yield "".join(f"{k},{t},{a},{b}\n" for t, a, b in
+                      zip(times, cells(sigma_single, k), cells(sigma_tensor, k)))
 
 
 def _flow_report_payload(report: infoflow.BackflowReport) -> dict:
@@ -310,8 +311,9 @@ def cmd_infoflow(cfg: RunConfig) -> tuple[list[str], dict]:
                                         seed=cfg.seed, h=cfg.fd_step)
 
     csv_path = cfg.output_path + ".csv"
-    _write_csv(csv_path, INFOFLOW_HEADER,
-               _flow_rows(grid, rep_single.sigma, rep_tensor.sigma))
+    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(INFOFLOW_HEADER) + "\n")
+        fh.writelines(_flow_blocks(grid, rep_single.sigma, rep_tensor.sigma))
 
     payload = {
         "alpha": alpha,

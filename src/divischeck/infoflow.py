@@ -10,6 +10,10 @@ returning information to the system.
 state pairs.  Like the positivity probes, it is asymmetric: a positive rate
 found is constructive evidence of back-flow (pair, time, value), while a
 clean scan only supports monotonicity, it does not prove it.
+
+Trace norms are the sums of absolute eigenvalues of the evolved
+differences.  A qubit operator x0 I + r.sigma has eigenvalues x0 +- |r|,
+taken in closed form; larger dimensions use one batched ``eigvalsh``.
 """
 from __future__ import annotations
 
@@ -56,6 +60,8 @@ class StatePair:
         if self.rho1.shape != self.rho2.shape:
             raise ValueError("state pair dimensions differ")
         for name, rho in (("rho1", self.rho1), ("rho2", self.rho2)):
+            if not np.all(np.isfinite(rho)):
+                raise ValueError(f"{name} has non-finite entries")
             if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
                 raise ValueError(f"{name} is not a square matrix")
             if np.max(np.abs(rho - rho.conj().T)) > STATE_TOL:
@@ -78,13 +84,31 @@ class FlowSample:
     one_sided: bool = False
 
 
+def _trace_norms(x: np.ndarray) -> np.ndarray:
+    """Trace norms of a stack of Hermitian matrices, from their lower triangles.
+
+    A 2 x 2 operator with diagonal (a, b) and lower entry c is x0 I + r.sigma
+    with x0 = (a + b)/2 and |r| = hypot((a - b)/2, |c|), so its eigenvalues
+    are x0 - |r| and x0 + |r|; other dimensions are solved by ``eigvalsh``.  Eigenvalues
+    below EIGEN_FLOOR are finite-difference noise and count as exact zeros.
+    """
+    if x.shape[-1] == 2:
+        a, b = x[..., 0, 0].real, x[..., 1, 1].real
+        x0 = 0.5 * (a + b)
+        r = np.hypot(0.5 * (a - b), np.abs(x[..., 1, 0]))
+        w = np.stack([x0 - r, x0 + r], axis=-1)
+    else:
+        w = np.linalg.eigvalsh(x)
+    w[np.abs(w) < EIGEN_FLOOR] = 0.0
+    return np.abs(w).sum(axis=-1)
+
+
 def _flow_column(map_at: Callable[[float], Superoperator], deltas: np.ndarray,
                  t: float, h: float) -> tuple[np.ndarray, bool]:
     """Finite-difference flow rates at time t for a stack of pair differences.
 
-    Each map is applied to the whole stack at once and all trace norms come
-    from one batched eigensolve.  Evolved differences are Hermitian; tiny
-    eigenvalues are finite-difference noise floor and count as exact zeros.
+    Each map is applied to the whole stack at once and the trace norms of
+    both evolved stacks are taken together by :func:`_trace_norms`.
     Returns the rates and whether the difference was one-sided (t < h).
     """
     if not h > 0:
@@ -95,9 +119,7 @@ def _flow_column(map_at: Callable[[float], Superoperator], deltas: np.ndarray,
     else:
         t_lo, t_hi, denom = t - h, t + h, 2.0 * h
     out = np.stack([apply(map_at(t_lo), deltas), apply(map_at(t_hi), deltas)])
-    w = np.linalg.eigvalsh(0.5 * (out + out.conj().swapaxes(-1, -2)))
-    w[np.abs(w) < EIGEN_FLOOR] = 0.0
-    n_lo, n_hi = np.abs(w).sum(axis=-1)
+    n_lo, n_hi = _trace_norms(out)
     return (n_hi - n_lo) / denom, one_sided
 
 
@@ -228,6 +250,12 @@ def backflow_scan(map_at: Callable[[float], Superoperator], dim: int, grid,
     if samples < 0:
         raise ValueError(f"samples must be nonnegative, got {samples}")
     grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1:
+        raise ValueError("grid must be a 1-d array of times")
+    if grid.size == 0:
+        raise ValueError("grid is empty")
+    if not np.all(np.isfinite(grid)):
+        raise ValueError("grid must be finite")
     rng = np.random.default_rng(seed)
     pairs = pair_library(dim) + [haar_orthogonal_pair(dim, rng, label=f"haar:{k}")
                                  for k in range(samples)]

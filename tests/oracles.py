@@ -6,8 +6,9 @@ import math
 import numpy as np
 
 from divischeck import pauli_family as pf
+from divischeck.infoflow import EIGEN_FLOOR
 from divischeck.linalg import PAULI
-from divischeck.superop import Superoperator, choi, vec
+from divischeck.superop import Superoperator, apply, choi, vec
 
 
 def generator_eigenvalues(t: float, alpha: float) -> tuple[float, float, float, float]:
@@ -70,3 +71,24 @@ def max_asymmetry(a) -> float:
 def is_hermiticity_preserving(s: Superoperator, tol: float = 1e-10) -> bool:
     """Exact check that the Choi matrix is Hermitian, entrywise within tol."""
     return max_asymmetry(choi(s)) <= tol
+
+
+def trace_norms(x: np.ndarray) -> np.ndarray:
+    """Trace norms of a stack of near-Hermitian matrices: one batched
+    ``eigvalsh`` of their Hermitian parts, eigenvalues below EIGEN_FLOOR
+    counted as zeros."""
+    w = np.linalg.eigvalsh(0.5 * (x + x.conj().swapaxes(-1, -2)))
+    w[np.abs(w) < EIGEN_FLOOR] = 0.0
+    return np.abs(w).sum(axis=-1)
+
+
+def flow_column(map_at, deltas: np.ndarray, t: float, h: float) -> np.ndarray:
+    """Finite-difference flow rates at time t for a stack of pair differences,
+    with every trace norm from :func:`trace_norms` (one-sided for t < h)."""
+    if t < h:
+        t_lo, t_hi, denom = t, t + h, h
+    else:
+        t_lo, t_hi, denom = t - h, t + h, 2.0 * h
+    out = np.stack([apply(map_at(t_lo), deltas), apply(map_at(t_hi), deltas)])
+    n_lo, n_hi = trace_norms(out)
+    return (n_hi - n_lo) / denom

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import io
 import json
 import os
 import subprocess
@@ -127,6 +128,20 @@ class TestWitness:
         assert "positive semidefinite" in err
 
 
+@pytest.fixture
+def flow_reports(monkeypatch):
+    """The reports of the CLI's ``backflow_scan`` calls, in call order."""
+    reports = []
+    scan = cli.infoflow.backflow_scan
+
+    def recording_scan(*args, **kwargs):
+        reports.append(scan(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(cli.infoflow, "backflow_scan", recording_scan)
+    return reports
+
+
 class TestInfoflow:
     def test_model_superactivation_summary(self, tmp_path):
         out = tmp_path / "flow"
@@ -159,20 +174,12 @@ class TestInfoflow:
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
-    def test_csv_cells_are_the_report_sigmas(self, tmp_path, monkeypatch):
-        reports = []
-        scan = cli.infoflow.backflow_scan
-
-        def recording_scan(*args, **kwargs):
-            reports.append(scan(*args, **kwargs))
-            return reports[-1]
-
-        monkeypatch.setattr(cli.infoflow, "backflow_scan", recording_scan)
+    def test_csv_cells_are_the_report_sigmas(self, tmp_path, flow_reports):
         out = tmp_path / "flow"
         code = run(["infoflow", "--alpha", "0.6", "--grid-points", "9",
                     "--samples", "7", "--seed", "4", "--output", str(out)])
         assert code == 0
-        single, tensor = reports
+        single, tensor = flow_reports
         grid = cli.RunConfig(grid_points=9).grid()
         rows = read_csv(str(out) + ".csv")
         assert rows[0] == cli.INFOFLOW_HEADER
@@ -187,6 +194,29 @@ class TestInfoflow:
                     assert float(cell) == report.sigma[k, ti]
                 else:
                     assert cell == ""
+
+    @pytest.mark.parametrize("flags, config", [
+        ([], {}),
+        (["--grid-points", "9", "--samples", "7"], {"grid_points": 9}),
+    ], ids=["default", "small"])
+    def test_csv_bytes_are_what_a_csv_writer_writes(self, tmp_path, flow_reports,
+                                                    flags, config):
+        # the tensor family scans ten more library pairs than the single one,
+        # so its last rows have blank single cells
+        out = tmp_path / "flow"
+        assert run(["infoflow", "--seed", "1", "--output", str(out)] + flags) == 0
+        single, tensor = (r.sigma for r in flow_reports)
+        grid = cli.RunConfig(**config).grid()
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(cli.INFOFLOW_HEADER)
+        for k in range(max(len(single), len(tensor))):
+            for ti, t in enumerate(grid):
+                writer.writerow([k, format(float(t), ".17g")] + [
+                    format(float(sigma[k, ti]), ".17g") if k < len(sigma) else ""
+                    for sigma in (single, tensor)])
+        assert len(single) < len(tensor)
+        assert (tmp_path / "flow.csv").read_bytes() == expected.getvalue().encode("utf-8")
 
     def test_peak_memory_does_not_grow_with_the_rows(self, tmp_path, capsys):
         # the default grid gives 22,713 CSV rows; held in one list before

@@ -2,11 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from divischeck import infoflow as iflow
 from divischeck import pauli_family as pf
 from divischeck import superop as so
 from divischeck.linalg import PAULI
+from oracles import flow_column, trace_norms
+
+PROPERTY = settings(max_examples=60, deadline=None)
+FLOOR = iflow.EIGEN_FLOOR
 
 
 def model_map(alpha):
@@ -44,6 +50,95 @@ class TestStatePair:
         bad = np.diag([1.5, -0.5]).astype(complex)
         with pytest.raises(ValueError, match="positive semidefinite"):
             iflow.StatePair(bad, np.eye(2, dtype=complex) / 2)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        rho = np.array([[bad, 0.0], [0.0, 0.0]], dtype=complex)
+        with pytest.raises(ValueError, match="rho1 has non-finite entries"):
+            iflow.StatePair(rho, np.eye(2, dtype=complex) / 2)
+
+
+def _eigenvalue(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_subnormal=False)
+
+
+@st.composite
+def qubit_operators(draw):
+    """(x, scale): a 2 x 2 Hermitian operator with drawn eigenvalues in a
+    drawn eigenbasis, plus an anti-Hermitian part of rounding size; scale
+    is its largest eigenvalue magnitude."""
+    kind = draw(st.sampled_from(["generic", "degenerate", "floor"]))
+    big = draw(_eigenvalue(-10.0, 10.0))
+    if kind == "generic":
+        small = draw(_eigenvalue(-10.0, 10.0))
+    elif kind == "degenerate":           # |r| about 0
+        small = big + draw(_eigenvalue(-1e-12, 1e-12))
+    else:                                # one eigenvalue either side of the floor
+        big = math.copysign(max(abs(big), 1e-3), big)
+        small = FLOOR * draw(st.sampled_from([-1.0, 1.0])) * draw(
+            st.one_of(_eigenvalue(0.01, 0.5), _eigenvalue(2.0, 100.0)))
+    # rounding may move an eigenvalue this close to the floor across it
+    assume(not any(0.5 * FLOOR <= abs(v) <= 2.0 * FLOOR for v in (big, small)))
+    theta = draw(_eigenvalue(0.0, math.pi))
+    phi = draw(_eigenvalue(0.0, 2.0 * math.pi))
+    u = np.array([[math.cos(theta), -np.exp(-1j * phi) * math.sin(theta)],
+                  [np.exp(1j * phi) * math.sin(theta), math.cos(theta)]])
+    scale = max(abs(big), abs(small))
+    noise = np.array(draw(st.lists(_eigenvalue(-1.0, 1.0), min_size=8, max_size=8)))
+    k = (noise[:4] + 1j * noise[4:]).reshape(2, 2)
+    x = u @ np.diag([big, small]) @ u.conj().T + 1e-16 * scale * (k - k.conj().T)
+    return x, scale
+
+
+def pauli_dynamics():
+    """Random qubit Pauli dynamics, Bloch eigenvalues exp(-g_k t) cos(w_k t)."""
+    rates = st.lists(_eigenvalue(0.0, 3.0), min_size=6, max_size=6)
+
+    def family(gw):
+        g, w = np.array(gw[:3]), np.array(gw[3:])
+        return lambda t: pf.pauli_channel(*(np.exp(-g * t) * np.cos(w * t)))
+    return rates.map(family)
+
+
+class TestTraceNorms:
+    @PROPERTY
+    @given(st.integers(1, 6).flatmap(
+        lambda n: st.lists(qubit_operators(), min_size=2 * n, max_size=2 * n)))
+    def test_qubit_closed_form_matches_eigvalsh(self, ops):
+        x = np.stack([op for op, _ in ops]).reshape(2, -1, 2, 2)
+        scale = np.array([s for _, s in ops]).reshape(2, -1)
+        got = iflow._trace_norms(x)
+        assert got.shape == scale.shape
+        assert np.all(np.abs(got - trace_norms(x)) <= 1e-14 * scale)
+
+    @settings(max_examples=30, deadline=None)
+    @given(pauli_dynamics(), st.integers(0, 2**32 - 1), st.booleans())
+    def test_scan_matches_the_eigvalsh_oracle(self, single, seed, squared):
+        if squared:
+            dim, map_at = 4, lambda t: so.tensor(single(t), single(t))
+        else:
+            dim, map_at = 2, single
+        grid = np.array([0.0, 0.4, 1.3, 2.9])
+        report = iflow.backflow_scan(map_at, dim, grid, samples=3, seed=seed)
+        deltas = np.stack([p.difference() for p in report.pairs])
+        want = np.stack([flow_column(map_at, deltas, float(t), 1e-4) for t in grid], axis=1)
+        np.testing.assert_allclose(report.sigma, want, rtol=0, atol=1e-10)
+
+    def test_qubit_scan_solves_no_eigenproblem(self, monkeypatch):
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recording_eigvalsh(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
+        grid = np.array([0.0, 0.5, 1.0])
+        iflow.backflow_scan(model_map(0.6), 2, grid, samples=4, seed=0)
+        assert [s for s in shapes if len(s) > 2 and s[-2:] == (2, 2)] == []
+        # the recorder does see the stacks a two-qubit scan solves
+        iflow.backflow_scan(tensor_model_map(0.6), 4, grid, samples=4, seed=0)
+        assert [s for s in shapes if len(s) > 2] == [(2, 17, 4, 4)] * len(grid)
 
 
 class TestInformationFlow:
@@ -183,6 +278,21 @@ class TestBackflowScan:
         with pytest.raises(ValueError, match="samples must be nonnegative"):
             iflow.backflow_scan(model_map(0.6), 2, np.array([0.0, 1.0]),
                                 samples=-1, seed=0)
+
+    def test_rejects_empty_grid(self):
+        with pytest.raises(ValueError, match="grid is empty"):
+            iflow.backflow_scan(model_map(0.6), 2, np.array([]), samples=2, seed=0)
+
+    @pytest.mark.parametrize("grid", [1.0, np.zeros((2, 3))], ids=["scalar", "2-d"])
+    def test_rejects_a_grid_that_is_not_1d(self, grid):
+        with pytest.raises(ValueError, match="grid must be a 1-d array of times"):
+            iflow.backflow_scan(model_map(0.6), 2, grid, samples=2, seed=0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_grid(self, bad):
+        with pytest.raises(ValueError, match="grid must be finite"):
+            iflow.backflow_scan(lambda t: so.identity(2), 2,
+                                np.array([0.0, bad, 1.0]), samples=2, seed=0)
 
     @pytest.mark.parametrize("h", [0.0, -1e-4])
     def test_rejects_nonpositive_step(self, h):

@@ -12,7 +12,6 @@ the payload, still 0); 2 usage or I/O error; 3 internal numerical failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -27,7 +26,16 @@ from .linalg import NumericalError
 
 __all__ = ["RunConfig", "main"]
 
-DYNAMICS = ("model", "semigroup", "identity")
+# --dynamics name -> (channel(t, alpha), generator(alpha)).  Each entry looks
+# its function up when called, so a module attribute rebound at run time counts.
+DYNAMICS = {
+    "model": (lambda t, a: pauli_family.channel(t, a),
+              lambda a: generator.model_generator(a)),
+    "semigroup": (lambda t, a: pauli_family.semigroup_channel(t, a),
+                  lambda a: generator.qubit_rate_generator((a, a, a))),
+    "identity": (lambda t, a: superop.identity(2),
+                 lambda a: generator.qubit_rate_generator((0.0, 0.0, 0.0))),
+}
 FORMATS = ("csv", "json")
 
 SCAN_HEADER = ["alpha", "t", "p0", "p1", "p2", "p3", "q0", "q1", "q2", "q3",
@@ -66,7 +74,7 @@ class RunConfig:
     format: str = field(default="csv", metadata={
         "choices": FORMATS, "help": "payload format of scan; the other commands ignore it"})
     s: float = field(default=1.0, metadata={"help": "witness construction time"})
-    dynamics: str = field(default="model", metadata={"choices": DYNAMICS})
+    dynamics: str = field(default="model", metadata={"choices": tuple(DYNAMICS)})
     samples: int = field(default=100, metadata={"help": "random state pairs per scan"})
     fd_step: float = field(default=1e-4, metadata={
         "help": "finite-difference step for flow rates / witness checks"})
@@ -95,20 +103,12 @@ class RunConfig:
         if self.format not in FORMATS:
             raise ValueError(f"format must be csv or json, got {self.format!r}")
         if self.dynamics not in DYNAMICS:
-            raise ValueError(f"dynamics must be one of {DYNAMICS}, got {self.dynamics!r}")
+            raise ValueError(f"dynamics must be one of {tuple(DYNAMICS)}, got {self.dynamics!r}")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
 
     def grid(self) -> np.ndarray:
         return pauli_family.default_grid(self.t_max, self.grid_points)
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def _bool(x: bool) -> str:
-    return "true" if x else "false"
 
 
 def _complex_vector(v: np.ndarray) -> dict:
@@ -118,33 +118,18 @@ def _complex_vector(v: np.ndarray) -> dict:
             "shape": list(v.shape)}
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
+def _write_csv(path: str, header: list[str], lines) -> None:
+    """The header row, then the text ``lines`` as they are: every cell the
+    commands write is a number or a bare word and needs no quoting."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(header) + "\n")
+        fh.writelines(lines)
 
 
 def _write_json(path: str, payload) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _single_channel(cfg: RunConfig, alpha: float):
-    if cfg.dynamics == "model":
-        return lambda t: pauli_family.channel(t, alpha)
-    if cfg.dynamics == "semigroup":
-        return lambda t: pauli_family.semigroup_channel(t, alpha)
-    return lambda t: superop.identity(2)
-
-
-def _generator(cfg: RunConfig, alpha: float) -> generator.GeneratorSpec:
-    if cfg.dynamics == "model":
-        return generator.model_generator(alpha)
-    if cfg.dynamics == "semigroup":
-        return generator.qubit_rate_generator((alpha, alpha, alpha))
-    return generator.qubit_rate_generator((0.0, 0.0, 0.0))
 
 
 def _scan_report_payload(report: divisibility.DivisibilityReport) -> dict:
@@ -175,14 +160,13 @@ def cmd_scan(cfg: RunConfig) -> tuple[list[str], dict]:
             gamma3 = pauli_family.rates(t, alpha)[2]
             if not cp:
                 non_cp_alphas.add(alpha)
-            rows.append([_fmt(alpha), _fmt(t),
-                         _fmt(p.p0), _fmt(p.p1), _fmt(p.p2), _fmt(p.p3),
-                         _fmt(q.p0), _fmt(q.p1), _fmt(q.p2), _fmt(q.p3),
-                         _fmt(l.l1), _fmt(l.l3), _fmt(choi_min),
-                         _bool(cp), _fmt(gamma3)])
+            numbers = (alpha, t, p.p0, p.p1, p.p2, p.p3, q.p0, q.p1, q.p2, q.p3,
+                       l.l1, l.l3, choi_min)
+            rows.append(["%.17g" % x for x in numbers]
+                        + ["true" if cp else "false", "%.17g" % gamma3])
     if cfg.format == "csv":
         path = cfg.output_path + ".csv"
-        _write_csv(path, SCAN_HEADER, rows)
+        _write_csv(path, SCAN_HEADER, (",".join(row) + "\n" for row in rows))
     else:
         path = cfg.output_path + ".json"
         _write_json(path, [dict(zip(SCAN_HEADER, row)) for row in rows])
@@ -197,7 +181,7 @@ def cmd_scan(cfg: RunConfig) -> tuple[list[str], dict]:
 def cmd_divisibility(cfg: RunConfig) -> tuple[list[str], dict]:
     alpha = cfg.alpha[0]
     grid = cfg.grid()
-    gen = _generator(cfg, alpha)
+    gen = DYNAMICS[cfg.dynamics][1](alpha)
     cp_check = generator.cp_divisibility_check(gen, grid, tol=cfg.tol)
     p_check = generator.p_divisibility_check_pauli(gen, grid, tol=cfg.tol)
 
@@ -237,7 +221,7 @@ def cmd_divisibility(cfg: RunConfig) -> tuple[list[str], dict]:
 
 def cmd_witness(cfg: RunConfig) -> tuple[list[str], dict]:
     alpha = cfg.alpha[0]
-    gen = _generator(cfg, alpha)
+    gen = DYNAMICS[cfg.dynamics][1](alpha)
     w = divisibility.first_order_witness(gen, cfg.s)
     checks = []
     for dt in (cfg.fd_step, 0.5 * cfg.fd_step):
@@ -273,8 +257,7 @@ def _flow_blocks(grid: np.ndarray, sigma_single: np.ndarray, sigma_tensor: np.nd
     then t, as one block per pair k.
 
     Every number is formatted once as ``.17g``; a cell is blank where a
-    family has fewer than k + 1 pairs.  No cell needs quoting, so the text
-    is what ``csv.writer`` would write row by row.
+    family has fewer than k + 1 pairs.
     """
     times = ["%.17g" % t for t in grid.tolist()]
     blank = [""] * len(times)
@@ -299,7 +282,10 @@ def _flow_report_payload(report: infoflow.BackflowReport) -> dict:
 def cmd_infoflow(cfg: RunConfig) -> tuple[list[str], dict]:
     alpha = cfg.alpha[0]
     grid = cfg.grid()
-    single = _single_channel(cfg, alpha)
+    channel = DYNAMICS[cfg.dynamics][0]
+
+    def single(t):
+        return channel(t, alpha)
 
     def tensor_map(t):
         ch = single(t)
@@ -311,9 +297,8 @@ def cmd_infoflow(cfg: RunConfig) -> tuple[list[str], dict]:
                                         seed=cfg.seed, h=cfg.fd_step)
 
     csv_path = cfg.output_path + ".csv"
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(INFOFLOW_HEADER) + "\n")
-        fh.writelines(_flow_blocks(grid, rep_single.sigma, rep_tensor.sigma))
+    _write_csv(csv_path, INFOFLOW_HEADER,
+               _flow_blocks(grid, rep_single.sigma, rep_tensor.sigma))
 
     payload = {
         "alpha": alpha,

@@ -24,6 +24,7 @@ stacking used for superoperator matrices; the two layers never mix.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -199,6 +200,8 @@ def first_order_witness(g: GeneratorSpec, s: float) -> FirstOrderWitness:
     used.  The returned ``delta_rate`` is evaluated directly on the tensor
     generator and must come out negative.
     """
+    if not math.isfinite(s):
+        raise ValueError(f"witness time s must be finite, got {s}")
     c = g.coefficient_matrix(s)
     w, vmat = np.linalg.eigh(c)
     c_min = float(w[0])
@@ -247,8 +250,8 @@ def verify_witness(g: GeneratorSpec, s: float, w: FirstOrderWitness,
     Returns <phi| T_{s+dt,s} [|psi><psi|] |phi>, which should agree with
     dt * delta_rate up to O(dt^2).
     """
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     t2 = _tensor_liouvillian(g, liouvillian(g))
     big = g.dim * g.dim
     dm = rk4_increment(t2(s), t2(s + 0.5 * dt), t2(s + dt), dt)

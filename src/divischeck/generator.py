@@ -79,13 +79,14 @@ def gell_mann_basis(d: int) -> list[np.ndarray]:
 
 
 def _coefficients(value, n: int, t: float | None = None) -> np.ndarray:
-    """Validated Kossakowski coefficients in either of their two forms.
+    """Validated Kossakowski coefficient matrix C from either of its two forms.
 
     A one-dimensional value is the real diagonal of C, its rate vector: a
     real diagonal is Hermitian, so only its length, its real dtype and each
-    entry's finiteness are checked, and the rates are returned as floats.
-    Any other value must be a finite Hermitian (n, n) matrix, and its exact
-    Hermitian part is returned.  ``t`` only labels error messages.
+    entry's finiteness are checked, and the rates are written into the
+    diagonal slots of a complex zero (n, n) matrix.  Any other value must be
+    a finite Hermitian (n, n) matrix, and its exact Hermitian part is
+    returned.  ``t`` only labels error messages.
     """
     c = np.asarray(value)
     if c.ndim == 1:
@@ -93,12 +94,16 @@ def _coefficients(value, n: int, t: float | None = None) -> np.ndarray:
             raise ValueError(f"rates must be real, got dtype {c.dtype}")
         if not all(map(math.isfinite, c.tolist())):
             raise ValueError("rates have non-finite entries")
-        c, form, expected = c.astype(float, copy=False), "rate vector", (n,)
+        form, expected = "rate vector", (n,)
     else:
         c, form, expected = check_hermitian(c), "matrix", (n, n)
     if c.shape != expected:
         at = "" if t is None else f" at t={t}"
         raise ValueError(f"coefficient {form}{at} has shape {c.shape}, expected {expected}")
+    if c.ndim == 1:
+        flat = np.zeros(n * n, dtype=complex)
+        flat[::n + 1] = c
+        c = flat.reshape(n, n)
     return c
 
 
@@ -111,10 +116,11 @@ class GeneratorSpec:
     may be fixed or a callable t -> C(t), and a callable may return either
     form.  ``basis`` holds the d^2-1 orthonormal traceless operators C
     refers to.  Basis orthonormality and tracelessness are validated on
-    construction.  A fixed C is validated once, on construction, and stored
-    read-only as its matrix; a callable C(t) is validated on every
-    evaluation.  A matrix must be finite, Hermitian and of the right shape;
-    a rate vector needs only the right length and real, finite entries.
+    construction.  One validation takes either form to the matrix C
+    (diag(rates) for a rate vector): a fixed C once, on construction, stored
+    read-only; a callable C(t) on every evaluation.  A matrix must be finite,
+    Hermitian and of the right shape; a rate vector needs only the right
+    length and real, finite entries.
     """
 
     dim: int
@@ -140,19 +146,14 @@ class GeneratorSpec:
                         f"basis is not orthonormal: Tr(F_{i}^dag F_{j}) = {overlap:.3e}"
                     )
         if not callable(self.kossakowski):
-            c = _coefficients(self.kossakowski, n)
-            c = np.diag(c).astype(complex) if c.ndim == 1 else c
-            c.flags.writeable = False
-            self.kossakowski = c
+            self.kossakowski = _coefficients(self.kossakowski, n)
+            self.kossakowski.flags.writeable = False
 
     def coefficient_matrix(self, t: float) -> np.ndarray:
         """Validated Hermitian C(t) as a matrix, diag(rates) for a rate
         vector; the read-only matrix itself when C is fixed."""
         c = self.kossakowski
-        if not callable(c):
-            return c
-        c = _coefficients(c(t), self.dim * self.dim - 1, t)
-        return np.diag(c).astype(complex) if c.ndim == 1 else c
+        return _coefficients(c(t), self.dim * self.dim - 1, t) if callable(c) else c
 
 
 def qubit_rate_generator(rates) -> GeneratorSpec:
@@ -161,7 +162,7 @@ def qubit_rate_generator(rates) -> GeneratorSpec:
     ``rates`` is either a fixed real triple, which becomes a fixed
     coefficient matrix validated once on construction, or a callable
     t -> real triple, whose rates are validated (length, real, finite) on
-    every evaluation and contracted without building C(t).  With the basis
+    every evaluation without a Hermiticity check.  With the basis
     sigma_k/sqrt(2), a coefficient c_k produces the dissipator
     (c_k/2)(sigma_k rho sigma_k - rho).
     """
@@ -205,9 +206,9 @@ def liouvillian(g: GeneratorSpec) -> Callable[[float], np.ndarray]:
     The basis-dependent structure is assembled once per closure; each call
     then only contracts it with C(t) and adds the Hamiltonian part.  A fixed
     C is contracted once, here: without a Hamiltonian every call returns
-    that one read-only matrix.  A rate vector returned by a callable C is
-    written into the diagonal slots of a zero flattened C, so the contraction
-    is the matrix form's, bit for bit, without building and checking C(t).
+    that one read-only matrix.  A callable C goes through the same
+    validation as a fixed one on every call, so a rate vector contracts as
+    its diagonal matrix, bit for bit, without a Hermiticity check.
     """
     terms = _dissipator_terms(g)
     d = g.dim
@@ -223,12 +224,7 @@ def liouvillian(g: GeneratorSpec) -> Callable[[float], np.ndarray]:
     def at(t: float) -> np.ndarray:
         if fixed is None:
             c = _coefficients(g.kossakowski(t), n, t)
-            if c.ndim == 1:
-                flat = np.zeros(n * n, dtype=complex)
-                flat[::n + 1] = c
-            else:
-                flat = c.reshape(-1)
-            mat = (flat @ terms).reshape(d * d, d * d)
+            mat = (c.reshape(-1) @ terms).reshape(d * d, d * d)
         else:
             mat = fixed
         if g.hamiltonian is not None:

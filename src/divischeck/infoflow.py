@@ -18,6 +18,7 @@ taken in closed form; larger dimensions use one batched ``eigvalsh``.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -111,8 +112,8 @@ def _flow_column(map_at: Callable[[float], Superoperator], deltas: np.ndarray,
     both evolved stacks are taken together by :func:`_trace_norms`.
     Returns the rates and whether the difference was one-sided (t < h).
     """
-    if not h > 0:
-        raise ValueError(f"step h must be positive, got {h}")
+    if not 0 < h < math.inf:
+        raise ValueError(f"step h must be positive and finite, got {h}")
     one_sided = t < h
     if one_sided:
         t_lo, t_hi, denom = t, t + h, h
@@ -130,6 +131,8 @@ def information_flow(map_at: Callable[[float], Superoperator], pair: StatePair,
     Times closer to the origin than h fall back to a one-sided forward
     difference; the returned sample is flagged accordingly.
     """
+    if not math.isfinite(t):
+        raise ValueError(f"time t must be finite, got {t}")
     sigma, one_sided = _flow_column(map_at, pair.difference()[None], float(t), h)
     return FlowSample(t=float(t), sigma=float(sigma[0]), one_sided=one_sided)
 
@@ -270,7 +273,7 @@ def backflow_scan(map_at: Callable[[float], Superoperator], dim: int, grid,
     p_idx, t_idx = np.unravel_index(flat, sigma.shape)
     return BackflowReport(
         max_sigma=float(sigma[p_idx, t_idx]),
-        argmax_label=pairs[p_idx].label or f"pair:{p_idx}",
+        argmax_label=pairs[p_idx].label,
         argmax_t=float(grid[t_idx]),
         sigma=sigma,
         pairs=pairs,

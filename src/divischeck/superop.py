@@ -109,14 +109,12 @@ def identity(dim: int) -> Superoperator:
 
 
 def apply(s: Superoperator, x) -> np.ndarray:
-    """Apply the map to a dim x dim matrix or to a stack of shape (..., dim, dim)."""
+    """Apply the map to one dim x dim operator or a stack (..., dim, dim)."""
     x = np.asarray(x, dtype=complex)
     if x.shape[-2:] != (s.dim, s.dim):
         raise ValueError(
             f"operator shape {x.shape} does not match superoperator dimension {s.dim}"
         )
-    if x.ndim == 2:
-        return unvec(s.mat @ vec(x), s.dim)
     # column stacking of each operator is the row-major flattening of its transpose
     vecs = x.swapaxes(-1, -2).reshape(*x.shape[:-2], -1)
     return (vecs @ s.mat.T).reshape(x.shape).swapaxes(-1, -2)
@@ -159,11 +157,6 @@ def is_cp(s: Superoperator, tol: float = 1e-9) -> tuple[bool, float]:
     w = np.linalg.eigvalsh(h)
     min_eig = float(w[0])
     return min_eig >= -tol, min_eig
-
-
-def _min_output_eigenvalue(s: Superoperator, psi: np.ndarray) -> float:
-    out = apply(s, np.outer(psi, psi.conj()))
-    return float(np.linalg.eigvalsh(0.5 * (out + out.conj().T))[0])
 
 
 def _lowest_eigenpairs(s: Superoperator, states: np.ndarray):
@@ -227,7 +220,7 @@ def positivity_probe(s: Superoperator, restarts: int = 100, steps: int = 500,
     the draw-order index of the first restart below ``stop_at``, and the
     witness is the best of the restarts up to that one.  Otherwise
     ``restarts_used == restarts``.  The reported ``min_value`` is
-    recomputed from the returned state.
+    :func:`min_output_eigenvalue` of the returned state.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
@@ -260,7 +253,7 @@ def positivity_probe(s: Superoperator, restarts: int = 100, steps: int = 500,
     if stop_at is not None and values.min() < stop_at:
         used = int(np.argmax(values < stop_at)) + 1
     state = psi[int(np.argmin(values[:used]))]
-    min_value = _min_output_eigenvalue(s, state)
+    min_value = min_output_eigenvalue(s, state)
     verdict = VIOLATED if min_value < -tol else HOLDS_NO_VIOLATION
     return PositivityProbeResult(min_value, state, used, verdict)
 
@@ -284,10 +277,10 @@ def intermediate(s_t: Superoperator, s_s: Superoperator) -> Superoperator:
 
 
 def min_output_eigenvalue(s: Superoperator, psi) -> float:
-    """Smallest eigenvalue of S[|psi><psi|]; psi is normalized first.
-
-    This is the quantity the positivity probe minimizes, exposed so callers
-    can re-evaluate reported witness states.
-    """
+    """Smallest eigenvalue of the Hermitian part of S[|psi><psi|], psi
+    normalized first: the quantity the positivity probe minimizes and the
+    ``min_value`` it reports for its witness state."""
     psi = np.asarray(psi, dtype=complex)
-    return _min_output_eigenvalue(s, psi / np.linalg.norm(psi))
+    psi = psi / np.linalg.norm(psi)
+    out = apply(s, np.outer(psi, psi.conj()))
+    return float(np.linalg.eigvalsh(0.5 * (out + out.conj().T))[0])

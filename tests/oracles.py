@@ -8,7 +8,7 @@ import numpy as np
 from divischeck import pauli_family as pf
 from divischeck.infoflow import EIGEN_FLOOR
 from divischeck.linalg import PAULI
-from divischeck.superop import Superoperator, apply, choi, vec
+from divischeck.superop import Superoperator, apply, choi, unvec, vec
 
 
 def generator_eigenvalues(t: float, alpha: float) -> tuple[float, float, float, float]:
@@ -43,6 +43,12 @@ def loop_pauli_channel(l1: float, l2: float, l3: float) -> np.ndarray:
         v = vec(sigma)
         mat += 0.5 * lam * np.outer(v, v.conj())
     return mat
+
+
+def apply_single(s: Superoperator, x) -> np.ndarray:
+    """The map applied to one dim x dim operator as a matrix-vector product,
+    unvec(S vec(X))."""
+    return unvec(s.mat @ vec(x), s.dim)
 
 
 def compose(s1: Superoperator, s2: Superoperator) -> Superoperator:

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from divischeck import cli
+from divischeck import cli, generator, pauli_family, superop
 
 
 def run(args):
@@ -73,6 +73,43 @@ class TestScan:
              "--seed", "11", "--output", str(b)])
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
+    @staticmethod
+    def expected_rows(alphas, grid):
+        """Scan rows rebuilt from the closed forms and the exact CP test."""
+        rows = []
+        for alpha in alphas:
+            for t in grid:
+                t = float(t)
+                l = pauli_family.bloch_eigenvalues(t, alpha)
+                p = l.pauli_weights()
+                q = pauli_family.squared_pauli_weights(t, alpha)
+                _, choi_min = superop.is_cp(pauli_family.pauli_channel(l.l1, l.l2, l.l3))
+                numbers = [alpha, t, p.p0, p.p1, p.p2, p.p3, q.p0, q.p1, q.p2, q.p3,
+                           l.l1, l.l3, choi_min]
+                cp = "true" if pauli_family.cp_criterion(t, alpha) else "false"
+                gamma3 = pauli_family.rates(t, alpha)[2]
+                rows.append([format(float(x), ".17g") for x in numbers]
+                            + [cp, format(float(gamma3), ".17g")])
+        return rows
+
+    def test_csv_bytes_are_what_a_csv_writer_writes(self, tmp_path):
+        out = tmp_path / "scan"
+        assert run(["scan", "--alpha", "0.5,0.75,1.0,1.5", "--seed", "1",
+                    "--output", str(out)]) == 0
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(cli.SCAN_HEADER)
+        writer.writerows(self.expected_rows([0.5, 0.75, 1.0, 1.5], cli.RunConfig().grid()))
+        assert (tmp_path / "scan.csv").read_bytes() == expected.getvalue().encode("utf-8")
+
+    def test_json_rows_are_the_csv_cells(self, tmp_path):
+        out = tmp_path / "scan"
+        assert run(["scan", "--alpha", "0.5,0.75", "--format", "json", "--seed", "1",
+                    "--output", str(out)]) == 0
+        rows = self.expected_rows([0.5, 0.75], cli.RunConfig().grid())
+        payload = json.loads((tmp_path / "scan.json").read_text())
+        assert payload == [dict(zip(cli.SCAN_HEADER, row)) for row in rows]
+
 
 class TestDivisibility:
     def test_model_report(self, tmp_path):
@@ -92,6 +129,17 @@ class TestDivisibility:
         again = payload["tensor_witness_reevaluated"]
         assert abs(again - probe["worst_value"]) <= 1e-9
 
+    def test_probe_value_is_what_its_witness_reproduces(self, tmp_path):
+        # at this config a value taken from the probe's iterate without
+        # renormalizing it differs from the witness's in the last bits
+        out = tmp_path / "div"
+        assert run(["divisibility", "--alpha", "0.6", "--restarts", "2",
+                    "--seed", "1", "--output", str(out)]) == 0
+        payload = json.loads((tmp_path / "div.json").read_text())
+        probe = payload["tensor_p_divisibility_probe"]
+        assert probe["verdict"] == "violated"
+        assert probe["worst_value"] == payload["tensor_witness_reevaluated"]
+
     def test_semigroup_all_pass(self, tmp_path):
         out = tmp_path / "div"
         code = run(["divisibility", "--alpha", "2.0", "--dynamics", "semigroup",
@@ -104,6 +152,53 @@ class TestDivisibility:
         assert payload["p_divisibility_check"]["satisfied"] is True
         assert payload["cp_divisibility_scan"]["verdict"] == "holds-on-grid"
         assert payload["tensor_p_divisibility_probe"]["verdict"] == "holds-on-grid"
+
+
+@pytest.mark.parametrize("name", list(cli.DYNAMICS))
+class TestDynamicsTable:
+    """Every ``--dynamics`` name, through both commands that take it."""
+
+    def test_channel_is_the_map_its_generator_integrates_to(self, name):
+        channel, make_generator = cli.DYNAMICS[name]
+        grid = np.linspace(0.0, 1.0, 5)
+        family = generator.propagate(make_generator(0.6), grid, 1e-3)
+        for t, m in zip(grid, family.maps):
+            np.testing.assert_allclose(m.mat, channel(float(t), 0.6).mat, atol=1e-10)
+
+    def test_divisibility(self, tmp_path, name):
+        out = tmp_path / "div"
+        assert run(["divisibility", "--dynamics", name, "--alpha", "0.6",
+                    "--t-max", "1.0", "--grid-points", "6", "--restarts", "3",
+                    "--probe-steps", "50", "--rk4-step", "5e-3",
+                    "--output", str(out)]) == 0
+        payload = json.loads((tmp_path / "div.json").read_text())
+        assert payload["dynamics"] == name
+        # only the model's rates go negative
+        assert payload["cp_divisibility_check"]["satisfied"] is (name != "model")
+        probe = payload["tensor_p_divisibility_probe"]
+        assert (probe["verdict"] == "violated") is (name == "model")
+        if name == "model":
+            # the probe reports the value its witness reproduces, bit for bit
+            assert probe["worst_value"] == payload["tensor_witness_reevaluated"]
+        else:
+            assert payload["tensor_witness_reevaluated"] is None
+
+    def test_infoflow(self, tmp_path, name):
+        out = tmp_path / "flow"
+        assert run(["infoflow", "--dynamics", name, "--alpha", "0.6",
+                    "--t-max", "1.0", "--grid-points", "6", "--samples", "3",
+                    "--output", str(out)]) == 0
+        payload = json.loads((tmp_path / "flow.json").read_text())
+        assert payload["dynamics"] == name
+        # a Pauli family with nonnegative pairwise rate sums never shows
+        # single-qubit back-flow, and a CP-divisible one none at all
+        assert payload["single"]["max_sigma"] <= 1e-6
+        if name != "model":
+            assert payload["tensor"]["max_sigma"] <= 1e-6
+        rows = read_csv(str(out) + ".csv")
+        assert rows[0] == cli.INFOFLOW_HEADER
+        grid = cli.RunConfig(t_max=1.0, grid_points=6).grid()
+        assert len(rows) == 1 + len(payload["tensor"]["pair_labels"]) * len(grid)
 
 
 class TestWitness:

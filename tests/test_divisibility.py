@@ -252,6 +252,13 @@ class TestFirstOrderWitness:
         with pytest.raises(ValueError):
             dv.first_order_witness(semi, 1.0)
 
+    @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_time(self, s):
+        # a fixed C has a negative eigenvalue at every s, non-finite ones too
+        g = gen.qubit_rate_generator((1.0, 1.0, -1.0))
+        with pytest.raises(ValueError, match="witness time s must be finite"):
+            dv.first_order_witness(g, s)
+
 
 class TestVerifyWitness:
     def test_first_order_agreement_and_halving(self):
@@ -284,3 +291,5 @@ class TestVerifyWitness:
             dv.verify_witness(g, 1.0, w, dt=0.0)
         with pytest.raises(ValueError, match="dt must be positive"):
             dv.verify_witness(g, 1.0, w, dt=math.nan)
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            dv.verify_witness(g, 1.0, w, dt=math.inf)

@@ -167,6 +167,16 @@ class TestInformationFlow:
         sample = iflow.information_flow(model_map(0.6), z_pair(), 0.0, h=1e-4)
         assert sample.one_sided
 
+    @pytest.mark.parametrize("t, h, message", [
+        (1.0, 0.0, "step h must be positive and finite"),
+        (1.0, math.inf, "step h must be positive and finite"),
+        (math.nan, 1e-4, "time t must be finite"),
+        (math.inf, 1e-4, "time t must be finite"),
+    ], ids=["h-zero", "h-inf", "t-nan", "t-inf"])
+    def test_rejects_bad_time_or_step(self, t, h, message):
+        with pytest.raises(ValueError, match=message):
+            iflow.information_flow(lambda t: so.identity(2), z_pair(), t, h=h)
+
     def test_finite_difference_second_order(self):
         alpha = 0.6
         pair = z_pair()
@@ -294,7 +304,7 @@ class TestBackflowScan:
             iflow.backflow_scan(lambda t: so.identity(2), 2,
                                 np.array([0.0, bad, 1.0]), samples=2, seed=0)
 
-    @pytest.mark.parametrize("h", [0.0, -1e-4])
+    @pytest.mark.parametrize("h", [0.0, -1e-4, math.inf])
     def test_rejects_nonpositive_step(self, h):
         with pytest.raises(ValueError, match="must be positive"):
             iflow.backflow_scan(model_map(0.6), 2, np.array([0.0, 1.0]),

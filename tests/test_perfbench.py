@@ -36,6 +36,14 @@ def test_traced_invocation_passes_the_benchmark_checks(perfbench, name, tmp_path
         assert inv.layers["linalg.inverse.calls"] == 0
 
 
+def test_backflow_channel_calls_reach_the_traced_module_function(perfbench, tmp_path):
+    # the --dynamics table looks up pauli_family.channel when it is called,
+    # so the tracer's wrapper sees every map both scans build: 2 x 402
+    inv = perfbench.run_traced(cli, perfbench.WORKLOADS["backflow"], 1, tmp_path)
+    assert inv.problems == []
+    assert inv.layers["pauli_family.channel.calls"] == 804
+
+
 def test_probe_clean_validates_its_fixed_coefficients_once(perfbench, tmp_path):
     # the semigroup's C is fixed: validated on construction, never per L(t)
     inv = perfbench.run_traced(cli, perfbench.WORKLOADS["probe-clean"], 1, tmp_path)

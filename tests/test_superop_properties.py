@@ -12,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 
 from divischeck import superop as so
 from divischeck.linalg import PAULI
-from oracles import compose
+from oracles import apply_single, compose
 
 DIMS = st.sampled_from([2, 3])
 ENTRIES = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False,
@@ -75,6 +75,17 @@ def test_vec_of_product(data, d):
     a, x, b = (data.draw(operators(d)) for _ in range(3))
     np.testing.assert_allclose(so.vec(a @ x @ b), np.kron(b.T, a) @ so.vec(x),
                                rtol=0, atol=1e-10)
+
+
+@PROPERTY
+@given(st.data(), st.sampled_from([2, 3, 4]))
+def test_apply_to_one_operator_is_the_matrix_vector_product(data, d):
+    s = data.draw(maps(d))
+    x = data.draw(operators(d))
+    got = so.apply(s, x)
+    expected = apply_single(s, x)
+    assert got.shape == (d, d)
+    assert np.max(np.abs(got - expected)) <= 1e-15 * max(1.0, np.max(np.abs(expected)))
 
 
 @PROPERTY

@@ -43,7 +43,7 @@ print(f"delta_rate = {w.delta_rate:.10f}  (analytic -a tanh s = "
 print()
 print("Finite-step verification (one RK4 step of the tensor propagator):")
 for dt in (1e-4, 5e-5):
-    value = dv.verify_witness(g, s, w, dt=dt)
+    value = dv.verify_witness(g, w, dt=dt)
     prediction = dt * w.delta_rate
     print(f"  dt={dt:.0e}: matrix element {value:.6e}, first-order prediction "
           f"{prediction:.6e}, discrepancy {abs(value - prediction):.2e}")

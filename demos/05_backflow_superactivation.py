@@ -35,24 +35,24 @@ def tensor_map(t):
 
 
 print(f"single qubit channel, strength a = {alpha}:")
-rep1 = iflow.backflow_scan(single_map, 2, grid, samples=100, seed=11)
+rep1 = iflow.backflow_scan(single_map, iflow.pair_library(2, samples=100, seed=11), grid)
 print(f"  max sigma over {rep1.sigma.shape[0]} pairs x {len(grid)} times: "
       f"{rep1.max_sigma:.3e}   (no back-flow)")
 
 print()
 print("tensor square of the same channel:")
-rep2 = iflow.backflow_scan(tensor_map, 4, grid, samples=100, seed=11)
+rep2 = iflow.backflow_scan(tensor_map, iflow.pair_library(4, samples=100, seed=11), grid)
 print(f"  max sigma over {rep2.sigma.shape[0]} pairs x {len(grid)} times: "
       f"{rep2.max_sigma:.3e}")
 print(f"  found at pair '{rep2.argmax_label}', t = {rep2.argmax_t}")
 
 print()
 print("flow profile for the tilted-parity mixed pair:")
-pair = iflow.tilted_parity_pairs()[0]
-for t in np.linspace(0.25, 4.0, 16):
-    sample = iflow.information_flow(tensor_map, pair, float(t))
-    bar = "+" * int(min(max(sample.sigma, 0) / 1e-3, 40))
-    print(f"  t={t:5.2f}  sigma={sample.sigma: .5e}  {bar}")
+times = np.linspace(0.25, 4.0, 16)
+profile = iflow.backflow_scan(tensor_map, iflow.tilted_parity_pairs(), times)
+for t, sigma in zip(times, profile.sigma[0]):
+    bar = "+" * int(min(max(sigma, 0) / 1e-3, 40))
+    print(f"  t={t:5.2f}  sigma={sigma: .5e}  {bar}")
 
 print()
 print("control: under a CP-divisible comparison semigroup the tensor square")
@@ -64,5 +64,5 @@ def semigroup_tensor(t):
     return so.tensor(ch, ch)
 
 
-rep3 = iflow.backflow_scan(semigroup_tensor, 4, grid, samples=50, seed=11)
+rep3 = iflow.backflow_scan(semigroup_tensor, iflow.pair_library(4, samples=50, seed=11), grid)
 print(f"  max sigma: {rep3.max_sigma:.3e}")

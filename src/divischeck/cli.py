@@ -118,6 +118,10 @@ def _complex_vector(v: np.ndarray) -> dict:
             "shape": list(v.shape)}
 
 
+def _csv_cell(x) -> str:
+    return ("true" if x else "false") if isinstance(x, bool) else "%.17g" % x
+
+
 def _write_csv(path: str, header: list[str], lines) -> None:
     """The header row, then the text ``lines`` as they are: every cell the
     commands write is a number or a bare word and needs no quoting."""
@@ -160,13 +164,11 @@ def cmd_scan(cfg: RunConfig) -> tuple[list[str], dict]:
             gamma3 = pauli_family.rates(t, alpha)[2]
             if not cp:
                 non_cp_alphas.add(alpha)
-            numbers = (alpha, t, p.p0, p.p1, p.p2, p.p3, q.p0, q.p1, q.p2, q.p3,
-                       l.l1, l.l3, choi_min)
-            rows.append(["%.17g" % x for x in numbers]
-                        + ["true" if cp else "false", "%.17g" % gamma3])
+            rows.append((alpha, t, p.p0, p.p1, p.p2, p.p3, q.p0, q.p1, q.p2, q.p3,
+                         l.l1, l.l3, choi_min, bool(cp), gamma3))
     if cfg.format == "csv":
         path = cfg.output_path + ".csv"
-        _write_csv(path, SCAN_HEADER, (",".join(row) + "\n" for row in rows))
+        _write_csv(path, SCAN_HEADER, (",".join(map(_csv_cell, row)) + "\n" for row in rows))
     else:
         path = cfg.output_path + ".json"
         _write_json(path, [dict(zip(SCAN_HEADER, row)) for row in rows])
@@ -225,7 +227,7 @@ def cmd_witness(cfg: RunConfig) -> tuple[list[str], dict]:
     w = divisibility.first_order_witness(gen, cfg.s)
     checks = []
     for dt in (cfg.fd_step, 0.5 * cfg.fd_step):
-        value = divisibility.verify_witness(gen, cfg.s, w, dt=dt)
+        value = divisibility.verify_witness(gen, w, dt=dt)
         checks.append({
             "dt": dt,
             "value": value,
@@ -291,10 +293,10 @@ def cmd_infoflow(cfg: RunConfig) -> tuple[list[str], dict]:
         ch = single(t)
         return superop.tensor(ch, ch)
 
-    rep_single = infoflow.backflow_scan(single, 2, grid, samples=cfg.samples,
-                                        seed=cfg.seed, h=cfg.fd_step)
-    rep_tensor = infoflow.backflow_scan(tensor_map, 4, grid, samples=cfg.samples,
-                                        seed=cfg.seed, h=cfg.fd_step)
+    rep_single = infoflow.backflow_scan(
+        single, infoflow.pair_library(2, cfg.samples, cfg.seed), grid, h=cfg.fd_step)
+    rep_tensor = infoflow.backflow_scan(
+        tensor_map, infoflow.pair_library(4, cfg.samples, cfg.seed), grid, h=cfg.fd_step)
 
     csv_path = cfg.output_path + ".csv"
     _write_csv(csv_path, INFOFLOW_HEADER,
@@ -317,11 +319,12 @@ def cmd_infoflow(cfg: RunConfig) -> tuple[list[str], dict]:
     return [csv_path, json_path], summary
 
 
+# command name -> (function, help)
 COMMANDS = {
-    "scan": cmd_scan,
-    "divisibility": cmd_divisibility,
-    "witness": cmd_witness,
-    "infoflow": cmd_infoflow,
+    "scan": (cmd_scan, "tabulate weights, Bloch eigenvalues and CP verdicts over (alpha, t)"),
+    "divisibility": (cmd_divisibility, "generator- and map-level divisibility reports for one alpha"),
+    "witness": (cmd_witness, "first-order tensor-square positivity witness at time s"),
+    "infoflow": (cmd_infoflow, "trace-distance flow scan for the single and tensor dynamics"),
 }
 
 
@@ -332,12 +335,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     hints = get_type_hints(RunConfig)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("scan", "tabulate weights, Bloch eigenvalues and CP verdicts over (alpha, t)"),
-        ("divisibility", "generator- and map-level divisibility reports for one alpha"),
-        ("witness", "first-order tensor-square positivity witness at time s"),
-        ("infoflow", "trace-distance flow scan for the single and tensor dynamics"),
-    ]:
+    for name, (_, help_text) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON file with RunConfig fields")
         for f in fields(RunConfig):
@@ -407,7 +405,7 @@ def main(argv=None) -> int:
         cfg = _load_config(args)
         if args.command != "scan" and len(cfg.alpha) > 1:
             raise ValueError(f"{args.command} takes one alpha, got {len(cfg.alpha)}")
-        outputs, summary = COMMANDS[args.command](cfg)
+        outputs, summary = COMMANDS[args.command][0](cfg)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"divischeck: error: {exc}", file=sys.stderr)
         return 2

@@ -182,8 +182,9 @@ class FirstOrderWitness:
     c_min: float
 
 
-def _tensor_liouvillian(g: GeneratorSpec, lmat_at):
+def _tensor_liouvillian(g: GeneratorSpec):
     """Closure returning the matrix of L_t (x) id + id (x) L_t."""
+    lmat_at = liouvillian(g)
     ident = identity(g.dim)
 
     def at(t: float) -> np.ndarray:
@@ -231,7 +232,7 @@ def first_order_witness(g: GeneratorSpec, s: float) -> FirstOrderWitness:
             f"witness vectors failed orthogonality: |<phi|psi>| = {overlap:.3e}"
         )
 
-    t2 = _tensor_liouvillian(g, liouvillian(g))(s)
+    t2 = _tensor_liouvillian(g)(s)
     rho = np.outer(psi, psi.conj())
     out = superop.apply(Superoperator(g.dim * g.dim, t2), rho)
     delta_rate = float(np.real(np.vdot(phi, out @ phi)))
@@ -243,18 +244,20 @@ def first_order_witness(g: GeneratorSpec, s: float) -> FirstOrderWitness:
     return FirstOrderWitness(float(s), u, m, psi, phi, delta_rate, c_min)
 
 
-def verify_witness(g: GeneratorSpec, s: float, w: FirstOrderWitness,
-                   dt: float = 1e-4) -> float:
-    """Finite-dt check of a witness: one RK4 step I + D of the tensor propagator.
+def verify_witness(g: GeneratorSpec, w: FirstOrderWitness, dt: float = 1e-4) -> float:
+    """Finite-dt check of a witness at its own time: one RK4 step I + D of
+    the tensor propagator over [s, s + dt], s = ``w.s``.
 
     Returns <phi| T_{s+dt,s} [|psi><psi|] |phi>, which should agree with
     dt * delta_rate up to O(dt^2).
     """
+    if not math.isfinite(w.s):
+        raise ValueError(f"witness time s must be finite, got {w.s}")
     if not 0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
-    t2 = _tensor_liouvillian(g, liouvillian(g))
+    t2 = _tensor_liouvillian(g)
     big = g.dim * g.dim
-    dm = rk4_increment(t2(s), t2(s + 0.5 * dt), t2(s + dt), dt)
+    dm = rk4_increment(t2(w.s), t2(w.s + 0.5 * dt), t2(w.s + dt), dt)
     propagator = Superoperator(big, np.eye(big * big, dtype=complex) + dm)
     out = superop.apply(propagator, np.outer(w.psi, w.psi.conj()))
     return float(np.real(np.vdot(w.phi, out @ w.phi)))

@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import pauli_family
-from .linalg import check_hermitian
+from .linalg import check_grid, check_hermitian
 from .superop import Superoperator
 
 __all__ = [
@@ -275,15 +275,9 @@ def propagate(g: GeneratorSpec, grid, step: float) -> PropagatedFamily:
     block [P | M] + D_n [P | M] (chaining the full steps I + D_n would round
     every D_n against I).  Deterministic.
     """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or len(grid) < 1:
-        raise ValueError("grid must be a nonempty 1-d array of times")
-    if not np.all(np.isfinite(grid)):
-        raise ValueError("grid must be finite")
+    grid = check_grid(grid)
     if abs(grid[0]) > 1e-12:
         raise ValueError(f"grid must start at 0, got {grid[0]}")
-    if len(grid) > 1 and np.any(np.diff(grid) <= 0):
-        raise ValueError("grid must be strictly ascending")
     if not math.isfinite(step):
         raise ValueError("step must be finite")
     if step <= 0:
@@ -341,7 +335,7 @@ def _grid_check(g: GeneratorSpec, grid, tol: float, criterion: str,
     The first worst time (and pair) is kept on ties; the criterion is
     satisfied when the minimum is at least ``-tol``.
     """
-    grid = np.asarray(grid, dtype=float)
+    grid = check_grid(grid)
     worst_value = np.inf
     worst_time = float(grid[0])
     worst_pair = None

@@ -1,15 +1,16 @@
 """Trace-distance information flow and back-flow scans.
 
 The flow rate at time t for a pair of states is the time derivative of
-N(t) = || map_t[rho1 - rho2] ||_1, estimated by a central finite difference
-(no 1/2 prefactor on the norm).  Negative rates mean the pair is becoming
-less distinguishable; a positive rate is back-flow: the environment is
-returning information to the system.
+N(t) = || map_t[rho1 - rho2] ||_1 (no 1/2 prefactor), estimated by a central
+finite difference, forward for t < h.  Negative rates mean the pair is
+becoming less distinguishable; a positive rate is back-flow: the environment
+is returning information to the system.
 
-:func:`backflow_scan` hunts for positive rates over a grid and a library of
-state pairs.  Like the positivity probes, it is asymmetric: a positive rate
-found is constructive evidence of back-flow (pair, time, value), while a
-clean scan only supports monotonicity, it does not prove it.
+:func:`backflow_scan` hunts for positive rates over a grid for the state
+pairs it is given; :func:`pair_library` builds the default set.  Like the
+positivity probes, the scan is asymmetric: a positive rate found is
+constructive evidence of back-flow (pair, time, value), while a clean scan
+only supports monotonicity, it does not prove it.
 
 Trace norms are the sums of absolute eigenvalues of the evolved
 differences.  A qubit operator x0 I + r.sigma has eigenvalues x0 +- |r|,
@@ -24,18 +25,16 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import PAULI
+from .linalg import PAULI, check_grid
 from .superop import Superoperator, apply
 
 __all__ = [
     "BackflowReport",
-    "FlowSample",
     "StatePair",
     "backflow_scan",
     "bell_pairs",
     "bell_states",
     "haar_orthogonal_pair",
-    "information_flow",
     "pair_library",
     "product_pairs",
     "qubit_axis_pairs",
@@ -76,15 +75,6 @@ class StatePair:
         return self.rho1 - self.rho2
 
 
-@dataclass
-class FlowSample:
-    """One finite-difference estimate of the flow rate."""
-
-    t: float
-    sigma: float
-    one_sided: bool = False
-
-
 def _trace_norms(x: np.ndarray) -> np.ndarray:
     """Trace norms of a stack of Hermitian matrices, from their lower triangles.
 
@@ -105,36 +95,20 @@ def _trace_norms(x: np.ndarray) -> np.ndarray:
 
 
 def _flow_column(map_at: Callable[[float], Superoperator], deltas: np.ndarray,
-                 t: float, h: float) -> tuple[np.ndarray, bool]:
-    """Finite-difference flow rates at time t for a stack of pair differences.
+                 t: float, h: float) -> np.ndarray:
+    """Finite-difference flow rates at time t for a stack of pair differences,
+    forward for t < h and central otherwise.
 
     Each map is applied to the whole stack at once and the trace norms of
     both evolved stacks are taken together by :func:`_trace_norms`.
-    Returns the rates and whether the difference was one-sided (t < h).
     """
-    if not 0 < h < math.inf:
-        raise ValueError(f"step h must be positive and finite, got {h}")
-    one_sided = t < h
-    if one_sided:
+    if t < h:
         t_lo, t_hi, denom = t, t + h, h
     else:
         t_lo, t_hi, denom = t - h, t + h, 2.0 * h
     out = np.stack([apply(map_at(t_lo), deltas), apply(map_at(t_hi), deltas)])
     n_lo, n_hi = _trace_norms(out)
-    return (n_hi - n_lo) / denom, one_sided
-
-
-def information_flow(map_at: Callable[[float], Superoperator], pair: StatePair,
-                     t: float, h: float = 1e-4) -> FlowSample:
-    """Central-difference flow rate (N(t+h) - N(t-h)) / 2h.
-
-    Times closer to the origin than h fall back to a one-sided forward
-    difference; the returned sample is flagged accordingly.
-    """
-    if not math.isfinite(t):
-        raise ValueError(f"time t must be finite, got {t}")
-    sigma, one_sided = _flow_column(map_at, pair.difference()[None], float(t), h)
-    return FlowSample(t=float(t), sigma=float(sigma[0]), one_sided=one_sided)
+    return (n_hi - n_lo) / denom
 
 
 def _projector(vec: np.ndarray) -> np.ndarray:
@@ -215,17 +189,22 @@ def haar_orthogonal_pair(dim: int, rng: np.random.Generator, label: str = "") ->
     return StatePair(_projector(q[:, 0]), _projector(q[:, 1]), label=label)
 
 
-def pair_library(dim: int) -> list[StatePair]:
-    """Fixed deterministic pairs to seed a scan.
+def pair_library(dim: int, samples: int = 0, seed: int = 0) -> list[StatePair]:
+    """The default pairs of a scan: the fixed library, then ``samples``
+    Haar-orthogonal pure pairs drawn from ``default_rng(seed)``.
 
-    For two qubits: the Bell pairs, the computational product pairs, and the
-    tilted-parity mixed pair.  For a single qubit: the Bloch-axis pairs.
+    The fixed library: for two qubits the Bell pairs, the computational product
+    pairs and the tilted-parity mixed pair; for one qubit the Bloch-axis pairs.
     """
+    if samples < 0:
+        raise ValueError(f"samples must be nonnegative, got {samples}")
+    rng = np.random.default_rng(seed)
+    haar = [haar_orthogonal_pair(dim, rng, label=f"haar:{k}") for k in range(samples)]
     if dim == 4:
-        return bell_pairs() + product_pairs() + tilted_parity_pairs()
+        return bell_pairs() + product_pairs() + tilted_parity_pairs() + haar
     if dim == 2:
-        return qubit_axis_pairs()
-    return []
+        return qubit_axis_pairs() + haar
+    return haar
 
 
 @dataclass
@@ -237,45 +216,28 @@ class BackflowReport:
     argmax_t: float
     sigma: np.ndarray                 # shape (n_pairs, n_times)
     pairs: list[StatePair] = field(repr=False)
-    one_sided: np.ndarray | None = None
 
 
-def backflow_scan(map_at: Callable[[float], Superoperator], dim: int, grid,
-                  samples: int = 100, seed: int = 0, h: float = 1e-4) -> BackflowReport:
-    """Scan flow rates over a grid for the :func:`pair_library` pairs, in
-    order, followed by ``samples`` random state pairs (``samples=0`` scans
-    the library only; a negative count is rejected).
+def backflow_scan(map_at: Callable[[float], Superoperator], pairs: list[StatePair],
+                  grid, h: float = 1e-4) -> BackflowReport:
+    """Scan flow rates of the given state ``pairs``, in order, over a grid
+    (nonempty, finite and strictly ascending) with difference step ``h``.
 
-    Random pairs are Haar-orthogonal pure pairs drawn deterministically
-    from ``seed``.  Evaluation is organized per grid time: the two maps of
-    each finite difference are built once and applied to every pair at once.
+    Evaluation is organized per grid time: the two maps of each finite
+    difference are built once and applied to every pair at once.
     """
-    if samples < 0:
-        raise ValueError(f"samples must be nonnegative, got {samples}")
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1:
-        raise ValueError("grid must be a 1-d array of times")
-    if grid.size == 0:
-        raise ValueError("grid is empty")
-    if not np.all(np.isfinite(grid)):
-        raise ValueError("grid must be finite")
-    rng = np.random.default_rng(seed)
-    pairs = pair_library(dim) + [haar_orthogonal_pair(dim, rng, label=f"haar:{k}")
-                                 for k in range(samples)]
+    if not 0 < h < math.inf:
+        raise ValueError(f"step h must be positive and finite, got {h}")
+    grid = check_grid(grid)
     if not pairs:
         raise ValueError("no state pairs to scan")
     deltas = np.stack([p.difference() for p in pairs])
-    columns = [_flow_column(map_at, deltas, float(t), h) for t in grid]
-
-    sigma = np.stack([c[0] for c in columns], axis=1)
-    one_sided = np.array([c[1] for c in columns])
-    flat = int(np.argmax(sigma))
-    p_idx, t_idx = np.unravel_index(flat, sigma.shape)
+    sigma = np.stack([_flow_column(map_at, deltas, float(t), h) for t in grid], axis=1)
+    p_idx, t_idx = np.unravel_index(int(np.argmax(sigma)), sigma.shape)
     return BackflowReport(
         max_sigma=float(sigma[p_idx, t_idx]),
         argmax_label=pairs[p_idx].label,
         argmax_t=float(grid[t_idx]),
         sigma=sigma,
         pairs=pairs,
-        one_sided=one_sided,
     )

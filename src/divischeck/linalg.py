@@ -12,6 +12,7 @@ import numpy as np
 __all__ = [
     "PAULI",
     "NumericalError",
+    "check_grid",
     "check_hermitian",
     "inverse",
     "similarity_to_transpose",
@@ -69,6 +70,20 @@ def check_hermitian(a, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
                 f"{rtol:.1e} * {scale:.3e}"
             )
     return 0.5 * (a + adj)
+
+
+def check_grid(grid) -> np.ndarray:
+    """The time grid as a float array, checked to be 1-d, nonempty, finite and strictly ascending."""
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1:
+        raise ValueError("grid must be a 1-d array of times")
+    if grid.size == 0:
+        raise ValueError("grid is empty")
+    if not np.all(np.isfinite(grid)):
+        raise ValueError("grid must be finite")
+    if np.any(np.diff(grid) <= 0):
+        raise ValueError("grid must be strictly ascending")
+    return grid
 
 
 def inverse(a) -> np.ndarray:

@@ -83,8 +83,8 @@ def test_criterion_5_first_order_witness():
         w = dv.first_order_witness(g, 1.0)
         assert w.delta_rate < 0
         assert abs(np.vdot(w.phi, w.psi)) <= 1e-10
-        v1 = dv.verify_witness(g, 1.0, w, dt=1e-4)
-        v2 = dv.verify_witness(g, 1.0, w, dt=5e-5)
+        v1 = dv.verify_witness(g, w, dt=1e-4)
+        v2 = dv.verify_witness(g, w, dt=5e-5)
         d1 = abs(v1 - 1e-4 * w.delta_rate)
         d2 = abs(v2 - 5e-5 * w.delta_rate)
         assert d1 / d2 >= 3.5
@@ -132,10 +132,10 @@ def test_criterion_8_backflow_superactivation():
             ch = pf.channel(t, alpha)
             return so.tensor(ch, ch)
 
-        rep1 = iflow.backflow_scan(single, 2, grid, samples=100, seed=42)
+        rep1 = iflow.backflow_scan(single, iflow.pair_library(2, 100, 42), grid)
         assert rep1.sigma.shape[0] >= 100
         assert rep1.max_sigma <= 1e-6
-        rep2 = iflow.backflow_scan(tensor_map, 4, grid, samples=100, seed=42)
+        rep2 = iflow.backflow_scan(tensor_map, iflow.pair_library(4, 100, 42), grid)
         assert rep2.max_sigma > 1e-4
 
 

@@ -108,7 +108,16 @@ class TestScan:
                     "--output", str(out)]) == 0
         rows = self.expected_rows([0.5, 0.75], cli.RunConfig().grid())
         payload = json.loads((tmp_path / "scan.json").read_text())
-        assert payload == [dict(zip(cli.SCAN_HEADER, row)) for row in rows]
+        assert len(payload) == len(rows)
+        # a JSON row carries the numbers and the bool that the CSV cells spell
+        for record, row in zip(payload, rows):
+            assert set(record) == set(cli.SCAN_HEADER)
+            for name, cell in zip(cli.SCAN_HEADER, row):
+                if name == "cp":
+                    assert record[name] is (cell == "true")
+                else:
+                    assert type(record[name]) is float
+                    assert record[name] == float(cell)
 
 
 class TestDivisibility:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -216,7 +217,7 @@ class TestFirstOrderWitness:
         assert w.delta_rate == pytest.approx(-0.5, abs=1e-12)
         assert abs(np.vdot(w.phi, w.psi)) <= 1e-10
         for dt in (1e-4, 5e-5):
-            value = dv.verify_witness(g, 0.5, w, dt=dt)
+            value = dv.verify_witness(g, w, dt=dt)
             assert abs(value - dt * w.delta_rate) <= 10 * dt * dt
 
     def test_hamiltonian_part_drops_out_of_the_rate(self):
@@ -240,7 +241,7 @@ class TestFirstOrderWitness:
         assert w.delta_rate < 0
         assert abs(np.vdot(w.phi, w.psi)) <= 1e-10
         assert abs(np.trace(w.m)) <= 1e-10
-        value = dv.verify_witness(g, 0.0, w, dt=1e-4)
+        value = dv.verify_witness(g, w, dt=1e-4)
         assert value < 0
         assert value / 1e-4 == pytest.approx(w.delta_rate, rel=1e-2)
 
@@ -264,11 +265,11 @@ class TestVerifyWitness:
     def test_first_order_agreement_and_halving(self):
         g = gen.model_generator(0.75)
         w = dv.first_order_witness(g, 1.0)
-        v1 = dv.verify_witness(g, 1.0, w, dt=1e-4)
+        v1 = dv.verify_witness(g, w, dt=1e-4)
         assert v1 < 0
         assert v1 / 1e-4 == pytest.approx(w.delta_rate, rel=1e-2)
         d1 = abs(v1 - 1e-4 * w.delta_rate)
-        v2 = dv.verify_witness(g, 1.0, w, dt=5e-5)
+        v2 = dv.verify_witness(g, w, dt=5e-5)
         d2 = abs(v2 - 5e-5 * w.delta_rate)
         assert d1 / d2 >= 3.5
 
@@ -281,15 +282,33 @@ class TestVerifyWitness:
                                  m=PAULI[1] / math.sqrt(2.0), psi=psi, phi=phi,
                                  delta_rate=+0.75, c_min=-0.1)
         dt = 1e-4
-        value = dv.verify_witness(g, 1.0, w, dt=dt)
+        value = dv.verify_witness(g, w, dt=dt)
         assert value >= -10 * dt * dt
 
     def test_rejects_bad_dt(self):
         g = gen.model_generator(0.75)
         w = dv.first_order_witness(g, 1.0)
         with pytest.raises(ValueError):
-            dv.verify_witness(g, 1.0, w, dt=0.0)
+            dv.verify_witness(g, w, dt=0.0)
         with pytest.raises(ValueError, match="dt must be positive"):
-            dv.verify_witness(g, 1.0, w, dt=math.nan)
+            dv.verify_witness(g, w, dt=math.nan)
         with pytest.raises(ValueError, match="dt must be positive and finite"):
-            dv.verify_witness(g, 1.0, w, dt=math.inf)
+            dv.verify_witness(g, w, dt=math.inf)
+
+    @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_witness_time(self, s):
+        # a fixed C never looks at t, so only the time check can refuse s
+        g = gen.qubit_rate_generator((1.0, 1.0, -1.0))
+        w = dataclasses.replace(dv.first_order_witness(g, 1.0), s=s)
+        with pytest.raises(ValueError, match="witness time s must be finite"):
+            dv.verify_witness(g, w)
+
+    def test_checks_the_witness_at_its_own_time(self):
+        g = gen.model_generator(0.75)
+        w = dv.first_order_witness(g, 1.0)
+        # C(s) = diag(a, a, -a tanh s) keeps its eigenvectors, so the same
+        # pair moved to s = 2 leaves zero at the rate -a tanh 2 instead
+        later = dataclasses.replace(w, s=2.0)
+        assert dv.verify_witness(g, w) / 1e-4 == pytest.approx(-0.75 * math.tanh(1.0), rel=1e-2)
+        assert dv.verify_witness(g, later) / 1e-4 == pytest.approx(-0.75 * math.tanh(2.0),
+                                                                   rel=1e-2)

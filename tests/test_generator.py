@@ -426,3 +426,21 @@ def test_grid_checks_keep_first_worst_on_ties(check, pair):
                    np.linspace(0.0, 2.0, 5))
     assert report.worst_time == 0.0
     assert report.worst_pair == pair
+
+
+@pytest.mark.parametrize("grid, message", [
+    ([], "grid is empty"),
+    ([[0.0, 1.0], [2.0, 3.0]], "grid must be a 1-d array of times"),
+    ([math.nan], "grid must be finite"),
+    ([0.0, math.inf], "grid must be finite"),
+    ([2.0, 1.0], "grid must be strictly ascending"),
+    ([0.0, 0.5, 0.5], "grid must be strictly ascending"),
+], ids=["empty", "2-d", "nan", "inf", "descending", "repeated"])
+@pytest.mark.parametrize("check", [
+    gen.cp_divisibility_check,
+    gen.p_divisibility_check_pauli,
+    lambda g, grid: gen.propagate(g, grid, 0.01),
+], ids=["cp-check", "p-check", "propagate"])
+def test_grid_taking_routines_reject_an_invalid_grid(check, grid, message):
+    with pytest.raises(ValueError, match=message):
+        check(gen.qubit_rate_generator((1.0, 1.0, 1.0)), np.array(grid))

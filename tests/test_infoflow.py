@@ -119,7 +119,7 @@ class TestTraceNorms:
         else:
             dim, map_at = 2, single
         grid = np.array([0.0, 0.4, 1.3, 2.9])
-        report = iflow.backflow_scan(map_at, dim, grid, samples=3, seed=seed)
+        report = iflow.backflow_scan(map_at, iflow.pair_library(dim, 3, seed), grid)
         deltas = np.stack([p.difference() for p in report.pairs])
         want = np.stack([flow_column(map_at, deltas, float(t), 1e-4) for t in grid], axis=1)
         np.testing.assert_allclose(report.sigma, want, rtol=0, atol=1e-10)
@@ -134,56 +134,63 @@ class TestTraceNorms:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
         grid = np.array([0.0, 0.5, 1.0])
-        iflow.backflow_scan(model_map(0.6), 2, grid, samples=4, seed=0)
+        iflow.backflow_scan(model_map(0.6), iflow.pair_library(2, 4), grid)
         assert [s for s in shapes if len(s) > 2 and s[-2:] == (2, 2)] == []
         # the recorder does see the stacks a two-qubit scan solves
-        iflow.backflow_scan(tensor_model_map(0.6), 4, grid, samples=4, seed=0)
+        iflow.backflow_scan(tensor_model_map(0.6), iflow.pair_library(4, 4), grid)
         assert [s for s in shapes if len(s) > 2] == [(2, 17, 4, 4)] * len(grid)
+
+
+def one_pair_flow(map_at, pair, times, h=1e-4):
+    """Flow rates of one pair at the given times, from a one-pair scan."""
+    return iflow.backflow_scan(map_at, [pair], np.atleast_1d(times), h=h).sigma[0]
 
 
 class TestInformationFlow:
     def test_identity_dynamics_has_zero_flow(self):
-        sample = iflow.information_flow(lambda t: so.identity(2), z_pair(), 1.0)
-        assert abs(sample.sigma) <= 1e-10
+        (sigma,) = one_pair_flow(lambda t: so.identity(2), z_pair(), 1.0)
+        assert abs(sigma) <= 1e-10
 
     def test_model_z_pair_matches_analytic_rate(self):
         # difference = sigma_3, norm 2 exp(-2 a t), rate -4 a exp(-2 a t)
         alpha = 0.6
-        for t in (0.3, 1.0, 2.0):
-            sample = iflow.information_flow(model_map(alpha), z_pair(), t)
-            expected = -4.0 * alpha * math.exp(-2.0 * alpha * t)
-            assert sample.sigma == pytest.approx(expected, rel=1e-6)
-            assert not sample.one_sided
+        times = np.array([0.3, 1.0, 2.0])
+        sigma = one_pair_flow(model_map(alpha), z_pair(), times)
+        expected = -4.0 * alpha * np.exp(-2.0 * alpha * times)
+        np.testing.assert_allclose(sigma, expected, rtol=1e-6)
 
     def test_single_map_flow_never_positive(self):
         alpha = 0.6
         rng = np.random.default_rng(0)
         for _ in range(10):
             pair = iflow.haar_orthogonal_pair(2, rng)
-            for t in (0.2, 1.0, 3.0):
-                assert iflow.information_flow(model_map(alpha), pair, t).sigma <= 1e-9
+            assert np.all(one_pair_flow(model_map(alpha), pair, [0.2, 1.0, 3.0]) <= 1e-9)
 
-    def test_one_sided_flag_near_origin(self):
-        sample = iflow.information_flow(model_map(0.6), z_pair(), 0.0, h=1e-4)
-        assert sample.one_sided
+    def test_forward_difference_near_origin(self):
+        # at t = 0 < h the rate is (N(h) - N(0)) / h, with N(t) = 2 exp(-2 a t)
+        alpha, h = 0.6, 1e-4
+        pair = z_pair()
+        (sigma,) = one_pair_flow(model_map(alpha), pair, 0.0, h=h)
+        (want,) = flow_column(model_map(alpha), pair.difference()[None], 0.0, h)
+        assert sigma == pytest.approx(want, abs=1e-10)
+        assert sigma == pytest.approx(2.0 * math.expm1(-2.0 * alpha * h) / h, rel=1e-9)
 
     @pytest.mark.parametrize("t, h, message", [
         (1.0, 0.0, "step h must be positive and finite"),
         (1.0, math.inf, "step h must be positive and finite"),
-        (math.nan, 1e-4, "time t must be finite"),
-        (math.inf, 1e-4, "time t must be finite"),
+        (math.nan, 1e-4, "grid must be finite"),
+        (math.inf, 1e-4, "grid must be finite"),
     ], ids=["h-zero", "h-inf", "t-nan", "t-inf"])
     def test_rejects_bad_time_or_step(self, t, h, message):
         with pytest.raises(ValueError, match=message):
-            iflow.information_flow(lambda t: so.identity(2), z_pair(), t, h=h)
+            one_pair_flow(lambda t: so.identity(2), z_pair(), t, h=h)
 
     def test_finite_difference_second_order(self):
         alpha = 0.6
         pair = z_pair()
         t = 1.0
-        s_h = iflow.information_flow(model_map(alpha), pair, t, h=2e-3).sigma
-        s_h2 = iflow.information_flow(model_map(alpha), pair, t, h=1e-3).sigma
-        s_h4 = iflow.information_flow(model_map(alpha), pair, t, h=5e-4).sigma
+        s_h, s_h2, s_h4 = (one_pair_flow(model_map(alpha), pair, t, h=h)[0]
+                           for h in (2e-3, 1e-3, 5e-4))
         ratio = abs(s_h - s_h2) / abs(s_h2 - s_h4)
         assert 2.5 <= ratio <= 6.0
 
@@ -225,13 +232,13 @@ class TestPairLibraries:
 class TestBackflowScan:
     def test_single_map_clean(self):
         grid = pf.default_grid(t_max=4.0, points=50)
-        report = iflow.backflow_scan(model_map(0.6), 2, grid, samples=30, seed=2)
+        report = iflow.backflow_scan(model_map(0.6), iflow.pair_library(2, 30, 2), grid)
         assert report.max_sigma <= 1e-6
 
     def test_tensor_map_superactivation(self):
         grid = pf.default_grid(t_max=4.0, points=50)
-        report = iflow.backflow_scan(tensor_model_map(0.6), 4, grid,
-                                     samples=30, seed=2)
+        report = iflow.backflow_scan(tensor_model_map(0.6), iflow.pair_library(4, 30, 2),
+                                     grid)
         assert report.max_sigma > 1e-4
         assert report.argmax_label == "mixed:tilted-parity"
 
@@ -240,29 +247,22 @@ class TestBackflowScan:
             ch = pf.semigroup_channel(t, 1.0)
             return so.tensor(ch, ch)
         grid = pf.default_grid(t_max=3.0, points=30)
-        report = iflow.backflow_scan(semi_tensor, 4, grid, samples=20, seed=3)
+        report = iflow.backflow_scan(semi_tensor, iflow.pair_library(4, 20, 3), grid)
         assert report.max_sigma <= 1e-6
 
     def test_deterministic_given_seed(self):
         grid = pf.default_grid(t_max=2.0, points=20)
-        r1 = iflow.backflow_scan(model_map(0.6), 2, grid, samples=10, seed=4)
-        r2 = iflow.backflow_scan(model_map(0.6), 2, grid, samples=10, seed=4)
+        r1 = iflow.backflow_scan(model_map(0.6), iflow.pair_library(2, 10, 4), grid)
+        r2 = iflow.backflow_scan(model_map(0.6), iflow.pair_library(2, 10, 4), grid)
         np.testing.assert_array_equal(r1.sigma, r2.sigma)
+        assert [p.label for p in r1.pairs] == [p.label for p in r2.pairs]
 
-    def test_information_flow_matches_scan_entries(self):
+    def test_one_pair_scans_match_the_full_scan(self):
         grid = np.array([0.0, 0.7, 1.9])
-        report = iflow.backflow_scan(tensor_model_map(0.6), 4, grid, samples=3, seed=6)
+        report = iflow.backflow_scan(tensor_model_map(0.6), iflow.pair_library(4, 3, 6), grid)
         for k, pair in enumerate(report.pairs):
-            for ti, t in enumerate(grid):
-                sample = iflow.information_flow(tensor_model_map(0.6), pair, float(t))
-                assert sample.one_sided == report.one_sided[ti]
-                assert sample.sigma == pytest.approx(report.sigma[k, ti], abs=1e-10)
-
-    def test_one_sided_column_flagged(self):
-        grid = np.array([0.0, 0.5, 1.0])
-        report = iflow.backflow_scan(model_map(0.6), 2, grid, samples=5, seed=5)
-        assert report.one_sided[0]
-        assert not report.one_sided[1]
+            np.testing.assert_allclose(one_pair_flow(tensor_model_map(0.6), pair, grid),
+                                       report.sigma[k], rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize("dim, labels", [
         (2, ["axis:z", "axis:x", "axis:y"]),
@@ -273,39 +273,50 @@ class TestBackflowScan:
              "mixed:tilted-parity"]),
     ])
     def test_scans_the_library_in_order(self, dim, labels):
-        report = iflow.backflow_scan(lambda t: so.identity(dim), dim,
-                                     np.array([0.0, 1.0]), samples=0, seed=0)
+        report = iflow.backflow_scan(lambda t: so.identity(dim), iflow.pair_library(dim),
+                                     np.array([0.0, 1.0]))
         assert [p.label for p in report.pairs] == labels
         assert [p.label for p in iflow.pair_library(dim)] == labels
         assert report.sigma.shape == (len(labels), 2)
 
     def test_requires_pairs(self):
-        with pytest.raises(ValueError, match="pairs"):
-            iflow.backflow_scan(lambda t: so.identity(3), 3,
-                                np.array([0.0, 1.0]), samples=0, seed=0)
+        assert iflow.pair_library(3) == []
+        for pairs in (iflow.pair_library(3), []):
+            with pytest.raises(ValueError, match="no state pairs to scan"):
+                iflow.backflow_scan(lambda t: so.identity(3), pairs, np.array([0.0, 1.0]))
 
     def test_rejects_negative_samples(self):
         with pytest.raises(ValueError, match="samples must be nonnegative"):
-            iflow.backflow_scan(model_map(0.6), 2, np.array([0.0, 1.0]),
-                                samples=-1, seed=0)
+            iflow.pair_library(2, samples=-1)
 
     def test_rejects_empty_grid(self):
         with pytest.raises(ValueError, match="grid is empty"):
-            iflow.backflow_scan(model_map(0.6), 2, np.array([]), samples=2, seed=0)
+            iflow.backflow_scan(model_map(0.6), iflow.pair_library(2, 2), np.array([]))
 
     @pytest.mark.parametrize("grid", [1.0, np.zeros((2, 3))], ids=["scalar", "2-d"])
     def test_rejects_a_grid_that_is_not_1d(self, grid):
         with pytest.raises(ValueError, match="grid must be a 1-d array of times"):
-            iflow.backflow_scan(model_map(0.6), 2, grid, samples=2, seed=0)
+            iflow.backflow_scan(model_map(0.6), iflow.pair_library(2, 2), grid)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite_grid(self, bad):
         with pytest.raises(ValueError, match="grid must be finite"):
-            iflow.backflow_scan(lambda t: so.identity(2), 2,
-                                np.array([0.0, bad, 1.0]), samples=2, seed=0)
+            iflow.backflow_scan(lambda t: so.identity(2), iflow.pair_library(2, 2),
+                                np.array([0.0, bad, 1.0]))
+
+    @pytest.mark.parametrize("grid", [[2.0, 1.0], [0.0, 0.0]], ids=["descending", "repeated"])
+    def test_rejects_a_grid_that_is_not_ascending(self, grid):
+        with pytest.raises(ValueError, match="grid must be strictly ascending"):
+            iflow.backflow_scan(lambda t: so.identity(2), iflow.pair_library(2), grid)
 
     @pytest.mark.parametrize("h", [0.0, -1e-4, math.inf])
     def test_rejects_nonpositive_step(self, h):
+        calls = []
+
+        def map_at(t):
+            calls.append(t)
+            return pf.channel(t, 0.6)
+
         with pytest.raises(ValueError, match="must be positive"):
-            iflow.backflow_scan(model_map(0.6), 2, np.array([0.0, 1.0]),
-                                samples=2, seed=0, h=h)
+            iflow.backflow_scan(map_at, iflow.pair_library(2, 2), np.array([0.0, 1.0]), h=h)
+        assert calls == []  # rejected before any map is built

@@ -213,11 +213,9 @@ def first_order_witness(g: GeneratorSpec, s: float) -> FirstOrderWitness:
         )
     u = vmat[:, 0]
 
-    # Tr(M F_i) = conj(u_i) by basis orthonormality; Tr M = 0 follows from
-    # the tracelessness of every F_i.
-    m = np.zeros((g.dim, g.dim), dtype=complex)
-    for ui, fi in zip(u, g.basis):
-        m += np.conj(ui) * fi.conj().T
+    # M = sum_i conj(u_i) F_i†, so Tr(M F_i) = conj(u_i) by basis
+    # orthonormality; Tr M = 0 follows from the tracelessness of every F_i.
+    m = np.einsum("i,iba->ab", np.conj(u), g.basis.conj())
 
     umat = similarity_to_transpose(m)
     phi_mat = umat.conj().T           # Phi with Phi† = U

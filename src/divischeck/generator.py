@@ -1,12 +1,15 @@
 """Time-local generators in Kossakowski form and their numerical propagation.
 
-A generator is specified by an optional Hamiltonian callback, the Hermitian
-coefficient matrix C(t) over an orthonormal traceless operator basis {F_i}
-(fixed or a callback; a diagonal C may be given as its real rates), and that
-basis itself:
+A generator is specified by its dimension d, an optional Hamiltonian
+callback and the Hermitian coefficient matrix C(t) (fixed or a callback; a
+diagonal C may be given as its real rates) over the Gell-Mann basis {F_i} =
+``gell_mann_basis(d)``, sigma_k/sqrt(2) for qubits:
 
     L_t[rho] = -i [H_t, rho]
                + sum_ij C_ij(t) (F_i rho F_j† - (1/2){F_j† F_i, rho})
+
+The basis is not an input: a generator with matrix C over another
+orthonormal traceless basis B has C' = W C W† here, W_ki = Tr(F_k† B_i).
 
 Propagation integrates d/dt M_t = L_t M_t from the identity with classical
 fixed-step RK4.  Divisibility criteria at the generator level:
@@ -14,15 +17,16 @@ fixed-step RK4.  Divisibility criteria at the generator level:
 * C(t) >= 0 on a grid is sufficient for the intermediate maps between grid
   times to be completely positive (CP-divisibility, decided at grid
   resolution only);
-* for qubit generators with diagonal C(t) = diag(g1, g2, g3), pairwise sums
-  g_i + g_j >= 0 (i != j) characterize positivity of the intermediate maps
-  (P-divisibility of the family).
+* for qubit generators with diagonal C(t) = diag(g1, g2, g3) over the Pauli
+  basis, pairwise sums g_i + g_j >= 0 (i != j) characterize positivity of
+  the intermediate maps (P-divisibility of the family).
 """
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -44,14 +48,14 @@ __all__ = [
     "rk4_increment",
 ]
 
-BASIS_TOL = 1e-12
 # Substeps whose L(t) matrices ``propagate`` stacks at once; bounds the
 # memory of a long grid segment (block sizes 16 to 256 time the same).
 _BLOCK = 64
 
 
-def gell_mann_basis(d: int) -> list[np.ndarray]:
-    """Orthonormal traceless Hermitian basis with Tr(F_i F_j) = delta_ij.
+def gell_mann_basis(d: int) -> np.ndarray:
+    """Orthonormal traceless Hermitian basis with Tr(F_i F_j) = delta_ij,
+    stacked as one (d^2-1, d, d) array.
 
     Generalized Gell-Mann construction: for each index pair j < k a
     symmetric and an antisymmetric matrix, then the diagonal ladder.  For
@@ -60,22 +64,15 @@ def gell_mann_basis(d: int) -> list[np.ndarray]:
     if d < 2:
         raise ValueError("dimension must be at least 2")
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    mats: list[np.ndarray] = []
-    for j in range(d):
-        for k in range(j + 1, d):
-            sym = np.zeros((d, d), dtype=complex)
-            sym[j, k] = sym[k, j] = inv_sqrt2
-            asym = np.zeros((d, d), dtype=complex)
-            asym[j, k] = -1j * inv_sqrt2
-            asym[k, j] = 1j * inv_sqrt2
-            mats.append(sym)
-            mats.append(asym)
-    for m in range(1, d):
-        diag = np.zeros((d, d), dtype=complex)
-        diag[np.diag_indices(m)] = 1.0
-        diag[m, m] = -float(m)
-        mats.append(diag / math.sqrt(m * (m + 1)))
-    return mats
+    basis = np.zeros((d * d - 1, d, d), dtype=complex)
+    for i, (j, k) in enumerate(itertools.combinations(range(d), 2)):
+        basis[2 * i, j, k] = basis[2 * i, k, j] = inv_sqrt2
+        basis[2 * i + 1, j, k], basis[2 * i + 1, k, j] = -1j * inv_sqrt2, 1j * inv_sqrt2
+    for m in range(1, d):  # the ladder fills the last d - 1 slots
+        norm = math.sqrt(m * (m + 1))
+        basis[m - d, range(m), range(m)] = 1.0 / norm
+        basis[m - d, m, m] = -float(m) / norm
+    return basis
 
 
 def _coefficients(value, n: int, t: float | None = None) -> np.ndarray:
@@ -109,44 +106,29 @@ def _coefficients(value, n: int, t: float | None = None) -> np.ndarray:
 
 @dataclass
 class GeneratorSpec:
-    """Kossakowski-form time-local generator.
+    """Kossakowski-form time-local generator over ``gell_mann_basis(dim)``.
 
     ``kossakowski`` is the Hermitian (d^2-1) x (d^2-1) coefficient matrix
     or, for a diagonal C, its real length-(d^2-1) rate vector; either form
     may be fixed or a callable t -> C(t), and a callable may return either
-    form.  ``basis`` holds the d^2-1 orthonormal traceless operators C
-    refers to.  Basis orthonormality and tracelessness are validated on
-    construction.  One validation takes either form to the matrix C
-    (diag(rates) for a rate vector): a fixed C once, on construction, stored
-    read-only; a callable C(t) on every evaluation.  A matrix must be finite,
-    Hermitian and of the right shape; a rate vector needs only the right
-    length and real, finite entries.
+    form.  ``hamiltonian`` is keyword-only.  ``basis`` is not an input: it
+    is the read-only Gell-Mann stack C refers to.  One validation takes
+    either form to the matrix C (diag(rates) for a rate vector): a fixed C
+    once, on construction, stored read-only; a callable C(t) on every
+    evaluation.  A matrix must be finite, Hermitian and of the right shape;
+    a rate vector needs only the right length and real, finite entries.
     """
 
     dim: int
     kossakowski: Callable[[float], np.ndarray] | np.ndarray
-    basis: Sequence[np.ndarray]
-    hamiltonian: Callable[[float], np.ndarray] | None = None
+    hamiltonian: Callable[[float], np.ndarray] | None = field(default=None, kw_only=True)
+    basis: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        n = self.dim * self.dim - 1
-        if len(self.basis) != n:
-            raise ValueError(f"need {n} basis operators for dimension {self.dim}, got {len(self.basis)}")
-        self.basis = [np.asarray(f, dtype=complex) for f in self.basis]
-        for i, fi in enumerate(self.basis):
-            if fi.shape != (self.dim, self.dim):
-                raise ValueError(f"basis operator {i} has shape {fi.shape}")
-            if abs(np.trace(fi)) > BASIS_TOL:
-                raise ValueError(f"basis operator {i} is not traceless: |trace| = {abs(np.trace(fi)):.3e}")
-            for j, fj in enumerate(self.basis):
-                overlap = np.trace(fi.conj().T @ fj)
-                expected = 1.0 if i == j else 0.0
-                if abs(overlap - expected) > BASIS_TOL:
-                    raise ValueError(
-                        f"basis is not orthonormal: Tr(F_{i}^dag F_{j}) = {overlap:.3e}"
-                    )
+        self.basis = gell_mann_basis(self.dim)
+        self.basis.flags.writeable = False
         if not callable(self.kossakowski):
-            self.kossakowski = _coefficients(self.kossakowski, n)
+            self.kossakowski = _coefficients(self.kossakowski, self.dim * self.dim - 1)
             self.kossakowski.flags.writeable = False
 
     def coefficient_matrix(self, t: float) -> np.ndarray:
@@ -162,11 +144,11 @@ def qubit_rate_generator(rates) -> GeneratorSpec:
     ``rates`` is either a fixed real triple, which becomes a fixed
     coefficient matrix validated once on construction, or a callable
     t -> real triple, whose rates are validated (length, real, finite) on
-    every evaluation without a Hermiticity check.  With the basis
+    every evaluation without a Hermiticity check.  Over the basis
     sigma_k/sqrt(2), a coefficient c_k produces the dissipator
     (c_k/2)(sigma_k rho sigma_k - rho).
     """
-    return GeneratorSpec(2, rates, gell_mann_basis(2))
+    return GeneratorSpec(2, rates)
 
 
 def model_generator(alpha: float) -> GeneratorSpec:
@@ -184,20 +166,17 @@ def _dissipator_terms(g: GeneratorSpec) -> np.ndarray:
 
     Row i*n + j of the returned (n^2, d^4) array is the flattened
     superoperator matrix of X -> F_i X F_j† - (1/2){F_j† F_i, X} under
-    column stacking, so C(t) contracts with it in one matmul.
+    column stacking, kron(conj F_j, F_i) - (kron(I, A) + kron(A.T, I))/2
+    with A = F_j† F_i, so C(t) contracts with it in one matmul.
     """
-    d = g.dim
-    n = d * d - 1
-    eye = np.eye(d, dtype=complex)
-    terms = np.empty((n, n, d * d, d * d), dtype=complex)
-    for i, fi in enumerate(g.basis):
-        for j, fj in enumerate(g.basis):
-            a = fj.conj().T @ fi
-            terms[i, j] = (
-                np.kron(fj.conj(), fi)
-                - 0.5 * (np.kron(eye, a) + np.kron(a.T, eye))
-            )
-    return terms.reshape(n * n, d ** 4)
+    d, f = g.dim, g.basis
+    a = f.conj().swapaxes(1, 2)[None] @ f[:, None]   # a[i, j] = F_j† F_i
+    eye = np.eye(d)
+    # all pairs at once on axes (i, j, p, q, r, s): kron(P, Q)[p*d + q, r*d + s] = P[p, r] Q[q, s]
+    terms = (f.conj()[None, :, :, None, :, None] * f[:, None, None, :, None, :]
+             - 0.5 * (eye[:, None, :, None] * a[:, :, None, :, None, :]
+                      + a.swapaxes(2, 3)[:, :, :, None, :, None] * eye[None, :, None, :]))
+    return terms.reshape(len(f) ** 2, d ** 4)
 
 
 def liouvillian(g: GeneratorSpec) -> Callable[[float], np.ndarray]:
@@ -314,8 +293,9 @@ def propagate(g: GeneratorSpec, grid, step: float) -> PropagatedFamily:
 class GeneratorCheckReport:
     """Outcome of a generator-level divisibility criterion on a grid.
 
-    The verdict is only as fine as the grid: ``note`` records the spacing
-    so downstream consumers can qualify it.
+    The verdict is only as fine as the grid's largest gap:
+    ``grid_spacing`` is that gap (inf for a one-point grid) and ``note``
+    records it so downstream consumers can qualify the verdict.
     """
 
     criterion: str
@@ -345,7 +325,8 @@ def _grid_check(g: GeneratorSpec, grid, tol: float, criterion: str,
             worst_value = float(value)
             worst_time = float(t)
             worst_pair = pair
-    spacing = float(np.min(np.diff(grid))) if len(grid) > 1 else 0.0
+    spacing = float(np.max(np.diff(grid))) if len(grid) > 1 else math.inf
+    where = f"grid resolution {spacing:g}" if len(grid) > 1 else f"t = {grid[0]:g}"
     return GeneratorCheckReport(
         criterion=criterion,
         satisfied=worst_value >= -tol,
@@ -354,7 +335,7 @@ def _grid_check(g: GeneratorSpec, grid, tol: float, criterion: str,
         worst_pair=worst_pair,
         grid_points=len(grid),
         grid_spacing=spacing,
-        note=f"verdict holds at grid resolution {spacing:g} only",
+        note=f"verdict holds at {where} only",
     )
 
 
@@ -372,9 +353,10 @@ def cp_divisibility_check(g: GeneratorSpec, grid, tol: float = 1e-9) -> Generato
 def p_divisibility_check_pauli(g: GeneratorSpec, grid, tol: float = 1e-9) -> GeneratorCheckReport:
     """P-divisibility criterion for qubit generators with diagonal C(t).
 
-    Checks g_i(t) + g_j(t) >= -tol for all i != j over the grid; rejects
-    generators whose coefficient matrix is not diagonal, because the
-    pairwise-sum criterion only applies to that class.
+    The criterion is for the Pauli basis sigma_k/sqrt(2), the only qubit
+    basis.  Checks g_i(t) + g_j(t) >= -tol for all i != j over the grid;
+    rejects generators whose coefficient matrix is not diagonal, because
+    the pairwise-sum criterion only applies to that class.
     """
     if g.dim != 2:
         raise ValueError("the pairwise rate-sum criterion is specific to qubit generators")

@@ -198,11 +198,13 @@ class TestFirstOrderWitness:
         c = np.array([[1.0, 0.0, 0.0],
                       [0.0, 0.3, 0.4 - 0.2j],
                       [0.0, 0.4 + 0.2j, -0.5]], dtype=complex)
-        g = gen.GeneratorSpec(2, lambda t: c, gen.gell_mann_basis(2))
+        g = gen.GeneratorSpec(2, lambda t: c)
         w = dv.first_order_witness(g, 0.0)
         assert w.delta_rate < 0
         assert abs(np.vdot(w.phi, w.psi)) <= 1e-10
         assert abs(np.trace(w.m)) <= 1e-10
+        np.testing.assert_allclose([np.trace(w.m @ f) for f in g.basis], np.conj(w.u),
+                                   atol=1e-15)
         assert w.c_min == pytest.approx(np.linalg.eigvalsh(c)[0], abs=1e-12)
 
     def test_nilpotent_m(self):
@@ -210,7 +212,7 @@ class TestFirstOrderWitness:
         # multiple of (sigma_1 - i sigma_2)/2, a 2x2 Jordan block
         v = np.array([1.0, 1.0j, 0.0]) / math.sqrt(2.0)
         c = np.eye(3) - 2.0 * np.outer(v, v.conj())
-        g = gen.GeneratorSpec(2, lambda t: c, gen.gell_mann_basis(2))
+        g = gen.GeneratorSpec(2, lambda t: c)
         w = dv.first_order_witness(g, 0.5)
         assert np.allclose(w.m @ w.m, 0.0, atol=1e-15)
         assert w.c_min == pytest.approx(-1.0, abs=1e-12)
@@ -224,9 +226,8 @@ class TestFirstOrderWitness:
         # <psi|phi> = 0 makes the commutator term vanish, so the rate only
         # sees the coefficient matrix
         c = lambda t: np.diag([1.0, 1.0, -0.5]).astype(complex)
-        bare = gen.GeneratorSpec(2, c, gen.gell_mann_basis(2))
-        driven = gen.GeneratorSpec(2, c, gen.gell_mann_basis(2),
-                                   hamiltonian=lambda t: 0.8 * PAULI[3])
+        bare = gen.GeneratorSpec(2, c)
+        driven = gen.GeneratorSpec(2, c, hamiltonian=lambda t: 0.8 * PAULI[3])
         w_bare = dv.first_order_witness(bare, 0.2)
         w_driven = dv.first_order_witness(driven, 0.2)
         assert w_driven.delta_rate == pytest.approx(w_bare.delta_rate, abs=1e-10)
@@ -235,8 +236,7 @@ class TestFirstOrderWitness:
     def test_qutrit_witness_construction(self):
         # dimension-generic path: 8-dim coefficient matrix, 9-dim regrouping
         diag = np.array([1.0, 1.0, 1.0, 0.5, 0.5, 0.5, 0.2, -0.4])
-        g = gen.GeneratorSpec(3, lambda t: np.diag(diag).astype(complex),
-                              gen.gell_mann_basis(3))
+        g = gen.GeneratorSpec(3, lambda t: np.diag(diag).astype(complex))
         w = dv.first_order_witness(g, 0.0)
         assert w.delta_rate < 0
         assert abs(np.vdot(w.phi, w.psi)) <= 1e-10

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -63,8 +64,7 @@ def hamiltonian_nondiagonal_generator(fixed=True):
     c = np.array([[0.3, 0.1j, 0.0],
                   [-0.1j, 0.2, 0.05],
                   [0.0, 0.05, 0.1]], dtype=complex)
-    return gen.GeneratorSpec(2, c if fixed else (lambda t: c), gen.gell_mann_basis(2),
-                             hamiltonian=lambda t: h)
+    return gen.GeneratorSpec(2, c if fixed else (lambda t: c), hamiltonian=lambda t: h)
 
 
 class TestGellMannBasis:
@@ -86,15 +86,40 @@ class TestGellMannBasis:
 
 
 class TestGeneratorSpec:
-    def test_rejects_wrong_basis_count(self):
-        with pytest.raises(ValueError, match="basis"):
-            gen.GeneratorSpec(2, lambda t: np.eye(3, dtype=complex),
-                              gen.gell_mann_basis(2)[:2])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_basis_is_the_read_only_gell_mann_basis(self, d):
+        g = gen.GeneratorSpec(d, np.zeros(d * d - 1))
+        np.testing.assert_array_equal(g.basis, gen.gell_mann_basis(d))
+        with pytest.raises(ValueError, match="read-only"):
+            g.basis[0, 0, 0] = 1.0
 
-    def test_rejects_non_orthonormal_basis(self):
-        basis = [2.0 * f for f in gen.gell_mann_basis(2)]
-        with pytest.raises(ValueError, match="orthonormal"):
-            gen.GeneratorSpec(2, lambda t: np.eye(3, dtype=complex), basis)
+    def test_basis_is_not_an_argument(self):
+        # When the basis was an argument, rates (-0.1, 1, 1) over
+        # (sigma+, sigma-, sigma_z/sqrt(2)) passed the pairwise rate-sum
+        # check (worst 0.9), yet the map they generate sends |1><1| to an
+        # operator with eigenvalue -0.0049 at t = 0.05.  A third positional
+        # argument now fails instead of binding as the Hamiltonian.
+        sp = np.array([[0, 1], [0, 0]], dtype=complex)
+        with pytest.raises(TypeError):
+            gen.GeneratorSpec(2, np.array([-0.1, 1.0, 1.0]),
+                              [sp, sp.T, PAULI[3] / math.sqrt(2.0)])
+
+    def test_other_basis_enters_as_rotated_coefficients(self):
+        # a generator over another orthonormal traceless basis B is the
+        # Gell-Mann one with C' = W C W†, W_ki = Tr(F_k† B_i); the sigma+-
+        # example above becomes a non-diagonal C' the Pauli check refuses
+        sp = np.array([[0, 1], [0, 0]], dtype=complex)
+        other = np.stack([sp, sp.T, PAULI[3] / math.sqrt(2.0)])
+        c = np.diag([-0.1, 1.0, 1.0]).astype(complex)
+        w = np.einsum("kba,iba->ki", gen.gell_mann_basis(2).conj(), other)
+        g = gen.GeneratorSpec(2, w @ c @ w.conj().T)
+        direct = SimpleNamespace(dim=2, basis=other, hamiltonian=None,
+                                 coefficient_matrix=lambda t: c)
+        x = np.array([[0.3, 0.2 - 0.1j], [0.4j, 0.7]])
+        np.testing.assert_allclose(apply_generator(g, 0.0, x),
+                                   apply_generator(direct, 0.0, x), atol=1e-15)
+        with pytest.raises(ValueError, match="not diagonal"):
+            gen.p_divisibility_check_pauli(g, np.array([0.0, 0.05]))
 
     def test_rejects_nonfinite_coefficients(self):
         g = gen.qubit_rate_generator(lambda t: (1.0, math.nan, 1.0))
@@ -109,11 +134,11 @@ class TestGeneratorSpec:
 
     def test_rejects_non_hermitian_coefficients(self):
         c = np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0]], dtype=complex)
-        g = gen.GeneratorSpec(2, lambda t: c, gen.gell_mann_basis(2))
+        g = gen.GeneratorSpec(2, lambda t: c)
         with pytest.raises(ValueError, match="Hermitian"):
             g.coefficient_matrix(0.5)
         with pytest.raises(ValueError, match="Hermitian"):
-            gen.GeneratorSpec(2, c, gen.gell_mann_basis(2))
+            gen.GeneratorSpec(2, c)
         # complex rates: a complex diagonal is not Hermitian either
         with pytest.raises(ValueError, match="rates must be real"):
             gen.qubit_rate_generator(np.array([1, 1 + 0.5j, 1]))
@@ -127,8 +152,8 @@ class TestGeneratorSpec:
     def test_rejects_wrong_coefficient_shape(self, n):
         c = np.eye(n, dtype=complex)
         with pytest.raises(ValueError, match=r"coefficient matrix has shape"):
-            gen.GeneratorSpec(2, c, gen.gell_mann_basis(2))
-        g = gen.GeneratorSpec(2, lambda t: c, gen.gell_mann_basis(2))
+            gen.GeneratorSpec(2, c)
+        g = gen.GeneratorSpec(2, lambda t: c)
         with pytest.raises(ValueError, match=r"coefficient matrix at t=0.5 has shape"):
             g.coefficient_matrix(0.5)
         # a rate vector of the wrong length, fixed and callable
@@ -143,7 +168,7 @@ class TestGeneratorSpec:
 
     def test_fixed_coefficients_are_read_only(self):
         c = np.diag([1.0, 0.5, 0.2]).astype(complex)
-        g = gen.GeneratorSpec(2, c, gen.gell_mann_basis(2))
+        g = gen.GeneratorSpec(2, c)
         assert c.flags.writeable  # the caller's matrix is not frozen
         np.testing.assert_array_equal(g.coefficient_matrix(0.3), c)
         with pytest.raises(ValueError, match="read-only"):
@@ -186,23 +211,38 @@ class TestModelGenerator:
             assert abs(np.trace(apply_generator(g, 1.1, rho))) <= 1e-13
 
 
+def random_qutrit_generator():
+    """Qutrit generator with a seeded random Hermitian C and Hamiltonian."""
+    rng = np.random.default_rng(3)
+    b = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    h = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    return gen.GeneratorSpec(3, (b + b.conj().T) / 2,
+                             hamiltonian=lambda t: (h + h.conj().T) / 2)
+
+
 class TestLiouvillian:
-    def test_matches_apply_generator(self):
-        g = gen.model_generator(0.7)
+    @pytest.mark.parametrize("g", [
+        gen.model_generator(0.7),
+        hamiltonian_nondiagonal_generator(),
+        hamiltonian_nondiagonal_generator(fixed=False),
+        random_qutrit_generator(),
+    ], ids=["model", "driven-fixed", "driven-callable", "qutrit"])
+    def test_matches_apply_generator(self, g):
         lmat = gen.liouvillian(g)
         rng = np.random.default_rng(1)
+        d = g.dim
         for t in (0.0, 0.6, 2.0):
             mat = lmat(t)
             for _ in range(5):
-                x = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-                lhs = so.unvec(mat @ so.vec(x), 2)
+                x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+                lhs = so.unvec(mat @ so.vec(x), d)
                 np.testing.assert_allclose(lhs, apply_generator(g, t, x),
                                            atol=1e-13)
 
     def test_hamiltonian_part(self):
         h = 0.5 * PAULI[3]
         g = gen.GeneratorSpec(2, lambda t: np.zeros((3, 3), dtype=complex),
-                              gen.gell_mann_basis(2), hamiltonian=lambda t: h)
+                              hamiltonian=lambda t: h)
         rng = np.random.default_rng(2)
         x = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         lhs = so.unvec(gen.liouvillian(g)(0.3) @ so.vec(x), 2)
@@ -332,11 +372,9 @@ class TestPropagate:
 
     @pytest.mark.parametrize("rated, twin", [
         (gen.qubit_rate_generator((0.6, 0.6, -0.3)),
-         gen.GeneratorSpec(2, np.diag((0.6, 0.6, -0.3)).astype(complex),
-                           gen.gell_mann_basis(2))),
+         gen.GeneratorSpec(2, np.diag((0.6, 0.6, -0.3)).astype(complex))),
         (gen.model_generator(0.6),
-         gen.GeneratorSpec(2, lambda t: np.diag(pf.rates(t, 0.6)).astype(complex),
-                           gen.gell_mann_basis(2))),
+         gen.GeneratorSpec(2, lambda t: np.diag(pf.rates(t, 0.6)).astype(complex))),
     ], ids=["fixed", "callable"])
     def test_rate_vector_matches_matrix_twin(self, rated, twin):
         # rates contracted directly give the diagonal matrix's L(t) and maps, bit for bit
@@ -411,7 +449,7 @@ class TestPDivisibilityCheckPauli:
     def test_rejects_non_diagonal_coefficients(self):
         c = np.array([[1.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 1.0]],
                      dtype=complex)
-        g = gen.GeneratorSpec(2, lambda t: c, gen.gell_mann_basis(2))
+        g = gen.GeneratorSpec(2, lambda t: c)
         with pytest.raises(ValueError, match="diagonal"):
             gen.p_divisibility_check_pauli(g, np.linspace(0.0, 1.0, 3))
 
@@ -426,6 +464,36 @@ def test_grid_checks_keep_first_worst_on_ties(check, pair):
                    np.linspace(0.0, 2.0, 5))
     assert report.worst_time == 0.0
     assert report.worst_pair == pair
+
+
+def dipping_rates(t):
+    # the third rate is negative on 1 < t < 2 only
+    return (1.0, 1.0, -1.0 if 1.0 < t < 2.0 else 1.0)
+
+
+CHECKS = pytest.mark.parametrize(
+    "check", [gen.cp_divisibility_check, gen.p_divisibility_check_pauli],
+    ids=["cp-check", "p-check"])
+
+
+@CHECKS
+def test_grid_checks_report_the_largest_gap(check):
+    # fine near 0 only, this grid steps over the dip a uniform 51-point
+    # grid finds; its resolution is the 4.999 gap, not the 0.001 one
+    report = check(gen.qubit_rate_generator(dipping_rates), np.array([0.0, 0.001, 5.0]))
+    assert report.satisfied
+    assert report.grid_spacing == 5.0 - 0.001
+    assert report.note == "verdict holds at grid resolution 4.999 only"
+    assert not gen.cp_divisibility_check(gen.qubit_rate_generator(dipping_rates),
+                                         np.linspace(0.0, 5.0, 51)).satisfied
+
+
+@CHECKS
+def test_grid_checks_on_one_time_name_that_time(check):
+    report = check(gen.qubit_rate_generator(dipping_rates), np.array([1.0]))
+    assert report.grid_points == 1
+    assert report.grid_spacing == math.inf
+    assert report.note == "verdict holds at t = 1 only"
 
 
 @pytest.mark.parametrize("grid, message", [

@@ -48,7 +48,7 @@ __all__ = [
 HOLDS = "holds-on-grid"
 
 
-@dataclass
+@dataclass(eq=False)
 class DivisibilityReport:
     """Verdict of a divisibility scan plus the evidence behind it.
 
@@ -164,7 +164,7 @@ def tensor_p_divisibility_probe(family: PropagatedFamily, restarts: int = 100,
                  "a clean scan is evidence only")
 
 
-@dataclass
+@dataclass(eq=False)
 class FirstOrderWitness:
     """Constructive first-order violation of tensor-square positivity.
 

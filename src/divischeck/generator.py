@@ -48,8 +48,9 @@ __all__ = [
     "rk4_increment",
 ]
 
-# Substeps whose L(t) matrices ``propagate`` stacks at once; bounds the
-# memory of a long grid segment (block sizes 16 to 256 time the same).
+# Substeps whose L(t) and increments ``propagate`` stacks at once; bounds the
+# memory of a long grid segment.  Products of steps are kept as E = P - I, as
+# P would round every increment against I's unit entries.
 _BLOCK = 64
 
 
@@ -104,7 +105,7 @@ def _coefficients(value, n: int, t: float | None = None) -> np.ndarray:
     return c
 
 
-@dataclass
+@dataclass(eq=False)
 class GeneratorSpec:
     """Kossakowski-form time-local generator over ``gell_mann_basis(dim)``.
 
@@ -214,7 +215,7 @@ def liouvillian(g: GeneratorSpec) -> Callable[[float], np.ndarray]:
     return at
 
 
-@dataclass
+@dataclass(eq=False)
 class PropagatedFamily:
     """Maps recorded on an ascending time grid starting at 0 (identity first).
 
@@ -249,10 +250,11 @@ def propagate(g: GeneratorSpec, grid, step: float) -> PropagatedFamily:
     Each grid segment is covered by an integer number of substeps of size
     at most ``step``, so grid points are hit exactly.  The substeps go in
     blocks of at most ``_BLOCK``: one stacked ``rk4_increment`` call forms
-    every increment D_n of a block.  The segment propagator P, started from
-    I at each grid point, and the map M are chained side by side as one
-    block [P | M] + D_n [P | M] (chaining the full steps I + D_n would round
-    every D_n against I).  Deterministic.
+    every increment D_n of a block.  A pairwise tree of batched matmuls,
+    E <- E_early + E_late + E_late E_early, multiplies the steps I + D_n out
+    as E = P - I, kept apart from I (see ``_BLOCK``); the blocks fold into
+    the segment's E the same way.  Each segment is recorded as I + E, and
+    the map steps once per segment, M <- M + E M.  Deterministic.
     """
     grid = check_grid(grid)
     if abs(grid[0]) > 1e-12:
@@ -265,9 +267,8 @@ def propagate(g: GeneratorSpec, grid, step: float) -> PropagatedFamily:
         raise ValueError("step must not exceed the grid spacing")
 
     lmat = liouvillian(g)
-    d2 = g.dim * g.dim
-    eye = np.eye(d2, dtype=complex)
-    pm = np.hstack([eye, eye])
+    eye = np.eye(g.dim * g.dim, dtype=complex)
+    m = eye
     maps = [Superoperator(g.dim, eye)]
     segments = []
     l_left = lmat(float(grid[0]))
@@ -275,17 +276,22 @@ def propagate(g: GeneratorSpec, grid, step: float) -> PropagatedFamily:
         span = float(t1 - t0)
         nsub = max(1, math.ceil(span / step - 1e-12))
         h = span / nsub
+        e = np.zeros_like(eye)
         for start in range(0, nsub, _BLOCK):
             times = [float(t0) + k * h for k in range(start, min(start + _BLOCK, nsub))]
             mids = [lmat(t + 0.5 * h) for t in times]
             rights = [lmat(t + h) for t in times]
             lefts = [l_left] + rights[:-1]
-            for dm in rk4_increment(np.stack(lefts), np.stack(mids), np.stack(rights), h):
-                pm = pm + dm @ pm
+            d = rk4_increment(np.array(lefts), np.array(mids), np.array(rights), h)
+            while len(d) > 1:  # an odd stack carries its last increment up
+                early, late = d[0:-1:2], d[1::2]
+                joined = early + late + late @ early
+                d = np.concatenate([joined, d[-1:]]) if len(d) % 2 else joined
+            e = e + d[0] + d[0] @ e
             l_left = rights[-1]
-        segments.append(Superoperator(g.dim, pm[:, :d2]))
-        maps.append(Superoperator(g.dim, pm[:, d2:]))
-        pm = np.hstack([eye, pm[:, d2:]])
+        segments.append(Superoperator(g.dim, eye + e))
+        m = m + e @ m
+        maps.append(Superoperator(g.dim, m))
     return PropagatedFamily(grid, maps, segments)
 
 

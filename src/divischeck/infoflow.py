@@ -207,7 +207,7 @@ def pair_library(dim: int, samples: int = 0, seed: int = 0) -> list[StatePair]:
     return haar
 
 
-@dataclass
+@dataclass(eq=False)
 class BackflowReport:
     """Full distribution of flow-rate samples over (pair, time)."""
 

@@ -43,7 +43,6 @@ __all__ = [
     "min_output_eigenvalue",
     "positivity_probe",
     "tensor",
-    "unvec",
     "vec",
 ]
 
@@ -61,11 +60,6 @@ _ROUNDING = 1e-14
 def vec(x) -> np.ndarray:
     """Column-stacking vectorization of a matrix."""
     return np.asarray(x, dtype=complex).reshape(-1, order="F")
-
-
-def unvec(v, dim: int) -> np.ndarray:
-    """Inverse of :func:`vec` for a square dim x dim matrix."""
-    return np.asarray(v, dtype=complex).reshape((dim, dim), order="F")
 
 
 @dataclass(eq=False)
@@ -88,7 +82,7 @@ class Superoperator:
             )
 
 
-@dataclass
+@dataclass(eq=False)
 class PositivityProbeResult:
     """Outcome of a randomized search for a positivity violation.
 

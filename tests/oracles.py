@@ -8,7 +8,7 @@ import numpy as np
 from divischeck import pauli_family as pf
 from divischeck.infoflow import EIGEN_FLOOR
 from divischeck.linalg import PAULI
-from divischeck.superop import Superoperator, apply, choi, unvec, vec
+from divischeck.superop import Superoperator, apply, choi, vec
 
 
 def generator_eigenvalues(t: float, alpha: float) -> tuple[float, float, float, float]:
@@ -43,6 +43,11 @@ def loop_pauli_channel(l1: float, l2: float, l3: float) -> np.ndarray:
         v = vec(sigma)
         mat += 0.5 * lam * np.outer(v, v.conj())
     return mat
+
+
+def unvec(v, dim: int) -> np.ndarray:
+    """Inverse of ``vec`` for a square dim x dim matrix."""
+    return np.asarray(v, dtype=complex).reshape((dim, dim), order="F")
 
 
 def apply_single(s: Superoperator, x) -> np.ndarray:

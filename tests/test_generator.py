@@ -3,13 +3,15 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from divischeck import generator as gen
 from divischeck import pauli_family as pf
 from divischeck import superop as so
 from divischeck.linalg import PAULI, check_hermitian
-from oracles import generator_eigenvalues, is_trace_preserving
+from oracles import generator_eigenvalues, is_trace_preserving, unvec
 
 
 def apply_generator(g, t, rho):
@@ -65,6 +67,13 @@ def hamiltonian_nondiagonal_generator(fixed=True):
                   [-0.1j, 0.2, 0.05],
                   [0.0, 0.05, 0.1]], dtype=complex)
     return gen.GeneratorSpec(2, c if fixed else (lambda t: c), hamiltonian=lambda t: h)
+
+
+def rotating_drive_generator(rates, omega):
+    """Fixed rates under a rotating drive; its L(t) at different times do not
+    commute, so the order of every product shows."""
+    return gen.GeneratorSpec(2, rates, hamiltonian=lambda t: omega * (
+        math.cos(3.0 * t) * PAULI[1] + math.sin(3.0 * t) * PAULI[3]))
 
 
 class TestGellMannBasis:
@@ -235,7 +244,7 @@ class TestLiouvillian:
             mat = lmat(t)
             for _ in range(5):
                 x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-                lhs = so.unvec(mat @ so.vec(x), d)
+                lhs = unvec(mat @ so.vec(x), d)
                 np.testing.assert_allclose(lhs, apply_generator(g, t, x),
                                            atol=1e-13)
 
@@ -245,7 +254,7 @@ class TestLiouvillian:
                               hamiltonian=lambda t: h)
         rng = np.random.default_rng(2)
         x = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        lhs = so.unvec(gen.liouvillian(g)(0.3) @ so.vec(x), 2)
+        lhs = unvec(gen.liouvillian(g)(0.3) @ so.vec(x), 2)
         np.testing.assert_allclose(lhs, -1j * (h @ x - x @ h), atol=1e-14)
 
 
@@ -347,7 +356,10 @@ class TestPropagate:
         # one segment of 500 substeps, several blocks and a partial one
         (gen.model_generator(0.6), [0.0, 0.5], 1e-3),
         (hamiltonian_nondiagonal_generator(), np.linspace(0.0, 1.5, 4), 1e-3),
-    ], ids=["model-nonuniform", "model-long-segment", "hamiltonian-nondiagonal"])
+        # L(t) that do not commute, over several blocks: the order of every product shows
+        (rotating_drive_generator((0.6, 0.3, 0.1), 1.0), [0.0, 0.5], 1e-3),
+    ], ids=["model-nonuniform", "model-long-segment", "hamiltonian-nondiagonal",
+            "rotating-drive-long-segment"])
     def test_matches_sequential_rk4(self, g, grid, step):
         fam = gen.propagate(g, grid, step)
         expected = sequential_propagate(g, grid, step)
@@ -397,6 +409,81 @@ class TestPropagate:
         worst = max(np.max(np.abs(m.mat - closed(float(t)).mat))
                     for t, m in zip(grid, fam.maps))
         assert worst <= 1e-14
+
+    def test_liouvillian_calls_and_stack_bound(self, monkeypatch):
+        # the closure is called 2N + 1 times for N substeps (the benchmark
+        # derives its RK4 step count from this), and no stack exceeds _BLOCK
+        closure = gen.liouvillian
+        calls = []
+
+        def counted(g):
+            at = closure(g)
+
+            def evaluate(t):
+                calls.append(t)
+                return at(t)
+
+            return evaluate
+
+        monkeypatch.setattr(gen, "liouvillian", counted)
+        grid, step = [0.0, 0.013, 0.05, 0.2, 0.237, 1.0], 0.004
+        gen.propagate(gen.model_generator(0.6), grid, step)
+        nsub = [max(1, math.ceil((t1 - t0) / step - 1e-12)) for t0, t1 in zip(grid, grid[1:])]
+        assert len(calls) == 1 + 2 * sum(nsub)
+
+        increment = gen.rk4_increment
+        lengths = []
+
+        def recorded(l_left, l_mid, l_right, h):
+            lengths.append(len(l_left))
+            return increment(l_left, l_mid, l_right, h)
+
+        monkeypatch.setattr(gen, "rk4_increment", recorded)
+        gen.propagate(gen.model_generator(0.6), [0.0, 0.5], 1e-3)
+        assert sum(lengths) == 500
+        assert max(lengths) <= gen._BLOCK
+
+
+# Rate triples with nonnegative pairwise sums generate contractive maps, so
+# an absolute bound measures the rounding of the map itself.
+RATES = st.tuples(*[st.floats(-0.5, 1.5)] * 3).filter(
+    lambda r: min(r[0] + r[1], r[0] + r[2], r[1] + r[2]) >= 0)
+QUBIT_GENERATORS = st.one_of(RATES.map(gen.qubit_rate_generator),
+                             st.floats(0.05, 3.0).map(gen.model_generator),
+                             st.builds(rotating_drive_generator, RATES, st.floats(0.1, 2.0)))
+
+
+@st.composite
+def grids_and_steps(draw):
+    """An ascending grid from 0 of at most 6 segments, and a step that
+    covers it in at most 300 substeps."""
+    step = draw(st.floats(1e-3, 0.02))
+    gaps = draw(st.lists(st.floats(1.0, 49.0), min_size=1, max_size=6))
+    return np.concatenate([[0.0], np.cumsum(gaps) * step]), step
+
+
+@settings(max_examples=40, deadline=None)
+@given(QUBIT_GENERATORS, grids_and_steps())
+def test_tree_product_matches_sequential_rk4(g, grid_step):
+    grid, step = grid_step
+    fam = gen.propagate(g, grid, step)
+    expected = sequential_propagate(g, grid, step)
+    assert len(fam.maps) == len(expected) == len(fam.segments) + 1
+    for m, ref in zip(fam.maps, expected):
+        np.testing.assert_allclose(m.mat, ref, rtol=0, atol=1e-14)
+    for seg, before, after in zip(fam.segments, fam.maps, fam.maps[1:]):
+        np.testing.assert_allclose(after.mat, seg.mat @ before.mat, rtol=0, atol=1e-14)
+
+
+@settings(max_examples=40, deadline=None)
+@given(RATES, st.integers(1, 64), st.integers(1, 6), st.integers(1, 50))
+def test_fixed_generator_repeats_its_segment_bit_for_bit(rates, ticks, segments, substeps):
+    # dyadic grid spacing: every segment has the same span, substeps and L
+    spacing = ticks / 64
+    grid = np.arange(segments + 1) * spacing
+    fam = gen.propagate(gen.qubit_rate_generator(rates), grid, spacing / substeps)
+    for seg in fam.segments[1:]:
+        assert np.array_equal(seg.mat, fam.segments[0].mat)
 
 
 class TestCpDivisibilityCheck:

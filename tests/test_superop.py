@@ -7,7 +7,7 @@ from divischeck import pauli_family as pf
 from divischeck import superop as so
 from divischeck.linalg import PAULI, NumericalError
 from oracles import (compose, intermediate_channel, is_hermiticity_preserving,
-                     is_trace_preserving)
+                     is_trace_preserving, unvec)
 
 
 def random_state(rng, d):
@@ -35,7 +35,7 @@ class TestVec:
         a = np.arange(4.0).reshape(2, 2)
         v = so.vec(a)
         np.testing.assert_allclose(v, [0.0, 2.0, 1.0, 3.0])
-        np.testing.assert_allclose(so.unvec(v, 2), a)
+        np.testing.assert_allclose(unvec(v, 2), a)
 
     def test_vec_of_product(self):
         rng = np.random.default_rng(0)

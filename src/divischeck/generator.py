@@ -12,7 +12,9 @@ The basis is not an input: a generator with matrix C over another
 orthonormal traceless basis B has C' = W C W† here, W_ki = Tr(F_k† B_i).
 
 Propagation integrates d/dt M_t = L_t M_t from the identity with classical
-fixed-step RK4.  Divisibility criteria at the generator level:
+fixed-step RK4; where L does not change, as for a time-independent
+generator, the power of one step is formed by repeated squaring.
+Divisibility criteria at the generator level:
 
 * C(t) >= 0 on a grid is sufficient for the intermediate maps between grid
   times to be completely positive (CP-divisibility, decided at grid
@@ -49,8 +51,9 @@ __all__ = [
 ]
 
 # Substeps whose L(t) and increments ``propagate`` stacks at once; bounds the
-# memory of a long grid segment.  Products of steps are kept as E = P - I, as
-# P would round every increment against I's unit entries.
+# memory of a long grid segment.  A block whose L(t) are all equal forms one
+# increment and squares it instead.  Products of steps are kept as E = P - I,
+# as P would round every increment against I's unit entries.
 _BLOCK = 64
 
 
@@ -244,17 +247,57 @@ def rk4_increment(l_left: np.ndarray, l_mid: np.ndarray, l_right: np.ndarray,
     return (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _join(early: np.ndarray, late: np.ndarray) -> np.ndarray:
+    """E of the product (I + late)(I + early), from the two factors' E."""
+    return early + late + late @ early
+
+
+def _tree(d: np.ndarray) -> np.ndarray:
+    """E of the product of the steps I + d[n], later steps on the left.
+
+    A pairwise tree of batched joins; an odd stack carries its last entry up.
+    """
+    while len(d) > 1:
+        joined = _join(d[0:-1:2], d[1::2])
+        d = np.concatenate([joined, d[-1:]]) if len(d) % 2 else joined
+    return d[0]
+
+
+def _constant_tree(d: np.ndarray, k: int) -> np.ndarray:
+    """``_tree`` of k copies of one increment d, by repeated squaring.
+
+    Every level of that tree holds copies of one power and at most one
+    carried entry at its end, so each level costs at most one squaring and
+    one join, and every product is joined in the tree's order.
+    """
+    carry = None
+    while k + (carry is not None) > 1:
+        if carry is None:
+            carry = d if k % 2 else None   # an odd stack carries its last copy up
+        elif k % 2:
+            carry = _join(d, carry)        # the last copy pairs with the carry
+        k //= 2
+        if k:
+            d = _join(d, d)
+    return d if k else carry
+
+
 def propagate(g: GeneratorSpec, grid, step: float) -> PropagatedFamily:
     """Integrate d/dt M_t = L_t M_t with fixed-step classical RK4.
 
     Each grid segment is covered by an integer number of substeps of size
     at most ``step``, so grid points are hit exactly.  The substeps go in
-    blocks of at most ``_BLOCK``: one stacked ``rk4_increment`` call forms
-    every increment D_n of a block.  A pairwise tree of batched matmuls,
+    blocks of at most ``_BLOCK``, and L is evaluated at every substep's
+    midpoint and right end.  One stacked ``rk4_increment`` call forms every
+    increment D_n of a block.  A pairwise tree of batched matmuls,
     E <- E_early + E_late + E_late E_early, multiplies the steps I + D_n out
-    as E = P - I, kept apart from I (see ``_BLOCK``); the blocks fold into
-    the segment's E the same way.  Each segment is recorded as I + E, and
-    the map steps once per segment, M <- M + E M.  Deterministic.
+    as E = P - I, kept apart from I (see ``_BLOCK``).  When every L a block
+    evaluated equals its left-end L exactly (a time-independent generator),
+    one unstacked ``rk4_increment`` call forms the block's single D, and
+    repeated squaring joins its k copies in the tree's own order with about
+    2 log2(k) matmuls.  The blocks fold into the segment's E the same way.
+    Each segment is recorded as I + E, and the map steps once per segment,
+    M <- M + E M.  Deterministic.
     """
     grid = check_grid(grid)
     if abs(grid[0]) > 1e-12:
@@ -279,15 +322,14 @@ def propagate(g: GeneratorSpec, grid, step: float) -> PropagatedFamily:
         e = np.zeros_like(eye)
         for start in range(0, nsub, _BLOCK):
             times = [float(t0) + k * h for k in range(start, min(start + _BLOCK, nsub))]
-            mids = [lmat(t + 0.5 * h) for t in times]
-            rights = [lmat(t + h) for t in times]
-            lefts = [l_left] + rights[:-1]
-            d = rk4_increment(np.array(lefts), np.array(mids), np.array(rights), h)
-            while len(d) > 1:  # an odd stack carries its last increment up
-                early, late = d[0:-1:2], d[1::2]
-                joined = early + late + late @ early
-                d = np.concatenate([joined, d[-1:]]) if len(d) % 2 else joined
-            e = e + d[0] + d[0] @ e
+            mids = np.array([lmat(t + 0.5 * h) for t in times])
+            rights = np.array([lmat(t + h) for t in times])
+            if (mids == l_left).all() and (rights == l_left).all():
+                d = _constant_tree(rk4_increment(l_left, l_left, l_left, h), len(times))
+            else:
+                lefts = np.concatenate([l_left[None], rights[:-1]])
+                d = _tree(rk4_increment(lefts, mids, rights, h))
+            e = _join(e, d)
             l_left = rights[-1]
         segments.append(Superoperator(g.dim, eye + e))
         m = m + e @ m

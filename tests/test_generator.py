@@ -59,14 +59,53 @@ def sequential_propagate(g, grid, step):
     return maps
 
 
-def hamiltonian_nondiagonal_generator(fixed=True):
-    """Driven qubit generator with a non-diagonal C, given as a fixed matrix
-    or, with ``fixed=False``, as its constant callable twin."""
-    h = 0.35 * PAULI[1]
-    c = np.array([[0.3, 0.1j, 0.0],
-                  [-0.1j, 0.2, 0.05],
-                  [0.0, 0.05, 0.1]], dtype=complex)
+def hamiltonian_nondiagonal_generator(fixed=True, scale=1.0, drive=0.35):
+    """Qubit generator with a constant drive ``drive`` sigma_1 and a positive
+    non-diagonal C times ``scale``, given as a fixed matrix or, with
+    ``fixed=False``, as its constant callable twin.  Its L is not normal."""
+    h = drive * PAULI[1]
+    c = scale * np.array([[0.3, 0.1j, 0.0],
+                          [-0.1j, 0.2, 0.05],
+                          [0.0, 0.05, 0.1]], dtype=complex)
     return gen.GeneratorSpec(2, c if fixed else (lambda t: c), hamiltonian=lambda t: h)
+
+
+def switched_rates(start, stop):
+    """Rates (0.6, 0.6, -0.2) for start <= t < stop and (0.6, 0.6, 0.6) at
+    every other time: L(t) is piecewise constant."""
+    return gen.qubit_rate_generator(
+        lambda t: (0.6, 0.6, -0.2) if start <= t < stop else (0.6, 0.6, 0.6))
+
+
+def count_liouvillian_calls(monkeypatch) -> list:
+    """Record the time of every call of every ``liouvillian(g)`` closure."""
+    closure = gen.liouvillian
+    calls = []
+
+    def counted(g):
+        at = closure(g)
+
+        def evaluate(t):
+            calls.append(t)
+            return at(t)
+
+        return evaluate
+
+    monkeypatch.setattr(gen, "liouvillian", counted)
+    return calls
+
+
+def record_increment_args(monkeypatch) -> list:
+    """Record the left-end L argument of every ``rk4_increment`` call."""
+    increment = gen.rk4_increment
+    lefts = []
+
+    def recorded(l_left, l_mid, l_right, h):
+        lefts.append(l_left)
+        return increment(l_left, l_mid, l_right, h)
+
+    monkeypatch.setattr(gen, "rk4_increment", recorded)
+    return lefts
 
 
 def rotating_drive_generator(rates, omega):
@@ -413,35 +452,48 @@ class TestPropagate:
     def test_liouvillian_calls_and_stack_bound(self, monkeypatch):
         # the closure is called 2N + 1 times for N substeps (the benchmark
         # derives its RK4 step count from this), and no stack exceeds _BLOCK
-        closure = gen.liouvillian
-        calls = []
-
-        def counted(g):
-            at = closure(g)
-
-            def evaluate(t):
-                calls.append(t)
-                return at(t)
-
-            return evaluate
-
-        monkeypatch.setattr(gen, "liouvillian", counted)
+        calls = count_liouvillian_calls(monkeypatch)
         grid, step = [0.0, 0.013, 0.05, 0.2, 0.237, 1.0], 0.004
         gen.propagate(gen.model_generator(0.6), grid, step)
         nsub = [max(1, math.ceil((t1 - t0) / step - 1e-12)) for t0, t1 in zip(grid, grid[1:])]
         assert len(calls) == 1 + 2 * sum(nsub)
 
-        increment = gen.rk4_increment
-        lengths = []
-
-        def recorded(l_left, l_mid, l_right, h):
-            lengths.append(len(l_left))
-            return increment(l_left, l_mid, l_right, h)
-
-        monkeypatch.setattr(gen, "rk4_increment", recorded)
+        lefts = record_increment_args(monkeypatch)
         gen.propagate(gen.model_generator(0.6), [0.0, 0.5], 1e-3)
+        lengths = [len(left) for left in lefts]
         assert sum(lengths) == 500
         assert max(lengths) <= gen._BLOCK
+
+    def test_constant_generator_squares_one_increment_per_block(self, monkeypatch):
+        # L is still evaluated at all 2N + 1 substep times, but every block
+        # forms its single increment unstacked
+        calls = count_liouvillian_calls(monkeypatch)
+        lefts = record_increment_args(monkeypatch)
+        gen.propagate(gen.qubit_rate_generator((0.6, 0.6, 0.6)), [0.0, 0.5], 1e-3)
+        assert len(calls) == 1 + 2 * 500
+        assert len(lefts) == math.ceil(500 / gen._BLOCK)
+        assert all(left.ndim == 2 for left in lefts)
+
+    @pytest.mark.parametrize("start, stop", [
+        (0.2505, math.inf),   # one jump, at a midpoint inside the fourth block
+        (0.2505, 0.2525),     # a pulse: the block's ends agree
+        (0.2504, 0.2506),     # a single midpoint differs
+        (0.2509, 0.2511),     # a single right end differs
+    ], ids=["jump", "pulse", "one-midpoint", "one-right-end"])
+    def test_block_with_a_change_inside_takes_the_tree(self, monkeypatch, start, stop):
+        g, grid = switched_rates(start, stop), [0.0, 0.5]
+        lefts = record_increment_args(monkeypatch)
+        fam = gen.propagate(g, grid, 1e-3)
+        # blocks of substeps 0-63, 64-127, ...: only 192-255 holds the change
+        assert [left.ndim for left in lefts] == [2, 2, 2, 3, 2, 2, 2, 2]
+        for m, ref in zip(fam.maps, sequential_propagate(g, grid, 1e-3)):
+            np.testing.assert_allclose(m.mat, ref, rtol=0, atol=1e-14)
+
+    def test_squaring_joins_copies_in_the_tree_order(self):
+        lmat = gen.liouvillian(hamiltonian_nondiagonal_generator())(0.0)
+        d = gen.rk4_increment(lmat, lmat, lmat, 0.01)
+        for k in range(1, 2 * gen._BLOCK + 1):
+            assert np.array_equal(gen._constant_tree(d, k), gen._tree(np.array([d] * k))), k
 
 
 # Rate triples with nonnegative pairwise sums generate contractive maps, so
@@ -450,7 +502,9 @@ RATES = st.tuples(*[st.floats(-0.5, 1.5)] * 3).filter(
     lambda r: min(r[0] + r[1], r[0] + r[2], r[1] + r[2]) >= 0)
 QUBIT_GENERATORS = st.one_of(RATES.map(gen.qubit_rate_generator),
                              st.floats(0.05, 3.0).map(gen.model_generator),
-                             st.builds(rotating_drive_generator, RATES, st.floats(0.1, 2.0)))
+                             st.builds(rotating_drive_generator, RATES, st.floats(0.1, 2.0)),
+                             st.builds(hamiltonian_nondiagonal_generator, st.booleans(),
+                                       st.floats(0.0, 3.0), st.floats(0.0, 2.0)))
 
 
 @st.composite

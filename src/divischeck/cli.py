@@ -12,6 +12,7 @@ the payload, still 0); 2 usage or I/O error; 3 internal numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -286,6 +287,8 @@ def cmd_infoflow(cfg: RunConfig) -> tuple[list[str], dict]:
     grid = cfg.grid()
     channel = DYNAMICS[cfg.dynamics][0]
 
+    # both scans ask for maps at the same times: each channel is built once
+    @functools.cache
     def single(t):
         return channel(t, alpha)
 

@@ -44,8 +44,9 @@ _LN2 = math.log(2.0)
 
 
 # outer(vec sigma_k, vec sigma_k*), identity first: twice the spectral
-# projectors of every Pauli channel, built once.
-_PAULI_PROJECTORS = tuple(np.outer(vec(sigma), vec(sigma).conj()) for sigma in PAULI)
+# projectors of every Pauli channel, built once, one flattened row each.
+_PAULI_PROJECTORS = np.stack([np.outer(vec(sigma), vec(sigma).conj()).ravel()
+                              for sigma in PAULI])
 
 
 def _validate(t: float, alpha: float) -> None:
@@ -154,10 +155,8 @@ def pauli_channel(l1: float, l2: float, l3: float) -> Superoperator:
     Spectral form on the (orthogonal) Pauli basis: the identity component
     is fixed, sigma_k is scaled by l_k.
     """
-    mat = np.zeros((4, 4), dtype=complex)
-    for lam, proj in zip((1.0, l1, l2, l3), _PAULI_PROJECTORS):
-        mat += 0.5 * lam * proj
-    return Superoperator(2, mat)
+    mat = 0.5 * np.array([1.0, l1, l2, l3]) @ _PAULI_PROJECTORS
+    return Superoperator(2, mat.reshape(4, 4))
 
 
 def channel(t: float, alpha: float) -> Superoperator:

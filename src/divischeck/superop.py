@@ -24,6 +24,7 @@ favour of positivity: a local search can miss the global minimum, and
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,7 @@ __all__ = [
     "Superoperator",
     "VIOLATED",
     "apply",
+    "apply_maps",
     "choi",
     "identity",
     "intermediate",
@@ -104,14 +106,24 @@ def identity(dim: int) -> Superoperator:
 
 def apply(s: Superoperator, x) -> np.ndarray:
     """Apply the map to one dim x dim operator or a stack (..., dim, dim)."""
+    return apply_maps(s.mat, x)
+
+
+def apply_maps(mats: np.ndarray, x) -> np.ndarray:
+    """Apply a stack of map matrices (..., d^2, d^2) to one d x d operator or
+    a stack (n, d, d): every map acts on every operator, and the result has
+    shape ``mats.shape[:-2] + x.shape``.
+    """
     x = np.asarray(x, dtype=complex)
-    if x.shape[-2:] != (s.dim, s.dim):
+    dim = math.isqrt(mats.shape[-1])
+    if x.shape[-2:] != (dim, dim):
         raise ValueError(
-            f"operator shape {x.shape} does not match superoperator dimension {s.dim}"
+            f"operator shape {x.shape} does not match superoperator dimension {dim}"
         )
     # column stacking of each operator is the row-major flattening of its transpose
     vecs = x.swapaxes(-1, -2).reshape(*x.shape[:-2], -1)
-    return (vecs @ s.mat.T).reshape(x.shape).swapaxes(-1, -2)
+    out = vecs @ mats.swapaxes(-1, -2)
+    return out.reshape(*out.shape[:-1], dim, dim).swapaxes(-1, -2)
 
 
 def tensor(s1: Superoperator, s2: Superoperator) -> Superoperator:

@@ -6,7 +6,7 @@ import math
 import numpy as np
 
 from divischeck import pauli_family as pf
-from divischeck.infoflow import EIGEN_FLOOR
+from divischeck.infoflow import EIGEN_FLOOR, StatePair
 from divischeck.linalg import PAULI
 from divischeck.superop import Superoperator, apply, choi, vec
 
@@ -93,13 +93,26 @@ def trace_norms(x: np.ndarray) -> np.ndarray:
     return np.abs(w).sum(axis=-1)
 
 
-def flow_column(map_at, deltas: np.ndarray, t: float, h: float) -> np.ndarray:
-    """Finite-difference flow rates at time t for a stack of pair differences,
-    with every trace norm from :func:`trace_norms` (one-sided for t < h)."""
+def flow_column(map_at, deltas: np.ndarray, t: float, h: float,
+                norms=trace_norms) -> np.ndarray:
+    """Finite-difference flow rates at time t for a stack of pair differences
+    (one-sided for t < h): both maps applied one at a time, every trace norm
+    from ``norms``, :func:`trace_norms` by default."""
     if t < h:
         t_lo, t_hi, denom = t, t + h, h
     else:
         t_lo, t_hi, denom = t - h, t + h, 2.0 * h
     out = np.stack([apply(map_at(t_lo), deltas), apply(map_at(t_hi), deltas)])
-    n_lo, n_hi = trace_norms(out)
+    n_lo, n_hi = norms(out)
     return (n_hi - n_lo) / denom
+
+
+def haar_orthogonal_pair(dim: int, rng: np.random.Generator, label: str = "") -> StatePair:
+    """Random orthogonal pure pair drawn on its own: two columns of a Haar
+    unitary, the QR factor of one complex Gaussian dim x 2 draw with its
+    phases fixed by the diagonal of R."""
+    z = rng.standard_normal((dim, 2)) + 1j * rng.standard_normal((dim, 2))
+    q, r = np.linalg.qr(z)
+    q = q * (np.diag(r) / np.abs(np.diag(r)))
+    v1, v2 = q[:, 0] / np.linalg.norm(q[:, 0]), q[:, 1] / np.linalg.norm(q[:, 1])
+    return StatePair(np.outer(v1, v1.conj()), np.outer(v2, v2.conj()), label=label)

@@ -9,7 +9,7 @@ from divischeck import infoflow as iflow
 from divischeck import pauli_family as pf
 from divischeck import superop as so
 from divischeck.linalg import PAULI
-from oracles import flow_column, trace_norms
+from oracles import flow_column, haar_orthogonal_pair, trace_norms
 
 PROPERTY = settings(max_examples=60, deadline=None)
 FLOOR = iflow.EIGEN_FLOOR
@@ -133,12 +133,45 @@ class TestTraceNorms:
             return eigvalsh(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
-        grid = np.array([0.0, 0.5, 1.0])
+        grid = np.linspace(0.0, 1.0, iflow._BLOCK + 2)
         iflow.backflow_scan(model_map(0.6), iflow.pair_library(2, 4), grid)
         assert [s for s in shapes if len(s) > 2 and s[-2:] == (2, 2)] == []
-        # the recorder does see the stacks a two-qubit scan solves
+        # the recorder does see the stacks a two-qubit scan solves: one per block
         iflow.backflow_scan(tensor_model_map(0.6), iflow.pair_library(4, 4), grid)
-        assert [s for s in shapes if len(s) > 2] == [(2, 17, 4, 4)] * len(grid)
+        assert [s for s in shapes if len(s) > 2] == [(iflow._BLOCK, 2, 17, 4, 4),
+                                                     (2, 2, 17, 4, 4)]
+
+    @pytest.mark.parametrize("squared", [False, True], ids=["qubit", "tensor"])
+    @pytest.mark.parametrize("start", [0.0, 0.5], ids=["from-0", "from-0.5"])
+    @pytest.mark.parametrize("n", [1, iflow._BLOCK, iflow._BLOCK + 1],
+                             ids=["one", "block", "block+1"])
+    def test_blocks_match_the_per_time_oracle(self, monkeypatch, squared, start, n):
+        # from 0 the first block mixes the forward difference at t = 0 < h
+        # with central ones
+        calls = []
+        single = model_map(0.6)
+
+        def map_at(t):
+            calls.append(t)
+            return so.tensor(single(t), single(t)) if squared else single(t)
+
+        stacks = []
+        trace_norms_ = iflow._trace_norms
+
+        def recording(x):
+            stacks.append(x.shape)
+            return trace_norms_(x)
+
+        monkeypatch.setattr(iflow, "_trace_norms", recording)
+        grid = start + np.linspace(0.0, 0.2 * n, n, endpoint=False)
+        report = iflow.backflow_scan(map_at, iflow.pair_library(4 if squared else 2, 3, 9),
+                                     grid)
+        assert len(calls) == 2 * len(grid)
+        assert all(math.prod(shape[:-3]) <= 2 * iflow._BLOCK for shape in stacks)
+        deltas = np.stack([p.difference() for p in report.pairs])
+        for k, t in enumerate(grid.tolist()):
+            want = flow_column(map_at, deltas, t, 1e-4, norms=trace_norms_)
+            np.testing.assert_array_equal(report.sigma[:, k], want)
 
 
 def one_pair_flow(map_at, pair, times, h=1e-4):
@@ -223,6 +256,17 @@ class TestPairLibraries:
             purity = float(np.real(np.trace(rho @ rho)))
             assert purity < 0.5  # genuinely mixed
 
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_library_haar_pairs_match_the_per_pair_draw(self, dim):
+        # one stacked draw and QR reproduce drawing and factoring pair by pair
+        rng = np.random.default_rng(7)
+        want = [haar_orthogonal_pair(dim, rng, label=f"haar:{k}") for k in range(20)]
+        got = iflow.pair_library(dim, 20, seed=7)[-20:]
+        assert [p.label for p in got] == [p.label for p in want]
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a.rho1, b.rho1)
+            np.testing.assert_array_equal(a.rho2, b.rho2)
+
     def test_haar_pairs_deterministic_given_seed(self):
         p1 = iflow.haar_orthogonal_pair(4, np.random.default_rng(5))
         p2 = iflow.haar_orthogonal_pair(4, np.random.default_rng(5))
@@ -284,6 +328,26 @@ class TestBackflowScan:
         for pairs in (iflow.pair_library(3), []):
             with pytest.raises(ValueError, match="no state pairs to scan"):
                 iflow.backflow_scan(lambda t: so.identity(3), pairs, np.array([0.0, 1.0]))
+
+    def test_rejects_pairs_of_mixed_dimension(self):
+        pairs = iflow.pair_library(2) + iflow.pair_library(4)
+        with pytest.raises(ValueError, match="state pairs have mixed dimensions"):
+            iflow.backflow_scan(lambda t: so.identity(2), pairs, np.array([0.0, 1.0]))
+
+    @pytest.mark.parametrize("squared", [False, True], ids=["qubit", "tensor"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_a_map_with_non_finite_entries(self, squared, bad):
+        def map_at(t):
+            ch = pf.channel(t, 0.6)
+            m = so.tensor(ch, ch) if squared else ch
+            if t > 1.0:
+                m = so.Superoperator(m.dim, np.where(np.eye(len(m.mat)) > 0, bad, m.mat))
+            return m
+
+        grid = np.linspace(0.0, 2.0, 3 * iflow._BLOCK)
+        t_bad = (grid[grid > 1.0][0] - 1e-4).item()
+        with pytest.raises(ValueError, match=rf"map at t={t_bad!r} has non-finite entries"):
+            iflow.backflow_scan(map_at, iflow.pair_library(4 if squared else 2, 2), grid)
 
     def test_rejects_negative_samples(self):
         with pytest.raises(ValueError, match="samples must be nonnegative"):

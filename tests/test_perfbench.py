@@ -38,10 +38,11 @@ def test_traced_invocation_passes_the_benchmark_checks(perfbench, name, tmp_path
 
 def test_backflow_channel_calls_reach_the_traced_module_function(perfbench, tmp_path):
     # the --dynamics table looks up pauli_family.channel when it is called,
-    # so the tracer's wrapper sees every map both scans build: 2 x 402
+    # so the tracer's wrapper sees every map built: 402, once per map time,
+    # shared by both scans
     inv = perfbench.run_traced(cli, perfbench.WORKLOADS["backflow"], 1, tmp_path)
     assert inv.problems == []
-    assert inv.layers["pauli_family.channel.calls"] == 804
+    assert inv.layers["pauli_family.channel.calls"] == 402
 
 
 def test_probe_clean_validates_its_fixed_coefficients_once(perfbench, tmp_path):

@@ -7,13 +7,15 @@ step.  The witness makes that explicit:
 
   * u  = eigenvector of the most negative eigenvalue of C(s),
   * M  = traceless matrix with Tr(M F_i) = conj(u_i),
-  * U  = similarity with M^T = U M U^(-1),
+  * U  = unitary similarity with M^T = U M U^(-1), in closed form for 2 x 2,
   * Phi' = U (adjoint), Psi = M U^(-1), regrouped row-major into vectors
     phi, psi on the doubled space (orthogonal because Tr M = 0).
 
 Then <phi| T_{s+dt,s} [|psi><psi|] |phi> ~ dt * delta_rate with
-delta_rate = 2 <u|C(s)|u> after unit normalization, which is negative --
-a matrix element that must be nonnegative for a positive map.
+delta_rate = 2 <u|C(s)|u> / (|Psi|^2 |Phi|^2) after unit normalization.
+For the unitary U, |Psi|^2 = 1 and |Phi|^2 = 2, so delta_rate = c_min, the
+most negative eigenvalue of C(s) -- a negative rate for a matrix element
+that must be nonnegative for a positive map.
 
 For the tanh-rate family at time s the construction collapses to
 delta_rate = -a tanh(s), and psi, phi become two Bell states.

@@ -39,6 +39,11 @@ DYNAMICS = {
 }
 FORMATS = ("csv", "json")
 
+# Fastest decay rate of each --dynamics' real Bloch spectrum, per unit alpha;
+# RK4 is stable on that spectrum while rk4_step * rate <= RK4_REAL_LIMIT.
+DECAY_PER_ALPHA = {"model": 2.0, "semigroup": 2.0, "identity": 0.0}
+RK4_REAL_LIMIT = 2.785293563405282
+
 SCAN_HEADER = ["alpha", "t", "p0", "p1", "p2", "p3", "q0", "q1", "q2", "q3",
                "l1", "l3", "choi_min", "cp", "gamma3"]
 INFOFLOW_HEADER = ["pair_id", "t", "sigma_single", "sigma_tensor"]
@@ -183,6 +188,12 @@ def cmd_scan(cfg: RunConfig) -> tuple[list[str], dict]:
 
 def cmd_divisibility(cfg: RunConfig) -> tuple[list[str], dict]:
     alpha = cfg.alpha[0]
+    rate = DECAY_PER_ALPHA[cfg.dynamics] * alpha
+    if cfg.rk4_step * rate > RK4_REAL_LIMIT:
+        raise ValueError(f"rk4_step {cfg.rk4_step:g} is outside RK4's stability interval "
+                         f"for the decay rate {rate:g} of --dynamics {cfg.dynamics} (step x "
+                         f"rate > {RK4_REAL_LIMIT:.4f}); the largest stable step is "
+                         f"{RK4_REAL_LIMIT / rate:.6g}")
     grid = cfg.grid()
     gen = DYNAMICS[cfg.dynamics][1](alpha)
     cp_check = generator.cp_divisibility_check(gen, grid, tol=cfg.tol)

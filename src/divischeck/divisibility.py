@@ -9,14 +9,13 @@ by randomized search for plain positivity of its tensor square.  A
 value on ``worst_map``; a clean scan is only a statement about the grid and
 the search budget.
 
-The witness construction makes the tensor-square positivity failure
-explicit at first order.  Given the coefficient matrix C(s) with a negative
-eigenvalue along u, build the traceless matrix M with Tr(M F_i) = conj(u_i),
-find the similarity U with M.T = U M U^-1, and set Phi† = U, Psi = M U^-1.
-Regrouping Psi and Phi into vectors psi, phi on the doubled space gives an
-orthogonal pair for which the tensor-square propagator over [s, s+dt]
-develops a negative matrix element at rate 2 <u|C(s)|u> (after unit
-normalization of psi and phi).
+The witness construction makes the tensor-square positivity failure of a
+qubit generator explicit at first order.  Given C(s) with its most negative
+eigenvalue c_min along u, build the traceless M with Tr(M F_i) = conj(u_i),
+take the unitary U with M.T = U M U^-1, and set Phi† = U, Psi = M U^-1.
+Regrouped into unit vectors psi, phi on the doubled space, they are an
+orthogonal pair whose tensor-square matrix element leaves zero at rate
+2 <u|C(s)|u> / (||Psi||^2 ||Phi||^2) = c_min (||Psi||^2 = 1, ||Phi||^2 = 2).
 
 Regrouping convention: the (a, b) entry of a d x d matrix becomes vector
 component a*d + b (row-major).  This is deliberately *not* the column
@@ -197,10 +196,12 @@ def _tensor_liouvillian(g: GeneratorSpec):
 def first_order_witness(g: GeneratorSpec, s: float) -> FirstOrderWitness:
     """Build the orthogonal pair exposing a negative C(s) eigenvalue.
 
-    Requires C(s) to have a negative eigenvalue; the most negative one is
-    used.  The returned ``delta_rate`` is evaluated directly on the tensor
-    generator and must come out negative.
+    Requires a qubit generator whose C(s) has a negative eigenvalue; the
+    most negative one, c_min, is used.  The returned ``delta_rate`` is
+    evaluated directly on the tensor generator and comes out as c_min.
     """
+    if g.dim != 2:
+        raise ValueError("the first-order witness is built for qubit generators only")
     if not math.isfinite(s):
         raise ValueError(f"witness time s must be finite, got {s}")
     c = g.coefficient_matrix(s)
@@ -219,7 +220,7 @@ def first_order_witness(g: GeneratorSpec, s: float) -> FirstOrderWitness:
 
     umat = similarity_to_transpose(m)
     phi_mat = umat.conj().T           # Phi with Phi† = U
-    psi_mat = m @ np.linalg.inv(umat)
+    psi_mat = m @ phi_mat             # U^-1 = U† for the unitary U
     psi = psi_mat.reshape(-1)         # row-major regrouping
     phi = phi_mat.reshape(-1)
     psi = psi / np.linalg.norm(psi)

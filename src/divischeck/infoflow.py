@@ -37,7 +37,6 @@ __all__ = [
     "backflow_scan",
     "bell_pairs",
     "bell_states",
-    "haar_orthogonal_pair",
     "pair_library",
     "product_pairs",
     "qubit_axis_pairs",
@@ -170,35 +169,24 @@ def tilted_parity_pairs() -> list[StatePair]:
     return [StatePair(rho1, rho2, label="mixed:tilted-parity")]
 
 
-def _haar_pairs(dim: int, rng: np.random.Generator, labels: list[str]) -> list[StatePair]:
-    """Random orthogonal pure pairs, one per label: two columns of a Haar
-    unitary each (QR trick), drawn and factored as one stack."""
-    g = rng.standard_normal((len(labels), 2, dim, 2))
-    q, r = np.linalg.qr(g[:, 0] + 1j * g[:, 1])
-    # fix the phase convention so each pair is a deterministic function of its draw
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    q = q * (d / np.abs(d))[:, None, :]
-    return [StatePair(_projector(v[:, 0]), _projector(v[:, 1]), label=label)
-            for v, label in zip(q, labels)]
-
-
-def haar_orthogonal_pair(dim: int, rng: np.random.Generator, label: str = "") -> StatePair:
-    """Random orthogonal pure pair: two columns of a Haar unitary (QR trick)."""
-    (pair,) = _haar_pairs(dim, rng, [label])
-    return pair
-
-
 def pair_library(dim: int, samples: int = 0, seed: int = 0) -> list[StatePair]:
     """The default pairs of a scan: the fixed library, then ``samples``
     Haar-orthogonal pure pairs drawn from ``default_rng(seed)``.
 
     The fixed library: for two qubits the Bell pairs, the computational product
     pairs and the tilted-parity mixed pair; for one qubit the Bloch-axis pairs.
+    Each random pair is two columns of a Haar unitary (QR trick), all drawn
+    and factored as one stack.
     """
     if samples < 0:
         raise ValueError(f"samples must be nonnegative, got {samples}")
-    rng = np.random.default_rng(seed)
-    haar = _haar_pairs(dim, rng, [f"haar:{k}" for k in range(samples)])
+    g = np.random.default_rng(seed).standard_normal((samples, 2, dim, 2))
+    q, r = np.linalg.qr(g[:, 0] + 1j * g[:, 1])
+    # fix the phase convention so each pair is a deterministic function of its draw
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    q = q * (d / np.abs(d))[:, None, :]
+    haar = [StatePair(_projector(v[:, 0]), _projector(v[:, 1]), label=f"haar:{k}")
+            for k, v in enumerate(q)]
     if dim == 4:
         return bell_pairs() + product_pairs() + tilted_parity_pairs() + haar
     if dim == 2:

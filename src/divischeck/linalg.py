@@ -29,6 +29,7 @@ PAULI = (
 HERMITICITY_RTOL = 1e-12
 RESIDUAL_TOL = 1e-8
 CONDITION_LIMIT = 1e12
+PARALLEL_TOL = 1e-12
 
 
 class NumericalError(ArithmeticError):
@@ -110,69 +111,38 @@ def inverse(a) -> np.ndarray:
     return inv
 
 
-def _scale(m: np.ndarray) -> float:
-    return max(1.0, float(np.linalg.norm(m)))
-
-
-def _well_conditioned(a: np.ndarray) -> bool:
-    cond = float(np.linalg.cond(a))
-    return np.isfinite(cond) and cond <= CONDITION_LIMIT
-
-
-def _eigenvector_similarity(m: np.ndarray):
-    """(U, U^-1) from the eigendecomposition of m, or None.
-
-    If m = V D V^-1 then transpose-inverse(V) diagonalizes m.T with the same
-    eigenvalue ordering, which collapses to U = inv(V V^T).  None when V V^T
-    is numerically singular, as it is for a defective m.
-    """
-    _, v = np.linalg.eig(m)
-    u_inv = v @ v.T
-    if not _well_conditioned(u_inv):
-        return None
-    return np.linalg.inv(u_inv), u_inv
-
-
-def _null_space_similarity(m: np.ndarray):
-    """(U, U^-1) from the solutions of m.T U = U m, or None.
-
-    Under column stacking the solutions are the null space of
-    kron(I, m.T) - kron(m.T, I), which has dimension at least n for every
-    n x n matrix.  The sum of its orthonormal basis is the candidate U; None
-    when that sum is numerically singular.
-    """
-    eye = np.eye(m.shape[0])
-    _, sv, vh = np.linalg.svd(np.kron(eye, m.T) - np.kron(m.T, eye))
-    null = vh[sv <= RESIDUAL_TOL * _scale(m)].conj()
-    u = null.sum(axis=0).reshape(m.shape, order="F")
-    if not _well_conditioned(u):
-        return None
-    return u, np.linalg.inv(u)
-
-
 def similarity_to_transpose(m) -> np.ndarray:
-    """Invertible U with ``m.T = U @ m @ inv(U)``.
+    """Unitary U with ``m.T = U @ m @ U^-1`` for a 2 x 2 matrix m, in closed form.
 
-    The eigendecomposition gives U for diagonalizable m.  Where it fails, as
-    for a defective m such as a Jordan block, U is solved for exactly from
-    the linear equation m.T U = U m.  The returned U always satisfies
-    ``||m.T - U m U^-1||_F <= RESIDUAL_TOL * max(1, ||m||_F)`` and has
-    condition number at most ``CONDITION_LIMIT``.
+    With m = cI + a.sigma, m.T = cI + (D a).sigma for D = diag(1, -1, 1).  For
+    a real unit n normal to Re a and Im a, U = sigma_y (n.sigma) turns a into
+    D (I - 2 n n^T) a = D a.  Where Re a and Im a are parallel, n is the
+    admissible direction nearest the y axis (else the x axis); the first
+    nonzero of (n_y, n_x, n_z) is positive, and a symmetric m gets U = I
+    exactly.  Non-finite entries and other shapes are rejected, and U meets
+    ``||m.T - U m U^-1||_F <= RESIDUAL_TOL * max(1, ||m||_F)``.
     """
     m = _as_matrix(m)
-    _require_square(m)
-    scale = _scale(m)
-    best = np.inf
-    for solve in (_eigenvector_similarity, _null_space_similarity):
-        candidate = solve(m)
-        if candidate is None:
-            continue
-        u, u_inv = candidate
-        residual = float(np.linalg.norm(m.T - u @ m @ u_inv))
-        if residual <= RESIDUAL_TOL * scale:
-            return u
-        best = min(best, residual)
-    raise NumericalError(
-        "no transpose similarity found within residual "
-        f"{RESIDUAL_TOL:.1e} * {scale:.3e}: best residual {best:.3e}"
-    )
+    if m.shape != (2, 2):
+        raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix has non-finite entries")
+    if m[0, 1] == m[1, 0]:
+        return np.eye(2, dtype=complex)
+    a = np.array([m[0, 1] + m[1, 0], 1j * (m[0, 1] - m[1, 0]), m[0, 0] - m[1, 1]])
+    r, s = sorted((a.real, a.imag), key=np.linalg.norm, reverse=True)
+    r = r / np.abs(r).max()
+    q = s - (s @ r) / (r @ r) * r      # the part of s normal to r keeps r x q accurate
+    if np.linalg.norm(q) <= PARALLEL_TOL * np.linalg.norm(s):
+        q = np.cross([0.0, 1.0, 0.0], r) if r[[0, 2]].any() else np.array([0.0, 0.0, 1.0])
+    n = np.cross(r, q / np.abs(q).max())
+    n = n / np.linalg.norm(n) * np.sign(n[1] or n[0] or n[2])
+    u = n[1] * PAULI[0] + 1j * (n[2] * PAULI[1] - n[0] * PAULI[3])
+    scale = max(1.0, float(np.linalg.norm(m)))
+    residual = float(np.linalg.norm(m.T - u @ m @ u.conj().T))
+    if not residual <= RESIDUAL_TOL * scale:
+        raise NumericalError(
+            f"transpose similarity residual {residual:.3e} exceeds "
+            f"{RESIDUAL_TOL:.1e} * {scale:.3e}"
+        )
+    return u

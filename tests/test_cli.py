@@ -149,6 +149,26 @@ class TestDivisibility:
         assert probe["verdict"] == "violated"
         assert probe["worst_value"] == payload["tensor_witness_reevaluated"]
 
+    def test_rk4_step_outside_stability_interval_exits_2(self, tmp_path, capsys):
+        # step x rate = 1e-3 x 2 x 1400 = 2.8 lies past RK4's real-axis limit
+        out = tmp_path / "div"
+        code = run(["divisibility", "--dynamics", "semigroup", "--alpha", "1400",
+                    "--grid-points", "4", "--output", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "outside RK4's stability interval" in err
+        assert "the largest stable step is 0.000994748" in err
+        assert not (tmp_path / "div.json").exists()
+
+    @pytest.mark.parametrize("alpha, step", [("1400", "5e-4"), ("1000", "1e-3")])
+    def test_stable_rk4_step_at_large_alpha(self, tmp_path, alpha, step):
+        out = tmp_path / "div"
+        assert run(["divisibility", "--dynamics", "semigroup", "--alpha", alpha,
+                    "--grid-points", "4", "--rk4-step", step, "--output", str(out)]) == 0
+        payload = json.loads((tmp_path / "div.json").read_text())
+        assert payload["cp_divisibility_scan"]["verdict"] == "holds-on-grid"
+        assert payload["tensor_p_divisibility_probe"]["verdict"] == "holds-on-grid"
+
     def test_semigroup_all_pass(self, tmp_path):
         out = tmp_path / "div"
         code = run(["divisibility", "--alpha", "2.0", "--dynamics", "semigroup",
@@ -173,6 +193,14 @@ class TestDynamicsTable:
         family = generator.propagate(make_generator(0.6), grid, 1e-3)
         for t, m in zip(grid, family.maps):
             np.testing.assert_allclose(m.mat, channel(float(t), 0.6).mat, atol=1e-10)
+
+    def test_decay_rate_is_the_fastest_of_a_real_spectrum(self, name):
+        # the divisibility command's RK4 step guard rests on this rate
+        lmat = generator.liouvillian(cli.DYNAMICS[name][1](0.6))
+        for t in (0.0, 0.5, 3.0):
+            eig = np.linalg.eigvals(lmat(t))
+            assert np.abs(eig.imag).max() <= 1e-12
+            assert -eig.real.min() == pytest.approx(cli.DECAY_PER_ALPHA[name] * 0.6, abs=1e-12)
 
     def test_divisibility(self, tmp_path, name):
         out = tmp_path / "div"

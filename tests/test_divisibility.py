@@ -3,8 +3,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from divischeck import divisibility as dv
 from divischeck import generator as gen
@@ -14,6 +15,7 @@ from divischeck.linalg import PAULI
 from oracles import intermediate_channel
 
 STEP = 1e-3
+ENTRIES = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
 
 
 def model_family(grid, alpha):
@@ -206,6 +208,22 @@ class TestFirstOrderWitness:
         np.testing.assert_allclose([np.trace(w.m @ f) for f in g.basis], np.conj(w.u),
                                    atol=1e-15)
         assert w.c_min == pytest.approx(np.linalg.eigvalsh(c)[0], abs=1e-12)
+        assert w.delta_rate == pytest.approx(w.c_min, abs=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(arrays(np.float64, (2, 3, 3), elements=ENTRIES),
+           st.none() | arrays(np.float64, 3, elements=ENTRIES))
+    def test_rate_is_the_most_negative_coefficient(self, parts, field):
+        # the unitary transpose similarity gives every qubit witness the full
+        # rate c_min, with or without a Hamiltonian
+        c = parts[0] + 1j * parts[1]
+        c = 0.5 * (c + c.conj().T)
+        assume(np.linalg.eigvalsh(c)[0] <= -1e-3)
+        h = None if field is None else sum(x * p for x, p in zip(field, PAULI[1:]))
+        g = gen.GeneratorSpec(2, c, hamiltonian=None if h is None else lambda t: h)
+        w = dv.first_order_witness(g, 0.7)
+        assert abs(w.delta_rate - w.c_min) <= 1e-10 * abs(w.c_min)
+        assert abs(np.vdot(w.phi, w.psi)) <= 1e-10
 
     def test_nilpotent_m(self):
         # the most negative C eigenvector (1, i, 0)/sqrt(2) makes M a
@@ -216,7 +234,7 @@ class TestFirstOrderWitness:
         w = dv.first_order_witness(g, 0.5)
         assert np.allclose(w.m @ w.m, 0.0, atol=1e-15)
         assert w.c_min == pytest.approx(-1.0, abs=1e-12)
-        assert w.delta_rate == pytest.approx(-0.5, abs=1e-12)
+        assert w.delta_rate == pytest.approx(-1.0, abs=1e-12)   # c_min
         assert abs(np.vdot(w.phi, w.psi)) <= 1e-10
         for dt in (1e-4, 5e-5):
             value = dv.verify_witness(g, w, dt=dt)
@@ -233,17 +251,11 @@ class TestFirstOrderWitness:
         assert w_driven.delta_rate == pytest.approx(w_bare.delta_rate, abs=1e-10)
         assert w_driven.delta_rate == pytest.approx(-0.5, abs=1e-10)
 
-    def test_qutrit_witness_construction(self):
-        # dimension-generic path: 8-dim coefficient matrix, 9-dim regrouping
+    def test_rejects_qutrit_generator(self):
         diag = np.array([1.0, 1.0, 1.0, 0.5, 0.5, 0.5, 0.2, -0.4])
-        g = gen.GeneratorSpec(3, lambda t: np.diag(diag).astype(complex))
-        w = dv.first_order_witness(g, 0.0)
-        assert w.delta_rate < 0
-        assert abs(np.vdot(w.phi, w.psi)) <= 1e-10
-        assert abs(np.trace(w.m)) <= 1e-10
-        value = dv.verify_witness(g, w, dt=1e-4)
-        assert value < 0
-        assert value / 1e-4 == pytest.approx(w.delta_rate, rel=1e-2)
+        g = gen.GeneratorSpec(3, np.diag(diag).astype(complex))
+        with pytest.raises(ValueError, match="qubit generators"):
+            dv.first_order_witness(g, 0.0)
 
     def test_rejects_nonnegative_coefficients(self):
         g = gen.model_generator(0.9)

@@ -194,9 +194,7 @@ class TestInformationFlow:
 
     def test_single_map_flow_never_positive(self):
         alpha = 0.6
-        rng = np.random.default_rng(0)
-        for _ in range(10):
-            pair = iflow.haar_orthogonal_pair(2, rng)
+        for pair in iflow.pair_library(2, 10, seed=0)[3:]:
             assert np.all(one_pair_flow(model_map(alpha), pair, [0.2, 1.0, 3.0]) <= 1e-9)
 
     def test_forward_difference_near_origin(self):
@@ -229,10 +227,8 @@ class TestInformationFlow:
 
     def test_trace_norm_monotone_for_single_map(self):
         alpha = 0.6
-        rng = np.random.default_rng(1)
         grid = pf.default_grid(t_max=4.0, points=40)
-        for _ in range(5):
-            pair = iflow.haar_orthogonal_pair(2, rng)
+        for pair in iflow.pair_library(2, 5, seed=1)[3:]:
             delta = pair.difference()
             norms = [np.abs(np.linalg.eigvalsh(
                 so.apply(pf.channel(float(t), alpha), delta))).sum() for t in grid]
@@ -268,9 +264,10 @@ class TestPairLibraries:
             np.testing.assert_array_equal(a.rho2, b.rho2)
 
     def test_haar_pairs_deterministic_given_seed(self):
-        p1 = iflow.haar_orthogonal_pair(4, np.random.default_rng(5))
-        p2 = iflow.haar_orthogonal_pair(4, np.random.default_rng(5))
-        np.testing.assert_array_equal(p1.rho1, p2.rho1)
+        p1, p2 = (iflow.pair_library(4, 3, seed=5)[-3:] for _ in range(2))
+        for a, b in zip(p1, p2):
+            np.testing.assert_array_equal(a.rho1, b.rho1)
+            np.testing.assert_array_equal(a.rho2, b.rho2)
 
 
 class TestBackflowScan:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from divischeck.linalg import (
     PAULI,
@@ -65,9 +67,38 @@ class TestInverse:
             inverse(np.diag([1.0, 1e-13]))
 
 
+PAULI_COEFFS = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
+
+
+def coefficient_vectors():
+    """Complex a for m = c I + a.sigma: generic draws and the structured
+    ones where Re a and Im a are parallel or a vanishes."""
+    real = st.lists(PAULI_COEFFS, min_size=3, max_size=3).map(np.array)
+    phase = st.floats(0.0, 2.0 * np.pi)
+    return st.one_of(
+        st.tuples(real, real).map(lambda ri: ri[0] + 1j * ri[1]),
+        real.map(lambda r: r + 0j),
+        st.tuples(phase, real).map(lambda pr: np.exp(1j * pr[0]) * pr[1]),
+        st.tuples(PAULI_COEFFS, PAULI_COEFFS).map(
+            lambda xy: np.array([0.0, xy[0] + 1j * xy[1], 0.0])),
+        st.just(np.array([0.5, 0.5j, 0.0])),     # sigma_+
+        st.just(np.zeros(3, dtype=complex)),
+    )
+
+
 class TestSimilarityToTranspose:
     def residual(self, m, u):
         return np.linalg.norm(m.T - u @ m @ np.linalg.inv(u))
+
+    @settings(max_examples=300, deadline=None)
+    @given(coefficient_vectors(), PAULI_COEFFS, PAULI_COEFFS)
+    def test_unitary_closed_form(self, a, c_re, c_im):
+        m = (c_re + 1j * c_im) * PAULI[0] + sum(x * s for x, s in zip(a, PAULI[1:]))
+        u = similarity_to_transpose(m)
+        assert np.linalg.norm(u @ u.conj().T - np.eye(2)) <= 1e-12
+        assert self.residual(m, u) <= 1e-8 * max(1.0, np.linalg.norm(m))
+        if np.array_equal(m, m.T):
+            np.testing.assert_array_equal(u, np.eye(2))
 
     def test_symmetric_input_gives_identity_class(self):
         m = np.array([[1.0, 2.0], [2.0, -1.0]], dtype=complex)
@@ -82,21 +113,29 @@ class TestSimilarityToTranspose:
     def test_random_diagonalizable(self):
         rng = np.random.default_rng(11)
         for _ in range(10):
-            m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+            m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
             u = similarity_to_transpose(m)
             assert self.residual(m, u) <= 1e-8 * max(1.0, np.linalg.norm(m))
 
     @pytest.mark.parametrize("m", [
         np.array([[0.0, 1.0], [0.0, 0.0]]),
         np.array([[2.0 - 1.0j, 1.0], [0.0, 2.0 - 1.0j]]),
-        np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]]),
-        np.array([[3.0, 1.0, 0.0], [0.0, 3.0, 0.0], [0.0, 0.0, -1.0]]),
-    ], ids=["nilpotent-2", "jordan-2", "jordan-3", "jordan-2-plus-1"])
+    ], ids=["nilpotent-2", "jordan-2"])
     def test_defective(self, m):
-        # no eigenbasis exists; U comes from the linear equation m.T U = U m
+        # no eigenbasis exists; the closed form needs none
         u = similarity_to_transpose(m)
         assert self.residual(m, u) <= 1e-8 * max(1.0, np.linalg.norm(m))
         assert np.linalg.cond(u) <= 1e12
+
+    def test_rejects_non_2x2(self):
+        m = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]])
+        with pytest.raises(ValueError, match="2x2"):
+            similarity_to_transpose(m)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_rejects_nonfinite(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            similarity_to_transpose(np.array([[0.0, bad], [1.0, 0.0]]))
 
     def test_traceless_witness_style_input(self):
         # the shape that the witness construction feeds in: sums of weighted

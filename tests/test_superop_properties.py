@@ -6,7 +6,7 @@ The loop builds below are the defining constructions of ``tensor`` and
 over matrix units); the reshaped versions must reproduce them bit for bit.
 """
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -120,13 +120,50 @@ def test_compose_applies_in_turn(data, d):
                                so.apply(s1, so.apply(s2, x)), rtol=0, atol=1e-9)
 
 
+def pauli_transfer_map(r):
+    """The qubit map with S[sigma_j] = sum_i r_ij sigma_i; Hermiticity-preserving
+    for real r, and trace-preserving when r's first row is (1, 0, 0, 0)."""
+    basis = np.array([so.vec(p) for p in PAULI]).T
+    return so.Superoperator(2, 0.5 * basis @ r @ basis.conj().T)
+
+
 def unital_qubit_map(t):
     """The qubit map taking (I + r.sigma)/2 to (I + (t r).sigma)/2 (Bloch form,
     no translation), extended linearly."""
     bloch = np.eye(4)
     bloch[1:, 1:] = t
-    basis = np.array([so.vec(p) for p in PAULI]).T
-    return so.Superoperator(2, 0.5 * basis @ bloch @ basis.conj().T)
+    return pauli_transfer_map(bloch)
+
+
+TRANSFER_ENTRIES = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False,
+                             allow_subnormal=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(np.float64, (4, 4), elements=TRANSFER_ENTRIES))
+def test_tensor_square_choi_spectrum_is_the_pairwise_products(r):
+    """choi(S (x) S) is a reordering of choi(S) (x) choi(S), so its spectrum is
+    the pairwise products of choi(S)'s.  A tensor interleave that does not
+    match the Choi realignment breaks the reordering."""
+    s = pauli_transfer_map(r)
+    w = np.linalg.eigvalsh(so.choi(s))
+    got = np.linalg.eigvalsh(so.choi(so.tensor(s, s)))
+    want = np.sort(np.outer(w, w).ravel())
+    assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(w)) ** 2)
+
+
+@settings(max_examples=200, deadline=None)
+@example(np.zeros((3, 4)))                               # fully depolarizing: CP
+@example(np.hstack([np.zeros((3, 1)), -np.eye(3)]))     # universal NOT: not CP
+@given(arrays(np.float64, (3, 4), elements=TRANSFER_ENTRIES))
+def test_tensor_square_of_trace_preserving_map_is_cp_iff_the_map_is(rows):
+    """The source paper's first claim at the level of one map: a negative Choi
+    eigenvalue times a positive one (the trace is 2) is a negative eigenvalue
+    of the tensor square's Choi matrix."""
+    s = pauli_transfer_map(np.vstack([[1.0, 0.0, 0.0, 0.0], rows]))
+    cp, min_eig = so.is_cp(s)
+    assume(abs(min_eig) >= 1e-6)        # clear of the tolerance edge
+    assert so.is_cp(so.tensor(s, s))[0] is cp
 
 
 @settings(max_examples=300, deadline=None)

@@ -347,21 +347,23 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="divischeck",
         description="Positivity and divisibility diagnostics for qubit dynamical maps.",
     )
+    # the flags every command takes, built once and shared through ``parents``
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="JSON file with RunConfig fields")
     hints = get_type_hints(RunConfig)
+    for f in fields(RunConfig):
+        meta = f.metadata
+        flag = meta.get("flag", "--" + f.name.replace("_", "-"))
+        if hints[f.name] is bool:
+            common.add_argument(flag, action="store_true", default=None,
+                                dest=f.name, help=meta.get("help"))
+        else:
+            common.add_argument(flag, type=meta.get("parse", hints[f.name]),
+                                dest=f.name, choices=meta.get("choices"),
+                                metavar=meta.get("metavar"), help=meta.get("help"))
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text) in COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", help="JSON file with RunConfig fields")
-        for f in fields(RunConfig):
-            meta = f.metadata
-            flag = meta.get("flag", "--" + f.name.replace("_", "-"))
-            if hints[f.name] is bool:
-                p.add_argument(flag, action="store_true", default=None,
-                               dest=f.name, help=meta.get("help"))
-            else:
-                p.add_argument(flag, type=meta.get("parse", hints[f.name]),
-                               dest=f.name, choices=meta.get("choices"),
-                               metavar=meta.get("metavar"), help=meta.get("help"))
+        sub.add_parser(name, help=help_text, parents=[common])
     return parser
 
 

@@ -291,13 +291,26 @@ def propagate(g: GeneratorSpec, grid, step: float) -> PropagatedFamily:
     midpoint and right end.  One stacked ``rk4_increment`` call forms every
     increment D_n of a block.  A pairwise tree of batched matmuls,
     E <- E_early + E_late + E_late E_early, multiplies the steps I + D_n out
-    as E = P - I, kept apart from I (see ``_BLOCK``).  When every L a block
-    evaluated equals its left-end L exactly (a time-independent generator),
-    one unstacked ``rk4_increment`` call forms the block's single D, and
-    repeated squaring joins its k copies in the tree's own order with about
-    2 log2(k) matmuls.  The blocks fold into the segment's E the same way.
-    Each segment is recorded as I + E, and the map steps once per segment,
-    M <- M + E M.  Deterministic.
+    as E = P - I, kept apart from I (see ``_BLOCK``).
+
+    A block is constant when every L it evaluated equals its left-end L
+    exactly (a time-independent generator).  Then one unstacked
+    ``rk4_increment`` call forms its single D, and repeated squaring joins
+    the k copies in the tree's own order with about 2 log2(k) matmuls.
+    When every L is the very object of the left-end L, as for a fixed C
+    without a Hamiltonian, the block is known constant without stacking or
+    comparing, and its E, which depends only on (L, h, k), is formed once
+    per (h, k) and reused while L stays that object.  Blocks of equal but
+    distinct L (a constant callable C, or a fixed C with a constant
+    Hamiltonian) are stacked, compared and squared without reuse.  The
+    blocks fold into the segment's E the same way.  Each segment is
+    recorded as I + E, and the map steps once per segment, M <- M + E M.
+    Deterministic.
+
+    RK4 stability is not checked here: h |lambda| must stay inside RK4's
+    stability region for every eigenvalue lambda of every L(t), or the maps
+    grow without bound.  On the negative real axis the limit is 2.7853.
+    Only the ``divisibility`` command checks this, for its ``--dynamics``.
     """
     grid = check_grid(grid)
     if abs(grid[0]) > 1e-12:
@@ -315,20 +328,30 @@ def propagate(g: GeneratorSpec, grid, step: float) -> PropagatedFamily:
     maps = [Superoperator(g.dim, eye)]
     segments = []
     l_left = lmat(float(grid[0]))
+    powers, powers_of = {}, None   # (h, k) -> E of (I + D)^k, D the increment of powers_of
     for t0, t1 in zip(grid[:-1], grid[1:]):
         span = float(t1 - t0)
         nsub = max(1, math.ceil(span / step - 1e-12))
         h = span / nsub
         e = np.zeros_like(eye)
         for start in range(0, nsub, _BLOCK):
-            times = [float(t0) + k * h for k in range(start, min(start + _BLOCK, nsub))]
-            mids = np.array([lmat(t + 0.5 * h) for t in times])
-            rights = np.array([lmat(t + h) for t in times])
-            if (mids == l_left).all() and (rights == l_left).all():
-                d = _constant_tree(rk4_increment(l_left, l_left, l_left, h), len(times))
+            times = [float(t0) + i * h for i in range(start, min(start + _BLOCK, nsub))]
+            k = len(times)
+            mids = [lmat(t + 0.5 * h) for t in times]
+            rights = [lmat(t + h) for t in times]
+            if all(lm is l_left for lm in mids + rights):
+                if powers_of is not l_left:
+                    powers, powers_of = {}, l_left
+                if (h, k) not in powers:
+                    powers[h, k] = _constant_tree(rk4_increment(l_left, l_left, l_left, h), k)
+                d = powers[h, k]
             else:
-                lefts = np.concatenate([l_left[None], rights[:-1]])
-                d = _tree(rk4_increment(lefts, mids, rights, h))
+                mid_stack, right_stack = np.array(mids), np.array(rights)
+                if (mid_stack == l_left).all() and (right_stack == l_left).all():
+                    d = _constant_tree(rk4_increment(l_left, l_left, l_left, h), k)
+                else:
+                    lefts = np.concatenate([l_left[None], right_stack[:-1]])
+                    d = _tree(rk4_increment(lefts, mid_stack, right_stack, h))
             e = _join(e, d)
             l_left = rights[-1]
         segments.append(Superoperator(g.dim, eye + e))

@@ -65,17 +65,30 @@ class StatePair:
         self.rho2 = np.asarray(self.rho2, dtype=complex)
         if self.rho1.shape != self.rho2.shape:
             raise ValueError("state pair dimensions differ")
-        for name, rho in (("rho1", self.rho1), ("rho2", self.rho2)):
-            if not np.all(np.isfinite(rho)):
-                raise ValueError(f"{name} has non-finite entries")
-            if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-                raise ValueError(f"{name} is not a square matrix")
-            if np.max(np.abs(rho - rho.conj().T)) > STATE_TOL:
-                raise ValueError(f"{name} is not Hermitian within {STATE_TOL:.0e}")
-            if abs(np.trace(rho) - 1.0) > STATE_TOL:
-                raise ValueError(f"{name} does not have unit trace")
-            if np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0] < -STATE_TOL:
-                raise ValueError(f"{name} is not positive semidefinite within {STATE_TOL:.0e}")
+        # both states in one pass per check, which names the first failing state
+        pair = np.stack([self.rho1, self.rho2])
+
+        def check(ok: np.ndarray, fault: str) -> None:
+            if not ok.all():
+                raise ValueError(f"rho{int(np.argmin(ok)) + 1} {fault}")
+
+        check(np.isfinite(pair).reshape(2, -1).all(axis=1), "has non-finite entries")
+        if pair.ndim != 3 or pair.shape[1] != pair.shape[2]:
+            raise ValueError("rho1 is not a square matrix")
+        adjoint = pair.conj().swapaxes(1, 2)
+        check(np.abs(pair - adjoint).max(axis=(1, 2)) <= STATE_TOL,
+              f"is not Hermitian within {STATE_TOL:.0e}")
+        check(np.abs(np.trace(pair, axis1=1, axis2=2) - 1.0) <= STATE_TOL,
+              "does not have unit trace")
+        # one eigensolve of the direct sum diag(rho1, rho2), whose spectrum is the
+        # union of theirs; only a failure is traced back to its state
+        hermitian = 0.5 * (pair + adjoint)
+        d = len(self.rho1)
+        direct_sum = np.zeros((2 * d, 2 * d), dtype=complex)
+        direct_sum[:d, :d], direct_sum[d:, d:] = hermitian
+        if np.linalg.eigvalsh(direct_sum)[0] < -STATE_TOL:
+            check(np.linalg.eigvalsh(hermitian)[:, 0] >= -STATE_TOL,
+                  f"is not positive semidefinite within {STATE_TOL:.0e}")
 
     def difference(self) -> np.ndarray:
         return self.rho1 - self.rho2

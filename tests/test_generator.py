@@ -108,6 +108,26 @@ def record_increment_args(monkeypatch) -> list:
     return lefts
 
 
+def record_constant_trees(monkeypatch) -> list:
+    """Record the copy count k of every ``_constant_tree`` call."""
+    tree = gen._constant_tree
+    counts = []
+
+    def recorded(d, k):
+        counts.append(k)
+        return tree(d, k)
+
+    monkeypatch.setattr(gen, "_constant_tree", recorded)
+    return counts
+
+
+def assert_same_family(fam, ref):
+    """Every map and every segment of ``fam`` equals ``ref``'s bit for bit."""
+    assert len(fam.maps) == len(ref.maps)
+    for m, r in zip(fam.maps + fam.segments, ref.maps + ref.segments):
+        assert np.array_equal(m.mat, r.mat)
+
+
 def rotating_drive_generator(rates, omega):
     """Fixed rates under a rotating drive; its L(t) at different times do not
     commute, so the order of every product shows."""
@@ -465,14 +485,53 @@ class TestPropagate:
         assert max(lengths) <= gen._BLOCK
 
     def test_constant_generator_squares_one_increment_per_block(self, monkeypatch):
-        # L is still evaluated at all 2N + 1 substep times, but every block
-        # forms its single increment unstacked
+        # L is still evaluated at all 2N + 1 substep times, but each block
+        # length (64 and 52 here) forms its single increment once, unstacked
         calls = count_liouvillian_calls(monkeypatch)
         lefts = record_increment_args(monkeypatch)
+        trees = record_constant_trees(monkeypatch)
         gen.propagate(gen.qubit_rate_generator((0.6, 0.6, 0.6)), [0.0, 0.5], 1e-3)
         assert len(calls) == 1 + 2 * 500
-        assert len(lefts) == math.ceil(500 / gen._BLOCK)
+        assert len(lefts) == 2
         assert all(left.ndim == 2 for left in lefts)
+        assert trees == [gen._BLOCK, 500 % gen._BLOCK]
+
+    @pytest.mark.parametrize("grid, powers", [
+        (np.linspace(0.0, 5.0, 21), 2),   # spans of 250 substeps: blocks of 64 and 58
+        (pf.default_grid(), 9),           # 200 spans of 25 substeps, 9 distinct float h
+    ], ids=["probe-clean", "default-grid"])
+    def test_fixed_generator_forms_each_block_power_once(self, monkeypatch, grid, powers):
+        # the callable-rate twin returns a fresh L on every call, so it stacks
+        # and compares every block and reuses nothing
+        rates = (0.6, 0.6, 0.6)
+        twin = gen.propagate(gen.GeneratorSpec(2, lambda t: rates), grid, 1e-3)
+        lefts = record_increment_args(monkeypatch)
+        trees = record_constant_trees(monkeypatch)
+        fam = gen.propagate(gen.qubit_rate_generator(rates), grid, 1e-3)
+        assert len(trees) == powers
+        assert all(left.ndim == 2 for left in lefts)
+        assert_same_family(fam, twin)
+
+    def test_block_powers_are_not_reused_across_a_change_of_l(self, monkeypatch):
+        # L is one object on t < 1 and another after it; the blocks on either
+        # side have the same (h, k)
+        la = gen.liouvillian(gen.qubit_rate_generator((0.6, 0.6, 0.6)))(0.0)
+        lb = gen.liouvillian(gen.qubit_rate_generator((0.2, 0.4, 0.9)))(0.0)
+
+        def piecewise(fresh):
+            def at(t):
+                lm = la if t < 1.0 else lb
+                return lm.copy() if fresh else lm
+            return at
+
+        g, grid = gen.qubit_rate_generator((0.0, 0.0, 0.0)), np.linspace(0.0, 2.0, 9)
+        monkeypatch.setattr(gen, "liouvillian", lambda g: piecewise(fresh=True))
+        twin = gen.propagate(g, grid, 1e-3)
+        monkeypatch.setattr(gen, "liouvillian", lambda g: piecewise(fresh=False))
+        trees = record_constant_trees(monkeypatch)
+        fam = gen.propagate(g, grid, 1e-3)
+        assert trees == [64, 58, 64, 58]
+        assert_same_family(fam, twin)
 
     @pytest.mark.parametrize("start, stop", [
         (0.2505, math.inf),   # one jump, at a midpoint inside the fourth block
@@ -527,6 +586,16 @@ def test_tree_product_matches_sequential_rk4(g, grid_step):
         np.testing.assert_allclose(m.mat, ref, rtol=0, atol=1e-14)
     for seg, before, after in zip(fam.segments, fam.maps, fam.maps[1:]):
         np.testing.assert_allclose(after.mat, seg.mat @ before.mat, rtol=0, atol=1e-14)
+
+
+@settings(max_examples=30, deadline=None)
+@given(RATES, st.lists(st.floats(0.03, 0.3), min_size=1, max_size=5))
+def test_fixed_generator_matches_callable_twin_bit_for_bit(rates, spans):
+    # unequal, non-dyadic spans of up to 300 substeps: the reused block
+    # powers give the maps the twin computes block by block
+    grid = np.concatenate([[0.0], np.cumsum(spans)])
+    twin = gen.propagate(gen.GeneratorSpec(2, lambda t: rates), grid, 1e-3)
+    assert_same_family(gen.propagate(gen.qubit_rate_generator(rates), grid, 1e-3), twin)
 
 
 @settings(max_examples=40, deadline=None)

@@ -57,6 +57,20 @@ class TestStatePair:
         with pytest.raises(ValueError, match="rho1 has non-finite entries"):
             iflow.StatePair(rho, np.eye(2, dtype=complex) / 2)
 
+    @pytest.mark.parametrize("bad, message", [
+        (np.array([[math.nan, 0.0], [0.0, 1.0]]), "has non-finite entries"),
+        (np.array([[0.5, 1.0], [0.0, 0.5]]), "is not Hermitian"),
+        (np.eye(2), "does not have unit trace"),
+        (np.diag([1.5, -0.5]), "is not positive semidefinite"),
+    ], ids=["non-finite", "non-hermitian", "trace", "negative"])
+    @pytest.mark.parametrize("slot", [1, 2])
+    def test_names_the_faulty_state(self, bad, message, slot):
+        # both states are checked in one stacked pass; the message names the bad one
+        good = np.eye(2, dtype=complex) / 2
+        states = (bad, good) if slot == 1 else (good, bad)
+        with pytest.raises(ValueError, match=f"^rho{slot} {message}"):
+            iflow.StatePair(*states)
+
 
 def _eigenvalue(lo, hi):
     return st.floats(lo, hi, allow_nan=False, allow_subnormal=False)

@@ -82,35 +82,28 @@ def _intermediates(family: PropagatedFamily, all_pairs: bool):
                 yield i, j, Superoperator(seg.dim, mat)
 
 
-def _scan(family: PropagatedFamily, kind: str, test, tol: float,
-          all_pairs: bool, stop_on_violation: bool, witness_kind: str,
-          note: str) -> DivisibilityReport:
-    """Run ``test(inter, i, j) -> (value, witness)`` on every selected pair.
+def _scan(family: PropagatedFamily, kind: str, results, tol: float,
+          stop_on_violation: bool, witness_kind: str, note: str) -> DivisibilityReport:
+    """Keep the lowest of ``results``, one (i, j, V(t_j, t_i), value,
+    witness) per scanned grid pair, in any order of offsets.
 
-    The lowest value wins (the first one on ties); it is a violation when
-    below ``-tol``.
+    The lowest value wins, the first pair in i-major order on ties; it is a
+    violation when below ``-tol``.
     """
     grid = np.asarray(family.grid, dtype=float)
-    worst = np.inf
-    worst_pair = None
-    worst_map = None
-    witness = None
+    worst, worst_i, worst_j, worst_map, witness = np.inf, 0, 0, None, None
     scanned = 0
-    for i, j, inter in _intermediates(family, all_pairs):
-        value, vector = test(inter, i, j)
+    for i, j, inter, value, vector in results:
         scanned += 1
-        if value < worst:
-            worst = float(value)
-            worst_pair = (float(grid[i]), float(grid[j]))
-            worst_map = inter
-            witness = vector
+        if (value, i) < (worst, worst_i):
+            worst, worst_i, worst_j, worst_map, witness = float(value), i, j, inter, vector
         if stop_on_violation and value < -tol:
             break
     verdict = VIOLATED if worst < -tol else HOLDS
     return DivisibilityReport(
         kind=kind,
         verdict=verdict,
-        worst_pair=worst_pair,
+        worst_pair=None if worst_map is None else (float(grid[worst_i]), float(grid[worst_j])),
         worst_map=worst_map,
         worst_value=worst,
         witness=witness if verdict == VIOLATED else None,
@@ -126,15 +119,25 @@ def cp_divisibility_scan(family: PropagatedFamily, tol: float = 1e-9,
 
     Consecutive pairs by default (divisibility failures of the families
     studied here already show at infinitesimal steps); ``all_pairs``
-    switches to the full upper-triangular pair set.
+    switches to the full upper-triangular pair set.  The pairs go by
+    diagonal offset k: the maps V(t_{i+k}, t_i) of one offset are one
+    stack, the segments for k = 1 and segs[i+k-1] @ V(t_{i+k-1}, t_i) after
+    it (the running products of ``_intermediates``, bit for bit), and one
+    stacked Choi ``eigh`` decides them all.
     """
-    def choi_min(inter, i, j):
-        cmat = superop.choi(inter)
-        w, v = np.linalg.eigh(0.5 * (cmat + cmat.conj().T))
-        return w[0], v[:, 0]
+    def choi_minima():
+        segs = np.array([seg.mat for seg in family.segments])
+        stack = segs
+        for k in range(1, (len(segs) if all_pairs else min(len(segs), 1)) + 1):
+            if k > 1:
+                stack = segs[k - 1:] @ stack[:-1]
+            cmat = superop.choi(stack)
+            w, v = np.linalg.eigh(0.5 * (cmat + cmat.conj().swapaxes(-1, -2)))
+            for i, (seg, mat) in enumerate(zip(family.segments, stack)):
+                inter = seg if k == 1 else Superoperator(seg.dim, mat)
+                yield i, i + k, inter, w[i, 0], v[i, :, 0]
 
-    return _scan(family, "CP", choi_min, tol, all_pairs, False,
-                 "choi-eigenvector",
+    return _scan(family, "CP", choi_minima(), tol, False, "choi-eigenvector",
                  "exact Choi-spectrum test on the scanned pairs")
 
 
@@ -149,15 +152,16 @@ def tensor_p_divisibility_probe(family: PropagatedFamily, restarts: int = 100,
     pure two-party state exposing that failure and reports it with the
     violating (s, t) pair.  It stops at the first violating pair.
     """
-    def probe(inter, i, j):
-        result = superop.positivity_probe(
-            tensor(inter, inter), restarts=restarts, steps=steps, tol=tol,
-            seed=np.random.SeedSequence([seed, i, j]).generate_state(1)[0],
-            stop_at=-tol,
-        )
-        return result.min_value, result.argmin_state
+    def probed():
+        for i, j, inter in _intermediates(family, all_pairs):
+            result = superop.positivity_probe(
+                tensor(inter, inter), restarts=restarts, steps=steps, tol=tol,
+                seed=np.random.SeedSequence([seed, i, j]).generate_state(1)[0],
+                stop_at=-tol,
+            )
+            yield i, j, inter, result.min_value, result.argmin_state
 
-    return _scan(family, "tensor-P", probe, tol, all_pairs, True,
+    return _scan(family, "tensor-P", probed(), tol, True,
                  "pure-state",
                  "randomized search: a violation is certified by its witness, "
                  "a clean scan is evidence only")

@@ -50,11 +50,14 @@ __all__ = [
     "rk4_increment",
 ]
 
-# Substeps whose L(t) and increments ``propagate`` stacks at once; bounds the
-# memory of a long grid segment.  A block whose L(t) are all equal forms one
-# increment and squares it instead.  Products of steps are kept as E = P - I,
-# as P would round every increment against I's unit entries.
+# Substeps of one segment that ``propagate`` stacks at most: a longer segment
+# goes in blocks, which bounds its memory.  Shorter segments share stacks of
+# at most _STACK substeps, as each stack costs a fixed Python overhead and a
+# tree over one block is only log2(_BLOCK) levels deep.  A stack whose L(t)
+# are all equal squares one increment per block instead.  Products of steps
+# are kept as E = P - I, as P would round every increment against I's units.
 _BLOCK = 64
+_STACK = 128
 
 
 def gell_mann_basis(d: int) -> np.ndarray:
@@ -80,14 +83,13 @@ def gell_mann_basis(d: int) -> np.ndarray:
 
 
 def _coefficients(value, n: int, t: float | None = None) -> np.ndarray:
-    """Validated Kossakowski coefficient matrix C from either of its two forms.
+    """Validated Kossakowski coefficients C, in the form they were given.
 
     A one-dimensional value is the real diagonal of C, its rate vector: a
     real diagonal is Hermitian, so only its length, its real dtype and each
-    entry's finiteness are checked, and the rates are written into the
-    diagonal slots of a complex zero (n, n) matrix.  Any other value must be
-    a finite Hermitian (n, n) matrix, and its exact Hermitian part is
-    returned.  ``t`` only labels error messages.
+    entry's finiteness are checked, and the rates are returned as they are.
+    Any other value must be a finite Hermitian (n, n) matrix, and its exact
+    Hermitian part is returned.  ``t`` only labels error messages.
     """
     c = np.asarray(value)
     if c.ndim == 1:
@@ -101,11 +103,12 @@ def _coefficients(value, n: int, t: float | None = None) -> np.ndarray:
     if c.shape != expected:
         at = "" if t is None else f" at t={t}"
         raise ValueError(f"coefficient {form}{at} has shape {c.shape}, expected {expected}")
-    if c.ndim == 1:
-        flat = np.zeros(n * n, dtype=complex)
-        flat[::n + 1] = c
-        c = flat.reshape(n, n)
     return c
+
+
+def _as_matrix(c: np.ndarray) -> np.ndarray:
+    """Validated C as a complex matrix, diag(rates) for a rate vector."""
+    return np.diag(c).astype(complex) if c.ndim == 1 else c
 
 
 @dataclass(eq=False)
@@ -132,14 +135,14 @@ class GeneratorSpec:
         self.basis = gell_mann_basis(self.dim)
         self.basis.flags.writeable = False
         if not callable(self.kossakowski):
-            self.kossakowski = _coefficients(self.kossakowski, self.dim * self.dim - 1)
+            self.kossakowski = _as_matrix(_coefficients(self.kossakowski, self.dim * self.dim - 1))
             self.kossakowski.flags.writeable = False
 
     def coefficient_matrix(self, t: float) -> np.ndarray:
         """Validated Hermitian C(t) as a matrix, diag(rates) for a rate
         vector; the read-only matrix itself when C is fixed."""
         c = self.kossakowski
-        return _coefficients(c(t), self.dim * self.dim - 1, t) if callable(c) else c
+        return _as_matrix(_coefficients(c(t), self.dim * self.dim - 1, t)) if callable(c) else c
 
 
 def qubit_rate_generator(rates) -> GeneratorSpec:
@@ -191,12 +194,15 @@ def liouvillian(g: GeneratorSpec) -> Callable[[float], np.ndarray]:
     C is contracted once, here: without a Hamiltonian every call returns
     that one read-only matrix.  A callable C goes through the same
     validation as a fixed one on every call, so a rate vector contracts as
-    its diagonal matrix, bit for bit, without a Hermiticity check.
+    its diagonal matrix, bit for bit, without a Hermiticity check: it
+    rewrites the diagonal slots of one flattened C kept by the closure.
     """
     terms = _dissipator_terms(g)
     d = g.dim
     n = d * d - 1
     eye = np.eye(d, dtype=complex)
+    coeffs = np.zeros(n * n, dtype=complex)
+    diagonal = coeffs[::n + 1]
     fixed = None
     if not callable(g.kossakowski):
         fixed = (g.kossakowski.reshape(-1) @ terms).reshape(d * d, d * d)
@@ -207,7 +213,9 @@ def liouvillian(g: GeneratorSpec) -> Callable[[float], np.ndarray]:
     def at(t: float) -> np.ndarray:
         if fixed is None:
             c = _coefficients(g.kossakowski(t), n, t)
-            mat = (c.reshape(-1) @ terms).reshape(d * d, d * d)
+            if c.ndim == 1:
+                diagonal[:] = c
+            mat = ((coeffs if c.ndim == 1 else c.reshape(-1)) @ terms).reshape(d * d, d * d)
         else:
             mat = fixed
         if g.hamiltonian is not None:
@@ -253,14 +261,15 @@ def _join(early: np.ndarray, late: np.ndarray) -> np.ndarray:
 
 
 def _tree(d: np.ndarray) -> np.ndarray:
-    """E of the product of the steps I + d[n], later steps on the left.
+    """E of the product of the steps I + d[..., n, :, :], later steps on the
+    left; leading axes hold independent products.
 
     A pairwise tree of batched joins; an odd stack carries its last entry up.
     """
-    while len(d) > 1:
-        joined = _join(d[0:-1:2], d[1::2])
-        d = np.concatenate([joined, d[-1:]]) if len(d) % 2 else joined
-    return d[0]
+    while d.shape[-3] > 1:
+        joined = _join(d[..., 0:-1:2, :, :], d[..., 1::2, :, :])
+        d = np.concatenate([joined, d[..., -1:, :, :]], axis=-3) if d.shape[-3] % 2 else joined
+    return d[..., 0, :, :]
 
 
 def _constant_tree(d: np.ndarray, k: int) -> np.ndarray:
@@ -282,30 +291,52 @@ def _constant_tree(d: np.ndarray, k: int) -> np.ndarray:
     return d if k else carry
 
 
+def _stacks(grid: np.ndarray, step: float):
+    """Yield the RK4 blocks of ``propagate`` in stacks.  A block (t0, h,
+    start, k, last) is substeps start .. start + k - 1, of size h, of the
+    segment from t0, ``last`` when it ends it.  A segment of more than
+    _BLOCK substeps yields its blocks one per stack; consecutive shorter
+    ones with equal k share stacks of at most _STACK substeps."""
+    stack = []
+    for t0, t1 in zip(grid[:-1], grid[1:]):
+        nsub = max(1, math.ceil(float(t1 - t0) / step - 1e-12))
+        blocks = [(float(t0), float(t1 - t0) / nsub, start, min(_BLOCK, nsub - start),
+                   start + _BLOCK >= nsub) for start in range(0, nsub, _BLOCK)]
+        if stack and (nsub != stack[0][3] or (len(stack) + 1) * nsub > _STACK):
+            yield stack
+            stack = []
+        if nsub > _BLOCK:
+            yield from ([block] for block in blocks)
+        else:
+            stack += blocks
+    if stack:
+        yield stack
+
+
 def propagate(g: GeneratorSpec, grid, step: float) -> PropagatedFamily:
     """Integrate d/dt M_t = L_t M_t with fixed-step classical RK4.
 
     Each grid segment is covered by an integer number of substeps of size
-    at most ``step``, so grid points are hit exactly.  The substeps go in
-    blocks of at most ``_BLOCK``, and L is evaluated at every substep's
-    midpoint and right end.  One stacked ``rk4_increment`` call forms every
-    increment D_n of a block.  A pairwise tree of batched matmuls,
-    E <- E_early + E_late + E_late E_early, multiplies the steps I + D_n out
-    as E = P - I, kept apart from I (see ``_BLOCK``).
+    at most ``step``, so grid points are hit exactly, and L is evaluated at
+    every substep's midpoint and right end.  The substeps go in blocks and
+    the blocks in stacks (see ``_stacks``); one stacked ``rk4_increment``
+    call forms every increment D_n of a stack, each block with its own h.
+    A pairwise tree of batched matmuls, E <- E_early + E_late + E_late E_early,
+    multiplies each block's steps I + D_n out as E = P - I, kept apart from
+    I (see ``_BLOCK``).
 
-    A block is constant when every L it evaluated equals its left-end L
+    A stack is constant when every L it evaluated equals its left-end L
     exactly (a time-independent generator).  Then one unstacked
-    ``rk4_increment`` call forms its single D, and repeated squaring joins
-    the k copies in the tree's own order with about 2 log2(k) matmuls.
-    When every L is the very object of the left-end L, as for a fixed C
-    without a Hamiltonian, the block is known constant without stacking or
-    comparing, and its E, which depends only on (L, h, k), is formed once
-    per (h, k) and reused while L stays that object.  Blocks of equal but
-    distinct L (a constant callable C, or a fixed C with a constant
-    Hamiltonian) are stacked, compared and squared without reuse.  The
-    blocks fold into the segment's E the same way.  Each segment is
-    recorded as I + E, and the map steps once per segment, M <- M + E M.
-    Deterministic.
+    ``rk4_increment`` call per block forms its single D, and repeated
+    squaring joins the k copies in the tree's own order with about
+    2 log2(k) matmuls.  When every L is the very object of the left-end L,
+    as for a fixed C without a Hamiltonian, the stack is known constant
+    without stacking or comparing, and a block's E, which depends only on
+    (L, h, k), is formed once per (h, k) and reused while L stays that
+    object.  The blocks fold into their segment's E the same way.  Each
+    segment is recorded as I + E, and the map steps once per segment,
+    M <- M + E M.  Maps and segments are those of a block-by-block loop
+    over the segments, bit for bit.  Deterministic.
 
     RK4 stability is not checked here: h |lambda| must stay inside RK4's
     stability region for every eigenvalue lambda of every L(t), or the maps
@@ -324,39 +355,41 @@ def propagate(g: GeneratorSpec, grid, step: float) -> PropagatedFamily:
 
     lmat = liouvillian(g)
     eye = np.eye(g.dim * g.dim, dtype=complex)
-    m = eye
+    m, e = eye, np.zeros_like(eye)
     maps = [Superoperator(g.dim, eye)]
     segments = []
     l_left = lmat(float(grid[0]))
     powers, powers_of = {}, None   # (h, k) -> E of (I + D)^k, D the increment of powers_of
-    for t0, t1 in zip(grid[:-1], grid[1:]):
-        span = float(t1 - t0)
-        nsub = max(1, math.ceil(span / step - 1e-12))
-        h = span / nsub
-        e = np.zeros_like(eye)
-        for start in range(0, nsub, _BLOCK):
-            times = [float(t0) + i * h for i in range(start, min(start + _BLOCK, nsub))]
-            k = len(times)
-            mids = [lmat(t + 0.5 * h) for t in times]
-            rights = [lmat(t + h) for t in times]
-            if all(lm is l_left for lm in mids + rights):
-                if powers_of is not l_left:
-                    powers, powers_of = {}, l_left
+    for stack in _stacks(grid, step):
+        k, hs = stack[0][3], [h for _, h, *_ in stack]
+        times = [(t0 + i * h, h) for t0, h, start, *_ in stack for i in range(start, start + k)]
+        mids = [lmat(t + 0.5 * h) for t, h in times]
+        rights = [lmat(t + h) for t, h in times]
+        if all(lm is l_left for lm in mids + rights):
+            if powers_of is not l_left:
+                powers, powers_of = {}, l_left
+            for h in hs:
                 if (h, k) not in powers:
                     powers[h, k] = _constant_tree(rk4_increment(l_left, l_left, l_left, h), k)
-                d = powers[h, k]
+            d = [powers[h, k] for h in hs]
+        else:
+            mid_stack, right_stack = np.array(mids), np.array(rights)
+            if (mid_stack == l_left).all() and (right_stack == l_left).all():
+                d = [_constant_tree(rk4_increment(l_left, l_left, l_left, h), k) for h in hs]
             else:
-                mid_stack, right_stack = np.array(mids), np.array(rights)
-                if (mid_stack == l_left).all() and (right_stack == l_left).all():
-                    d = _constant_tree(rk4_increment(l_left, l_left, l_left, h), k)
-                else:
-                    lefts = np.concatenate([l_left[None], right_stack[:-1]])
-                    d = _tree(rk4_increment(lefts, mid_stack, right_stack, h))
-            e = _join(e, d)
-            l_left = rights[-1]
-        segments.append(Superoperator(g.dim, eye + e))
-        m = m + e @ m
-        maps.append(Superoperator(g.dim, m))
+                lefts = np.concatenate([l_left[None], right_stack[:-1]])
+                shape = (len(stack), k) + l_left.shape
+                d = _tree(rk4_increment(lefts.reshape(shape), mid_stack.reshape(shape),
+                                        right_stack.reshape(shape),
+                                        np.array(hs)[:, None, None, None]))
+        l_left = rights[-1]
+        for (*_, last), block in zip(stack, d):
+            e = _join(e, block)
+            if last:
+                segments.append(Superoperator(g.dim, eye + e))
+                m = m + e @ m
+                maps.append(Superoperator(g.dim, m))
+                e = np.zeros_like(eye)
     return PropagatedFamily(grid, maps, segments)
 
 
@@ -380,30 +413,27 @@ class GeneratorCheckReport:
 
 
 def _grid_check(g: GeneratorSpec, grid, tol: float, criterion: str,
-                value_at) -> GeneratorCheckReport:
-    """Minimize ``value_at(C(t), t) -> (value, pair)`` over the grid.
+                values_of, pairs=None) -> GeneratorCheckReport:
+    """Minimize a criterion over the grid, with C(t) evaluated once per time.
 
-    The first worst time (and pair) is kept on ties; the criterion is
-    satisfied when the minimum is at least ``-tol``.
+    ``values_of(cs, times)`` maps the (T, n, n) stack of C(t) at the T grid
+    times to a (T, P) array, column p for ``pairs[p]`` (one column without
+    pairs).  The first worst time, then pair, is kept on ties; the criterion
+    is satisfied when the minimum is at least ``-tol``.
     """
     grid = check_grid(grid)
-    worst_value = np.inf
-    worst_time = float(grid[0])
-    worst_pair = None
-    for t in grid:
-        value, pair = value_at(g.coefficient_matrix(float(t)), float(t))
-        if value < worst_value:
-            worst_value = float(value)
-            worst_time = float(t)
-            worst_pair = pair
+    times = [float(t) for t in grid]
+    values = values_of(np.array([g.coefficient_matrix(t) for t in times]), times)
+    worst, column = divmod(int(np.argmin(values)), values.shape[1])
+    worst_value = float(values[worst, column])
     spacing = float(np.max(np.diff(grid))) if len(grid) > 1 else math.inf
     where = f"grid resolution {spacing:g}" if len(grid) > 1 else f"t = {grid[0]:g}"
     return GeneratorCheckReport(
         criterion=criterion,
         satisfied=worst_value >= -tol,
-        worst_time=worst_time,
+        worst_time=times[worst],
         worst_value=worst_value,
-        worst_pair=worst_pair,
+        worst_pair=None if pairs is None else pairs[column],
         grid_points=len(grid),
         grid_spacing=spacing,
         note=f"verdict holds at {where} only",
@@ -415,31 +445,33 @@ def cp_divisibility_check(g: GeneratorSpec, grid, tol: float = 1e-9) -> Generato
 
     Nonnegative C on the whole grid is sufficient for the propagated
     intermediate maps to be completely positive; a negative eigenvalue
-    pinpoints where and by how much the criterion fails.
+    pinpoints where and by how much the criterion fails (one stacked solve).
     """
     return _grid_check(g, grid, tol, "kossakowski-positive",
-                       lambda c, t: (np.linalg.eigvalsh(c)[0], None))
+                       lambda cs, times: np.linalg.eigvalsh(cs)[:, :1])
 
 
 def p_divisibility_check_pauli(g: GeneratorSpec, grid, tol: float = 1e-9) -> GeneratorCheckReport:
     """P-divisibility criterion for qubit generators with diagonal C(t).
 
     The criterion is for the Pauli basis sigma_k/sqrt(2), the only qubit
-    basis.  Checks g_i(t) + g_j(t) >= -tol for all i != j over the grid;
-    rejects generators whose coefficient matrix is not diagonal, because
-    the pairwise-sum criterion only applies to that class.
+    basis.  Checks g_i(t) + g_j(t) >= -tol for all i != j over the grid, for
+    all grid times at once; rejects generators whose coefficient matrix is
+    not diagonal, naming the first such time, because the pairwise-sum
+    criterion only applies to that class.
     """
     if g.dim != 2:
         raise ValueError("the pairwise rate-sum criterion is specific to qubit generators")
 
-    def rate_sums(c: np.ndarray, t: float):
-        off = c - np.diag(np.diag(c))
-        if np.max(np.abs(off)) > 1e-12 * max(1.0, float(np.max(np.abs(c)))):
-            raise ValueError(
-                f"coefficient matrix at t={t} is not diagonal; the criterion does not apply"
-            )
-        gam = np.real(np.diag(c))
-        sums = [(float(gam[i] + gam[j]), (i, j)) for i, j in ((0, 1), (0, 2), (1, 2))]
-        return min(sums, key=lambda vp: vp[0])
+    def rate_sums(cs: np.ndarray, times: list[float]) -> np.ndarray:
+        size = np.abs(cs)
+        off = np.max(size * (1.0 - np.eye(3)), axis=(1, 2))
+        bad = np.flatnonzero(off > 1e-12 * np.maximum(1.0, np.max(size, axis=(1, 2))))
+        if len(bad):
+            raise ValueError(f"coefficient matrix at t={times[bad[0]]} is not diagonal; "
+                             "the criterion does not apply")
+        gam = np.real(np.diagonal(cs, axis1=1, axis2=2))
+        return gam[:, [0, 0, 1]] + gam[:, [1, 2, 2]]
 
-    return _grid_check(g, grid, tol, "pairwise-rate-sums", rate_sums)
+    return _grid_check(g, grid, tol, "pairwise-rate-sums", rate_sums,
+                       ((0, 1), (0, 2), (1, 2)))

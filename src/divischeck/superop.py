@@ -141,15 +141,18 @@ def tensor(s1: Superoperator, s2: Superoperator) -> Superoperator:
     return Superoperator(d, mat)
 
 
-def choi(s: Superoperator) -> np.ndarray:
+def choi(s: Superoperator | np.ndarray) -> np.ndarray:
     """Choi matrix C = sum_ij S[E_ij] kron E_ij (output factor first), as a
     d^2 x d^2 array; unnormalized, so trace d for trace-preserving S.
 
-    The entry C[(k, i), (l, j)] = S[E_ij][k, l] sits at S[(l, k), (j, i)],
-    so C is a realignment of the superoperator matrix.
+    ``s`` is a map or a stack (..., d^2, d^2) of map matrices, whose Choi
+    matrices come stacked alike.  The entry C[(k, i), (l, j)] = S[E_ij][k, l]
+    sits at S[(l, k), (j, i)], so C is a realignment of the map's matrix.
     """
-    d = s.dim
-    return s.mat.reshape(d, d, d, d).transpose(1, 3, 0, 2).reshape(d * d, d * d)
+    mats = s.mat if isinstance(s, Superoperator) else s
+    d = math.isqrt(mats.shape[-1])
+    return (mats.reshape(-1, d, d, d, d).transpose(0, 2, 4, 1, 3)
+            .reshape(mats.shape[:-2] + (d * d, d * d)))
 
 
 def is_cp(s: Superoperator, tol: float = 1e-9) -> tuple[bool, float]:

@@ -6,6 +6,7 @@ import math
 import numpy as np
 
 from divischeck import pauli_family as pf
+from divischeck.generator import PropagatedFamily, liouvillian, rk4_increment
 from divischeck.infoflow import EIGEN_FLOOR, StatePair
 from divischeck.linalg import PAULI
 from divischeck.superop import Superoperator, apply, choi, vec
@@ -116,3 +117,90 @@ def haar_orthogonal_pair(dim: int, rng: np.random.Generator, label: str = "") ->
     q = q * (np.diag(r) / np.abs(np.diag(r)))
     v1, v2 = q[:, 0] / np.linalg.norm(q[:, 0]), q[:, 1] / np.linalg.norm(q[:, 1])
     return StatePair(np.outer(v1, v1.conj()), np.outer(v2, v2.conj()), label=label)
+
+
+def _join(early: np.ndarray, late: np.ndarray) -> np.ndarray:
+    return early + late + late @ early
+
+
+def _tree(d: np.ndarray) -> np.ndarray:
+    """E of the product of the steps I + d[n] of one block, later on the left."""
+    while len(d) > 1:
+        joined = _join(d[0:-1:2], d[1::2])
+        d = np.concatenate([joined, d[-1:]]) if len(d) % 2 else joined
+    return d[0]
+
+
+def _constant_tree(d: np.ndarray, k: int) -> np.ndarray:
+    """``_tree`` of k copies of d, by repeated squaring in the tree's order."""
+    carry = None
+    while k + (carry is not None) > 1:
+        if carry is None:
+            carry = d if k % 2 else None
+        elif k % 2:
+            carry = _join(d, carry)
+        k //= 2
+        if k:
+            d = _join(d, d)
+    return d if k else carry
+
+
+def segment_loop_propagate(g, grid, step: float, block: int = 64) -> PropagatedFamily:
+    """Reference RK4 propagation, one grid segment at a time and one block of
+    at most ``block`` substeps at a time: each block's increments stacked and
+    multiplied out by a pairwise tree, or, when every L(t) of the block equals
+    its left-end L, one increment squared (formed once per step size and
+    length while L is one object), and the blocks joined into the segment's
+    E = P - I in order.  This is the loop ``generator.propagate`` ran before it
+    stacked short segments together; its maps and segments are bit for bit
+    the package's."""
+    grid = np.asarray(grid, dtype=float)
+    lmat = liouvillian(g)
+    eye = np.eye(g.dim * g.dim, dtype=complex)
+    m = eye
+    maps = [Superoperator(g.dim, eye)]
+    segments = []
+    l_left = lmat(float(grid[0]))
+    powers, powers_of = {}, None
+    for t0, t1 in zip(grid[:-1], grid[1:]):
+        span = float(t1 - t0)
+        nsub = max(1, math.ceil(span / step - 1e-12))
+        h = span / nsub
+        e = np.zeros_like(eye)
+        for start in range(0, nsub, block):
+            times = [float(t0) + i * h for i in range(start, min(start + block, nsub))]
+            k = len(times)
+            mids = [lmat(t + 0.5 * h) for t in times]
+            rights = [lmat(t + h) for t in times]
+            if all(lm is l_left for lm in mids + rights):
+                if powers_of is not l_left:
+                    powers, powers_of = {}, l_left
+                if (h, k) not in powers:
+                    powers[h, k] = _constant_tree(rk4_increment(l_left, l_left, l_left, h), k)
+                d = powers[h, k]
+            else:
+                mid_stack, right_stack = np.array(mids), np.array(rights)
+                if (mid_stack == l_left).all() and (right_stack == l_left).all():
+                    d = _constant_tree(rk4_increment(l_left, l_left, l_left, h), k)
+                else:
+                    lefts = np.concatenate([l_left[None], right_stack[:-1]])
+                    d = _tree(rk4_increment(lefts, mid_stack, right_stack, h))
+            e = _join(e, d)
+            l_left = rights[-1]
+        segments.append(Superoperator(g.dim, eye + e))
+        m = m + e @ m
+        maps.append(Superoperator(g.dim, m))
+    return PropagatedFamily(grid, maps, segments)
+
+
+def pair_by_pair_cp_scan(pairs):
+    """Reference CP scan over ``(i, j, V(t_j, t_i))`` triples in i-major
+    order: one Choi eigensolve per pair, the first lowest minimum winning.
+    Returns (min eigenvalue, (i, j), map, eigenvector), or None for no pairs."""
+    best = None
+    for i, j, inter in pairs:
+        c = choi(inter)
+        w, v = np.linalg.eigh(0.5 * (c + c.conj().T))
+        if best is None or w[0] < best[0]:
+            best = (w[0], (i, j), inter, v[:, 0])
+    return best

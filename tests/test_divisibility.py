@@ -12,7 +12,7 @@ from divischeck import generator as gen
 from divischeck import pauli_family as pf
 from divischeck import superop as so
 from divischeck.linalg import PAULI
-from oracles import intermediate_channel
+from oracles import intermediate_channel, pair_by_pair_cp_scan
 
 STEP = 1e-3
 ENTRIES = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
@@ -133,6 +133,70 @@ def test_intermediates_match_the_closed_form(grid, alpha, all_pairs):
         np.testing.assert_allclose(inter.mat, expected.mat, rtol=0, atol=1e-12)
     report = dv.cp_divisibility_scan(family, all_pairs=all_pairs)
     assert report.pairs_scanned == selected
+
+
+def assert_matches_pair_by_pair_scan(family, all_pairs):
+    """The stacked CP scan reports the per-pair reference's lowest pair, its
+    map and witness bit for bit."""
+    report = dv.cp_divisibility_scan(family, all_pairs=all_pairs)
+    value, (i, j), inter, vector = pair_by_pair_cp_scan(dv._intermediates(family, all_pairs))
+    assert report.worst_value == value
+    assert report.worst_pair == (float(family.grid[i]), float(family.grid[j]))
+    assert np.array_equal(report.worst_map.mat, inter.mat)
+    if report.verdict == dv.VIOLATED:
+        assert np.array_equal(report.witness, vector)
+    else:
+        assert report.witness is None
+    return report
+
+
+def driven_family(grid, alpha):
+    """A rotating drive over fixed rates, one of them negative: its segments
+    do not commute, and its lowest Choi eigenvalue often lies on a wide pair,
+    so the order of every product shows."""
+    g = gen.GeneratorSpec(2, (alpha, 0.5 * alpha, -0.2 * alpha), hamiltonian=lambda t: (
+        math.cos(3.0 * t) * PAULI[1] + math.sin(3.0 * t) * PAULI[3]))
+    return gen.propagate(g, grid, STEP)
+
+
+@settings(max_examples=25, deadline=None)
+@given(GRIDS, st.floats(0.3, 2.0),
+       st.sampled_from([model_family, semigroup_family, driven_family]), st.booleans())
+def test_stacked_cp_scan_matches_the_pair_by_pair_scan(grid, alpha, family_of, all_pairs):
+    assert_matches_pair_by_pair_scan(family_of(grid, alpha), all_pairs)
+
+
+@pytest.mark.parametrize("segments, all_pairs, pair", [
+    # every pair of one offset is the same map: the first one wins
+    (["transpose", "transpose", "transpose"], False, (0.0, 1.0)),
+    # V(t_2, t_0) = T I and V(t_2, t_1) = T tie at -1, and (0, 2) comes
+    # first in i-major order although its offset is scanned second
+    (["identity", "transpose"], True, (0.0, 2.0)),
+], ids=["consecutive", "all-pairs"])
+def test_stacked_cp_scan_keeps_the_first_pair_on_exact_ties(segments, all_pairs, pair):
+    eye = np.eye(4, dtype=complex)
+    maps = {"identity": eye, "transpose": eye[[0, 2, 1, 3]]}
+    segs = [so.Superoperator(2, maps[name]) for name in segments]
+    grid = np.arange(len(segs) + 1, dtype=float)
+    family = gen.PropagatedFamily(grid, [so.identity(2)] * len(grid), segs)
+    report = assert_matches_pair_by_pair_scan(family, all_pairs)
+    assert report.worst_pair == pair
+    assert report.worst_value == pytest.approx(-1.0)
+
+
+def test_stacked_cp_scan_finds_a_wide_pair_of_non_commuting_segments():
+    grid = np.linspace(0.0, 1.0, 6)
+    report = assert_matches_pair_by_pair_scan(driven_family(grid, 0.6), True)
+    assert report.worst_pair[1] - report.worst_pair[0] > 0.2 + 1e-12
+
+
+def test_stacked_cp_scan_on_tied_offsets():
+    # a fixed semigroup on a dyadic grid: every pair of one offset is one map
+    grid = np.arange(7) / 8
+    family = semigroup_family(grid, 0.6)
+    assert all(np.array_equal(seg.mat, family.segments[0].mat) for seg in family.segments)
+    report = assert_matches_pair_by_pair_scan(family, True)
+    assert report.worst_pair[0] == 0.0
 
 
 class TestCorollaryChain:

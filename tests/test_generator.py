@@ -11,7 +11,8 @@ from divischeck import generator as gen
 from divischeck import pauli_family as pf
 from divischeck import superop as so
 from divischeck.linalg import PAULI, check_hermitian
-from oracles import generator_eigenvalues, is_trace_preserving, unvec
+from oracles import (generator_eigenvalues, is_trace_preserving, segment_loop_propagate,
+                     unvec)
 
 
 def apply_generator(g, t, rho):
@@ -244,6 +245,41 @@ class TestGeneratorSpec:
         with pytest.raises(ValueError, match="read-only"):
             gen.liouvillian(g)(0.3)[0, 0] = 2.0
 
+    @pytest.mark.parametrize("bad, message", [
+        ((1.0, complex(1.0, 0.5), 1.0), "rates must be real, got dtype complex128"),
+        ((1.0, math.nan, 1.0), "rates have non-finite entries"),
+        ((1.0, math.inf, 1.0), "rates have non-finite entries"),
+        ((1.0, 1.0), r"coefficient rate vector at t=0\.50*5? has shape \(2,\), expected \(3,\)"),
+        (np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0]], dtype=complex), "matrix is not Hermitian"),
+    ], ids=["complex", "nan", "inf", "wrong-length", "non-hermitian"])
+    def test_closure_rejects_a_bad_value_after_valid_rates(self, bad, message):
+        # valid rate vectors before t = 0.5 have filled the closure's coefficients
+        g = gen.GeneratorSpec(2, lambda t: bad if t >= 0.5 else (0.6, 0.6, 0.2))
+        lmat = gen.liouvillian(g)
+        lmat(0.25)
+        with pytest.raises(ValueError, match=message):
+            lmat(0.5)
+        with pytest.raises(ValueError, match=message):
+            gen.propagate(g, [0.0, 1.0], 0.01)
+
+    def test_switching_forms_match_the_matrix_twin(self):
+        # rate vectors on [0, 0.1), [0.2, 0.3), ... and a non-diagonal matrix
+        # between them: the matrix form must not leave its off-diagonal
+        # entries in the rate vectors' coefficients
+        c = np.array([[0.6, 0.1j, 0.0], [-0.1j, 0.6, 0.05], [0.0, 0.05, 0.3]])
+
+        def form(t, rates):
+            return c if int(10 * t) % 2 else rates(t)
+
+        switching = gen.GeneratorSpec(2, lambda t: form(t, lambda t: pf.rates(t, 0.6)))
+        twin = gen.GeneratorSpec(2, lambda t: form(
+            t, lambda t: np.diag(pf.rates(t, 0.6)).astype(complex)))
+        l_switching, l_twin = gen.liouvillian(switching), gen.liouvillian(twin)
+        for t in (0.05, 0.15, 0.25, 0.15, 0.05):
+            assert np.array_equal(l_switching(t), l_twin(t))
+        grid = np.linspace(0.0, 1.0, 11)
+        assert_same_family(gen.propagate(switching, grid, 1e-3), gen.propagate(twin, grid, 1e-3))
+
 
 class TestModelGenerator:
     def test_coefficients(self):
@@ -471,7 +507,8 @@ class TestPropagate:
 
     def test_liouvillian_calls_and_stack_bound(self, monkeypatch):
         # the closure is called 2N + 1 times for N substeps (the benchmark
-        # derives its RK4 step count from this), and no stack exceeds _BLOCK
+        # derives its RK4 step count from this); a long segment's blocks stay
+        # within _BLOCK, and short segments stack in at most _STACK substeps
         calls = count_liouvillian_calls(monkeypatch)
         grid, step = [0.0, 0.013, 0.05, 0.2, 0.237, 1.0], 0.004
         gen.propagate(gen.model_generator(0.6), grid, step)
@@ -480,9 +517,14 @@ class TestPropagate:
 
         lefts = record_increment_args(monkeypatch)
         gen.propagate(gen.model_generator(0.6), [0.0, 0.5], 1e-3)
-        lengths = [len(left) for left in lefts]
-        assert sum(lengths) == 500
-        assert max(lengths) <= gen._BLOCK
+        assert [left.shape[:-2] for left in lefts] == [(1, 64)] * 7 + [(1, 52)]
+        assert gen._BLOCK == 64
+
+        # the default grid's 200 segments of 25 substeps go five to a stack
+        lefts.clear()
+        gen.propagate(gen.model_generator(0.6), pf.default_grid(), 1e-3)
+        assert [left.shape[:-2] for left in lefts] == [(gen._STACK // 25, 25)] * 40
+        assert gen._STACK == 128
 
     def test_constant_generator_squares_one_increment_per_block(self, monkeypatch):
         # L is still evaluated at all 2N + 1 substep times, but each block
@@ -544,7 +586,7 @@ class TestPropagate:
         lefts = record_increment_args(monkeypatch)
         fam = gen.propagate(g, grid, 1e-3)
         # blocks of substeps 0-63, 64-127, ...: only 192-255 holds the change
-        assert [left.ndim for left in lefts] == [2, 2, 2, 3, 2, 2, 2, 2]
+        assert [left.ndim for left in lefts] == [2, 2, 2, 4, 2, 2, 2, 2]
         for m, ref in zip(fam.maps, sequential_propagate(g, grid, 1e-3)):
             np.testing.assert_allclose(m.mat, ref, rtol=0, atol=1e-14)
 
@@ -609,6 +651,29 @@ def test_fixed_generator_repeats_its_segment_bit_for_bit(rates, ticks, segments,
         assert np.array_equal(seg.mat, fam.segments[0].mat)
 
 
+@st.composite
+def packed_grids_and_steps(draw):
+    """A grid from 0 in runs of segments with equal substep counts, some
+    longer than _BLOCK; spans are not whole multiples of the step, so the
+    segments of one run share their substep count but not their h."""
+    step = draw(st.floats(1e-3, 0.01))
+    spans = []
+    for nsub, repeats in draw(st.lists(st.tuples(st.integers(1, 90), st.integers(1, 7)),
+                                       min_size=1, max_size=4)):
+        spans += [max(1.0, nsub - draw(st.floats(0.0, 0.5))) * step for _ in range(repeats)]
+    return np.concatenate([[0.0], np.cumsum(spans)]), step
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(QUBIT_GENERATORS,
+                 st.builds(switched_rates, st.floats(0.0, 0.5), st.floats(0.0, 2.0))),
+       packed_grids_and_steps())
+def test_stacked_segments_match_the_segment_loop_bit_for_bit(g, grid_step):
+    # packed stacks, single long-segment blocks, constant and varying L alike
+    grid, step = grid_step
+    assert_same_family(gen.propagate(g, grid, step), segment_loop_propagate(g, grid, step))
+
+
 class TestCpDivisibilityCheck:
     def test_model_never_cp_divisible(self):
         grid = pf.default_grid()
@@ -663,6 +728,16 @@ class TestPDivisibilityCheckPauli:
         with pytest.raises(ValueError, match="diagonal"):
             gen.p_divisibility_check_pauli(g, np.linspace(0.0, 1.0, 3))
 
+    def test_names_the_first_non_diagonal_time(self):
+        # off-diagonal from t = 0.5 on, larger from t = 0.75 on
+        def coefficients(t):
+            off = 1e-3 * ((t >= 0.5) + (t >= 0.75))
+            return np.array([[1.0, off, 0.0], [off, 1.0, 0.0], [0.0, 0.0, 1.0]], dtype=complex)
+
+        g = gen.GeneratorSpec(2, coefficients)
+        with pytest.raises(ValueError, match=r"at t=0\.5 is not diagonal"):
+            gen.p_divisibility_check_pauli(g, np.linspace(0.0, 1.0, 5))
+
 
 @pytest.mark.parametrize("check, pair", [
     (gen.cp_divisibility_check, None),
@@ -673,6 +748,21 @@ def test_grid_checks_keep_first_worst_on_ties(check, pair):
     report = check(gen.qubit_rate_generator((1.0, 1.0, 1.0)),
                    np.linspace(0.0, 2.0, 5))
     assert report.worst_time == 0.0
+    assert report.worst_pair == pair
+
+
+@pytest.mark.parametrize("check, pair", [
+    (gen.cp_divisibility_check, None),
+    (gen.p_divisibility_check_pauli, (0, 2)),
+])
+def test_grid_checks_find_a_minimum_at_the_last_time(check, pair):
+    # the third rate falls through zero: the last time is the worst, and the
+    # pairs (0, 2) and (1, 2) tie there
+    report = check(gen.qubit_rate_generator(lambda t: (1.0, 1.0, 1.0 - 2.0 * t)),
+                   np.linspace(0.0, 2.0, 5))
+    assert not report.satisfied
+    assert report.worst_time == 2.0
+    assert report.worst_value == (-3.0 if pair is None else -2.0)
     assert report.worst_pair == pair
 
 

@@ -108,8 +108,11 @@ def test_tensor_acts_on_products(data, d1, d2):
 @PROPERTY
 @given(st.data(), DIMS)
 def test_choi_is_the_defining_sum(data, d):
-    s = data.draw(maps(d))
+    s, s2 = data.draw(maps(d)), data.draw(maps(d))
     np.testing.assert_array_equal(so.choi(s), loop_choi(s))
+    # a (2, 1) stack of map matrices gives the stack of their Choi matrices
+    stacked = so.choi(np.stack([s.mat, s2.mat])[:, None])
+    np.testing.assert_array_equal(stacked, np.stack([loop_choi(s), loop_choi(s2)])[:, None])
 
 
 @PROPERTY

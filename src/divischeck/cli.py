@@ -85,7 +85,7 @@ class RunConfig:
     fd_step: float = field(default=1e-4, metadata={
         "help": "finite-difference step for flow rates / witness checks"})
     all_pairs: bool = field(default=False, metadata={
-        "help": "scan all grid pairs, not just consecutive"})
+        "help": "scan all grid pairs, shortest intervals first, not just consecutive"})
 
     def validate(self) -> None:
         for a in self.alpha:
@@ -142,7 +142,7 @@ def _write_json(path: str, payload) -> None:
         fh.write("\n")
 
 
-def _scan_report_payload(report: divisibility.DivisibilityReport) -> dict:
+def _divisibility_report_payload(report: divisibility.DivisibilityReport) -> dict:
     return {
         "kind": report.kind,
         "verdict": report.verdict,
@@ -218,8 +218,8 @@ def cmd_divisibility(cfg: RunConfig) -> tuple[list[str], dict]:
         "grid": {"t_max": cfg.t_max, "points": len(grid)},
         "cp_divisibility_check": asdict(cp_check),
         "p_divisibility_check": asdict(p_check),
-        "cp_divisibility_scan": _scan_report_payload(cp_scan),
-        "tensor_p_divisibility_probe": _scan_report_payload(tensor_probe),
+        "cp_divisibility_scan": _divisibility_report_payload(cp_scan),
+        "tensor_p_divisibility_probe": _divisibility_report_payload(tensor_probe),
         "tensor_witness_reevaluated": reevaluated,
     }
     path = cfg.output_path + ".json"

@@ -1,10 +1,12 @@
 """Divisibility scans over map families and the first-order tensor witness.
 
 Scans take the two-time propagators V(t_j, t_i) of a propagated family
-from its integrated grid segments, never from an inverse: a consecutive
-pair is one segment, a wider pair the running product of the segments it
-spans.  Each is tested exactly for complete positivity (Choi spectrum), or
-by randomized search for plain positivity of its tensor square.  A
+from its integrated grid segments, never from an inverse.  Both scans walk
+the pairs one way, as stacks of one diagonal offset k = j - i each: the
+segments for k = 1, and for wider pairs the product of the segments they
+span, one batched matmul per offset.  Each map is tested exactly for
+complete positivity (stacked Choi spectra), or by randomized search for
+plain positivity of its tensor square, pair by pair.  A
 "violated" verdict always ships a witness that reproduces the reported
 value on ``worst_map``; a clean scan is only a statement about the grid and
 the search budget.
@@ -67,45 +69,35 @@ class DivisibilityReport:
     note: str = ""
 
 
-def _intermediates(family: PropagatedFamily, all_pairs: bool):
-    """Yield ``(i, j, V(t_j, t_i))`` for the selected grid pairs, i-major.
+def _offset_stacks(family: PropagatedFamily, all_pairs: bool):
+    """Yield ``(k, stack)`` lazily for the diagonal offsets k of the selected
+    grid pairs, offset 1 first, with stack[i] = V(t_{i+k}, t_i).
 
-    Consecutive pairs are the integrated segments themselves; an all-pairs
-    row i chains them as segs[j-1] @ ... @ segs[i], one product per j.
+    Offset 1 is the stack of integrated segments; each later offset is one
+    batched matmul, segs[i+k-1] @ V(t_{i+k-1}, t_i).  Consecutive pairs
+    stop after offset 1.
     """
-    for i, seg in enumerate(family.segments):
-        yield i, i + 1, seg
-        if all_pairs:
-            mat = seg.mat
-            for j in range(i + 2, len(family.grid)):
-                mat = family.segments[j - 1].mat @ mat
-                yield i, j, Superoperator(seg.dim, mat)
+    segs = np.array([seg.mat for seg in family.segments])
+    stack = segs
+    for k in range(1, (len(segs) if all_pairs else min(len(segs), 1)) + 1):
+        if k > 1:
+            stack = segs[k - 1:] @ stack[:-1]
+        yield k, stack
 
 
-def _scan(family: PropagatedFamily, kind: str, results, tol: float,
-          stop_on_violation: bool, witness_kind: str, note: str) -> DivisibilityReport:
-    """Keep the lowest of ``results``, one (i, j, V(t_j, t_i), value,
-    witness) per scanned grid pair, in any order of offsets.
-
-    The lowest value wins, the first pair in i-major order on ties; it is a
-    violation when below ``-tol``.
-    """
-    grid = np.asarray(family.grid, dtype=float)
-    worst, worst_i, worst_j, worst_map, witness = np.inf, 0, 0, None, None
-    scanned = 0
-    for i, j, inter, value, vector in results:
-        scanned += 1
-        if (value, i) < (worst, worst_i):
-            worst, worst_i, worst_j, worst_map, witness = float(value), i, j, inter, vector
-        if stop_on_violation and value < -tol:
-            break
-    verdict = VIOLATED if worst < -tol else HOLDS
+def _report(family: PropagatedFamily, kind: str, tol: float, scanned: int, best,
+            worst_mat, witness, witness_kind: str, note: str) -> DivisibilityReport:
+    """Report a scan's lowest ``best`` = (value, i, j), the map matrix
+    ``worst_mat`` of that pair, a violation when the value is below ``-tol``;
+    (inf, 0, 0) and no matrix when nothing was scanned."""
+    value, i, j = best
+    verdict = VIOLATED if value < -tol else HOLDS
     return DivisibilityReport(
         kind=kind,
         verdict=verdict,
-        worst_pair=None if worst_map is None else (float(grid[worst_i]), float(grid[worst_j])),
-        worst_map=worst_map,
-        worst_value=worst,
+        worst_pair=None if worst_mat is None else (float(family.grid[i]), float(family.grid[j])),
+        worst_map=None if worst_mat is None else Superoperator(family.segments[0].dim, worst_mat),
+        worst_value=float(value),
         witness=witness if verdict == VIOLATED else None,
         witness_kind=witness_kind if verdict == VIOLATED else None,
         pairs_scanned=scanned,
@@ -119,26 +111,21 @@ def cp_divisibility_scan(family: PropagatedFamily, tol: float = 1e-9,
 
     Consecutive pairs by default (divisibility failures of the families
     studied here already show at infinitesimal steps); ``all_pairs``
-    switches to the full upper-triangular pair set.  The pairs go by
-    diagonal offset k: the maps V(t_{i+k}, t_i) of one offset are one
-    stack, the segments for k = 1 and segs[i+k-1] @ V(t_{i+k-1}, t_i) after
-    it (the running products of ``_intermediates``, bit for bit), and one
-    stacked Choi ``eigh`` decides them all.
+    switches to the full upper-triangular pair set.  One stacked Choi
+    ``eigh`` decides each offset stack and its ``argmin`` names the offset's
+    lowest pair; the lowest (value, i, j) over all offsets wins, so ties go
+    to the first pair in i-major order.
     """
-    def choi_minima():
-        segs = np.array([seg.mat for seg in family.segments])
-        stack = segs
-        for k in range(1, (len(segs) if all_pairs else min(len(segs), 1)) + 1):
-            if k > 1:
-                stack = segs[k - 1:] @ stack[:-1]
-            cmat = superop.choi(stack)
-            w, v = np.linalg.eigh(0.5 * (cmat + cmat.conj().swapaxes(-1, -2)))
-            for i, (seg, mat) in enumerate(zip(family.segments, stack)):
-                inter = seg if k == 1 else Superoperator(seg.dim, mat)
-                yield i, i + k, inter, w[i, 0], v[i, :, 0]
-
-    return _scan(family, "CP", choi_minima(), tol, False, "choi-eigenvector",
-                 "exact Choi-spectrum test on the scanned pairs")
+    best, worst_mat, witness, scanned = (np.inf, 0, 0), None, None, 0
+    for k, stack in _offset_stacks(family, all_pairs):
+        cmat = superop.choi(stack)
+        w, v = np.linalg.eigh(0.5 * (cmat + cmat.conj().swapaxes(-1, -2)))
+        i = int(np.argmin(w[:, 0]))
+        scanned += len(stack)
+        if (w[i, 0], i, i + k) < best:
+            best, worst_mat, witness = (w[i, 0], i, i + k), stack[i], v[i, :, 0]
+    return _report(family, "CP", tol, scanned, best, worst_mat, witness, "choi-eigenvector",
+                   "exact Choi-spectrum test on the scanned pairs")
 
 
 def tensor_p_divisibility_probe(family: PropagatedFamily, restarts: int = 100,
@@ -150,21 +137,29 @@ def tensor_p_divisibility_probe(family: PropagatedFamily, restarts: int = 100,
     For families whose coefficient matrix dips below zero somewhere, some
     tensor-squared intermediate map fails positivity; the scan hunts for a
     pure two-party state exposing that failure and reports it with the
-    violating (s, t) pair.  It stops at the first violating pair.
+    violating (s, t) pair.  It walks the offset stacks pair by pair, so
+    shortest intervals first, and stops at the first violating pair; pair
+    (i, j) is searched from seed ``SeedSequence([seed, i, j])`` whatever the
+    walk.  The lowest (value, i, j) scanned is reported.
     """
-    def probed():
-        for i, j, inter in _intermediates(family, all_pairs):
-            result = superop.positivity_probe(
-                tensor(inter, inter), restarts=restarts, steps=steps, tol=tol,
-                seed=np.random.SeedSequence([seed, i, j]).generate_state(1)[0],
-                stop_at=-tol,
-            )
-            yield i, j, inter, result.min_value, result.argmin_state
-
-    return _scan(family, "tensor-P", probed(), tol, True,
-                 "pure-state",
-                 "randomized search: a violation is certified by its witness, "
-                 "a clean scan is evidence only")
+    best, worst_mat, witness, scanned = (np.inf, 0, 0), None, None, 0
+    pairs = ((i, i + k, mat) for k, stack in _offset_stacks(family, all_pairs)
+             for i, mat in enumerate(stack))
+    for i, j, mat in pairs:
+        inter = Superoperator(family.segments[i].dim, mat)
+        result = superop.positivity_probe(
+            tensor(inter, inter), restarts=restarts, steps=steps, tol=tol,
+            seed=np.random.SeedSequence([seed, i, j]).generate_state(1)[0],
+            stop_at=-tol,
+        )
+        scanned += 1
+        if (result.min_value, i, j) < best:
+            best, worst_mat, witness = (result.min_value, i, j), mat, result.argmin_state
+        if best[0] < -tol:
+            break
+    return _report(family, "tensor-P", tol, scanned, best, worst_mat, witness, "pure-state",
+                   "randomized search: a violation is certified by its witness, "
+                   "a clean scan is evidence only")
 
 
 @dataclass(eq=False)

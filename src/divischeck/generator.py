@@ -12,8 +12,8 @@ The basis is not an input: a generator with matrix C over another
 orthonormal traceless basis B has C' = W C W† here, W_ki = Tr(F_k† B_i).
 
 Propagation integrates d/dt M_t = L_t M_t from the identity with classical
-fixed-step RK4; where L does not change, as for a time-independent
-generator, the power of one step is formed by repeated squaring.
+fixed-step RK4; where L is one fixed object, as for a fixed C without a
+Hamiltonian, the power of one step is formed by repeated squaring.
 Divisibility criteria at the generator level:
 
 * C(t) >= 0 on a grid is sufficient for the intermediate maps between grid
@@ -53,9 +53,9 @@ __all__ = [
 # Substeps of one segment that ``propagate`` stacks at most: a longer segment
 # goes in blocks, which bounds its memory.  Shorter segments share stacks of
 # at most _STACK substeps, as each stack costs a fixed Python overhead and a
-# tree over one block is only log2(_BLOCK) levels deep.  A stack whose L(t)
-# are all equal squares one increment per block instead.  Products of steps
-# are kept as E = P - I, as P would round every increment against I's units.
+# tree over one block is only log2(_BLOCK) levels deep; a stack with one L
+# object squares one increment per block instead.  Products of steps are
+# kept as E = P - I, as P would round every increment against I's units.
 _BLOCK = 64
 _STACK = 128
 
@@ -325,15 +325,14 @@ def propagate(g: GeneratorSpec, grid, step: float) -> PropagatedFamily:
     multiplies each block's steps I + D_n out as E = P - I, kept apart from
     I (see ``_BLOCK``).
 
-    A stack is constant when every L it evaluated equals its left-end L
-    exactly (a time-independent generator).  Then one unstacked
-    ``rk4_increment`` call per block forms its single D, and repeated
-    squaring joins the k copies in the tree's own order with about
-    2 log2(k) matmuls.  When every L is the very object of the left-end L,
-    as for a fixed C without a Hamiltonian, the stack is known constant
-    without stacking or comparing, and a block's E, which depends only on
-    (L, h, k), is formed once per (h, k) and reused while L stays that
-    object.  The blocks fold into their segment's E the same way.  Each
+    When every L a stack evaluated is the very object of its left-end L,
+    as for a fixed C without a Hamiltonian, the stack is constant.  A
+    block's E then depends only on (L, h, k): one unstacked
+    ``rk4_increment`` call forms its single D, repeated squaring joins the
+    k copies in the tree's own order with about 2 log2(k) matmuls, and E is
+    formed once per (h, k) and reused while L stays that object.  Every
+    other stack takes the tree, equal L values included (the same bits).
+    The blocks fold into their segment's E the same way.  Each
     segment is recorded as I + E, and the map steps once per segment,
     M <- M + E M.  Maps and segments are those of a block-by-block loop
     over the segments, bit for bit.  Deterministic.
@@ -374,14 +373,11 @@ def propagate(g: GeneratorSpec, grid, step: float) -> PropagatedFamily:
             d = [powers[h, k] for h in hs]
         else:
             mid_stack, right_stack = np.array(mids), np.array(rights)
-            if (mid_stack == l_left).all() and (right_stack == l_left).all():
-                d = [_constant_tree(rk4_increment(l_left, l_left, l_left, h), k) for h in hs]
-            else:
-                lefts = np.concatenate([l_left[None], right_stack[:-1]])
-                shape = (len(stack), k) + l_left.shape
-                d = _tree(rk4_increment(lefts.reshape(shape), mid_stack.reshape(shape),
-                                        right_stack.reshape(shape),
-                                        np.array(hs)[:, None, None, None]))
+            lefts = np.concatenate([l_left[None], right_stack[:-1]])
+            shape = (len(stack), k) + l_left.shape
+            d = _tree(rk4_increment(lefts.reshape(shape), mid_stack.reshape(shape),
+                                    right_stack.reshape(shape),
+                                    np.array(hs)[:, None, None, None]))
         l_left = rights[-1]
         for (*_, last), block in zip(stack, d):
             e = _join(e, block)

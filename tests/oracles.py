@@ -193,9 +193,26 @@ def segment_loop_propagate(g, grid, step: float, block: int = 64) -> PropagatedF
     return PropagatedFamily(grid, maps, segments)
 
 
+def i_major_intermediates(family: PropagatedFamily, all_pairs: bool):
+    """Yield ``(i, j, V(t_j, t_i))`` for the selected grid pairs, i-major.
+
+    Consecutive pairs are the integrated segments themselves; an all-pairs
+    row i chains them as segs[j-1] @ ... @ segs[i], one 2-d product per j.
+    This is the walk both divisibility scans took before they went by
+    offset stacks."""
+    for i, seg in enumerate(family.segments):
+        yield i, i + 1, seg
+        if all_pairs:
+            mat = seg.mat
+            for j in range(i + 2, len(family.grid)):
+                mat = family.segments[j - 1].mat @ mat
+                yield i, j, Superoperator(seg.dim, mat)
+
+
 def pair_by_pair_cp_scan(pairs):
     """Reference CP scan over ``(i, j, V(t_j, t_i))`` triples in i-major
-    order: one Choi eigensolve per pair, the first lowest minimum winning.
+    order, as :func:`i_major_intermediates` yields them: one Choi eigensolve
+    per pair, the first lowest minimum winning.
     Returns (min eigenvalue, (i, j), map, eigenvector), or None for no pairs."""
     best = None
     for i, j, inter in pairs:

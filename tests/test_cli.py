@@ -149,6 +149,18 @@ class TestDivisibility:
         assert probe["verdict"] == "violated"
         assert probe["worst_value"] == payload["tensor_witness_reevaluated"]
 
+    def test_all_pairs_probe_witness_is_reevaluated(self, tmp_path):
+        # shortest intervals first: (t_0, t_1) holds, (t_1, t_2) violates
+        out = tmp_path / "div"
+        assert run(["divisibility", "--alpha", "0.6", "--all-pairs", "--grid-points", "8",
+                    "--output", str(out)]) == 0
+        payload = json.loads((tmp_path / "div.json").read_text())
+        probe = payload["tensor_p_divisibility_probe"]
+        assert probe["verdict"] == "violated"
+        assert probe["pairs_scanned"] == 2
+        assert payload["cp_divisibility_scan"]["pairs_scanned"] == 9 * 8 // 2
+        assert abs(payload["tensor_witness_reevaluated"] - probe["worst_value"]) <= 1e-9
+
     def test_rk4_step_outside_stability_interval_exits_2(self, tmp_path, capsys):
         # step x rate = 1e-3 x 2 x 1400 = 2.8 lies past RK4's real-axis limit
         out = tmp_path / "div"

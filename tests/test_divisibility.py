@@ -12,7 +12,7 @@ from divischeck import generator as gen
 from divischeck import pauli_family as pf
 from divischeck import superop as so
 from divischeck.linalg import PAULI
-from oracles import intermediate_channel, pair_by_pair_cp_scan
+from oracles import i_major_intermediates, intermediate_channel, pair_by_pair_cp_scan
 
 STEP = 1e-3
 ENTRIES = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
@@ -91,6 +91,45 @@ class TestTensorProbe:
         assert r1.worst_value == r2.worst_value
         assert r1.worst_pair == r2.worst_pair
 
+    def test_all_pairs_scan_short_intervals_first(self):
+        # (t_0, t_1) is the map itself, whose tensor square is positive for
+        # alpha >= 1/2; the next shortest pair (t_1, t_2) already violates
+        grid = pf.default_grid(t_max=1.0, points=8)
+        report = dv.tensor_p_divisibility_probe(model_family(grid, 0.6), restarts=10,
+                                                steps=200, seed=0, all_pairs=True)
+        assert report.verdict == dv.VIOLATED
+        assert report.worst_pair == (float(grid[1]), float(grid[2]))
+        assert report.pairs_scanned == 2
+
+    @pytest.mark.parametrize("family_of, alpha, verdict", [
+        (model_family, 0.6, dv.VIOLATED), (semigroup_family, 1.0, dv.HOLDS),
+    ], ids=["violated", "clean"])
+    def test_reported_value_is_the_pair_seeded_probe(self, family_of, alpha, verdict):
+        # pair (i, j) is searched from SeedSequence([seed, i, j]) whatever the
+        # walk: the report is the lowest (value, i, j) of those searches over
+        # the pairs it scanned; a clean scan scans all n(n-1)/2 of them, and
+        # the model violates on a consecutive pair, reached first
+        grid = pf.default_grid(t_max=1.0, points=5)
+        family, seed, tol = family_of(grid, alpha), 4, 1e-9
+        report = dv.tensor_p_divisibility_probe(family, restarts=3, steps=100, tol=tol,
+                                                seed=seed, all_pairs=True)
+        maps, direct = {}, {}
+        for i, j, inter in i_major_intermediates(family, True):
+            maps[i, j] = inter.mat
+            direct[i, j] = so.positivity_probe(
+                so.tensor(inter, inter), restarts=3, steps=100, tol=tol,
+                seed=np.random.SeedSequence([seed, i, j]).generate_state(1)[0],
+                stop_at=-tol).min_value
+        assert report.verdict == verdict
+        i, j = (int(np.searchsorted(grid, t)) for t in report.worst_pair)
+        assert report.worst_value == direct[i, j]
+        assert np.array_equal(report.worst_map.mat, maps[i, j])
+        if report.verdict == dv.HOLDS:
+            assert report.pairs_scanned == len(direct) == 6 * 5 // 2
+            assert (report.worst_value, i, j) == min((v, *pair) for pair, v in direct.items())
+        else:
+            assert (j - i, report.pairs_scanned) == (1, i + 1)
+
 
 class TestStiffSemigroup:
     """Strong semigroup decay leaves the later maps too ill-conditioned to
@@ -123,14 +162,21 @@ GRIDS = st.lists(st.floats(0.01, 1.0), min_size=1, max_size=5).map(
 @settings(max_examples=25, deadline=None)
 @given(GRIDS, st.floats(0.3, 2.0), st.booleans())
 def test_intermediates_match_the_closed_form(grid, alpha, all_pairs):
+    # every offset stack, k = 1 first, holds V(t_{i+k}, t_i) at row i: the
+    # closed form to rounding, and the i-major running product bit for bit
     family = model_family(grid, alpha)
     n = len(grid)
+    reference = {(i, j): inter.mat for i, j, inter in i_major_intermediates(family, all_pairs)}
+    stacks = list(dv._offset_stacks(family, all_pairs))
+    assert [k for k, _ in stacks] == list(range(1, n if all_pairs else 2))
+    for k, stack in stacks:
+        assert stack.shape == (n - k, 4, 4)
+        for i, mat in enumerate(stack):
+            expected = intermediate_channel(float(grid[i + k]), float(grid[i]), alpha)
+            np.testing.assert_allclose(mat, expected.mat, rtol=0, atol=1e-12)
+            assert np.array_equal(mat, reference.pop((i, i + k)))
+    assert reference == {}
     selected = n * (n - 1) // 2 if all_pairs else n - 1
-    pairs = list(dv._intermediates(family, all_pairs))
-    assert len(pairs) == selected
-    for i, j, inter in pairs:
-        expected = intermediate_channel(float(grid[j]), float(grid[i]), alpha)
-        np.testing.assert_allclose(inter.mat, expected.mat, rtol=0, atol=1e-12)
     report = dv.cp_divisibility_scan(family, all_pairs=all_pairs)
     assert report.pairs_scanned == selected
 
@@ -139,7 +185,7 @@ def assert_matches_pair_by_pair_scan(family, all_pairs):
     """The stacked CP scan reports the per-pair reference's lowest pair, its
     map and witness bit for bit."""
     report = dv.cp_divisibility_scan(family, all_pairs=all_pairs)
-    value, (i, j), inter, vector = pair_by_pair_cp_scan(dv._intermediates(family, all_pairs))
+    value, (i, j), inter, vector = pair_by_pair_cp_scan(i_major_intermediates(family, all_pairs))
     assert report.worst_value == value
     assert report.worst_pair == (float(family.grid[i]), float(family.grid[j]))
     assert np.array_equal(report.worst_map.mat, inter.mat)
@@ -172,7 +218,10 @@ def test_stacked_cp_scan_matches_the_pair_by_pair_scan(grid, alpha, family_of, a
     # V(t_2, t_0) = T I and V(t_2, t_1) = T tie at -1, and (0, 2) comes
     # first in i-major order although its offset is scanned second
     (["identity", "transpose"], True, (0.0, 2.0)),
-], ids=["consecutive", "all-pairs"])
+    # V(t_1, t_0) = T and V(t_2, t_0) = I T tie at -1 in one row, and the
+    # shorter pair comes first in i-major order and is scanned first
+    (["transpose", "identity"], True, (0.0, 1.0)),
+], ids=["consecutive", "all-pairs", "all-pairs-one-row"])
 def test_stacked_cp_scan_keeps_the_first_pair_on_exact_ties(segments, all_pairs, pair):
     eye = np.eye(4, dtype=complex)
     maps = {"identity": eye, "transpose": eye[[0, 2, 1, 3]]}

@@ -543,8 +543,8 @@ class TestPropagate:
         (pf.default_grid(), 9),           # 200 spans of 25 substeps, 9 distinct float h
     ], ids=["probe-clean", "default-grid"])
     def test_fixed_generator_forms_each_block_power_once(self, monkeypatch, grid, powers):
-        # the callable-rate twin returns a fresh L on every call, so it stacks
-        # and compares every block and reuses nothing
+        # the callable-rate twin returns a fresh L on every call, so every
+        # block takes the stacked tree and nothing is reused
         rates = (0.6, 0.6, 0.6)
         twin = gen.propagate(gen.GeneratorSpec(2, lambda t: rates), grid, 1e-3)
         lefts = record_increment_args(monkeypatch)
@@ -585,8 +585,10 @@ class TestPropagate:
         g, grid = switched_rates(start, stop), [0.0, 0.5]
         lefts = record_increment_args(monkeypatch)
         fam = gen.propagate(g, grid, 1e-3)
-        # blocks of substeps 0-63, 64-127, ...: only 192-255 holds the change
-        assert [left.ndim for left in lefts] == [2, 2, 2, 4, 2, 2, 2, 2]
+        # blocks of substeps 0-63, 64-127, ...: only 192-255 holds the change,
+        # but the callable returns a fresh L on every call, so every block,
+        # equal L values or not, takes the stacked tree
+        assert [left.ndim for left in lefts] == [4] * 8
         for m, ref in zip(fam.maps, sequential_propagate(g, grid, 1e-3)):
             np.testing.assert_allclose(m.mat, ref, rtol=0, atol=1e-14)
 

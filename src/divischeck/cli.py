@@ -47,6 +47,7 @@ RK4_REAL_LIMIT = 2.785293563405282
 SCAN_HEADER = ["alpha", "t", "p0", "p1", "p2", "p3", "q0", "q1", "q2", "q3",
                "l1", "l3", "choi_min", "cp", "gamma3"]
 INFOFLOW_HEADER = ["pair_id", "t", "sigma_single", "sigma_tensor"]
+_SCAN_ROW = "%.17g," * 13 + "%s,%.17g\n"  # 13 numbers, the cp word, gamma3
 
 
 def _parse_alpha(text: str) -> list[float]:
@@ -124,10 +125,6 @@ def _complex_vector(v: np.ndarray) -> dict:
             "shape": list(v.shape)}
 
 
-def _csv_cell(x) -> str:
-    return ("true" if x else "false") if isinstance(x, bool) else "%.17g" % x
-
-
 def _write_csv(path: str, header: list[str], lines) -> None:
     """The header row, then the text ``lines`` as they are: every cell the
     commands write is a number or a bare word and needs no quoting."""
@@ -174,7 +171,8 @@ def cmd_scan(cfg: RunConfig) -> tuple[list[str], dict]:
                          l.l1, l.l3, choi_min, bool(cp), gamma3))
     if cfg.format == "csv":
         path = cfg.output_path + ".csv"
-        _write_csv(path, SCAN_HEADER, (",".join(map(_csv_cell, row)) + "\n" for row in rows))
+        _write_csv(path, SCAN_HEADER, (_SCAN_ROW % (*row[:13], "true" if row[13] else "false",
+                                                   row[14]) for row in rows))
     else:
         path = cfg.output_path + ".json"
         _write_json(path, [dict(zip(SCAN_HEADER, row)) for row in rows])
@@ -270,18 +268,18 @@ def _flow_blocks(grid: np.ndarray, sigma_single: np.ndarray, sigma_tensor: np.nd
     """CSV text of the rows (pair k, t, single sigma, tensor sigma), k-major,
     then t, as one block per pair k.
 
-    Every number is formatted once as ``.17g``; a cell is blank where a
-    family has fewer than k + 1 pairs.
+    Each block is one ``%`` operation on a template that holds the ``.17g``
+    time strings, joined by the prefix k; a cell is blank where a family has
+    fewer than k + 1 pairs.
     """
     times = ["%.17g" % t for t in grid.tolist()]
-    blank = [""] * len(times)
-
-    def cells(sigma: np.ndarray, k: int) -> list[str]:
-        return ["%.17g" % x for x in sigma[k].tolist()] if k < len(sigma) else blank
-
-    for k in range(max(len(sigma_single), len(sigma_tensor))):
-        yield "".join(f"{k},{t},{a},{b}\n" for t, a, b in
-                      zip(times, cells(sigma_single, k), cells(sigma_tensor, k)))
+    templates = {(a, b): ["", *(f",{t},{a},{b}\n" for t in times)]
+                 for a in ("%.17g", "") for b in ("%.17g", "")}
+    families = (sigma_single, sigma_tensor)
+    for k in range(max(map(len, families))):
+        cells = np.column_stack([sigma[k] for sigma in families if k < len(sigma)]).ravel()
+        spec = tuple("%.17g" if k < len(sigma) else "" for sigma in families)
+        yield str(k).join(templates[spec]) % tuple(cells.tolist())
 
 
 def _flow_report_payload(report: infoflow.BackflowReport) -> dict:
@@ -342,6 +340,7 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="divischeck",

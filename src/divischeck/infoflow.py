@@ -7,10 +7,10 @@ becoming less distinguishable; a positive rate is back-flow: the environment
 is returning information to the system.
 
 :func:`backflow_scan` hunts for positive rates over a grid for the state
-pairs it is given; :func:`pair_library` builds the default set.  Like the
-positivity probes, the scan is asymmetric: a positive rate found is
-constructive evidence of back-flow (pair, time, value), while a clean scan
-only supports monotonicity, it does not prove it.
+pairs it is given; :func:`pair_library` builds the default set and checks
+it as one stack.  Like the positivity probes, the scan is asymmetric: a
+positive rate found is constructive evidence of back-flow (pair, time,
+value), while a clean scan only supports monotonicity, it does not prove it.
 
 The scan walks the grid in blocks of at most ``_BLOCK`` times.  Each block
 applies the two maps of every time's finite difference to all pair
@@ -52,9 +52,31 @@ EIGEN_FLOOR = 1e-13
 _BLOCK = 4
 
 
+def _check_states(states: np.ndarray, labels=None) -> None:
+    """Check finiteness, Hermiticity, unit trace and positivity (one stacked
+    ``eigvalsh``), in that order, of an (n, 2, d, d) stack of state pairs; a
+    failure names the first bad state, after its pair's label if ``labels``."""
+    def check(ok: np.ndarray, fault: str) -> None:
+        if not ok.all():
+            k, slot = np.argwhere(~ok)[0]
+            pair = "" if labels is None else f"pair {labels[k]} "
+            raise ValueError(f"{pair}rho{slot + 1} {fault}")
+
+    check(np.isfinite(states).all(axis=tuple(range(2, states.ndim))), "has non-finite entries")
+    if states.ndim != 4 or states.shape[2] != states.shape[3]:
+        raise ValueError("rho1 is not a square matrix")
+    adjoint = states.conj().swapaxes(2, 3)
+    check(np.abs(states - adjoint).max(axis=(2, 3)) <= STATE_TOL,
+          f"is not Hermitian within {STATE_TOL:.0e}")
+    check(np.abs(np.trace(states, axis1=2, axis2=3) - 1.0) <= STATE_TOL,
+          "does not have unit trace")
+    check(np.linalg.eigvalsh(0.5 * (states + adjoint))[..., 0] >= -STATE_TOL,
+          f"is not positive semidefinite within {STATE_TOL:.0e}")
+
+
 @dataclass(eq=False)
 class StatePair:
-    """Two density matrices of equal dimension, validated on construction."""
+    """Two density matrices of equal dimension, checked on construction as a one-pair stack."""
 
     rho1: np.ndarray
     rho2: np.ndarray
@@ -65,30 +87,7 @@ class StatePair:
         self.rho2 = np.asarray(self.rho2, dtype=complex)
         if self.rho1.shape != self.rho2.shape:
             raise ValueError("state pair dimensions differ")
-        # both states in one pass per check, which names the first failing state
-        pair = np.stack([self.rho1, self.rho2])
-
-        def check(ok: np.ndarray, fault: str) -> None:
-            if not ok.all():
-                raise ValueError(f"rho{int(np.argmin(ok)) + 1} {fault}")
-
-        check(np.isfinite(pair).reshape(2, -1).all(axis=1), "has non-finite entries")
-        if pair.ndim != 3 or pair.shape[1] != pair.shape[2]:
-            raise ValueError("rho1 is not a square matrix")
-        adjoint = pair.conj().swapaxes(1, 2)
-        check(np.abs(pair - adjoint).max(axis=(1, 2)) <= STATE_TOL,
-              f"is not Hermitian within {STATE_TOL:.0e}")
-        check(np.abs(np.trace(pair, axis1=1, axis2=2) - 1.0) <= STATE_TOL,
-              "does not have unit trace")
-        # one eigensolve of the direct sum diag(rho1, rho2), whose spectrum is the
-        # union of theirs; only a failure is traced back to its state
-        hermitian = 0.5 * (pair + adjoint)
-        d = len(self.rho1)
-        direct_sum = np.zeros((2 * d, 2 * d), dtype=complex)
-        direct_sum[:d, :d], direct_sum[d:, d:] = hermitian
-        if np.linalg.eigvalsh(direct_sum)[0] < -STATE_TOL:
-            check(np.linalg.eigvalsh(hermitian)[:, 0] >= -STATE_TOL,
-                  f"is not positive semidefinite within {STATE_TOL:.0e}")
+        _check_states(np.stack([self.rho1, self.rho2])[None])
 
     def difference(self) -> np.ndarray:
         return self.rho1 - self.rho2
@@ -113,10 +112,21 @@ def _trace_norms(x: np.ndarray) -> np.ndarray:
     return np.abs(w).sum(axis=-1)
 
 
-def _projector(vec: np.ndarray) -> np.ndarray:
-    v = np.asarray(vec, dtype=complex)
-    v = v / np.linalg.norm(v)
-    return np.outer(v, v.conj())
+def _projectors(vectors) -> np.ndarray:
+    """Projectors onto a stack of vectors; one norm call per vector keeps them bitwise."""
+    v = np.asarray(vectors, dtype=complex)
+    norms = [np.linalg.norm(x) for x in v.reshape(-1, v.shape[-1])]
+    v = v / np.reshape(norms, v.shape[:-1] + (1,))
+    return v[..., :, None] * v[..., None, :].conj()
+
+
+def _checked_pairs(states: np.ndarray, labels: list[str]) -> list[StatePair]:
+    """The pairs of an (n, 2, d, d) stack, checked once as a stack, not per pair."""
+    _check_states(states, labels)
+    pairs = [object.__new__(StatePair) for _ in labels]
+    for pair, (rho1, rho2), label in zip(pairs, states, labels):
+        vars(pair).update(rho1=rho1, rho2=rho2, label=label)
+    return pairs
 
 
 def bell_states() -> list[np.ndarray]:
@@ -132,8 +142,9 @@ def bell_states() -> list[np.ndarray]:
 
 def _unordered_pairs(prefix: str, names: list[str], vectors) -> list[StatePair]:
     """Pure-state pairs for every unordered pair of the named vectors, in order."""
-    return [StatePair(_projector(a), _projector(b), label=f"{prefix}:{na}/{nb}")
-            for (na, a), (nb, b) in itertools.combinations(zip(names, vectors), 2)]
+    ij = np.array(list(itertools.combinations(range(len(names)), 2)))
+    return _checked_pairs(_projectors(vectors)[ij],
+                          [f"{prefix}:{names[i]}/{names[j]}" for i, j in ij])
 
 
 def bell_pairs() -> list[StatePair]:
@@ -154,8 +165,8 @@ def qubit_axis_pairs() -> list[StatePair]:
         ("x", np.array([s, s], dtype=complex), np.array([s, -s], dtype=complex)),
         ("y", np.array([s, 1j * s], dtype=complex), np.array([s, -1j * s], dtype=complex)),
     ]
-    return [StatePair(_projector(a), _projector(b), label=f"axis:{name}")
-            for name, a, b in axes]
+    return _checked_pairs(_projectors([[a, b] for _, a, b in axes]),
+                          [f"axis:{name}" for name, _, _ in axes])
 
 
 def tilted_parity_pairs() -> list[StatePair]:
@@ -188,8 +199,8 @@ def pair_library(dim: int, samples: int = 0, seed: int = 0) -> list[StatePair]:
 
     The fixed library: for two qubits the Bell pairs, the computational product
     pairs and the tilted-parity mixed pair; for one qubit the Bloch-axis pairs.
-    Each random pair is two columns of a Haar unitary (QR trick), all drawn
-    and factored as one stack.
+    Each random pair is two columns of a Haar unitary (QR trick), all drawn,
+    factored and validated as one stack.
     """
     if samples < 0:
         raise ValueError(f"samples must be nonnegative, got {samples}")
@@ -198,8 +209,7 @@ def pair_library(dim: int, samples: int = 0, seed: int = 0) -> list[StatePair]:
     # fix the phase convention so each pair is a deterministic function of its draw
     d = np.diagonal(r, axis1=-2, axis2=-1)
     q = q * (d / np.abs(d))[:, None, :]
-    haar = [StatePair(_projector(v[:, 0]), _projector(v[:, 1]), label=f"haar:{k}")
-            for k, v in enumerate(q)]
+    haar = _checked_pairs(_projectors(q.swapaxes(1, 2)), [f"haar:{k}" for k in range(samples)])
     if dim == 4:
         return bell_pairs() + product_pairs() + tilted_parity_pairs() + haar
     if dim == 2:

@@ -505,6 +505,20 @@ class TestFlagsMirrorRunConfig:
         assert json.loads(capsys.readouterr().out)["config"] == expected
 
 
+def test_main_builds_the_parser_once_and_keeps_no_flags(tmp_path, capsys):
+    cli._build_parser.cache_clear()
+    out = str(tmp_path / "scan")
+    assert run(["scan", "--alpha", "0.5", "--grid-points", "3", "--seed", "5",
+                "--all-pairs", "--output", out]) == 0
+    first = json.loads(capsys.readouterr().out)["config"]
+    assert run(["scan", "--alpha", "0.5", "--output", out]) == 0
+    second = json.loads(capsys.readouterr().out)["config"]
+    assert cli._build_parser.cache_info().misses == 1
+    defaults = asdict(cli.RunConfig())
+    for name, value in {"grid_points": 3, "seed": 5, "all_pairs": True}.items():
+        assert first[name] == value != defaults[name] == second[name]
+
+
 def test_import_does_not_load_scipy():
     """scipy is a test-only dependency; importing the CLI must not pull it in."""
     src = str(Path(cli.__file__).resolve().parents[1])

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -31,6 +32,16 @@ def z_pair():
                            np.diag([0.0, 1.0]).astype(complex), label="z")
 
 
+# one bad qubit state per check, in the order the checks run
+FAULTS = [
+    (np.array([[math.nan, 0.0], [0.0, 1.0]]), "has non-finite entries"),
+    (np.array([[0.5, 1.0], [0.0, 0.5]]), "is not Hermitian"),
+    (np.eye(2), "does not have unit trace"),
+    (np.diag([1.5, -0.5]), "is not positive semidefinite"),
+]
+FAULT_IDS = ["non-finite", "non-hermitian", "trace", "negative"]
+
+
 class TestStatePair:
     def test_accepts_valid_states(self):
         pair = z_pair()
@@ -57,12 +68,7 @@ class TestStatePair:
         with pytest.raises(ValueError, match="rho1 has non-finite entries"):
             iflow.StatePair(rho, np.eye(2, dtype=complex) / 2)
 
-    @pytest.mark.parametrize("bad, message", [
-        (np.array([[math.nan, 0.0], [0.0, 1.0]]), "has non-finite entries"),
-        (np.array([[0.5, 1.0], [0.0, 0.5]]), "is not Hermitian"),
-        (np.eye(2), "does not have unit trace"),
-        (np.diag([1.5, -0.5]), "is not positive semidefinite"),
-    ], ids=["non-finite", "non-hermitian", "trace", "negative"])
+    @pytest.mark.parametrize("bad, message", FAULTS, ids=FAULT_IDS)
     @pytest.mark.parametrize("slot", [1, 2])
     def test_names_the_faulty_state(self, bad, message, slot):
         # both states are checked in one stacked pass; the message names the bad one
@@ -70,6 +76,52 @@ class TestStatePair:
         states = (bad, good) if slot == 1 else (good, bad)
         with pytest.raises(ValueError, match=f"^rho{slot} {message}"):
             iflow.StatePair(*states)
+
+
+class TestStackedStateCheck:
+    @staticmethod
+    def library_stack(dim, samples):
+        pairs = iflow.pair_library(dim, samples, seed=3)
+        return np.stack([[p.rho1, p.rho2] for p in pairs]), [p.label for p in pairs]
+
+    @pytest.mark.parametrize("bad, message", FAULTS, ids=FAULT_IDS)
+    def test_names_the_first_bad_state_by_pair_label_and_slot(self, bad, message):
+        states, labels = self.library_stack(2, 4)
+        for k in range(len(labels)):
+            for slot in (1, 2):
+                # the state at (k, slot) and every state after it is bad
+                stack = states.copy()
+                stack[k, slot - 1:] = bad
+                stack[k + 1:] = bad
+                with pytest.raises(ValueError, match=f"^pair {re.escape(labels[k])} "
+                                                     f"rho{slot} {message}"):
+                    iflow._check_states(stack, labels)
+
+    def test_each_check_covers_the_whole_stack_before_the_next(self):
+        # a non-Hermitian first state loses to a non-finite last one
+        states, labels = self.library_stack(2, 4)
+        states[0, 0], states[-1, 1] = FAULTS[1][0], FAULTS[0][0]
+        with pytest.raises(ValueError,
+                           match=f"^pair {re.escape(labels[-1])} rho2 has non-finite"):
+            iflow._check_states(states, labels)
+
+    @pytest.mark.parametrize("dim, samples, count", [(4, 0, 13), (2, 0, 3), (3, 2, 2)])
+    def test_library_counts(self, dim, samples, count):
+        assert len(iflow.pair_library(dim, samples)) == count
+
+    def test_library_validates_its_haar_pairs_with_one_stacked_solve(self, monkeypatch):
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recording_eigvalsh(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
+        assert len(iflow.pair_library(4, 100)) == 113
+        # the Haar stack, then one solve each for the Bell, product and
+        # tilted-parity families
+        assert shapes == [(100, 2, 4, 4), (6, 2, 4, 4), (6, 2, 4, 4), (1, 2, 4, 4)]
 
 
 def _eigenvalue(lo, hi):

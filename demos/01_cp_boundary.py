@@ -28,9 +28,9 @@ alphas = [0.5, 0.75, 0.9, 1.0, 1.25, 2.0]
 print(f"{'alpha':>6} | {'min p3':>12} | {'min choi eig':>13} | {'cosh criterion':>14}")
 print("-" * 56)
 for alpha in alphas:
-    min_p3 = min(pf.pauli_weights(float(t), alpha).p3 for t in grid)
+    min_p3 = pf.pauli_weights(grid, alpha)[:, 3].min()
     min_choi = min(so.is_cp(pf.channel(float(t), alpha))[1] for t in grid)
-    criterion = all(pf.cp_criterion(float(t), alpha) for t in grid)
+    criterion = pf.cp_criterion(grid, alpha).all()
     print(f"{alpha:6.2f} | {min_p3:12.4e} | {min_choi:13.4e} | "
           f"{'CP' if criterion else 'not CP':>14}")
 
@@ -39,12 +39,11 @@ print("Choi spectrum vs 2*p_mu at (alpha, t) = (0.75, 1.0):")
 weights = pf.pauli_weights(1.0, 0.75)
 choi_eigs = np.linalg.eigvalsh(so.choi(pf.channel(1.0, 0.75)))
 print("  choi eigenvalues :", np.round(np.sort(choi_eigs), 6))
-print("  2 * weights      :", np.round(np.sort(2 * weights.as_array()), 6))
+print("  2 * weights      :", np.round(np.sort(2 * weights), 6))
 
 print()
 print("The channel itself stays positive for every strength: the Bloch")
 print("contractions never exceed 1 in magnitude.")
 for alpha in (0.25, 0.5, 2.0):
-    worst = max(max(abs(x) for x in pf.bloch_eigenvalues(float(t), alpha).as_tuple())
-                for t in grid)
+    worst = np.abs(pf.bloch_eigenvalues(grid, alpha)).max()
     print(f"  alpha={alpha}: max |bloch eigenvalue| over the grid = {worst:.6f}")

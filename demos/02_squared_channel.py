@@ -25,16 +25,13 @@ from divischeck import superop as so
 alpha = 0.6
 grid = np.linspace(0.0, 5.0, 200)
 
-worst = 0.0
-for t in grid:
-    q = pf.squared_pauli_weights(float(t), alpha).as_array()
-    p2 = pf.pauli_weights(float(t), 2 * alpha).as_array()
-    worst = max(worst, float(np.max(np.abs(q - p2))))
+q = pf.squared_pauli_weights(grid, alpha)
+worst = np.abs(q - pf.pauli_weights(grid, 2 * alpha)).max()
 print(f"max |q_mu(t; {alpha}) - p_mu(t; {2 * alpha})| over the grid: {worst:.2e}")
 
-min_q3 = min(pf.squared_pauli_weights(float(t), alpha).p3 for t in grid)
+min_q3 = q[:, 3].min()
 print(f"min q3 at alpha={alpha}: {min_q3:.3e}  (>= 0: squared channel is CP)")
-min_p3 = min(pf.pauli_weights(float(t), alpha).p3 for t in grid)
+min_p3 = pf.pauli_weights(grid, alpha)[:, 3].min()
 print(f"min p3 at alpha={alpha}: {min_p3:.3e}  (< 0: channel itself is not CP)")
 
 print()

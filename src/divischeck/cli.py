@@ -27,21 +27,19 @@ from .linalg import NumericalError
 
 __all__ = ["RunConfig", "main"]
 
-# --dynamics name -> (channel(t, alpha), generator(alpha)).  Each entry looks
-# its function up when called, so a module attribute rebound at run time counts.
+# --dynamics name -> (channel(t, alpha), generator(alpha), fastest decay rate
+# of its real Bloch spectrum per unit alpha).  Each entry looks its function
+# up when called, so a module attribute rebound at run time counts.  RK4 is
+# stable on that spectrum while rk4_step * rate <= RK4_REAL_LIMIT.
 DYNAMICS = {
     "model": (lambda t, a: pauli_family.channel(t, a),
-              lambda a: generator.model_generator(a)),
+              lambda a: generator.model_generator(a), 2.0),
     "semigroup": (lambda t, a: pauli_family.semigroup_channel(t, a),
-                  lambda a: generator.qubit_rate_generator((a, a, a))),
+                  lambda a: generator.qubit_rate_generator((a, a, a)), 2.0),
     "identity": (lambda t, a: superop.identity(2),
-                 lambda a: generator.qubit_rate_generator((0.0, 0.0, 0.0))),
+                 lambda a: generator.qubit_rate_generator((0.0, 0.0, 0.0)), 0.0),
 }
 FORMATS = ("csv", "json")
-
-# Fastest decay rate of each --dynamics' real Bloch spectrum, per unit alpha;
-# RK4 is stable on that spectrum while rk4_step * rate <= RK4_REAL_LIMIT.
-DECAY_PER_ALPHA = {"model": 2.0, "semigroup": 2.0, "identity": 0.0}
 RK4_REAL_LIMIT = 2.785293563405282
 
 SCAN_HEADER = ["alpha", "t", "p0", "p1", "p2", "p3", "q0", "q1", "q2", "q3",
@@ -153,22 +151,23 @@ def _divisibility_report_payload(report: divisibility.DivisibilityReport) -> dic
 
 
 def cmd_scan(cfg: RunConfig) -> tuple[list[str], dict]:
+    if cfg.dynamics != "model":
+        raise ValueError(f"scan tabulates the model's closed forms only, got --dynamics "
+                         f"{cfg.dynamics}")
     grid = cfg.grid()
     rows = []
     non_cp_alphas = set()
     for alpha in cfg.alpha:
-        for t in grid:
-            t = float(t)
-            l = pauli_family.bloch_eigenvalues(t, alpha)
-            p = l.pauli_weights()
-            q = pauli_family.squared_pauli_weights(t, alpha)
-            cp = pauli_family.cp_criterion(t, alpha)
-            _, choi_min = superop.is_cp(pauli_family.pauli_channel(l.l1, l.l2, l.l3))
-            gamma3 = pauli_family.rates(t, alpha)[2]
-            if not cp:
-                non_cp_alphas.add(alpha)
-            rows.append((alpha, t, p.p0, p.p1, p.p2, p.p3, q.p0, q.p1, q.p2, q.p3,
-                         l.l1, l.l3, choi_min, bool(cp), gamma3))
+        # each closed form once over the grid; the rows zip their columns
+        l = pauli_family.bloch_eigenvalues(grid, alpha)
+        cp = pauli_family.cp_criterion(grid, alpha)
+        if not cp.all():
+            non_cp_alphas.add(alpha)
+        numbers = np.column_stack([pauli_family.pauli_weights(grid, alpha),
+                                   pauli_family.squared_pauli_weights(grid, alpha), l[:, [0, 2]]])
+        for t, row, l_t, cp_t in zip(grid.tolist(), numbers.tolist(), l.tolist(), cp.tolist()):
+            _, choi_min = superop.is_cp(pauli_family.pauli_channel(*l_t))
+            rows.append((alpha, t, *row, choi_min, cp_t, pauli_family.rates(t, alpha)[2]))
     if cfg.format == "csv":
         path = cfg.output_path + ".csv"
         _write_csv(path, SCAN_HEADER, (_SCAN_ROW % (*row[:13], "true" if row[13] else "false",
@@ -186,7 +185,7 @@ def cmd_scan(cfg: RunConfig) -> tuple[list[str], dict]:
 
 def cmd_divisibility(cfg: RunConfig) -> tuple[list[str], dict]:
     alpha = cfg.alpha[0]
-    rate = DECAY_PER_ALPHA[cfg.dynamics] * alpha
+    rate = DYNAMICS[cfg.dynamics][2] * alpha
     if cfg.rk4_step * rate > RK4_REAL_LIMIT:
         raise ValueError(f"rk4_step {cfg.rk4_step:g} is outside RK4's stability interval "
                          f"for the decay rate {rate:g} of --dynamics {cfg.dynamics} (step x "

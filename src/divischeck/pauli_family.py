@@ -13,12 +13,13 @@ t > 0, which is what makes the family interesting:
 
 The Bloch picture: components 1 and 2 of the Bloch vector are scaled by
 exp(-a t) cosh(t)^a and component 3 by exp(-2 a t).  The only numerical
-hazard is cosh overflow at large t, avoided via log-cosh throughout.
+hazard is cosh overflow at large t, avoided via log-cosh throughout.  The
+closed forms take one time or an array of times and return plain arrays,
+components on the last axis; ``rates`` and the channels take one time.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,8 +27,6 @@ from .linalg import PAULI
 from .superop import Superoperator, vec
 
 __all__ = [
-    "BlochEigenvalues",
-    "PauliWeights",
     "bloch_eigenvalues",
     "channel",
     "cp_criterion",
@@ -56,97 +55,88 @@ def _validate(t: float, alpha: float) -> None:
         raise ValueError(f"time must be nonnegative and finite, got {t}")
 
 
-def log_cosh(t: float) -> float:
-    """log(cosh t) without overflow (cosh overflows past |t| ~ 710); even in t."""
-    t = abs(float(t))
-    return t - _LN2 + math.log1p(math.exp(-2.0 * t))
+def _times(t, alpha):
+    """One float time as it is, or times as a float array, each checked like
+    one scalar time.  Both go through the same numpy ufuncs, so a time gives
+    the same bits alone as inside an array."""
+    if isinstance(t, float):
+        _validate(t, alpha)
+        return t
+    t = np.asarray(t, dtype=float)
+    bad = ~(np.isfinite(t) & (t >= 0))
+    # the first bad time, if any, fails the scalar check with its own message
+    _validate(t[bad][0] if bad.any() else 0.0, alpha)
+    return t
+
+
+def log_cosh(t):
+    """log(cosh t) without overflow (cosh overflows past |t| ~ 710); even in
+    t, elementwise over an array of times."""
+    t = abs(t)
+    return t - _LN2 + np.log1p(np.exp(-2.0 * t))
 
 
 def rates(t: float, alpha: float) -> tuple[float, float, float]:
-    """Effective dissipation rates (a, a, -a tanh t) entering the generator."""
+    """Effective dissipation rates (a, a, -a tanh t) entering the generator.
+
+    Scalar only: the model generator calls it once per RK4 substep time, and
+    a float check plus ``math.tanh`` is cheaper there than an array call.
+    """
     _validate(t, alpha)
     # + 0.0 normalizes the negative zero at t = 0
     return (alpha, alpha, -alpha * math.tanh(t) + 0.0)
 
 
-@dataclass(frozen=True)
-class BlochEigenvalues:
-    """Scaling factors applied to the three Bloch components (l1 = l2)."""
-
-    l1: float
-    l2: float
-    l3: float
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.l1, self.l2, self.l3)
-
-    def pauli_weights(self) -> PauliWeights:
-        """Pauli mixing weights of the unital channel with these eigenvalues
-        and l1 = l2 (see :func:`pauli_weights`)."""
-        return PauliWeights(
-            0.25 * (1.0 + 2.0 * self.l1 + self.l3),
-            0.25 * (1.0 - self.l3),
-            0.25 * (1.0 - self.l3),
-            0.25 * (1.0 - 2.0 * self.l1 + self.l3),
-        )
-
-
-def bloch_eigenvalues(t: float, alpha: float) -> BlochEigenvalues:
-    """l1 = l2 = exp(-a t) cosh(t)^a and l3 = exp(-2 a t)."""
-    _validate(t, alpha)
+def _transverse_and_l3(t, alpha):
+    """l1 = l2 = exp(-a t) cosh(t)^a and l3 = exp(-2 a t) at the time(s) t."""
+    t = _times(t, alpha)
     # exp(a (log cosh t - t)) stays finite for arbitrarily large t
-    transverse = math.exp(alpha * (log_cosh(t) - t))
-    return BlochEigenvalues(transverse, transverse, math.exp(-2.0 * alpha * t))
+    return np.exp(alpha * (log_cosh(t) - t)), np.exp(-2.0 * alpha * t)
 
 
-@dataclass(frozen=True)
-class PauliWeights:
-    """Mixing weights of a qubit channel sum_mu w_mu sigma_mu . sigma_mu.
-
-    The four weights always sum to one (trace preservation); individual
-    weights may be negative, in which case the channel is not completely
-    positive.
-    """
-
-    p0: float
-    p1: float
-    p2: float
-    p3: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.p0, self.p1, self.p2, self.p3])
+def bloch_eigenvalues(t, alpha: float) -> np.ndarray:
+    """Scaling factors (l1, l2, l3) of the three Bloch components at the
+    time(s) t, shape t.shape + (3,): l1 = l2 = exp(-a t) cosh(t)^a and
+    l3 = exp(-2 a t)."""
+    l1, l3 = _transverse_and_l3(t, alpha)
+    return np.stack([l1, l1, l3], axis=-1)
 
 
-def pauli_weights(t: float, alpha: float) -> PauliWeights:
-    """Pauli mixing weights of the channel at time t.
+def pauli_weights(t, alpha: float) -> np.ndarray:
+    """Mixing weights (p0, p1, p2, p3) of the channel sum_mu p_mu
+    sigma_mu . sigma_mu at the time(s) t, shape t.shape + (4,).
 
     In terms of the Bloch eigenvalues:
         p0 = (1 + 2 l1 + l3)/4,  p1 = p2 = (1 - l3)/4,
         p3 = (1 - 2 l1 + l3)/4.
-    p3 is the only weight that can go negative, and it does for every
-    t > 0 whenever alpha < 1.
+    The weights sum to one (trace preservation).  p3 is the only weight that
+    can go negative, and it does for every t > 0 whenever alpha < 1: the
+    channel is then not completely positive.
     """
-    return bloch_eigenvalues(t, alpha).pauli_weights()
+    l1, l3 = _transverse_and_l3(t, alpha)
+    return 0.25 * np.stack([1.0 + 2.0 * l1 + l3, 1.0 - l3, 1.0 - l3,
+                            1.0 - 2.0 * l1 + l3], axis=-1)
 
 
-def squared_pauli_weights(t: float, alpha: float) -> PauliWeights:
+def squared_pauli_weights(t, alpha: float) -> np.ndarray:
     """Pauli weights of the channel composed with itself: exactly the
     single-channel weights with alpha doubled."""
     return pauli_weights(t, 2.0 * alpha)
 
 
-def cp_criterion(t: float, alpha: float, tol: float = 1e-12) -> bool:
-    """Complete positivity at time t: cosh(a t) >= cosh(t)^a - tol.
+def cp_criterion(t, alpha: float) -> np.ndarray:
+    """Complete positivity at the time(s) t, as a bool array:
+    cosh(a t) >= cosh(t)^a - 1e-12.
 
     Both sides are compared on the log scale once either would overflow a
     double; the comparison is equivalent by monotonicity.
     """
-    _validate(t, alpha)
+    t = _times(t, alpha)
     lhs_log = log_cosh(alpha * t)
     rhs_log = alpha * log_cosh(t)
-    if max(lhs_log, rhs_log) > 700.0:
-        return lhs_log >= rhs_log
-    return math.exp(lhs_log) >= math.exp(rhs_log) - tol
+    # capped at 700 so that exp never overflows; the log branch covers those
+    direct = np.exp(np.minimum(lhs_log, 700.0)) >= np.exp(np.minimum(rhs_log, 700.0)) - 1e-12
+    return np.where(np.maximum(lhs_log, rhs_log) > 700.0, lhs_log >= rhs_log, direct)
 
 
 def pauli_channel(l1: float, l2: float, l3: float) -> Superoperator:
@@ -161,8 +151,8 @@ def pauli_channel(l1: float, l2: float, l3: float) -> Superoperator:
 
 def channel(t: float, alpha: float) -> Superoperator:
     """The family's channel at time t (identity at t = 0)."""
-    l = bloch_eigenvalues(t, alpha)
-    return pauli_channel(l.l1, l.l2, l.l3)
+    l1, l3 = _transverse_and_l3(t, alpha)
+    return pauli_channel(l1, l1, l3)
 
 
 def semigroup_channel(t: float, alpha: float) -> Superoperator:

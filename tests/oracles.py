@@ -31,9 +31,7 @@ def intermediate_channel(t: float, s: float, alpha: float) -> Superoperator:
     """
     if t < s:
         raise ValueError(f"need t >= s, got t={t}, s={s}")
-    lt = pf.bloch_eigenvalues(t, alpha)
-    ls = pf.bloch_eigenvalues(s, alpha)
-    return pf.pauli_channel(lt.l1 / ls.l1, lt.l2 / ls.l2, lt.l3 / ls.l3)
+    return pf.pauli_channel(*pf.bloch_eigenvalues(t, alpha) / pf.bloch_eigenvalues(s, alpha))
 
 
 def loop_pauli_channel(l1: float, l2: float, l3: float) -> np.ndarray:

@@ -29,13 +29,12 @@ def test_criterion_1_cp_sharpness():
     with criterion(1, "complete positivity is sharp at unit strength"):
         grid = pf.default_grid()
         for alpha in (0.5, 0.75, 0.9):
-            assert min(pf.pauli_weights(float(t), alpha).p3 for t in grid) < -1e-4
+            assert pf.pauli_weights(grid, alpha)[:, 3].min() < -1e-4
         for alpha in (1.0, 1.25, 2.0):
-            assert min(pf.pauli_weights(float(t), alpha).p3 for t in grid) >= -1e-12
+            assert pf.pauli_weights(grid, alpha)[:, 3].min() >= -1e-12
         for alpha in (0.5, 0.75, 0.9, 1.0, 1.25, 2.0):
-            for t in grid:
+            for t, p3 in zip(grid, pf.pauli_weights(grid, alpha)[:, 3]):
                 _, min_eig = so.is_cp(pf.channel(float(t), alpha))
-                p3 = pf.pauli_weights(float(t), alpha).p3
                 assert abs(min_eig - 2.0 * p3) <= 1e-10
 
 
@@ -43,13 +42,11 @@ def test_criterion_2_squared_weights_identity():
     with criterion(2, "squared-channel weights equal doubled-strength weights"):
         grid = np.linspace(0.0, 5.0, 200)
         for alpha in (0.3, 0.5, 0.75):
-            for t in grid:
-                q = pf.squared_pauli_weights(float(t), alpha).as_array()
-                p2 = pf.pauli_weights(float(t), 2.0 * alpha).as_array()
-                assert np.max(np.abs(q - p2)) <= 1e-13
+            q = pf.squared_pauli_weights(grid, alpha)
+            p2 = pf.pauli_weights(grid, 2.0 * alpha)
+            assert np.max(np.abs(q - p2)) <= 1e-13
         for alpha in (0.5, 0.75):
-            assert min(pf.squared_pauli_weights(float(t), alpha).p3
-                       for t in grid) >= -1e-12
+            assert pf.squared_pauli_weights(grid, alpha)[:, 3].min() >= -1e-12
 
 
 def test_criterion_3_tensor_square_positivity_evidence():

@@ -81,11 +81,10 @@ class TestScan:
             for t in grid:
                 t = float(t)
                 l = pauli_family.bloch_eigenvalues(t, alpha)
-                p = l.pauli_weights()
+                p = pauli_family.pauli_weights(t, alpha)
                 q = pauli_family.squared_pauli_weights(t, alpha)
-                _, choi_min = superop.is_cp(pauli_family.pauli_channel(l.l1, l.l2, l.l3))
-                numbers = [alpha, t, p.p0, p.p1, p.p2, p.p3, q.p0, q.p1, q.p2, q.p3,
-                           l.l1, l.l3, choi_min]
+                _, choi_min = superop.is_cp(pauli_family.pauli_channel(*l))
+                numbers = [alpha, t, *p, *q, l[0], l[2], choi_min]
                 cp = "true" if pauli_family.cp_criterion(t, alpha) else "false"
                 gamma3 = pauli_family.rates(t, alpha)[2]
                 rows.append([format(float(x), ".17g") for x in numbers]
@@ -197,10 +196,10 @@ class TestDivisibility:
 
 @pytest.mark.parametrize("name", list(cli.DYNAMICS))
 class TestDynamicsTable:
-    """Every ``--dynamics`` name, through both commands that take it."""
+    """Every ``--dynamics`` name, through every command that takes it."""
 
     def test_channel_is_the_map_its_generator_integrates_to(self, name):
-        channel, make_generator = cli.DYNAMICS[name]
+        channel, make_generator, _ = cli.DYNAMICS[name]
         grid = np.linspace(0.0, 1.0, 5)
         family = generator.propagate(make_generator(0.6), grid, 1e-3)
         for t, m in zip(grid, family.maps):
@@ -208,11 +207,25 @@ class TestDynamicsTable:
 
     def test_decay_rate_is_the_fastest_of_a_real_spectrum(self, name):
         # the divisibility command's RK4 step guard rests on this rate
-        lmat = generator.liouvillian(cli.DYNAMICS[name][1](0.6))
+        _, make_generator, decay_per_alpha = cli.DYNAMICS[name]
+        lmat = generator.liouvillian(make_generator(0.6))
         for t in (0.0, 0.5, 3.0):
             eig = np.linalg.eigvals(lmat(t))
             assert np.abs(eig.imag).max() <= 1e-12
-            assert -eig.real.min() == pytest.approx(cli.DECAY_PER_ALPHA[name] * 0.6, abs=1e-12)
+            assert -eig.real.min() == pytest.approx(decay_per_alpha * 0.6, abs=1e-12)
+
+    def test_scan_takes_the_model_only(self, tmp_path, capsys, name):
+        # the scan tabulates the model's closed forms; any other --dynamics
+        # would be a model table under another name
+        out = tmp_path / "scan"
+        code = run(["scan", "--dynamics", name, "--grid-points", "4", "--output", str(out)])
+        if name == "model":
+            assert code == 0
+            assert json.loads(capsys.readouterr().out)["config"]["dynamics"] == "model"
+        else:
+            assert code == 2
+            assert f"got --dynamics {name}" in capsys.readouterr().err
+            assert not (tmp_path / "scan.csv").exists()
 
     def test_divisibility(self, tmp_path, name):
         out = tmp_path / "div"

@@ -256,9 +256,8 @@ class TestCorollaryChain:
         grid = pf.default_grid(t_max=2.0, points=40)
 
         # not CP but positive
-        assert min(pf.pauli_weights(float(t), alpha).p3 for t in grid) < -1e-4
-        assert all(max(abs(x) for x in pf.bloch_eigenvalues(float(t), alpha).as_tuple()) <= 1.0
-                   for t in grid)
+        assert pf.pauli_weights(grid, alpha)[:, 3].min() < -1e-4
+        assert np.abs(pf.bloch_eigenvalues(grid, alpha)).max() <= 1.0
 
         # P-divisible at generator level
         assert gen.p_divisibility_check_pauli(gen.model_generator(alpha), grid).satisfied

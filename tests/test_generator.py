@@ -414,7 +414,7 @@ class TestPropagate:
         fam = gen.propagate(g, grid, 1e-3)
         for t, m in zip(grid, fam.maps):
             eigs = np.sort(np.linalg.eigvalsh(so.choi(m)))
-            expected = np.sort(2 * pf.pauli_weights(float(t), alpha).as_array())
+            expected = np.sort(2 * pf.pauli_weights(float(t), alpha))
             np.testing.assert_allclose(eigs, expected, atol=1e-7)
 
     def test_nonnegative_coefficients_give_cp_intermediates(self):

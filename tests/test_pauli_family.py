@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,15 @@ from divischeck import superop as so
 from oracles import compose, generator_eigenvalues, intermediate_channel, loop_pauli_channel
 
 EIGENVALUES = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+# times near 1e3 put cosh past a double's range: cp_criterion's log branch
+TIMES = st.lists(st.one_of(st.floats(0.0, 20.0), st.floats(990.0, 1010.0)),
+                 min_size=1, max_size=16)
+CLOSED_FORMS = (pf.log_cosh, pf.bloch_eigenvalues, pf.pauli_weights,
+                pf.squared_pauli_weights, pf.cp_criterion)
+
+
+def _call(f, t, alpha):
+    return f(t) if f is pf.log_cosh else f(t, alpha)
 
 
 class TestRates:
@@ -63,21 +73,21 @@ class TestGeneratorEigenvalues:
 
 class TestBlochEigenvalues:
     def test_identity_at_origin(self):
-        assert pf.bloch_eigenvalues(0.0, 0.9).as_tuple() == (1.0, 1.0, 1.0)
+        assert pf.bloch_eigenvalues(0.0, 0.9).tolist() == [1.0, 1.0, 1.0]
 
     def test_unit_strength_values(self):
-        l = pf.bloch_eigenvalues(1.0, 1.0)
-        assert l.l1 == pytest.approx(math.exp(-1.0) * math.cosh(1.0), rel=1e-14)
-        assert l.l3 == pytest.approx(math.exp(-2.0), rel=1e-14)
+        l1, _, l3 = pf.bloch_eigenvalues(1.0, 1.0)
+        assert l1 == pytest.approx(math.exp(-1.0) * math.cosh(1.0), rel=1e-14)
+        assert l3 == pytest.approx(math.exp(-2.0), rel=1e-14)
 
     def test_late_time_transverse_limit(self):
         # exp(-t) cosh(t) -> 1/2
-        assert pf.bloch_eigenvalues(400.0, 1.0).l1 == pytest.approx(0.5, abs=1e-12)
+        assert pf.bloch_eigenvalues(400.0, 1.0)[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_no_overflow_at_huge_times(self):
-        l = pf.bloch_eigenvalues(5000.0, 2.0)
-        assert math.isfinite(l.l1) and math.isfinite(l.l3)
-        assert l.l1 == pytest.approx(0.25, abs=1e-12)
+        l1, _, l3 = pf.bloch_eigenvalues(5000.0, 2.0)
+        assert math.isfinite(l1) and math.isfinite(l3)
+        assert l1 == pytest.approx(0.25, abs=1e-12)
 
     @pytest.mark.parametrize("t", [0.0, 0.7, -0.7, 800.0, -800.0])
     def test_log_cosh_is_even_and_never_overflows(self, t):
@@ -88,65 +98,61 @@ class TestBlochEigenvalues:
 
     def test_never_exceed_one(self):
         for alpha in (0.1, 0.5, 1.0, 3.0):
-            for t in np.linspace(0.0, 5.0, 51):
-                l = pf.bloch_eigenvalues(float(t), alpha)
-                assert max(abs(x) for x in l.as_tuple()) <= 1.0 + 1e-15
+            l = pf.bloch_eigenvalues(np.linspace(0.0, 5.0, 51), alpha)
+            assert np.abs(l).max() <= 1.0 + 1e-15
 
 
 class TestPauliWeights:
     def test_identity_channel_at_origin(self):
-        w = pf.pauli_weights(0.0, 0.5)
-        np.testing.assert_allclose(w.as_array(), [1.0, 0.0, 0.0, 0.0], atol=1e-15)
+        np.testing.assert_allclose(pf.pauli_weights(0.0, 0.5), [1.0, 0.0, 0.0, 0.0], atol=1e-15)
 
     def test_sum_to_one_and_p1_equals_p2(self):
         for alpha in (0.3, 1.0, 2.5):
-            for t in np.linspace(0.0, 5.0, 21):
-                w = pf.pauli_weights(float(t), alpha)
-                assert w.p0 + w.p1 + w.p2 + w.p3 == pytest.approx(1.0, abs=1e-12)
-                assert w.p1 == w.p2
+            w = pf.pauli_weights(np.linspace(0.0, 5.0, 21), alpha)
+            np.testing.assert_allclose(w.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
+            assert np.array_equal(w[:, 1], w[:, 2])
 
     def test_p3_vanishes_identically_at_unit_strength(self):
         # 2 exp(-t) cosh(t) = 1 + exp(-2t)
-        for t in np.linspace(0.0, 6.0, 61):
-            assert abs(pf.pauli_weights(float(t), 1.0).p3) <= 1e-14
+        assert np.abs(pf.pauli_weights(np.linspace(0.0, 6.0, 61), 1.0)[:, 3]).max() <= 1e-14
 
     def test_value_against_naive_formula(self):
         t, alpha = 1.0, 0.75
         naive = 0.25 * (1.0 - 2.0 * math.exp(-alpha * t) * math.cosh(t) ** alpha
                         + math.exp(-2.0 * alpha * t))
-        w = pf.pauli_weights(t, alpha)
-        assert w.p3 == pytest.approx(naive, abs=1e-14)
-        assert w.p3 == pytest.approx(-0.0212, abs=5e-5)
+        p3 = pf.pauli_weights(t, alpha)[3]
+        assert p3 == pytest.approx(naive, abs=1e-14)
+        assert p3 == pytest.approx(-0.0212, abs=5e-5)
 
     def test_p3_sign_characterizes_strength(self):
         grid = pf.default_grid()
         for alpha in (0.3, 0.6, 0.9):
-            assert min(pf.pauli_weights(float(t), alpha).p3 for t in grid) < 0
+            assert pf.pauli_weights(grid, alpha)[:, 3].min() < 0
         for alpha in (1.0, 1.5, 2.0):
-            assert min(pf.pauli_weights(float(t), alpha).p3 for t in grid) >= -1e-12
+            assert pf.pauli_weights(grid, alpha)[:, 3].min() >= -1e-12
 
 
 class TestSquaredWeights:
     def test_equals_doubled_strength(self):
+        times = np.linspace(0.0, 5.0, 100)
         for alpha in (0.3, 0.5, 0.75):
-            for t in np.linspace(0.0, 5.0, 100):
-                q = pf.squared_pauli_weights(float(t), alpha).as_array()
-                p2 = pf.pauli_weights(float(t), 2 * alpha).as_array()
-                assert np.max(np.abs(q - p2)) <= 1e-14
+            q = pf.squared_pauli_weights(times, alpha)
+            p2 = pf.pauli_weights(times, 2 * alpha)
+            assert np.max(np.abs(q - p2)) <= 1e-14
 
     def test_boundary_half_strength(self):
-        for t in np.linspace(0.0, 5.0, 50):
-            assert abs(pf.squared_pauli_weights(float(t), 0.5).p3) <= 1e-14
+        q3 = pf.squared_pauli_weights(np.linspace(0.0, 5.0, 50), 0.5)[:, 3]
+        assert np.abs(q3).max() <= 1e-14
 
     def test_origin(self):
-        np.testing.assert_allclose(pf.squared_pauli_weights(0.0, 0.4).as_array(),
+        np.testing.assert_allclose(pf.squared_pauli_weights(0.0, 0.4),
                                    [1.0, 0.0, 0.0, 0.0], atol=1e-15)
 
     def test_q3_nonnegative_iff_half_strength(self):
         grid = pf.default_grid()
-        assert min(pf.squared_pauli_weights(float(t), 0.5).p3 for t in grid) >= -1e-12
-        assert min(pf.squared_pauli_weights(float(t), 0.75).p3 for t in grid) >= -1e-12
-        assert min(pf.squared_pauli_weights(float(t), 0.4).p3 for t in grid) < -1e-6
+        assert pf.squared_pauli_weights(grid, 0.5)[:, 3].min() >= -1e-12
+        assert pf.squared_pauli_weights(grid, 0.75)[:, 3].min() >= -1e-12
+        assert pf.squared_pauli_weights(grid, 0.4)[:, 3].min() < -1e-6
 
 
 class TestCpCriterion:
@@ -159,18 +165,53 @@ class TestCpCriterion:
         assert not pf.cp_criterion(1.0, 0.5)
 
     def test_equality_at_unit_strength(self):
-        for t in np.linspace(0.0, 5.0, 26):
-            assert pf.cp_criterion(float(t), 1.0)
+        assert pf.cp_criterion(np.linspace(0.0, 5.0, 26), 1.0).all()
 
     def test_large_time_log_path(self):
         assert pf.cp_criterion(500.0, 2.0)
         assert not pf.cp_criterion(500.0, 0.5)
 
     def test_agrees_with_p3_sign(self):
+        times = np.linspace(0.0, 5.0, 26)
         for alpha in (0.5, 0.8, 1.0, 1.7):
-            for t in np.linspace(0.0, 5.0, 26):
-                assert pf.cp_criterion(float(t), alpha) == \
-                    (pf.pauli_weights(float(t), alpha).p3 >= -1e-12)
+            assert np.array_equal(pf.cp_criterion(times, alpha),
+                                  pf.pauli_weights(times, alpha)[:, 3] >= -1e-12)
+
+
+class TestTimeArrays:
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(0.05, 5.0), TIMES)
+    def test_closed_forms_over_time_arrays(self, alpha, times):
+        t = np.array(times)
+        for f in CLOSED_FORMS:
+            stacked = _call(f, t, alpha)
+            # one float, or a 0-d array, gives the same bits as inside an array
+            assert np.array_equal(stacked, [_call(f, x, alpha) for x in times])
+            assert np.array_equal(stacked, [_call(f, np.asarray(x), alpha) for x in times])
+        w = pf.pauli_weights(t, alpha)
+        np.testing.assert_allclose(w.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
+        assert np.array_equal(pf.squared_pauli_weights(t, alpha), pf.pauli_weights(t, 2.0 * alpha))
+
+    def test_shapes(self):
+        t = np.linspace(0.0, 2.0, 6).reshape(2, 3)
+        assert pf.log_cosh(t).shape == (2, 3)
+        assert pf.bloch_eigenvalues(t, 0.6).shape == (2, 3, 3)
+        assert pf.pauli_weights(t, 0.6).shape == (2, 3, 4)
+        assert pf.squared_pauli_weights(t, 0.6).shape == (2, 3, 4)
+        assert pf.cp_criterion(t, 0.6).shape == (2, 3)
+        assert pf.cp_criterion(t, 0.6).dtype == bool
+        assert pf.bloch_eigenvalues(1.0, 0.6).shape == (3,)
+        assert pf.pauli_weights(1.0, 0.6).shape == (4,)
+
+    @pytest.mark.parametrize("bad", [-0.5, math.nan, math.inf])
+    def test_bad_time_inside_an_array_is_named(self, bad):
+        times = np.array([0.0, 1.0, bad, 2.0])
+        message = re.escape(f"time must be nonnegative and finite, got {bad}")
+        for f in CLOSED_FORMS[1:]:
+            with pytest.raises(ValueError, match=message):
+                f(times, 0.6)
+            with pytest.raises(ValueError, match="alpha"):
+                f(times[:2], -1.0)
 
 
 class TestChannel:
@@ -181,17 +222,16 @@ class TestChannel:
         for t in (0.3, 1.0, 2.5):
             for alpha in (0.5, 1.0, 1.5):
                 eigs = np.sort(np.linalg.eigvalsh(so.choi(pf.channel(t, alpha))))
-                expected = np.sort(2 * pf.pauli_weights(t, alpha).as_array())
+                expected = np.sort(2 * pf.pauli_weights(t, alpha))
                 np.testing.assert_allclose(eigs, expected, atol=1e-12)
 
     def test_self_composition_matches_squared_weights(self):
         t, alpha = 1.2, 0.6
         squared = compose(pf.channel(t, alpha), pf.channel(t, alpha))
-        l = pf.bloch_eigenvalues(t, alpha)
-        expected = pf.pauli_channel(l.l1 ** 2, l.l2 ** 2, l.l3 ** 2)
+        expected = pf.pauli_channel(*pf.bloch_eigenvalues(t, alpha) ** 2)
         np.testing.assert_allclose(squared.mat, expected.mat, atol=1e-12)
         eigs = np.sort(np.linalg.eigvalsh(so.choi(squared)))
-        q = np.sort(2 * pf.squared_pauli_weights(t, alpha).as_array())
+        q = np.sort(2 * pf.squared_pauli_weights(t, alpha))
         np.testing.assert_allclose(eigs, q, atol=1e-12)
 
     @settings(max_examples=200, deadline=None)
@@ -217,14 +257,9 @@ class TestIntermediateChannel:
         for s in (0.0, 0.4, 1.0, 2.0):
             for dt in (0.1, 0.7, 2.0):
                 inter = intermediate_channel(s + dt, s, alpha)
-                lt = pf.bloch_eigenvalues(s + dt, alpha)
-                ls = pf.bloch_eigenvalues(s, alpha)
-                for ratio in (lt.l1 / ls.l1, lt.l3 / ls.l3):
-                    assert 0.0 < ratio <= 1.0
-                np.testing.assert_allclose(
-                    inter.mat,
-                    pf.pauli_channel(lt.l1 / ls.l1, lt.l2 / ls.l2, lt.l3 / ls.l3).mat,
-                    atol=1e-14)
+                ratio = pf.bloch_eigenvalues(s + dt, alpha) / pf.bloch_eigenvalues(s, alpha)
+                assert ((0.0 < ratio) & (ratio <= 1.0)).all()
+                np.testing.assert_allclose(inter.mat, pf.pauli_channel(*ratio).mat, atol=1e-14)
 
     def test_divisibility_composition(self):
         alpha = 0.7

@@ -87,13 +87,16 @@ class RunConfig:
         "help": "scan all grid pairs, shortest intervals first, not just consecutive"})
 
     def validate(self) -> None:
+        if not self.alpha:
+            raise ValueError("at least one alpha is needed")
         for a in self.alpha:
-            if not math.isfinite(a):
-                raise ValueError(f"alpha values must be finite, got {a}")
+            if not math.isfinite(2.0 * a):   # the closed forms and decay rates double alpha
+                raise ValueError("alpha values must be finite, at most "
+                                 f"{sys.float_info.max / 2} so that 2 alpha is finite, got {a}")
         for name in ("t_max", "rk4_step", "tol", "s", "fd_step"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if not self.alpha or any(a <= 0 for a in self.alpha):
+        if any(a <= 0 for a in self.alpha):
             raise ValueError("alpha values must be positive")
         for name in ("t_max", "rk4_step", "tol", "fd_step"):
             if getattr(self, name) <= 0:

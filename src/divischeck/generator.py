@@ -12,8 +12,7 @@ The basis is not an input: a generator with matrix C over another
 orthonormal traceless basis B has C' = W C W† here, W_ki = Tr(F_k† B_i).
 
 Propagation integrates d/dt M_t = L_t M_t from the identity with classical
-fixed-step RK4; where L is one fixed object, as for a fixed C without a
-Hamiltonian, the power of one step is formed by repeated squaring.
+fixed-step RK4, multiplying each block of substeps out in one pairwise tree.
 Divisibility criteria at the generator level:
 
 * C(t) >= 0 on a grid is sufficient for the intermediate maps between grid
@@ -50,12 +49,12 @@ __all__ = [
     "rk4_increment",
 ]
 
-# Substeps of one segment that ``propagate`` stacks at most: a longer segment
-# goes in blocks, which bounds its memory.  Shorter segments share stacks of
-# at most _STACK substeps, as each stack costs a fixed Python overhead and a
-# tree over one block is only log2(_BLOCK) levels deep; a stack with one L
-# object squares one increment per block instead.  Products of steps are
-# kept as E = P - I, as P would round every increment against I's units.
+# Substeps of one block that ``propagate`` multiplies out at most, which
+# bounds its memory: a longer segment goes in several blocks.  Consecutive
+# blocks of equal length share stacks of at most _STACK substeps, as each
+# stack costs a fixed Python overhead and a tree over one block is only
+# log2(_BLOCK) levels deep.  Products of steps are kept as E = P - I, as P
+# would round every increment against I's units.
 _BLOCK = 64
 _STACK = 128
 
@@ -272,43 +271,21 @@ def _tree(d: np.ndarray) -> np.ndarray:
     return d[..., 0, :, :]
 
 
-def _constant_tree(d: np.ndarray, k: int) -> np.ndarray:
-    """``_tree`` of k copies of one increment d, by repeated squaring.
-
-    Every level of that tree holds copies of one power and at most one
-    carried entry at its end, so each level costs at most one squaring and
-    one join, and every product is joined in the tree's order.
-    """
-    carry = None
-    while k + (carry is not None) > 1:
-        if carry is None:
-            carry = d if k % 2 else None   # an odd stack carries its last copy up
-        elif k % 2:
-            carry = _join(d, carry)        # the last copy pairs with the carry
-        k //= 2
-        if k:
-            d = _join(d, d)
-    return d if k else carry
-
-
 def _stacks(grid: np.ndarray, step: float):
     """Yield the RK4 blocks of ``propagate`` in stacks.  A block (t0, h,
     start, k, last) is substeps start .. start + k - 1, of size h, of the
-    segment from t0, ``last`` when it ends it.  A segment of more than
-    _BLOCK substeps yields its blocks one per stack; consecutive shorter
-    ones with equal k share stacks of at most _STACK substeps."""
+    segment from t0, ``last`` when it ends it.  Every segment is cut into
+    blocks of at most _BLOCK substeps; consecutive blocks with equal k
+    share stacks of at most _STACK substeps."""
     stack = []
     for t0, t1 in zip(grid[:-1], grid[1:]):
         nsub = max(1, math.ceil(float(t1 - t0) / step - 1e-12))
-        blocks = [(float(t0), float(t1 - t0) / nsub, start, min(_BLOCK, nsub - start),
-                   start + _BLOCK >= nsub) for start in range(0, nsub, _BLOCK)]
-        if stack and (nsub != stack[0][3] or (len(stack) + 1) * nsub > _STACK):
-            yield stack
-            stack = []
-        if nsub > _BLOCK:
-            yield from ([block] for block in blocks)
-        else:
-            stack += blocks
+        for start in range(0, nsub, _BLOCK):
+            k = min(_BLOCK, nsub - start)
+            if stack and (k != stack[0][3] or (len(stack) + 1) * k > _STACK):
+                yield stack
+                stack = []
+            stack.append((float(t0), float(t1 - t0) / nsub, start, k, start + k == nsub))
     if stack:
         yield stack
 
@@ -328,14 +305,13 @@ def propagate(g: GeneratorSpec, grid, step: float) -> PropagatedFamily:
     When every L a stack evaluated is the very object of its left-end L,
     as for a fixed C without a Hamiltonian, the stack is constant.  A
     block's E then depends only on (L, h, k): one unstacked
-    ``rk4_increment`` call forms its single D, repeated squaring joins the
-    k copies in the tree's own order with about 2 log2(k) matmuls, and E is
-    formed once per (h, k) and reused while L stays that object.  Every
-    other stack takes the tree, equal L values included (the same bits).
-    The blocks fold into their segment's E the same way.  Each
-    segment is recorded as I + E, and the map steps once per segment,
-    M <- M + E M.  Maps and segments are those of a block-by-block loop
-    over the segments, bit for bit.  Deterministic.
+    ``rk4_increment`` call forms its single D, the same tree multiplies k
+    copies of it, and E is formed once per (h, k) and reused while L stays
+    that object.  Every other stack takes the stacked tree, equal L values
+    included (the same bits).  The blocks fold into their segment's E the
+    same way.  Each segment is recorded as I + E, and the map steps once
+    per segment, M <- M + E M.  Maps and segments are those of a
+    block-by-block loop over the segments, bit for bit.  Deterministic.
 
     RK4 stability is not checked here: h |lambda| must stay inside RK4's
     stability region for every eigenvalue lambda of every L(t), or the maps
@@ -369,7 +345,8 @@ def propagate(g: GeneratorSpec, grid, step: float) -> PropagatedFamily:
                 powers, powers_of = {}, l_left
             for h in hs:
                 if (h, k) not in powers:
-                    powers[h, k] = _constant_tree(rk4_increment(l_left, l_left, l_left, h), k)
+                    d = rk4_increment(l_left, l_left, l_left, h)
+                    powers[h, k] = _tree(np.broadcast_to(d, (k,) + d.shape))
             d = [powers[h, k] for h in hs]
         else:
             mid_stack, right_stack = np.array(mids), np.array(rights)

@@ -20,6 +20,7 @@ components on the last axis; ``rates`` and the channels take one time.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -49,8 +50,10 @@ _PAULI_PROJECTORS = np.stack([np.outer(vec(sigma), vec(sigma).conj()).ravel()
 
 
 def _validate(t: float, alpha: float) -> None:
-    if not (alpha > 0 and math.isfinite(alpha)):
-        raise ValueError(f"alpha must be positive and finite, got {alpha}")
+    # 2 alpha must be finite too: the squared channel and the decay rates use it
+    if not (alpha > 0 and math.isfinite(2.0 * alpha)):
+        raise ValueError("alpha must be positive and finite, at most "
+                         f"{sys.float_info.max / 2} so that 2 alpha is finite, got {alpha}")
     if not (t >= 0 and math.isfinite(t)):
         raise ValueError(f"time must be nonnegative and finite, got {t}")
 
@@ -88,17 +91,23 @@ def rates(t: float, alpha: float) -> tuple[float, float, float]:
 
 
 def _transverse_and_l3(t, alpha):
-    """l1 = l2 = exp(-a t) cosh(t)^a and l3 = exp(-2 a t) at the time(s) t."""
-    t = _times(t, alpha)
+    """l1 = l2 = exp(-a t) cosh(t)^a and l3 = exp(-2 a t) at the validated
+    time(s) t.  a t is formed before it is doubled, so any finite a, the
+    doubled alpha of ``squared_pauli_weights`` too, gives l3 = 1 at t = 0."""
     # exp(a (log cosh t - t)) stays finite for arbitrarily large t
-    return np.exp(alpha * (log_cosh(t) - t)), np.exp(-2.0 * alpha * t)
+    return np.exp(alpha * (log_cosh(t) - t)), np.exp(-2.0 * (alpha * t))
+
+
+def _weights(l1, l3):
+    return 0.25 * np.stack([1.0 + 2.0 * l1 + l3, 1.0 - l3, 1.0 - l3,
+                            1.0 - 2.0 * l1 + l3], axis=-1)
 
 
 def bloch_eigenvalues(t, alpha: float) -> np.ndarray:
     """Scaling factors (l1, l2, l3) of the three Bloch components at the
     time(s) t, shape t.shape + (3,): l1 = l2 = exp(-a t) cosh(t)^a and
     l3 = exp(-2 a t)."""
-    l1, l3 = _transverse_and_l3(t, alpha)
+    l1, l3 = _transverse_and_l3(_times(t, alpha), alpha)
     return np.stack([l1, l1, l3], axis=-1)
 
 
@@ -113,15 +122,14 @@ def pauli_weights(t, alpha: float) -> np.ndarray:
     can go negative, and it does for every t > 0 whenever alpha < 1: the
     channel is then not completely positive.
     """
-    l1, l3 = _transverse_and_l3(t, alpha)
-    return 0.25 * np.stack([1.0 + 2.0 * l1 + l3, 1.0 - l3, 1.0 - l3,
-                            1.0 - 2.0 * l1 + l3], axis=-1)
+    return _weights(*_transverse_and_l3(_times(t, alpha), alpha))
 
 
 def squared_pauli_weights(t, alpha: float) -> np.ndarray:
     """Pauli weights of the channel composed with itself: exactly the
-    single-channel weights with alpha doubled."""
-    return pauli_weights(t, 2.0 * alpha)
+    single-channel weights with alpha doubled.  alpha is validated before
+    it is doubled, so an error names the caller's value."""
+    return _weights(*_transverse_and_l3(_times(t, alpha), 2.0 * alpha))
 
 
 def cp_criterion(t, alpha: float) -> np.ndarray:
@@ -151,7 +159,7 @@ def pauli_channel(l1: float, l2: float, l3: float) -> Superoperator:
 
 def channel(t: float, alpha: float) -> Superoperator:
     """The family's channel at time t (identity at t = 0)."""
-    l1, l3 = _transverse_and_l3(t, alpha)
+    l1, l3 = _transverse_and_l3(_times(t, alpha), alpha)
     return pauli_channel(l1, l1, l3)
 
 

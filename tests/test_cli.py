@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -456,6 +457,21 @@ class TestConfigAndErrors:
         assert code == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "x.json").exists()
+
+    @pytest.mark.parametrize("command", ["scan", "divisibility", "witness", "infoflow"])
+    def test_alpha_whose_double_overflows_exits_2(self, tmp_path, capsys, command):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run([command, "--alpha", "1e308", "--output", str(tmp_path / "x")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"at most {sys.float_info.max / 2} so that 2 alpha is finite, got 1e+308" in err
+        assert "RuntimeWarning" not in err
+        assert not list(tmp_path.iterdir())
+
+    def test_empty_alpha_list_exits_2(self, tmp_path, capsys):
+        assert run(["scan", "--alpha", ",", "--output", str(tmp_path / "x")]) == 2
+        assert "at least one alpha is needed" in capsys.readouterr().err
 
     def test_non_finite_config_value_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

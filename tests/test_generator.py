@@ -110,15 +110,17 @@ def record_increment_args(monkeypatch) -> list:
 
 
 def record_constant_trees(monkeypatch) -> list:
-    """Record the copy count k of every ``_constant_tree`` call."""
-    tree = gen._constant_tree
+    """Record the copy count k of every ``_tree`` built over one block, the
+    constant-L memo's builds; the stacked trees have a leading stack axis."""
+    tree = gen._tree
     counts = []
 
-    def recorded(d, k):
-        counts.append(k)
-        return tree(d, k)
+    def recorded(d):
+        if d.ndim == 3:
+            counts.append(d.shape[0])
+        return tree(d)
 
-    monkeypatch.setattr(gen, "_constant_tree", recorded)
+    monkeypatch.setattr(gen, "_tree", recorded)
     return counts
 
 
@@ -507,8 +509,8 @@ class TestPropagate:
 
     def test_liouvillian_calls_and_stack_bound(self, monkeypatch):
         # the closure is called 2N + 1 times for N substeps (the benchmark
-        # derives its RK4 step count from this); a long segment's blocks stay
-        # within _BLOCK, and short segments stack in at most _STACK substeps
+        # derives its RK4 step count from this); every block stays within
+        # _BLOCK, and blocks of equal length stack in at most _STACK substeps
         calls = count_liouvillian_calls(monkeypatch)
         grid, step = [0.0, 0.013, 0.05, 0.2, 0.237, 1.0], 0.004
         gen.propagate(gen.model_generator(0.6), grid, step)
@@ -517,7 +519,7 @@ class TestPropagate:
 
         lefts = record_increment_args(monkeypatch)
         gen.propagate(gen.model_generator(0.6), [0.0, 0.5], 1e-3)
-        assert [left.shape[:-2] for left in lefts] == [(1, 64)] * 7 + [(1, 52)]
+        assert [left.shape[:-2] for left in lefts] == [(2, 64)] * 3 + [(1, 64), (1, 52)]
         assert gen._BLOCK == 64
 
         # the default grid's 200 segments of 25 substeps go five to a stack
@@ -528,7 +530,7 @@ class TestPropagate:
 
     def test_constant_generator_squares_one_increment_per_block(self, monkeypatch):
         # L is still evaluated at all 2N + 1 substep times, but each block
-        # length (64 and 52 here) forms its single increment once, unstacked
+        # length (64 and 52 here) forms its single increment and its tree once
         calls = count_liouvillian_calls(monkeypatch)
         lefts = record_increment_args(monkeypatch)
         trees = record_constant_trees(monkeypatch)
@@ -585,18 +587,12 @@ class TestPropagate:
         g, grid = switched_rates(start, stop), [0.0, 0.5]
         lefts = record_increment_args(monkeypatch)
         fam = gen.propagate(g, grid, 1e-3)
-        # blocks of substeps 0-63, 64-127, ...: only 192-255 holds the change,
-        # but the callable returns a fresh L on every call, so every block,
-        # equal L values or not, takes the stacked tree
-        assert [left.ndim for left in lefts] == [4] * 8
+        # blocks of substeps 0-63, 64-127, ... in stacks of two: only 192-255
+        # holds the change, but the callable returns a fresh L on every call,
+        # so every stack, equal L values or not, takes the stacked tree
+        assert [left.shape[:-2] for left in lefts] == [(2, 64)] * 3 + [(1, 64), (1, 52)]
         for m, ref in zip(fam.maps, sequential_propagate(g, grid, 1e-3)):
             np.testing.assert_allclose(m.mat, ref, rtol=0, atol=1e-14)
-
-    def test_squaring_joins_copies_in_the_tree_order(self):
-        lmat = gen.liouvillian(hamiltonian_nondiagonal_generator())(0.0)
-        d = gen.rk4_increment(lmat, lmat, lmat, 0.01)
-        for k in range(1, 2 * gen._BLOCK + 1):
-            assert np.array_equal(gen._constant_tree(d, k), gen._tree(np.array([d] * k))), k
 
 
 # Rate triples with nonnegative pairwise sums generate contractive maps, so
@@ -671,9 +667,36 @@ def packed_grids_and_steps(draw):
                  st.builds(switched_rates, st.floats(0.0, 0.5), st.floats(0.0, 2.0))),
        packed_grids_and_steps())
 def test_stacked_segments_match_the_segment_loop_bit_for_bit(g, grid_step):
-    # packed stacks, single long-segment blocks, constant and varying L alike
+    # packed stacks, long segments in several blocks, constant and varying L alike
     grid, step = grid_step
     assert_same_family(gen.propagate(g, grid, step), segment_loop_propagate(g, grid, step))
+
+
+@settings(max_examples=100, deadline=None)
+@given(packed_grids_and_steps())
+def test_stacks_cover_each_segment_once_in_bounded_blocks(grid_step):
+    grid, step = grid_step
+    stacks = list(gen._stacks(grid, step))
+    for stack in stacks:
+        assert len({k for *_, k, _ in stack}) == 1
+        assert len(stack) * stack[0][3] <= gen._STACK
+    blocks = [block for stack in stacks for block in stack]
+    assert all(1 <= k <= gen._BLOCK for *_, k, _ in blocks)
+    # the blocks marked last cut the sequence into the grid's segments; each
+    # segment's blocks run on from substep 0 without a gap or overlap and
+    # cover its span in substeps of at most ``step``
+    segments, current = [], []
+    for block in blocks:
+        current.append(block)
+        if block[4]:
+            segments.append(current)
+            current = []
+    assert not current and len(segments) == len(grid) - 1
+    for segment, t0, t1 in zip(segments, grid[:-1], grid[1:]):
+        h = segment[0][1]
+        starts = np.cumsum([0] + [k for *_, k, _ in segment]).tolist()
+        assert [block[:3] for block in segment] == [(float(t0), h, s) for s in starts[:-1]]
+        assert h == float(t1 - t0) / starts[-1] <= step * (1 + 1e-12)
 
 
 class TestCpDivisibilityCheck:

@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ EIGENVALUES = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
 # times near 1e3 put cosh past a double's range: cp_criterion's log branch
 TIMES = st.lists(st.one_of(st.floats(0.0, 20.0), st.floats(990.0, 1010.0)),
                  min_size=1, max_size=16)
+# the largest alpha whose double is finite
+ALPHA_LIMIT = sys.float_info.max / 2
 CLOSED_FORMS = (pf.log_cosh, pf.bloch_eigenvalues, pf.pauli_weights,
                 pf.squared_pauli_weights, pf.cp_criterion)
 
@@ -54,6 +57,24 @@ class TestRates:
             pf.channel(math.inf, 0.6)
         with pytest.raises(ValueError, match="time"):
             pf.rates(math.inf, 0.6)
+
+    @pytest.mark.parametrize("f, at_limit", [
+        (pf.rates, (ALPHA_LIMIT, ALPHA_LIMIT, 0.0)),
+        (pf.bloch_eigenvalues, [1.0, 1.0, 1.0]),
+        (pf.pauli_weights, [1.0, 0.0, 0.0, 0.0]),
+        (pf.squared_pauli_weights, [1.0, 0.0, 0.0, 0.0]),
+        (pf.cp_criterion, True),
+        (lambda t, a: pf.channel(t, a).mat, np.eye(4)),
+        (lambda t, a: pf.semigroup_channel(t, a).mat, np.eye(4)),
+    ], ids=["rates", "bloch_eigenvalues", "pauli_weights", "squared_pauli_weights",
+            "cp_criterion", "channel", "semigroup_channel"])
+    def test_rejects_an_alpha_whose_double_overflows(self, f, at_limit):
+        # 2 alpha overflowed to inf and 0 * inf turned every entry into NaN;
+        # the largest alpha with a finite double still gives the t = 0 values
+        message = re.escape(f"at most {ALPHA_LIMIT} so that 2 alpha is finite, got 1e+308")
+        with pytest.raises(ValueError, match=message):
+            f(0.0, 1e308)
+        assert np.array_equal(f(0.0, ALPHA_LIMIT), at_limit)
 
 
 class TestGeneratorEigenvalues:

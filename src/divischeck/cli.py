@@ -30,7 +30,7 @@ __all__ = ["RunConfig", "main"]
 # --dynamics name -> (channel(t, alpha), generator(alpha), fastest decay rate
 # of its real Bloch spectrum per unit alpha).  Each entry looks its function
 # up when called, so a module attribute rebound at run time counts.  RK4 is
-# stable on that spectrum while rk4_step * rate <= RK4_REAL_LIMIT.
+# stable on that spectrum while step * rate <= RK4_REAL_LIMIT.
 DYNAMICS = {
     "model": (lambda t, a: pauli_family.channel(t, a),
               lambda a: generator.model_generator(a), 2.0),
@@ -186,14 +186,20 @@ def cmd_scan(cfg: RunConfig) -> tuple[list[str], dict]:
     return [path], summary
 
 
+def _check_rk4_step(cfg: RunConfig, name: str, per_alpha: float, of: str) -> None:
+    """Reject the step ``cfg.<name>`` if RK4 is unstable on the fastest decay
+    rate of ``of``, per_alpha x alpha (never formed: it may overflow)."""
+    step, alpha = getattr(cfg, name), cfg.alpha[0]
+    if step * per_alpha * alpha > RK4_REAL_LIMIT:
+        raise ValueError(f"{name} {step:g} is outside RK4's stability interval "
+                         f"for the decay rate {per_alpha:g} x {alpha:g} of {of} (step x "
+                         f"rate > {RK4_REAL_LIMIT:.4f}); the largest stable step is "
+                         f"{RK4_REAL_LIMIT / per_alpha / alpha:.6g}")
+
+
 def cmd_divisibility(cfg: RunConfig) -> tuple[list[str], dict]:
     alpha = cfg.alpha[0]
-    rate = DYNAMICS[cfg.dynamics][2] * alpha
-    if cfg.rk4_step * rate > RK4_REAL_LIMIT:
-        raise ValueError(f"rk4_step {cfg.rk4_step:g} is outside RK4's stability interval "
-                         f"for the decay rate {rate:g} of --dynamics {cfg.dynamics} (step x "
-                         f"rate > {RK4_REAL_LIMIT:.4f}); the largest stable step is "
-                         f"{RK4_REAL_LIMIT / rate:.6g}")
+    _check_rk4_step(cfg, "rk4_step", DYNAMICS[cfg.dynamics][2], f"--dynamics {cfg.dynamics}")
     grid = cfg.grid()
     gen = DYNAMICS[cfg.dynamics][1](alpha)
     cp_check = generator.cp_divisibility_check(gen, grid, tol=cfg.tol)
@@ -208,9 +214,8 @@ def cmd_divisibility(cfg: RunConfig) -> tuple[list[str], dict]:
 
     reevaluated = None
     if tensor_probe.verdict == divisibility.VIOLATED:
-        inter = tensor_probe.worst_map
-        big = superop.tensor(inter, inter)
-        reevaluated = superop.min_output_eigenvalue(big, tensor_probe.witness)
+        m = tensor_probe.worst_map
+        reevaluated = superop.min_output_eigenvalue(superop.tensor(m, m), tensor_probe.witness)
 
     payload = {
         "alpha": alpha,
@@ -235,6 +240,9 @@ def cmd_divisibility(cfg: RunConfig) -> tuple[list[str], dict]:
 
 def cmd_witness(cfg: RunConfig) -> tuple[list[str], dict]:
     alpha = cfg.alpha[0]
+    # the checks step L (x) id + id (x) L, whose eigenvalues are sums of two of L's
+    _check_rk4_step(cfg, "fd_step", 2.0 * DYNAMICS[cfg.dynamics][2],
+                    f"the tensor generator of --dynamics {cfg.dynamics}")
     gen = DYNAMICS[cfg.dynamics][1](alpha)
     w = divisibility.first_order_witness(gen, cfg.s)
     checks = []

@@ -33,7 +33,7 @@ import numpy as np
 from . import superop
 from .generator import GeneratorSpec, PropagatedFamily, liouvillian, rk4_increment
 from .linalg import NumericalError, similarity_to_transpose
-from .superop import VIOLATED, Superoperator, identity, tensor
+from .superop import VIOLATED, identity, tensor
 
 __all__ = [
     "HOLDS",
@@ -61,7 +61,7 @@ class DivisibilityReport:
     kind: str                                # "CP" | "tensor-P"
     verdict: str                             # HOLDS | VIOLATED
     worst_pair: tuple[float, float] | None
-    worst_map: Superoperator | None
+    worst_map: np.ndarray | None
     worst_value: float
     witness: np.ndarray | None = None
     witness_kind: str | None = None
@@ -77,8 +77,7 @@ def _offset_stacks(family: PropagatedFamily, all_pairs: bool):
     batched matmul, segs[i+k-1] @ V(t_{i+k-1}, t_i).  Consecutive pairs
     stop after offset 1.
     """
-    segs = np.array([seg.mat for seg in family.segments])
-    stack = segs
+    segs = stack = family.segments
     for k in range(1, (len(segs) if all_pairs else min(len(segs), 1)) + 1):
         if k > 1:
             stack = segs[k - 1:] @ stack[:-1]
@@ -87,16 +86,16 @@ def _offset_stacks(family: PropagatedFamily, all_pairs: bool):
 
 def _report(family: PropagatedFamily, kind: str, tol: float, scanned: int, best,
             worst_mat, witness, witness_kind: str, note: str) -> DivisibilityReport:
-    """Report a scan's lowest ``best`` = (value, i, j), the map matrix
-    ``worst_mat`` of that pair, a violation when the value is below ``-tol``;
-    (inf, 0, 0) and no matrix when nothing was scanned."""
+    """Report a scan's lowest ``best`` = (value, i, j) with a copy of that
+    pair's map ``worst_mat`` (maybe a view of the family's segments), a
+    violation below ``-tol``; (inf, 0, 0) and no matrix if nothing was scanned."""
     value, i, j = best
     verdict = VIOLATED if value < -tol else HOLDS
     return DivisibilityReport(
         kind=kind,
         verdict=verdict,
         worst_pair=None if worst_mat is None else (float(family.grid[i]), float(family.grid[j])),
-        worst_map=None if worst_mat is None else Superoperator(family.segments[0].dim, worst_mat),
+        worst_map=None if worst_mat is None else worst_mat.copy(),
         worst_value=float(value),
         witness=witness if verdict == VIOLATED else None,
         witness_kind=witness_kind if verdict == VIOLATED else None,
@@ -146,9 +145,8 @@ def tensor_p_divisibility_probe(family: PropagatedFamily, restarts: int = 100,
     pairs = ((i, i + k, mat) for k, stack in _offset_stacks(family, all_pairs)
              for i, mat in enumerate(stack))
     for i, j, mat in pairs:
-        inter = Superoperator(family.segments[i].dim, mat)
         result = superop.positivity_probe(
-            tensor(inter, inter), restarts=restarts, steps=steps, tol=tol,
+            tensor(mat, mat), restarts=restarts, steps=steps, tol=tol,
             seed=np.random.SeedSequence([seed, i, j]).generate_state(1)[0],
             stop_at=-tol,
         )
@@ -186,8 +184,8 @@ def _tensor_liouvillian(g: GeneratorSpec):
     ident = identity(g.dim)
 
     def at(t: float) -> np.ndarray:
-        single = Superoperator(g.dim, lmat_at(t))
-        return tensor(single, ident).mat + tensor(ident, single).mat
+        single = lmat_at(t)
+        return tensor(single, ident) + tensor(ident, single)
 
     return at
 
@@ -232,7 +230,7 @@ def first_order_witness(g: GeneratorSpec, s: float) -> FirstOrderWitness:
 
     t2 = _tensor_liouvillian(g)(s)
     rho = np.outer(psi, psi.conj())
-    out = superop.apply(Superoperator(g.dim * g.dim, t2), rho)
+    out = superop.apply(t2, rho)
     delta_rate = float(np.real(np.vdot(phi, out @ phi)))
     if delta_rate >= 0:
         raise NumericalError(
@@ -254,8 +252,6 @@ def verify_witness(g: GeneratorSpec, w: FirstOrderWitness, dt: float = 1e-4) -> 
     if not 0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
     t2 = _tensor_liouvillian(g)
-    big = g.dim * g.dim
     dm = rk4_increment(t2(w.s), t2(w.s + 0.5 * dt), t2(w.s + dt), dt)
-    propagator = Superoperator(big, np.eye(big * big, dtype=complex) + dm)
-    out = superop.apply(propagator, np.outer(w.psi, w.psi.conj()))
+    out = superop.apply(np.eye(len(dm), dtype=complex) + dm, np.outer(w.psi, w.psi.conj()))
     return float(np.real(np.vdot(w.phi, out @ w.phi)))

@@ -33,7 +33,6 @@ import numpy as np
 
 from . import pauli_family
 from .linalg import check_grid, check_hermitian
-from .superop import Superoperator
 
 __all__ = [
     "GeneratorCheckReport",
@@ -227,15 +226,14 @@ def liouvillian(g: GeneratorSpec) -> Callable[[float], np.ndarray]:
 
 @dataclass(eq=False)
 class PropagatedFamily:
-    """Maps recorded on an ascending time grid starting at 0 (identity first).
-
-    ``segments[i]`` is the integrated propagator from ``grid[i]`` to
-    ``grid[i + 1]``, the intermediate map V(t_{i+1}, t_i).
+    """Maps on an ascending time grid starting at 0: ``maps`` is the
+    (len(grid), n, n) stack of M(t_i), identity first, and ``segments`` the
+    (len(grid) - 1, n, n) stack of the integrated propagators V(t_{i+1}, t_i).
     """
 
     grid: np.ndarray
-    maps: list[Superoperator]
-    segments: list[Superoperator]
+    maps: np.ndarray
+    segments: np.ndarray
 
 
 def rk4_increment(l_left: np.ndarray, l_mid: np.ndarray, l_right: np.ndarray,
@@ -316,7 +314,8 @@ def propagate(g: GeneratorSpec, grid, step: float) -> PropagatedFamily:
     RK4 stability is not checked here: h |lambda| must stay inside RK4's
     stability region for every eigenvalue lambda of every L(t), or the maps
     grow without bound.  On the negative real axis the limit is 2.7853.
-    Only the ``divisibility`` command checks this, for its ``--dynamics``.
+    Only the CLI checks this, for its ``--dynamics``: ``divisibility`` its
+    RK4 step and ``witness`` its finite-difference step.
     """
     grid = check_grid(grid)
     if abs(grid[0]) > 1e-12:
@@ -330,9 +329,10 @@ def propagate(g: GeneratorSpec, grid, step: float) -> PropagatedFamily:
 
     lmat = liouvillian(g)
     eye = np.eye(g.dim * g.dim, dtype=complex)
-    m, e = eye, np.zeros_like(eye)
-    maps = [Superoperator(g.dim, eye)]
-    segments = []
+    e = np.zeros_like(eye)
+    maps = np.empty((len(grid),) + eye.shape, dtype=complex)
+    segments = np.empty((len(grid) - 1,) + eye.shape, dtype=complex)
+    maps[0], j = eye, 0     # j: segments recorded so far
     l_left = lmat(float(grid[0]))
     powers, powers_of = {}, None   # (h, k) -> E of (I + D)^k, D the increment of powers_of
     for stack in _stacks(grid, step):
@@ -359,9 +359,9 @@ def propagate(g: GeneratorSpec, grid, step: float) -> PropagatedFamily:
         for (*_, last), block in zip(stack, d):
             e = _join(e, block)
             if last:
-                segments.append(Superoperator(g.dim, eye + e))
-                m = m + e @ m
-                maps.append(Superoperator(g.dim, m))
+                segments[j] = eye + e
+                maps[j + 1] = maps[j] + e @ maps[j]
+                j += 1
                 e = np.zeros_like(eye)
     return PropagatedFamily(grid, maps, segments)
 

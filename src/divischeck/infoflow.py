@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .linalg import PAULI, check_grid
-from .superop import Superoperator, apply_maps
+from .superop import _check_map, apply_maps
 
 __all__ = [
     "BackflowReport",
@@ -228,7 +228,7 @@ class BackflowReport:
     pairs: list[StatePair] = field(repr=False)
 
 
-def backflow_scan(map_at: Callable[[float], Superoperator], pairs: list[StatePair],
+def backflow_scan(map_at: Callable[[float], np.ndarray], pairs: list[StatePair],
                   grid, h: float = 1e-4) -> BackflowReport:
     """Scan flow rates of the given state ``pairs``, in order, over a grid
     (nonempty, finite and strictly ascending) with difference step ``h``.
@@ -253,7 +253,7 @@ def backflow_scan(map_at: Callable[[float], Superoperator], pairs: list[StatePai
         # forward difference for t < h, central otherwise
         ends = [(t, t + h) if t < h else (t - h, t + h) for t in times]
         denom = np.array([h if t < h else 2.0 * h for t in times])
-        mats = np.array([[map_at(t_lo).mat, map_at(t_hi).mat] for t_lo, t_hi in ends])
+        mats = _check_map([[map_at(t_lo), map_at(t_hi)] for t_lo, t_hi in ends], stack=True)
         bad = ~np.isfinite(mats).all(axis=(-2, -1))
         if bad.any():
             k, side = np.argwhere(bad)[0]

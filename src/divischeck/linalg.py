@@ -36,16 +36,13 @@ class NumericalError(ArithmeticError):
     """A residual or conditioning contract could not be met."""
 
 
-def _as_matrix(a) -> np.ndarray:
+def _as_matrix(a, square: bool = True) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2:
         raise ValueError(f"expected a matrix, got array of shape {a.shape}")
-    return a
-
-
-def _require_square(a: np.ndarray) -> None:
-    if a.shape[0] != a.shape[1]:
+    if square and a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    return a
 
 
 def check_hermitian(a, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
@@ -58,7 +55,6 @@ def check_hermitian(a, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
     ``rtol * scale``.
     """
     a = _as_matrix(a)
-    _require_square(a)
     if not np.isfinite(a).all():
         raise ValueError("matrix has non-finite entries")
     adj = a.conj().T
@@ -94,7 +90,6 @@ def inverse(a) -> np.ndarray:
     ``CONDITION_LIMIT`` or when ``||A A^-1 - I||_F`` ends up above 1e-8.
     """
     a = _as_matrix(a)
-    _require_square(a)
     cond = float(np.linalg.cond(a))
     if not np.isfinite(cond) or cond > CONDITION_LIMIT:
         raise NumericalError(
@@ -122,7 +117,7 @@ def similarity_to_transpose(m) -> np.ndarray:
     exactly.  Non-finite entries and other shapes are rejected, and U meets
     ``||m.T - U m U^-1||_F <= RESIDUAL_TOL * max(1, ||m||_F)``.
     """
-    m = _as_matrix(m)
+    m = _as_matrix(m, square=False)
     if m.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
@@ -130,7 +125,9 @@ def similarity_to_transpose(m) -> np.ndarray:
     if m[0, 1] == m[1, 0]:
         return np.eye(2, dtype=complex)
     a = np.array([m[0, 1] + m[1, 0], 1j * (m[0, 1] - m[1, 0]), m[0, 0] - m[1, 1]])
-    r, s = sorted((a.real, a.imag), key=np.linalg.norm, reverse=True)
+    # the largest entry breaks ties of the norm, which underflows to 0 below ~1e-162
+    r, s = sorted((a.real, a.imag), key=lambda v: (np.linalg.norm(v), np.abs(v).max()),
+                  reverse=True)
     r = r / np.abs(r).max()
     q = s - (s @ r) / (r @ r) * r      # the part of s normal to r keeps r x q accurate
     if np.linalg.norm(q) <= PARALLEL_TOL * np.linalg.norm(s):

@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from .linalg import PAULI
-from .superop import Superoperator, vec
+from .superop import vec
 
 __all__ = [
     "bloch_eigenvalues",
@@ -76,7 +76,8 @@ def log_cosh(t):
     """log(cosh t) without overflow (cosh overflows past |t| ~ 710); even in
     t, elementwise over an array of times."""
     t = abs(t)
-    return t - _LN2 + np.log1p(np.exp(-2.0 * t))
+    # exp(-2 t) is 0 for t > 373: the cap changes no bit and -2 t cannot overflow
+    return t - _LN2 + np.log1p(np.exp(-2.0 * np.minimum(t, 1e3)))
 
 
 def rates(t: float, alpha: float) -> tuple[float, float, float]:
@@ -94,8 +95,10 @@ def _transverse_and_l3(t, alpha):
     """l1 = l2 = exp(-a t) cosh(t)^a and l3 = exp(-2 a t) at the validated
     time(s) t.  a t is formed before it is doubled, so any finite a, the
     doubled alpha of ``squared_pauli_weights`` too, gives l3 = 1 at t = 0."""
-    # exp(a (log cosh t - t)) stays finite for arbitrarily large t
-    return np.exp(alpha * (log_cosh(t) - t)), np.exp(-2.0 * (alpha * t))
+    # exp(a (log cosh t - t)) stays finite for large t; a t past the largest
+    # double is inf, and exp(-inf) = 0 is the limit, so the overflow is silent
+    with np.errstate(over="ignore"):
+        return np.exp(alpha * (log_cosh(t) - t)), np.exp(-2.0 * (alpha * t))
 
 
 def _weights(l1, l3):
@@ -140,30 +143,32 @@ def cp_criterion(t, alpha: float) -> np.ndarray:
     double; the comparison is equivalent by monotonicity.
     """
     t = _times(t, alpha)
-    lhs_log = log_cosh(alpha * t)
-    rhs_log = alpha * log_cosh(t)
+    # a t past the largest double gives inf logs, their limit; only a CP alpha >= 1 gets there
+    with np.errstate(over="ignore"):
+        lhs_log = log_cosh(alpha * t)
+        rhs_log = alpha * log_cosh(t)
     # capped at 700 so that exp never overflows; the log branch covers those
     direct = np.exp(np.minimum(lhs_log, 700.0)) >= np.exp(np.minimum(rhs_log, 700.0)) - 1e-12
     return np.where(np.maximum(lhs_log, rhs_log) > 700.0, lhs_log >= rhs_log, direct)
 
 
-def pauli_channel(l1: float, l2: float, l3: float) -> Superoperator:
-    """Unital qubit channel with the given Bloch eigenvalues.
+def pauli_channel(l1: float, l2: float, l3: float) -> np.ndarray:
+    """Unital qubit channel with the given Bloch eigenvalues, as its 4 x 4
+    map matrix.
 
     Spectral form on the (orthogonal) Pauli basis: the identity component
     is fixed, sigma_k is scaled by l_k.
     """
-    mat = 0.5 * np.array([1.0, l1, l2, l3]) @ _PAULI_PROJECTORS
-    return Superoperator(2, mat.reshape(4, 4))
+    return (0.5 * np.array([1.0, l1, l2, l3]) @ _PAULI_PROJECTORS).reshape(4, 4)
 
 
-def channel(t: float, alpha: float) -> Superoperator:
+def channel(t: float, alpha: float) -> np.ndarray:
     """The family's channel at time t (identity at t = 0)."""
     l1, l3 = _transverse_and_l3(_times(t, alpha), alpha)
     return pauli_channel(l1, l1, l3)
 
 
-def semigroup_channel(t: float, alpha: float) -> Superoperator:
+def semigroup_channel(t: float, alpha: float) -> np.ndarray:
     """Constant-rate comparison dynamics: rates (a, a, a), i.e. isotropic
     depolarization with all Bloch eigenvalues exp(-2 a t)."""
     _validate(t, alpha)

@@ -1,4 +1,7 @@
-"""Superoperators as dense matrices acting on column-vectorized operators.
+"""Maps as dense matrices acting on column-vectorized operators.
+
+A map on d x d operators is a complex (d^2, d^2) numpy array, d the integer
+square root of its last axis, and a stack of maps is (..., d^2, d^2).
 
 Conventions, fixed package-wide:
 
@@ -34,7 +37,6 @@ from .linalg import RESIDUAL_TOL, NumericalError, check_hermitian, inverse
 __all__ = [
     "HOLDS_NO_VIOLATION",
     "PositivityProbeResult",
-    "Superoperator",
     "VIOLATED",
     "apply",
     "apply_maps",
@@ -64,24 +66,15 @@ def vec(x) -> np.ndarray:
     return np.asarray(x, dtype=complex).reshape(-1, order="F")
 
 
-@dataclass(eq=False)
-class Superoperator:
-    """A linear map on d x d matrices stored as a d^2 x d^2 matrix.
-
-    ``mat`` acts on column-vectorized operators.
-    """
-
-    dim: int
-    mat: np.ndarray
-
-    def __post_init__(self):
-        self.mat = np.asarray(self.mat, dtype=complex)
-        d2 = self.dim * self.dim
-        if self.dim <= 0 or self.mat.shape != (d2, d2):
-            raise ValueError(
-                f"superoperator on dimension {self.dim} needs a {d2} x {d2} "
-                f"matrix, got shape {self.mat.shape}"
-            )
+def _check_map(s, stack: bool = False) -> np.ndarray:
+    """The map ``s`` as a complex (d^2, d^2) array, d >= 1, or with ``stack``
+    a stack (..., d^2, d^2) of them: the shape check of every public entry."""
+    mat = np.asarray(s, dtype=complex)
+    d = math.isqrt(mat.shape[-1]) if mat.ndim else 0
+    if d < 1 or mat.shape[-2:] != (d * d, d * d) or not (stack or mat.ndim == 2):
+        raise ValueError(f"superoperator on dimension {d} needs a {d * d} x {d * d} "
+                         f"matrix, got shape {mat.shape}")
+    return mat
 
 
 @dataclass(eq=False)
@@ -99,14 +92,14 @@ class PositivityProbeResult:
     verdict: str
 
 
-def identity(dim: int) -> Superoperator:
+def identity(dim: int) -> np.ndarray:
     """The identity map on dim x dim operators."""
-    return Superoperator(dim, np.eye(dim * dim, dtype=complex))
+    return np.eye(dim * dim, dtype=complex)
 
 
-def apply(s: Superoperator, x) -> np.ndarray:
+def apply(s, x) -> np.ndarray:
     """Apply the map to one dim x dim operator or a stack (..., dim, dim)."""
-    return apply_maps(s.mat, x)
+    return apply_maps(_check_map(s), x)
 
 
 def apply_maps(mats: np.ndarray, x) -> np.ndarray:
@@ -126,7 +119,7 @@ def apply_maps(mats: np.ndarray, x) -> np.ndarray:
     return out.reshape(*out.shape[:-1], dim, dim).swapaxes(-1, -2)
 
 
-def tensor(s1: Superoperator, s2: Superoperator) -> Superoperator:
+def tensor(s1, s2) -> np.ndarray:
     """Tensor product map, defined by (s1 tensor s2)[X kron Y] = s1[X] kron s2[Y].
 
     Under column stacking the rows of a d x d map split as (column, row)
@@ -134,14 +127,13 @@ def tensor(s1: Superoperator, s2: Superoperator) -> Superoperator:
     of the product space being (factor 1, factor 2).  Interleaving the
     factor indices of the two matrices is one broadcast product.
     """
-    d1, d2 = s1.dim, s2.dim
-    d = d1 * d2
-    mat = (s1.mat.reshape(d1, 1, d1, 1, d1, 1, d1, 1)
-           * s2.mat.reshape(1, d2, 1, d2, 1, d2, 1, d2)).reshape(d * d, d * d)
-    return Superoperator(d, mat)
+    s1, s2 = _check_map(s1), _check_map(s2)
+    d1, d2 = math.isqrt(len(s1)), math.isqrt(len(s2))
+    return (s1.reshape(d1, 1, d1, 1, d1, 1, d1, 1)
+            * s2.reshape(1, d2, 1, d2, 1, d2, 1, d2)).reshape(len(s1) * len(s2), -1)
 
 
-def choi(s: Superoperator | np.ndarray) -> np.ndarray:
+def choi(s) -> np.ndarray:
     """Choi matrix C = sum_ij S[E_ij] kron E_ij (output factor first), as a
     d^2 x d^2 array; unnormalized, so trace d for trace-preserving S.
 
@@ -149,26 +141,24 @@ def choi(s: Superoperator | np.ndarray) -> np.ndarray:
     matrices come stacked alike.  The entry C[(k, i), (l, j)] = S[E_ij][k, l]
     sits at S[(l, k), (j, i)], so C is a realignment of the map's matrix.
     """
-    mats = s.mat if isinstance(s, Superoperator) else s
+    mats = _check_map(s, stack=True)
     d = math.isqrt(mats.shape[-1])
-    return (mats.reshape(-1, d, d, d, d).transpose(0, 2, 4, 1, 3)
-            .reshape(mats.shape[:-2] + (d * d, d * d)))
+    return mats.reshape(-1, d, d, d, d).transpose(0, 2, 4, 1, 3).reshape(mats.shape)
 
 
-def is_cp(s: Superoperator, tol: float = 1e-9) -> tuple[bool, float]:
+def is_cp(s, tol: float = 1e-9) -> tuple[bool, float]:
     """Complete positivity test: min Choi eigenvalue >= -tol.
 
     Returns (verdict, min eigenvalue).  The input must be
     hermiticity-preserving, otherwise the Choi matrix fails its
     Hermiticity check and the call is rejected.
     """
-    h = check_hermitian(choi(s), rtol=1e-10)
-    w = np.linalg.eigvalsh(h)
-    min_eig = float(w[0])
+    h = check_hermitian(choi(_check_map(s)), rtol=1e-10)
+    min_eig = float(np.linalg.eigvalsh(h)[0])
     return min_eig >= -tol, min_eig
 
 
-def _lowest_eigenpairs(s: Superoperator, states: np.ndarray):
+def _lowest_eigenpairs(s: np.ndarray, states: np.ndarray):
     """Lowest eigenvalue and eigenvector of the Hermitian part of S[|v><v|],
     for each row v of a (restarts, dim) stack, with one apply and one eigh."""
     out = apply(s, states[:, :, None] * states.conj()[:, None, :])
@@ -205,7 +195,7 @@ def _extrapolate(x0: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
     return x / np.linalg.norm(x, axis=1, keepdims=True)
 
 
-def positivity_probe(s: Superoperator, restarts: int = 100, steps: int = 500,
+def positivity_probe(s, restarts: int = 100, steps: int = 500,
                      tol: float = 1e-9, seed: int = 0,
                      stop_at: float | None = None) -> PositivityProbeResult:
     """Minimize the smallest output eigenvalue over pure input states.
@@ -213,7 +203,7 @@ def positivity_probe(s: Superoperator, restarts: int = 100, steps: int = 500,
     The objective <phi|S[|psi><psi|]|phi> (Hermitian part) is minimized by
     a seesaw of two exact min-eigenvector steps per sweep: phi becomes the
     lowest eigenvector of S[|psi><psi|], then psi the lowest eigenvector of
-    the dual map S^dagger[|phi><phi|] (matrix ``s.mat.conj().T``).  After
+    the dual map S^dagger[|phi><phi|] (matrix ``s.conj().T``).  After
     every two sweeps the next one starts from a SQUAREM extrapolation
     through the last three states, which shortcuts the seesaw's slow linear
     convergence on near-identity maps.  Each restart keeps its lowest-valued
@@ -235,11 +225,13 @@ def positivity_probe(s: Superoperator, restarts: int = 100, steps: int = 500,
         raise ValueError("restarts must be >= 1")
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    dual = Superoperator(s.dim, s.mat.conj().T)
-    margin = _ROUNDING * np.linalg.norm(s.mat, 2)
+    s = _check_map(s)
+    dual = s.conj().T
+    margin = _ROUNDING * np.linalg.norm(s, 2)
+    dim = math.isqrt(len(s))
 
     rng = np.random.default_rng(seed)
-    psi = rng.standard_normal((restarts, s.dim)) + 1j * rng.standard_normal((restarts, s.dim))
+    psi = rng.standard_normal((restarts, dim)) + 1j * rng.standard_normal((restarts, dim))
     psi /= np.linalg.norm(psi, axis=1, keepdims=True)
     values, phi = _lowest_eigenpairs(s, psi)
     chain, checked = [psi], values      # states since the last extrapolation
@@ -267,25 +259,25 @@ def positivity_probe(s: Superoperator, restarts: int = 100, steps: int = 500,
     return PositivityProbeResult(min_value, state, used, verdict)
 
 
-def intermediate(s_t: Superoperator, s_s: Superoperator) -> Superoperator:
+def intermediate(s_t, s_s) -> np.ndarray:
     """Two-time propagator s_t composed with the inverse of s_s.
 
     Requires s_s to be invertible (condition estimate below 1e12) and
     verifies the composition residual || (result) s_s - s_t ||_F <= 1e-8.
     """
-    if s_t.dim != s_s.dim:
-        raise ValueError(f"dimension mismatch: {s_t.dim} vs {s_s.dim}")
-    inv_s = inverse(s_s.mat)
-    mat = s_t.mat @ inv_s
-    residual = float(np.linalg.norm(mat @ s_s.mat - s_t.mat))
+    s_t, s_s = _check_map(s_t), _check_map(s_s)
+    if s_t.shape != s_s.shape:
+        raise ValueError(f"dimension mismatch: {math.isqrt(len(s_t))} vs {math.isqrt(len(s_s))}")
+    mat = s_t @ inverse(s_s)
+    residual = float(np.linalg.norm(mat @ s_s - s_t))
     if residual > RESIDUAL_TOL:
         raise NumericalError(
             f"intermediate-map residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e}"
         )
-    return Superoperator(s_t.dim, mat)
+    return mat
 
 
-def min_output_eigenvalue(s: Superoperator, psi) -> float:
+def min_output_eigenvalue(s, psi) -> float:
     """Smallest eigenvalue of the Hermitian part of S[|psi><psi|], psi
     normalized first: the quantity the positivity probe minimizes and the
     ``min_value`` it reports for its witness state."""

@@ -9,7 +9,7 @@ from divischeck import pauli_family as pf
 from divischeck.generator import PropagatedFamily, liouvillian, rk4_increment
 from divischeck.infoflow import EIGEN_FLOOR, StatePair
 from divischeck.linalg import PAULI
-from divischeck.superop import Superoperator, apply, choi, vec
+from divischeck.superop import apply, choi, vec
 
 
 def generator_eigenvalues(t: float, alpha: float) -> tuple[float, float, float, float]:
@@ -23,7 +23,7 @@ def generator_eigenvalues(t: float, alpha: float) -> tuple[float, float, float, 
     return (0.0, transverse, transverse, -2.0 * alpha)
 
 
-def intermediate_channel(t: float, s: float, alpha: float) -> Superoperator:
+def intermediate_channel(t: float, s: float, alpha: float) -> np.ndarray:
     """Two-time propagator of the model family from s to t, t >= s >= 0.
 
     A Pauli channel with eigenvalue ratios l_k(t)/l_k(s); the ratios lie in
@@ -49,23 +49,28 @@ def unvec(v, dim: int) -> np.ndarray:
     return np.asarray(v, dtype=complex).reshape((dim, dim), order="F")
 
 
-def apply_single(s: Superoperator, x) -> np.ndarray:
+def map_dim(s: np.ndarray) -> int:
+    """Operator dimension d of a (d^2, d^2) map matrix."""
+    return math.isqrt(len(s))
+
+
+def apply_single(s: np.ndarray, x) -> np.ndarray:
     """The map applied to one dim x dim operator as a matrix-vector product,
     unvec(S vec(X))."""
-    return unvec(s.mat @ vec(x), s.dim)
+    return unvec(s @ vec(x), map_dim(s))
 
 
-def compose(s1: Superoperator, s2: Superoperator) -> Superoperator:
+def compose(s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
     """The map s1 after s2."""
-    if s1.dim != s2.dim:
-        raise ValueError(f"dimension mismatch: {s1.dim} vs {s2.dim}")
-    return Superoperator(s1.dim, s1.mat @ s2.mat)
+    if s1.shape != s2.shape:
+        raise ValueError(f"dimension mismatch: {map_dim(s1)} vs {map_dim(s2)}")
+    return s1 @ s2
 
 
-def is_trace_preserving(s: Superoperator, tol: float = 1e-10) -> bool:
+def is_trace_preserving(s: np.ndarray, tol: float = 1e-10) -> bool:
     """Exact check vec(I)^dagger S = vec(I)^dagger, entrywise within tol."""
-    row = vec(np.eye(s.dim))
-    return bool(np.max(np.abs(row @ s.mat - row)) <= tol)
+    row = vec(np.eye(map_dim(s)))
+    return bool(np.max(np.abs(row @ s - row)) <= tol)
 
 
 def max_asymmetry(a) -> float:
@@ -78,7 +83,7 @@ def max_asymmetry(a) -> float:
     return float(np.max(np.abs(a - a.conj().T)))
 
 
-def is_hermiticity_preserving(s: Superoperator, tol: float = 1e-10) -> bool:
+def is_hermiticity_preserving(s: np.ndarray, tol: float = 1e-10) -> bool:
     """Exact check that the Choi matrix is Hermitian, entrywise within tol."""
     return max_asymmetry(choi(s)) <= tol
 
@@ -156,7 +161,7 @@ def segment_loop_propagate(g, grid, step: float, block: int = 64) -> PropagatedF
     lmat = liouvillian(g)
     eye = np.eye(g.dim * g.dim, dtype=complex)
     m = eye
-    maps = [Superoperator(g.dim, eye)]
+    maps = [eye]
     segments = []
     l_left = lmat(float(grid[0]))
     powers, powers_of = {}, None
@@ -185,10 +190,10 @@ def segment_loop_propagate(g, grid, step: float, block: int = 64) -> PropagatedF
                     d = _tree(rk4_increment(lefts, mid_stack, right_stack, h))
             e = _join(e, d)
             l_left = rights[-1]
-        segments.append(Superoperator(g.dim, eye + e))
+        segments.append(eye + e)
         m = m + e @ m
-        maps.append(Superoperator(g.dim, m))
-    return PropagatedFamily(grid, maps, segments)
+        maps.append(m)
+    return PropagatedFamily(grid, np.array(maps), np.array(segments).reshape((-1,) + eye.shape))
 
 
 def i_major_intermediates(family: PropagatedFamily, all_pairs: bool):
@@ -201,10 +206,10 @@ def i_major_intermediates(family: PropagatedFamily, all_pairs: bool):
     for i, seg in enumerate(family.segments):
         yield i, i + 1, seg
         if all_pairs:
-            mat = seg.mat
+            mat = seg
             for j in range(i + 2, len(family.grid)):
-                mat = family.segments[j - 1].mat @ mat
-                yield i, j, Superoperator(seg.dim, mat)
+                mat = family.segments[j - 1] @ mat
+                yield i, j, mat
 
 
 def pair_by_pair_cp_scan(pairs):

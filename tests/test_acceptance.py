@@ -108,7 +108,7 @@ def test_criterion_7_propagator_fidelity():
 
             def sup_err(step, g=g, alpha=alpha):
                 fam = gen.propagate(g, grid, step)
-                return max(np.linalg.norm(m.mat - pf.channel(float(t), alpha).mat)
+                return max(np.linalg.norm(m - pf.channel(float(t), alpha))
                            for t, m in zip(fam.grid, fam.maps))
 
             assert sup_err(1e-3) <= 1e-8

@@ -24,7 +24,8 @@ def _array_holders():
     return {
         "GeneratorSpec": lambda: generator.GeneratorSpec(2, np.array([0.6, 0.6, 0.6])),
         "PropagatedFamily": lambda: generator.PropagatedFamily(
-            np.array([0.0, 1.0]), [superop.identity(2)] * 2, [superop.identity(2)]),
+            np.array([0.0, 1.0]), np.array([superop.identity(2)] * 2),
+            superop.identity(2)[None]),
         "DivisibilityReport": lambda: divisibility.DivisibilityReport(
             "CP", divisibility.HOLDS, None, None, 0.0, witness=np.zeros(4)),
         "FirstOrderWitness": lambda: divisibility.FirstOrderWitness(

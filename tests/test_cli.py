@@ -2,6 +2,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -204,7 +205,7 @@ class TestDynamicsTable:
         grid = np.linspace(0.0, 1.0, 5)
         family = generator.propagate(make_generator(0.6), grid, 1e-3)
         for t, m in zip(grid, family.maps):
-            np.testing.assert_allclose(m.mat, channel(float(t), 0.6).mat, atol=1e-10)
+            np.testing.assert_allclose(m, channel(float(t), 0.6), atol=1e-10)
 
     def test_decay_rate_is_the_fastest_of_a_real_spectrum(self, name):
         # the divisibility command's RK4 step guard rests on this rate
@@ -277,6 +278,22 @@ class TestWitness:
         checks = payload["finite_dt_checks"]
         assert checks[0]["dt"] == pytest.approx(1e-4)
         assert checks[1]["dt"] == pytest.approx(5e-5)
+
+    @pytest.mark.parametrize("alpha, code", [("6900", 0), ("7000", 2), ("1e300", 2)])
+    def test_fd_step_outside_the_tensor_stability_interval_exits_2(self, tmp_path, capsys,
+                                                                   alpha, code):
+        # the tensor generator decays at twice the model's 2 alpha:
+        # fd_step x 4 alpha = 2.76 for alpha 6900 and 2.8 for 7000, around
+        # RK4's real-axis limit 2.7853
+        out = tmp_path / "wit"
+        assert run(["witness", "--alpha", alpha, "--output", str(out)]) == code
+        captured = capsys.readouterr()
+        if code == 0:
+            assert math.isfinite(json.loads(captured.out)["summary"]["halving_ratio"])
+        else:
+            assert (f"fd_step 0.0001 is outside RK4's stability interval for the decay "
+                    f"rate 4 x {float(alpha):g} of the tensor generator") in captured.err
+            assert not list(tmp_path.iterdir())
 
     def test_s_zero_rejected(self, tmp_path, capsys):
         out = tmp_path / "wit"
@@ -469,6 +486,16 @@ class TestConfigAndErrors:
         assert "RuntimeWarning" not in err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv", [
+        ["scan", "--alpha", "8e307", "--grid-points", "4"],
+        ["infoflow", "--alpha", "1e300", "--grid-points", "4", "--samples", "2"],
+    ], ids=["scan", "infoflow"])
+    def test_huge_valid_alpha_runs_without_warnings(self, tmp_path, capsys, argv):
+        # a t overflows a double here; the closed forms take its limit, and
+        # pytest's filterwarnings = error turns any RuntimeWarning into a failure
+        assert run(argv + ["--output", str(tmp_path / "x")]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_empty_alpha_list_exits_2(self, tmp_path, capsys):
         assert run(["scan", "--alpha", ",", "--output", str(tmp_path / "x")]) == 2
         assert "at least one alpha is needed" in capsys.readouterr().err
@@ -557,3 +584,33 @@ def test_import_does_not_load_scipy():
         [sys.executable, "-c", "import sys, divischeck.cli; print('scipy' in sys.modules)"],
         env=env, capture_output=True, text=True, timeout=120, check=True)
     assert proc.stdout.strip() == "False"
+
+
+def strict_json(text):
+    """json.loads that rejects NaN and +-Infinity, which are not JSON."""
+    def reject(constant):
+        raise ValueError(f"non-finite number {constant} in JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--alpha", "0.5,1.5", "--grid-points", "4"],
+    ["scan", "--alpha", "0.5,8e307", "--grid-points", "4", "--format", "json"],
+    ["divisibility", "--alpha", "0.6", "--grid-points", "4", "--restarts", "2"],
+    ["divisibility", "--dynamics", "semigroup", "--alpha", "0.6", "--grid-points", "4",
+     "--restarts", "2", "--all-pairs"],
+    ["witness", "--alpha", "0.75"],
+    ["infoflow", "--alpha", "0.6", "--grid-points", "4", "--samples", "2"],
+    ["infoflow", "--dynamics", "identity", "--grid-points", "4", "--samples", "2"],
+], ids=lambda argv: "-".join(a.lstrip("-") for a in argv[:3]))
+def test_envelope_and_payloads_are_strict_json(tmp_path, capsys, argv):
+    assert run(argv + ["--output", str(tmp_path / "out")]) == 0
+    envelope = strict_json(capsys.readouterr().out)
+    for path in envelope["outputs"]:
+        text = Path(path).read_text()
+        if path.endswith(".json"):
+            strict_json(text)
+        else:
+            # every CSV cell is a finite number, a bare word or blank
+            cells = [c for row in csv.reader(io.StringIO(text)) for c in row]
+            assert not [c for c in cells if c.lower() in ("nan", "inf", "-inf")]

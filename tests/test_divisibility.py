@@ -61,6 +61,19 @@ class TestCpDivisibilityScan:
         assert report.verdict == dv.VIOLATED
 
 
+@pytest.mark.parametrize("scan", [dv.cp_divisibility_scan,
+                                  lambda f: dv.tensor_p_divisibility_probe(f, restarts=2)],
+                         ids=["cp", "tensor-p"])
+def test_worst_map_is_not_a_view_of_the_family(scan):
+    # offset 1 scans the family's own segment stack; the report owns its map
+    family = model_family(pf.default_grid(t_max=1.0, points=4), 0.6)
+    segments = family.segments.copy()
+    report = scan(family)
+    assert any(np.array_equal(report.worst_map, seg) for seg in segments)
+    report.worst_map[...] = 0.0
+    assert np.array_equal(family.segments, segments)
+
+
 class TestTensorProbe:
     def test_model_violated_with_reproducible_witness(self):
         grid = pf.default_grid(t_max=2.0, points=40)
@@ -115,7 +128,7 @@ class TestTensorProbe:
                                                 seed=seed, all_pairs=True)
         maps, direct = {}, {}
         for i, j, inter in i_major_intermediates(family, True):
-            maps[i, j] = inter.mat
+            maps[i, j] = inter
             direct[i, j] = so.positivity_probe(
                 so.tensor(inter, inter), restarts=3, steps=100, tol=tol,
                 seed=np.random.SeedSequence([seed, i, j]).generate_state(1)[0],
@@ -123,7 +136,7 @@ class TestTensorProbe:
         assert report.verdict == verdict
         i, j = (int(np.searchsorted(grid, t)) for t in report.worst_pair)
         assert report.worst_value == direct[i, j]
-        assert np.array_equal(report.worst_map.mat, maps[i, j])
+        assert np.array_equal(report.worst_map, maps[i, j])
         if report.verdict == dv.HOLDS:
             assert report.pairs_scanned == len(direct) == 6 * 5 // 2
             assert (report.worst_value, i, j) == min((v, *pair) for pair, v in direct.items())
@@ -141,9 +154,9 @@ class TestStiffSemigroup:
         return semigroup_family(pf.default_grid(5.0, 20), 10.0)
 
     def test_segments_match_the_closed_form(self, family):
-        expected = pf.semigroup_channel(0.25, 10.0).mat
+        expected = pf.semigroup_channel(0.25, 10.0)
         for seg in family.segments:
-            np.testing.assert_allclose(seg.mat, expected, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(seg, expected, rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize("scan", [
         dv.cp_divisibility_scan,
@@ -166,14 +179,14 @@ def test_intermediates_match_the_closed_form(grid, alpha, all_pairs):
     # closed form to rounding, and the i-major running product bit for bit
     family = model_family(grid, alpha)
     n = len(grid)
-    reference = {(i, j): inter.mat for i, j, inter in i_major_intermediates(family, all_pairs)}
+    reference = {(i, j): inter for i, j, inter in i_major_intermediates(family, all_pairs)}
     stacks = list(dv._offset_stacks(family, all_pairs))
     assert [k for k, _ in stacks] == list(range(1, n if all_pairs else 2))
     for k, stack in stacks:
         assert stack.shape == (n - k, 4, 4)
         for i, mat in enumerate(stack):
             expected = intermediate_channel(float(grid[i + k]), float(grid[i]), alpha)
-            np.testing.assert_allclose(mat, expected.mat, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(mat, expected, rtol=0, atol=1e-12)
             assert np.array_equal(mat, reference.pop((i, i + k)))
     assert reference == {}
     selected = n * (n - 1) // 2 if all_pairs else n - 1
@@ -188,7 +201,7 @@ def assert_matches_pair_by_pair_scan(family, all_pairs):
     value, (i, j), inter, vector = pair_by_pair_cp_scan(i_major_intermediates(family, all_pairs))
     assert report.worst_value == value
     assert report.worst_pair == (float(family.grid[i]), float(family.grid[j]))
-    assert np.array_equal(report.worst_map.mat, inter.mat)
+    assert np.array_equal(report.worst_map, inter)
     if report.verdict == dv.VIOLATED:
         assert np.array_equal(report.witness, vector)
     else:
@@ -225,9 +238,9 @@ def test_stacked_cp_scan_matches_the_pair_by_pair_scan(grid, alpha, family_of, a
 def test_stacked_cp_scan_keeps_the_first_pair_on_exact_ties(segments, all_pairs, pair):
     eye = np.eye(4, dtype=complex)
     maps = {"identity": eye, "transpose": eye[[0, 2, 1, 3]]}
-    segs = [so.Superoperator(2, maps[name]) for name in segments]
+    segs = np.array([maps[name] for name in segments])
     grid = np.arange(len(segs) + 1, dtype=float)
-    family = gen.PropagatedFamily(grid, [so.identity(2)] * len(grid), segs)
+    family = gen.PropagatedFamily(grid, np.array([so.identity(2)] * len(grid)), segs)
     report = assert_matches_pair_by_pair_scan(family, all_pairs)
     assert report.worst_pair == pair
     assert report.worst_value == pytest.approx(-1.0)
@@ -243,7 +256,7 @@ def test_stacked_cp_scan_on_tied_offsets():
     # a fixed semigroup on a dyadic grid: every pair of one offset is one map
     grid = np.arange(7) / 8
     family = semigroup_family(grid, 0.6)
-    assert all(np.array_equal(seg.mat, family.segments[0].mat) for seg in family.segments)
+    assert all(np.array_equal(seg, family.segments[0]) for seg in family.segments)
     report = assert_matches_pair_by_pair_scan(family, True)
     assert report.worst_pair[0] == 0.0
 

@@ -126,9 +126,8 @@ def record_constant_trees(monkeypatch) -> list:
 
 def assert_same_family(fam, ref):
     """Every map and every segment of ``fam`` equals ``ref``'s bit for bit."""
-    assert len(fam.maps) == len(ref.maps)
-    for m, r in zip(fam.maps + fam.segments, ref.maps + ref.segments):
-        assert np.array_equal(m.mat, r.mat)
+    assert np.array_equal(fam.maps, ref.maps)
+    assert np.array_equal(fam.segments, ref.segments)
 
 
 def rotating_drive_generator(rates, omega):
@@ -360,14 +359,14 @@ class TestPropagate:
         g = gen.qubit_rate_generator((0.0, 0.0, 0.0))
         fam = gen.propagate(g, np.linspace(0.0, 2.0, 5), 0.05)
         for m in fam.maps:
-            np.testing.assert_allclose(m.mat, np.eye(4), atol=1e-12)
+            np.testing.assert_allclose(m, np.eye(4), atol=1e-12)
 
     def test_matches_closed_form(self):
         alpha = 1.0
         g = gen.model_generator(alpha)
         grid = np.linspace(0.0, 3.0, 13)
         fam = gen.propagate(g, grid, 1e-3)
-        worst = max(np.linalg.norm(m.mat - pf.channel(float(t), alpha).mat)
+        worst = max(np.linalg.norm(m - pf.channel(float(t), alpha))
                     for t, m in zip(fam.grid, fam.maps))
         assert worst <= 1e-8
 
@@ -377,7 +376,7 @@ class TestPropagate:
         grid = np.linspace(0.0, 2.0, 5)
         fam = gen.propagate(g, grid, 1e-3)
         for t, m in zip(grid, fam.maps):
-            np.testing.assert_allclose(m.mat, expm(lmat * t), atol=1e-8)
+            np.testing.assert_allclose(m, expm(lmat * t), atol=1e-8)
 
     def test_hamiltonian_and_nondiagonal_coefficients_match_expm(self):
         g = hamiltonian_nondiagonal_generator()
@@ -385,14 +384,22 @@ class TestPropagate:
         grid = np.linspace(0.0, 1.5, 4)
         fam = gen.propagate(g, grid, 1e-3)
         for t, m in zip(grid, fam.maps):
-            np.testing.assert_allclose(m.mat, expm(lmat * t), atol=1e-8)
+            np.testing.assert_allclose(m, expm(lmat * t), atol=1e-8)
         for m in fam.maps:
             assert is_trace_preserving(m, tol=1e-8)
+
+    @pytest.mark.parametrize("points", [1, 2, 6])
+    def test_maps_and_segments_are_stacks(self, points):
+        # one complex (n, n) matrix per grid time and per segment
+        fam = gen.propagate(gen.model_generator(0.6), np.linspace(0.0, 0.5, points), 1e-2)
+        assert fam.maps.shape == (points, 4, 4) and fam.maps.dtype == complex
+        assert fam.segments.shape == (points - 1, 4, 4) and fam.segments.dtype == complex
+        np.testing.assert_array_equal(fam.maps[0], np.eye(4))
 
     def test_first_map_is_identity_and_trace_preserving(self):
         g = gen.model_generator(0.6)
         fam = gen.propagate(g, np.linspace(0.0, 1.0, 6), 1e-2)
-        np.testing.assert_allclose(fam.maps[0].mat, np.eye(4), atol=1e-15)
+        np.testing.assert_allclose(fam.maps[0], np.eye(4), atol=1e-15)
         for m in fam.maps:
             assert is_trace_preserving(m, tol=1e-8)
 
@@ -403,7 +410,7 @@ class TestPropagate:
 
         def sup_err(step):
             fam = gen.propagate(g, grid, step)
-            return max(np.linalg.norm(m.mat - pf.channel(float(t), 1.0).mat)
+            return max(np.linalg.norm(m - pf.channel(float(t), 1.0))
                        for t, m in zip(fam.grid, fam.maps))
 
         ratio = sup_err(0.05) / sup_err(0.025)
@@ -462,7 +469,7 @@ class TestPropagate:
         expected = sequential_propagate(g, grid, step)
         assert len(fam.maps) == len(expected)
         for m, ref in zip(fam.maps, expected):
-            np.testing.assert_allclose(m.mat, ref, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(m, ref, rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("fixed, twin", [
         (gen.qubit_rate_generator((0.6, 0.6, 0.6)),
@@ -477,7 +484,7 @@ class TestPropagate:
         grid = np.linspace(0.0, 1.5, 4)
         for m, ref in zip(gen.propagate(fixed, grid, 1e-3).maps,
                           gen.propagate(twin, grid, 1e-3).maps):
-            assert np.array_equal(m.mat, ref.mat)
+            assert np.array_equal(m, ref)
 
     @pytest.mark.parametrize("rated, twin", [
         (gen.qubit_rate_generator((0.6, 0.6, -0.3)),
@@ -494,7 +501,7 @@ class TestPropagate:
         grid = np.linspace(0.0, 1.5, 4)
         for m, ref in zip(gen.propagate(rated, grid, 1e-3).maps,
                           gen.propagate(twin, grid, 1e-3).maps):
-            assert np.array_equal(m.mat, ref.mat)
+            assert np.array_equal(m, ref)
 
     @pytest.mark.parametrize("g, closed", [
         (gen.model_generator(0.6), lambda t: pf.channel(t, 0.6)),
@@ -503,7 +510,7 @@ class TestPropagate:
     def test_closed_form_error_on_default_grid(self, g, closed):
         grid = pf.default_grid()
         fam = gen.propagate(g, grid, 1e-3)
-        worst = max(np.max(np.abs(m.mat - closed(float(t)).mat))
+        worst = max(np.max(np.abs(m - closed(float(t))))
                     for t, m in zip(grid, fam.maps))
         assert worst <= 1e-14
 
@@ -592,7 +599,7 @@ class TestPropagate:
         # so every stack, equal L values or not, takes the stacked tree
         assert [left.shape[:-2] for left in lefts] == [(2, 64)] * 3 + [(1, 64), (1, 52)]
         for m, ref in zip(fam.maps, sequential_propagate(g, grid, 1e-3)):
-            np.testing.assert_allclose(m.mat, ref, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(m, ref, rtol=0, atol=1e-14)
 
 
 # Rate triples with nonnegative pairwise sums generate contractive maps, so
@@ -623,9 +630,9 @@ def test_tree_product_matches_sequential_rk4(g, grid_step):
     expected = sequential_propagate(g, grid, step)
     assert len(fam.maps) == len(expected) == len(fam.segments) + 1
     for m, ref in zip(fam.maps, expected):
-        np.testing.assert_allclose(m.mat, ref, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(m, ref, rtol=0, atol=1e-14)
     for seg, before, after in zip(fam.segments, fam.maps, fam.maps[1:]):
-        np.testing.assert_allclose(after.mat, seg.mat @ before.mat, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(after, seg @ before, rtol=0, atol=1e-14)
 
 
 @settings(max_examples=30, deadline=None)
@@ -646,7 +653,7 @@ def test_fixed_generator_repeats_its_segment_bit_for_bit(rates, ticks, segments,
     grid = np.arange(segments + 1) * spacing
     fam = gen.propagate(gen.qubit_rate_generator(rates), grid, spacing / substeps)
     for seg in fam.segments[1:]:
-        assert np.array_equal(seg.mat, fam.segments[0].mat)
+        assert np.array_equal(seg, fam.segments[0])
 
 
 @st.composite

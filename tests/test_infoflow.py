@@ -399,6 +399,12 @@ class TestBackflowScan:
         with pytest.raises(ValueError, match="state pairs have mixed dimensions"):
             iflow.backflow_scan(lambda t: so.identity(2), pairs, np.array([0.0, 1.0]))
 
+    def test_rejects_a_map_of_the_wrong_shape(self):
+        message = "superoperator on dimension 2 needs a 4 x 4 matrix, got shape (2, 2, 4, 5)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            iflow.backflow_scan(lambda t: np.zeros((4, 5), dtype=complex),
+                                iflow.pair_library(2), np.array([0.0, 1.0]))
+
     @pytest.mark.parametrize("squared", [False, True], ids=["qubit", "tensor"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_a_map_with_non_finite_entries(self, squared, bad):
@@ -406,7 +412,7 @@ class TestBackflowScan:
             ch = pf.channel(t, 0.6)
             m = so.tensor(ch, ch) if squared else ch
             if t > 1.0:
-                m = so.Superoperator(m.dim, np.where(np.eye(len(m.mat)) > 0, bad, m.mat))
+                m = np.where(np.eye(len(m)) > 0, bad, m)
             return m
 
         grid = np.linspace(0.0, 2.0, 3 * iflow._BLOCK)

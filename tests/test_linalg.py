@@ -127,6 +127,15 @@ class TestSimilarityToTranspose:
         assert self.residual(m, u) <= 1e-8 * max(1.0, np.linalg.norm(m))
         assert np.linalg.cond(u) <= 1e12
 
+    @pytest.mark.parametrize("x", [2.04129716e-200, 1e-170, 5e-324])
+    def test_tiny_antisymmetric_part(self, x):
+        # |a| squared underflows, so both norms of Re a and Im a read 0; the
+        # nonzero part must still be the one normalized
+        m = np.array([[0.0, x], [-x, 0.0]], dtype=complex)
+        u = similarity_to_transpose(m)
+        assert np.linalg.norm(u @ u.conj().T - np.eye(2)) <= 1e-12
+        assert self.residual(m, u) <= 1e-8
+
     def test_rejects_non_2x2(self):
         m = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]])
         with pytest.raises(ValueError, match="2x2"):

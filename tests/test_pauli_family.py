@@ -64,8 +64,8 @@ class TestRates:
         (pf.pauli_weights, [1.0, 0.0, 0.0, 0.0]),
         (pf.squared_pauli_weights, [1.0, 0.0, 0.0, 0.0]),
         (pf.cp_criterion, True),
-        (lambda t, a: pf.channel(t, a).mat, np.eye(4)),
-        (lambda t, a: pf.semigroup_channel(t, a).mat, np.eye(4)),
+        (lambda t, a: pf.channel(t, a), np.eye(4)),
+        (lambda t, a: pf.semigroup_channel(t, a), np.eye(4)),
     ], ids=["rates", "bloch_eigenvalues", "pauli_weights", "squared_pauli_weights",
             "cp_criterion", "channel", "semigroup_channel"])
     def test_rejects_an_alpha_whose_double_overflows(self, f, at_limit):
@@ -235,9 +235,35 @@ class TestTimeArrays:
                 f(times[:2], -1.0)
 
 
+class TestHugeAlpha:
+    """An alpha t past the largest double is a decay to exactly 0; the closed
+    forms reach that limit without a warning (pytest turns one into an error)."""
+
+    ALPHA = 8e307
+    TIMES = np.array([0.0, 1e-300, 1.0, 5.0])
+
+    def test_bloch_eigenvalues_and_weights_reach_their_limits(self):
+        np.testing.assert_array_equal(pf.bloch_eigenvalues(self.TIMES, self.ALPHA),
+                                      [[1.0] * 3] + [[0.0] * 3] * 3)
+        for weights in (pf.pauli_weights, pf.squared_pauli_weights):
+            w = weights(self.TIMES, self.ALPHA)
+            np.testing.assert_array_equal(w[0], [1.0, 0.0, 0.0, 0.0])
+            np.testing.assert_array_equal(w[1:], 0.25)
+        np.testing.assert_array_equal(pf.channel(1.0, self.ALPHA), pf.pauli_channel(0.0, 0.0, 0.0))
+
+    def test_cp_criterion_holds(self):
+        assert pf.cp_criterion(self.TIMES, self.ALPHA).all()
+        assert pf.cp_criterion(1.0, self.ALPHA)
+
+    def test_log_cosh_past_half_the_largest_double(self):
+        t = np.array([1e308, -1e308, np.inf, 373.0, 1e3, 2e3])
+        np.testing.assert_array_equal(pf.log_cosh(t),
+                                      [1e308, 1e308, np.inf] + [x - math.log(2.0) for x in t[3:]])
+
+
 class TestChannel:
     def test_identity_at_origin(self):
-        np.testing.assert_allclose(pf.channel(0.0, 0.7).mat, np.eye(4), atol=1e-15)
+        np.testing.assert_allclose(pf.channel(0.0, 0.7), np.eye(4), atol=1e-15)
 
     def test_choi_spectrum_is_twice_weights(self):
         for t in (0.3, 1.0, 2.5):
@@ -250,7 +276,7 @@ class TestChannel:
         t, alpha = 1.2, 0.6
         squared = compose(pf.channel(t, alpha), pf.channel(t, alpha))
         expected = pf.pauli_channel(*pf.bloch_eigenvalues(t, alpha) ** 2)
-        np.testing.assert_allclose(squared.mat, expected.mat, atol=1e-12)
+        np.testing.assert_allclose(squared, expected, atol=1e-12)
         eigs = np.sort(np.linalg.eigvalsh(so.choi(squared)))
         q = np.sort(2 * pf.squared_pauli_weights(t, alpha))
         np.testing.assert_allclose(eigs, q, atol=1e-12)
@@ -258,16 +284,16 @@ class TestChannel:
     @settings(max_examples=200, deadline=None)
     @given(EIGENVALUES, EIGENVALUES, EIGENVALUES)
     def test_pauli_channel_is_the_loop_sum(self, l1, l2, l3):
-        assert np.array_equal(pf.pauli_channel(l1, l2, l3).mat,
+        assert np.array_equal(pf.pauli_channel(l1, l2, l3),
                               loop_pauli_channel(l1, l2, l3))
 
 
 class TestIntermediateChannel:
     def test_trivial_cases(self):
-        np.testing.assert_allclose(intermediate_channel(1.0, 1.0, 0.8).mat,
+        np.testing.assert_allclose(intermediate_channel(1.0, 1.0, 0.8),
                                    np.eye(4), atol=1e-14)
-        np.testing.assert_allclose(intermediate_channel(1.5, 0.0, 0.8).mat,
-                                   pf.channel(1.5, 0.8).mat, atol=1e-14)
+        np.testing.assert_allclose(intermediate_channel(1.5, 0.0, 0.8),
+                                   pf.channel(1.5, 0.8), atol=1e-14)
 
     def test_rejects_reversed_times(self):
         with pytest.raises(ValueError):
@@ -280,7 +306,7 @@ class TestIntermediateChannel:
                 inter = intermediate_channel(s + dt, s, alpha)
                 ratio = pf.bloch_eigenvalues(s + dt, alpha) / pf.bloch_eigenvalues(s, alpha)
                 assert ((0.0 < ratio) & (ratio <= 1.0)).all()
-                np.testing.assert_allclose(inter.mat, pf.pauli_channel(*ratio).mat, atol=1e-14)
+                np.testing.assert_allclose(inter, pf.pauli_channel(*ratio), atol=1e-14)
 
     def test_divisibility_composition(self):
         alpha = 0.7
@@ -291,7 +317,7 @@ class TestIntermediateChannel:
                     continue
                 lhs = compose(intermediate_channel(float(t), float(s), alpha),
                                  pf.channel(float(s), alpha))
-                np.testing.assert_allclose(lhs.mat, pf.channel(float(t), alpha).mat,
+                np.testing.assert_allclose(lhs, pf.channel(float(t), alpha),
                                            atol=1e-10)
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -27,7 +28,57 @@ def transpose_map():
             e = np.zeros((2, 2), dtype=complex)
             e[i, j] = 1.0
             mat[:, j * 2 + i] = so.vec(e.T)
-    return so.Superoperator(2, mat)
+    return mat
+
+
+MAP_TAKERS = {
+    "apply": lambda m: so.apply(m, np.eye(2)),
+    "tensor-first": lambda m: so.tensor(m, so.identity(2)),
+    "tensor-second": lambda m: so.tensor(so.identity(2), m),
+    "choi": so.choi,
+    "is_cp": so.is_cp,
+    "positivity_probe": lambda m: so.positivity_probe(m, restarts=1, steps=1),
+    "min_output_eigenvalue": lambda m: so.min_output_eigenvalue(m, np.ones(2)),
+    "intermediate-first": lambda m: so.intermediate(m, so.identity(2)),
+    "intermediate-second": lambda m: so.intermediate(so.identity(2), m),
+}
+
+
+class TestMapShape:
+    """A map is a (d^2, d^2) array; every public function that takes one
+    rejects any other shape with one message."""
+
+    @pytest.mark.parametrize("name", sorted(MAP_TAKERS))
+    @pytest.mark.parametrize("shape, message", [
+        ((4, 5), "superoperator on dimension 2 needs a 4 x 4 matrix, got shape (4, 5)"),
+        ((3, 3), "superoperator on dimension 1 needs a 1 x 1 matrix, got shape (3, 3)"),
+        ((4,), "superoperator on dimension 2 needs a 4 x 4 matrix, got shape (4,)"),
+        ((0, 0), "superoperator on dimension 0 needs a 0 x 0 matrix, got shape (0, 0)"),
+        ((), "superoperator on dimension 0 needs a 0 x 0 matrix, got shape ()"),
+    ])
+    def test_rejects_a_non_square_dimension(self, name, shape, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            MAP_TAKERS[name](np.zeros(shape, dtype=complex))
+
+    @pytest.mark.parametrize("name", sorted(set(MAP_TAKERS) - {"choi"}))
+    def test_rejects_a_stack_where_one_map_is_taken(self, name):
+        message = "superoperator on dimension 2 needs a 4 x 4 matrix, got shape (2, 4, 4)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            MAP_TAKERS[name](np.stack([so.identity(2)] * 2))
+
+    def test_choi_takes_a_stack(self):
+        stack = np.stack([so.identity(2), pf.channel(1.0, 0.6)])
+        np.testing.assert_array_equal(so.choi(stack), [so.choi(m) for m in stack])
+
+    def test_intermediate_rejects_a_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="dimension mismatch: 2 vs 3"):
+            so.intermediate(so.identity(2), so.identity(3))
+
+    def test_maps_are_complex_arrays(self):
+        for m in (so.identity(2), pf.channel(1.0, 0.6), pf.semigroup_channel(1.0, 0.6),
+                  so.tensor(so.identity(2), pf.channel(1.0, 0.6)),
+                  so.intermediate(pf.channel(2.0, 0.6), pf.channel(1.0, 0.6))):
+            assert isinstance(m, np.ndarray) and m.dtype == complex
 
 
 class TestVec:
@@ -86,19 +137,19 @@ class TestApply:
 class TestCompose:
     def test_identity_neutral(self):
         ch = pf.channel(0.7, 0.6)
-        np.testing.assert_allclose(compose(ch, so.identity(2)).mat, ch.mat)
+        np.testing.assert_allclose(compose(ch, so.identity(2)), ch)
 
     def test_pauli_channels_multiply_eigenvalues(self):
         s1 = pf.pauli_channel(0.9, 0.8, 0.7)
         s2 = pf.pauli_channel(0.5, 0.4, 0.3)
         expected = pf.pauli_channel(0.45, 0.32, 0.21)
-        np.testing.assert_allclose(compose(s1, s2).mat, expected.mat, atol=1e-12)
+        np.testing.assert_allclose(compose(s1, s2), expected, atol=1e-12)
 
     def test_intermediate_recomposes_to_closed_form(self):
         alpha = 0.75
         s_t, s_s = pf.channel(2.0, alpha), pf.channel(0.8, alpha)
         inter = so.intermediate(s_t, s_s)
-        np.testing.assert_allclose(compose(inter, s_s).mat, s_t.mat, atol=1e-10)
+        np.testing.assert_allclose(compose(inter, s_s), s_t, atol=1e-10)
 
     def test_apply_compose_consistency(self):
         rng = np.random.default_rng(2)
@@ -113,7 +164,7 @@ class TestCompose:
 class TestTensor:
     def test_identity(self):
         t = so.tensor(so.identity(2), so.identity(2))
-        np.testing.assert_allclose(t.mat, np.eye(16), atol=1e-14)
+        np.testing.assert_allclose(t, np.eye(16), atol=1e-14)
 
     def test_product_action(self):
         rng = np.random.default_rng(3)
@@ -164,7 +215,7 @@ class TestChoi:
         rng = np.random.default_rng(4)
         w = rng.dirichlet(np.ones(4))
         mat = sum(wi * np.kron(s.conj(), s) for wi, s in zip(w, PAULI))
-        ch = so.Superoperator(2, mat)
+        ch = mat
         eigs = np.sort(np.linalg.eigvalsh(so.choi(ch)))
         np.testing.assert_allclose(eigs, np.sort(2 * w), atol=1e-12)
 
@@ -205,12 +256,12 @@ class TestFlags:
         assert is_trace_preserving(big, tol=1e-9)
 
     def test_scaled_identity_not_trace_preserving(self):
-        doubled = so.Superoperator(2, 2 * so.identity(2).mat)
+        doubled = 2 * so.identity(2)
         assert is_trace_preserving(doubled) is False
         assert is_hermiticity_preserving(doubled) is True
 
     def test_imaginary_identity_not_hermiticity_preserving(self):
-        rotated = so.Superoperator(2, 1j * so.identity(2).mat)
+        rotated = 1j * so.identity(2)
         assert is_hermiticity_preserving(rotated) is False
 
 
@@ -294,21 +345,21 @@ class TestIntermediate:
     def test_self_intermediate_is_identity(self):
         ch = pf.channel(1.1, 0.7)
         inter = so.intermediate(ch, ch)
-        np.testing.assert_allclose(inter.mat, np.eye(4), atol=1e-10)
+        np.testing.assert_allclose(inter, np.eye(4), atol=1e-10)
 
     def test_intermediate_from_origin_is_the_map(self):
         ch_t, ch_0 = pf.channel(1.4, 0.7), pf.channel(0.0, 0.7)
         inter = so.intermediate(ch_t, ch_0)
-        np.testing.assert_allclose(inter.mat, ch_t.mat, atol=1e-12)
+        np.testing.assert_allclose(inter, ch_t, atol=1e-12)
 
     def test_matches_closed_form_ratios(self):
         alpha, s, t = 0.6, 0.9, 2.2
         inter = so.intermediate(pf.channel(t, alpha), pf.channel(s, alpha))
-        np.testing.assert_allclose(inter.mat,
-                                   intermediate_channel(t, s, alpha).mat,
+        np.testing.assert_allclose(inter,
+                                   intermediate_channel(t, s, alpha),
                                    atol=1e-10)
 
     def test_rejects_singular(self):
-        bad = so.Superoperator(2, np.diag([1.0, 1.0, 1.0, 1e-13]).astype(complex))
+        bad = np.diag([1.0, 1.0, 1.0, 1e-13]).astype(complex)
         with pytest.raises(NumericalError):
             so.intermediate(so.identity(2), bad)

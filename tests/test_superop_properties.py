@@ -12,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 
 from divischeck import superop as so
 from divischeck.linalg import PAULI
-from oracles import apply_single, compose, unvec
+from oracles import apply_single, compose, map_dim, unvec
 
 DIMS = st.sampled_from([2, 3])
 ENTRIES = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False,
@@ -26,7 +26,7 @@ def operators(n):
 
 
 def maps(d):
-    return operators(d * d).map(lambda mat: so.Superoperator(d, mat))
+    return operators(d * d)
 
 
 def unit(d, i, j):
@@ -36,7 +36,7 @@ def unit(d, i, j):
 
 
 def loop_tensor(s1, s2):
-    d1, d2 = s1.dim, s2.dim
+    d1, d2 = map_dim(s1), map_dim(s2)
     d = d1 * d2
     img1 = [[so.apply(s1, unit(d1, a, b)) for b in range(d1)] for a in range(d1)]
     img2 = [[so.apply(s2, unit(d2, a, b)) for b in range(d2)] for a in range(d2)]
@@ -51,7 +51,7 @@ def loop_tensor(s1, s2):
 
 
 def loop_choi(s):
-    d = s.dim
+    d = map_dim(s)
     c = np.zeros((d * d, d * d), dtype=complex)
     for i in range(d):
         for j in range(d):
@@ -92,7 +92,7 @@ def test_apply_to_one_operator_is_the_matrix_vector_product(data, d):
 @given(st.data(), DIMS, DIMS)
 def test_tensor_is_the_loop_build(data, d1, d2):
     s1, s2 = data.draw(maps(d1)), data.draw(maps(d2))
-    np.testing.assert_array_equal(so.tensor(s1, s2).mat, loop_tensor(s1, s2))
+    np.testing.assert_array_equal(so.tensor(s1, s2), loop_tensor(s1, s2))
 
 
 @PROPERTY
@@ -111,7 +111,7 @@ def test_choi_is_the_defining_sum(data, d):
     s, s2 = data.draw(maps(d)), data.draw(maps(d))
     np.testing.assert_array_equal(so.choi(s), loop_choi(s))
     # a (2, 1) stack of map matrices gives the stack of their Choi matrices
-    stacked = so.choi(np.stack([s.mat, s2.mat])[:, None])
+    stacked = so.choi(np.stack([s, s2])[:, None])
     np.testing.assert_array_equal(stacked, np.stack([loop_choi(s), loop_choi(s2)])[:, None])
 
 
@@ -127,7 +127,7 @@ def pauli_transfer_map(r):
     """The qubit map with S[sigma_j] = sum_i r_ij sigma_i; Hermiticity-preserving
     for real r, and trace-preserving when r's first row is (1, 0, 0, 0)."""
     basis = np.array([so.vec(p) for p in PAULI]).T
-    return so.Superoperator(2, 0.5 * basis @ r @ basis.conj().T)
+    return 0.5 * basis @ r @ basis.conj().T
 
 
 def unital_qubit_map(t):

@@ -297,7 +297,7 @@ def _flow_report_payload(report: infoflow.BackflowReport) -> dict:
         "max_sigma": report.max_sigma,
         "argmax_pair": report.argmax_label,
         "argmax_t": report.argmax_t,
-        "pair_labels": [p.label for p in report.pairs],
+        "pair_labels": list(report.pairs.labels),
     }
 
 

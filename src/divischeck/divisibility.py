@@ -1,12 +1,13 @@
 """Divisibility scans over map families and the first-order tensor witness.
 
 Scans take the two-time propagators V(t_j, t_i) of a propagated family
-from its integrated grid segments, never from an inverse.  Both scans walk
-the pairs one way, as stacks of one diagonal offset k = j - i each: the
-segments for k = 1, and for wider pairs the product of the segments they
-span, one batched matmul per offset.  Each map is tested exactly for
-complete positivity (stacked Choi spectra), or by randomized search for
-plain positivity of its tensor square, pair by pair.  A
+from its integrated grid segments, never from an inverse, after checking
+the segments as one stack: one finite, Hermiticity-preserving map per grid
+step.  Both scans walk the pairs one way, as stacks of one diagonal offset
+k = j - i each: the segments for k = 1, and for wider pairs the product of
+the segments they span, one batched matmul per offset.  Each map is tested
+exactly for complete positivity (stacked Choi spectra), or by randomized
+search for plain positivity of its tensor square, pair by pair.  A
 "violated" verdict always ships a witness that reproduces the reported
 value on ``worst_map``; a clean scan is only a statement about the grid and
 the search budget.
@@ -69,6 +70,24 @@ class DivisibilityReport:
     note: str = ""
 
 
+def _check_family(family: PropagatedFamily) -> None:
+    """Check a family's segments as one stack: one map per grid step, finite,
+    each with a Hermitian Choi matrix within the relative 1e-10 of ``is_cp``."""
+    segs, steps = np.asarray(family.segments), len(family.grid) - 1
+    if segs.ndim != 3 or len(segs) != steps:
+        raise ValueError(f"{steps + 1} grid times need {steps} segments, got shape {segs.shape}")
+    if not np.isfinite(segs).all():
+        raise ValueError("family segments have non-finite entries")
+    c = superop.choi(segs)
+    asym = np.abs(c - c.conj().swapaxes(1, 2)).max(axis=(1, 2))
+    scale = np.maximum(1.0, np.abs(c).max(axis=(1, 2)))
+    bad = asym > 1e-10 * scale
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"segment {i} does not preserve Hermiticity: its Choi asymmetry "
+                         f"{asym[i]:.3e} exceeds 1e-10 * {scale[i]:.3e}")
+
+
 def _offset_stacks(family: PropagatedFamily, all_pairs: bool):
     """Yield ``(k, stack)`` lazily for the diagonal offsets k of the selected
     grid pairs, offset 1 first, with stack[i] = V(t_{i+k}, t_i).
@@ -115,6 +134,7 @@ def cp_divisibility_scan(family: PropagatedFamily, tol: float = 1e-9,
     lowest pair; the lowest (value, i, j) over all offsets wins, so ties go
     to the first pair in i-major order.
     """
+    _check_family(family)
     best, worst_mat, witness, scanned = (np.inf, 0, 0), None, None, 0
     for k, stack in _offset_stacks(family, all_pairs):
         cmat = superop.choi(stack)
@@ -141,6 +161,7 @@ def tensor_p_divisibility_probe(family: PropagatedFamily, restarts: int = 100,
     (i, j) is searched from seed ``SeedSequence([seed, i, j])`` whatever the
     walk.  The lowest (value, i, j) scanned is reported.
     """
+    _check_family(family)
     best, worst_mat, witness, scanned = (np.inf, 0, 0), None, None, 0
     pairs = ((i, i + k, mat) for k, stack in _offset_stacks(family, all_pairs)
              for i, mat in enumerate(stack))

@@ -6,10 +6,10 @@ finite difference, forward for t < h.  Negative rates mean the pair is
 becoming less distinguishable; a positive rate is back-flow: the environment
 is returning information to the system.
 
-:func:`backflow_scan` hunts for positive rates over a grid for the state
-pairs it is given; :func:`pair_library` builds the default set and checks
-it as one stack.  Like the positivity probes, the scan is asymmetric: a
-positive rate found is constructive evidence of back-flow (pair, time,
+:func:`backflow_scan` hunts for positive rates over a grid for the
+:class:`StatePairs` it is given, one checked stack; :func:`pair_library`
+builds the default set.  Like the positivity probes, the scan is asymmetric:
+a positive rate found is constructive evidence of back-flow (pair, time,
 value), while a clean scan only supports monotonicity, it does not prove it.
 
 The scan walks the grid in blocks of at most ``_BLOCK`` times.  Each block
@@ -33,10 +33,9 @@ from .superop import _check_map, apply_maps
 
 __all__ = [
     "BackflowReport",
-    "StatePair",
+    "StatePairs",
     "backflow_scan",
     "bell_pairs",
-    "bell_states",
     "pair_library",
     "product_pairs",
     "qubit_axis_pairs",
@@ -52,45 +51,45 @@ EIGEN_FLOOR = 1e-13
 _BLOCK = 4
 
 
-def _check_states(states: np.ndarray, labels=None) -> None:
-    """Check finiteness, Hermiticity, unit trace and positivity (one stacked
-    ``eigvalsh``), in that order, of an (n, 2, d, d) stack of state pairs; a
-    failure names the first bad state, after its pair's label if ``labels``."""
-    def check(ok: np.ndarray, fault: str) -> None:
-        if not ok.all():
-            k, slot = np.argwhere(~ok)[0]
-            pair = "" if labels is None else f"pair {labels[k]} "
-            raise ValueError(f"{pair}rho{slot + 1} {fault}")
-
-    check(np.isfinite(states).all(axis=tuple(range(2, states.ndim))), "has non-finite entries")
-    if states.ndim != 4 or states.shape[2] != states.shape[3]:
-        raise ValueError("rho1 is not a square matrix")
-    adjoint = states.conj().swapaxes(2, 3)
-    check(np.abs(states - adjoint).max(axis=(2, 3)) <= STATE_TOL,
-          f"is not Hermitian within {STATE_TOL:.0e}")
-    check(np.abs(np.trace(states, axis1=2, axis2=3) - 1.0) <= STATE_TOL,
-          "does not have unit trace")
-    check(np.linalg.eigvalsh(0.5 * (states + adjoint))[..., 0] >= -STATE_TOL,
-          f"is not positive semidefinite within {STATE_TOL:.0e}")
-
-
 @dataclass(eq=False)
-class StatePair:
-    """Two density matrices of equal dimension, checked on construction as a one-pair stack."""
+class StatePairs:
+    """Labeled state pairs, one (n, 2, d, d) stack of (rho1, rho2), checked
+    once as a stack when built: finiteness, Hermiticity, unit trace and
+    positivity (one stacked ``eigvalsh``), in that order; a failure names the
+    first bad state by pair label and slot.  The stack is read-only, and
+    ``a + b`` is a new set, the pairs of ``a`` then ``b``, checked again."""
 
-    rho1: np.ndarray
-    rho2: np.ndarray
-    label: str = ""
+    states: np.ndarray
+    labels: tuple[str, ...]
 
     def __post_init__(self):
-        self.rho1 = np.asarray(self.rho1, dtype=complex)
-        self.rho2 = np.asarray(self.rho2, dtype=complex)
-        if self.rho1.shape != self.rho2.shape:
-            raise ValueError("state pair dimensions differ")
-        _check_states(np.stack([self.rho1, self.rho2])[None])
+        self.states = states = np.array(self.states, dtype=complex)
+        self.labels = labels = tuple(self.labels)
+        n, d = len(labels), states.shape[-1] if states.ndim else 0
+        if states.shape != (n, 2, d, d):
+            raise ValueError(f"{n} labeled state pairs need an ({n}, 2, d, d) stack, "
+                             f"got shape {states.shape}")
 
-    def difference(self) -> np.ndarray:
-        return self.rho1 - self.rho2
+        def check(ok: np.ndarray, fault: str) -> None:
+            if not ok.all():
+                k, slot = np.argwhere(~ok)[0]
+                raise ValueError(f"pair {labels[k]} rho{slot + 1} {fault}")
+
+        check(np.isfinite(states).all(axis=(2, 3)), "has non-finite entries")
+        adjoint = states.conj().swapaxes(2, 3)
+        check(np.abs(states - adjoint).max(axis=(2, 3)) <= STATE_TOL,
+              f"is not Hermitian within {STATE_TOL:.0e}")
+        check(np.abs(np.trace(states, axis1=2, axis2=3) - 1.0) <= STATE_TOL,
+              "does not have unit trace")
+        check(np.linalg.eigvalsh(0.5 * (states + adjoint))[..., 0] >= -STATE_TOL,
+              f"is not positive semidefinite within {STATE_TOL:.0e}")
+        states.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __add__(self, other: StatePairs) -> StatePairs:
+        return StatePairs(np.concatenate([self.states, other.states]), self.labels + other.labels)
 
 
 def _trace_norms(x: np.ndarray) -> np.ndarray:
@@ -120,56 +119,32 @@ def _projectors(vectors) -> np.ndarray:
     return v[..., :, None] * v[..., None, :].conj()
 
 
-def _checked_pairs(states: np.ndarray, labels: list[str]) -> list[StatePair]:
-    """The pairs of an (n, 2, d, d) stack, checked once as a stack, not per pair."""
-    _check_states(states, labels)
-    pairs = [object.__new__(StatePair) for _ in labels]
-    for pair, (rho1, rho2), label in zip(pairs, states, labels):
-        vars(pair).update(rho1=rho1, rho2=rho2, label=label)
-    return pairs
-
-
-def bell_states() -> list[np.ndarray]:
-    """The four maximally entangled two-qubit basis vectors."""
-    s = 1.0 / np.sqrt(2.0)
-    return [
-        np.array([s, 0, 0, s], dtype=complex),    # phi+
-        np.array([s, 0, 0, -s], dtype=complex),   # phi-
-        np.array([0, s, s, 0], dtype=complex),    # psi+
-        np.array([0, s, -s, 0], dtype=complex),   # psi-
-    ]
-
-
-def _unordered_pairs(prefix: str, names: list[str], vectors) -> list[StatePair]:
+def _unordered_pairs(prefix: str, names: list[str], vectors) -> StatePairs:
     """Pure-state pairs for every unordered pair of the named vectors, in order."""
     ij = np.array(list(itertools.combinations(range(len(names)), 2)))
-    return _checked_pairs(_projectors(vectors)[ij],
-                          [f"{prefix}:{names[i]}/{names[j]}" for i, j in ij])
+    return StatePairs(_projectors(vectors)[ij], [f"{prefix}:{names[i]}/{names[j]}" for i, j in ij])
 
 
-def bell_pairs() -> list[StatePair]:
+def bell_pairs() -> StatePairs:
     """All six unordered pairs of distinct Bell states."""
-    return _unordered_pairs("bell", ["phi+", "phi-", "psi+", "psi-"], bell_states())
+    s = 1.0 / np.sqrt(2.0)
+    bell = [[s, 0, 0, s], [s, 0, 0, -s], [0, s, s, 0], [0, s, -s, 0]]
+    return _unordered_pairs("bell", ["phi+", "phi-", "psi+", "psi-"], bell)
 
 
-def product_pairs() -> list[StatePair]:
+def product_pairs() -> StatePairs:
     """Orthogonal computational product pairs on two qubits."""
     return _unordered_pairs("prod", ["00", "01", "10", "11"], np.eye(4, dtype=complex))
 
 
-def qubit_axis_pairs() -> list[StatePair]:
-    """Antipodal single-qubit pairs along the three Bloch axes."""
+def qubit_axis_pairs() -> StatePairs:
+    """Antipodal single-qubit pairs along the z, x and y Bloch axes."""
     s = 1.0 / np.sqrt(2.0)
-    axes = [
-        ("z", np.array([1, 0], dtype=complex), np.array([0, 1], dtype=complex)),
-        ("x", np.array([s, s], dtype=complex), np.array([s, -s], dtype=complex)),
-        ("y", np.array([s, 1j * s], dtype=complex), np.array([s, -1j * s], dtype=complex)),
-    ]
-    return _checked_pairs(_projectors([[a, b] for _, a, b in axes]),
-                          [f"axis:{name}" for name, _, _ in axes])
+    vectors = [[[1, 0], [0, 1]], [[s, s], [s, -s]], [[s, 1j * s], [s, -1j * s]]]
+    return StatePairs(_projectors(vectors), ["axis:z", "axis:x", "axis:y"])
 
 
-def tilted_parity_pairs() -> list[StatePair]:
+def tilted_parity_pairs() -> StatePairs:
     """Mixed two-qubit pair built to expose back-flow of tensor squares.
 
     Differences of pure pairs (and of Bell-diagonal mixtures) evolve under a
@@ -190,10 +165,10 @@ def tilted_parity_pairs() -> list[StatePair]:
             - two(2, 2) / 16.0)
     rho1 = 0.25 * (two(0, 0) - 0.75 * two(3, 3) + tilt)
     rho2 = 0.25 * (two(0, 0) + 0.75 * two(3, 3) - tilt)
-    return [StatePair(rho1, rho2, label="mixed:tilted-parity")]
+    return StatePairs([[rho1, rho2]], ["mixed:tilted-parity"])
 
 
-def pair_library(dim: int, samples: int = 0, seed: int = 0) -> list[StatePair]:
+def pair_library(dim: int, samples: int = 0, seed: int = 0) -> StatePairs:
     """The default pairs of a scan: the fixed library, then ``samples``
     Haar-orthogonal pure pairs drawn from ``default_rng(seed)``.
 
@@ -202,6 +177,8 @@ def pair_library(dim: int, samples: int = 0, seed: int = 0) -> list[StatePair]:
     Each random pair is two columns of a Haar unitary (QR trick), all drawn,
     factored and validated as one stack.
     """
+    if dim < 2:
+        raise ValueError(f"an orthogonal pair needs dimension at least 2, got {dim}")
     if samples < 0:
         raise ValueError(f"samples must be nonnegative, got {samples}")
     g = np.random.default_rng(seed).standard_normal((samples, 2, dim, 2))
@@ -209,7 +186,7 @@ def pair_library(dim: int, samples: int = 0, seed: int = 0) -> list[StatePair]:
     # fix the phase convention so each pair is a deterministic function of its draw
     d = np.diagonal(r, axis1=-2, axis2=-1)
     q = q * (d / np.abs(d))[:, None, :]
-    haar = _checked_pairs(_projectors(q.swapaxes(1, 2)), [f"haar:{k}" for k in range(samples)])
+    haar = StatePairs(_projectors(q.swapaxes(1, 2)), [f"haar:{k}" for k in range(samples)])
     if dim == 4:
         return bell_pairs() + product_pairs() + tilted_parity_pairs() + haar
     if dim == 2:
@@ -225,10 +202,10 @@ class BackflowReport:
     argmax_label: str
     argmax_t: float
     sigma: np.ndarray                 # shape (n_pairs, n_times)
-    pairs: list[StatePair] = field(repr=False)
+    pairs: StatePairs = field(repr=False)
 
 
-def backflow_scan(map_at: Callable[[float], np.ndarray], pairs: list[StatePair],
+def backflow_scan(map_at: Callable[[float], np.ndarray], pairs: StatePairs,
                   grid, h: float = 1e-4) -> BackflowReport:
     """Scan flow rates of the given state ``pairs``, in order, over a grid
     (nonempty, finite and strictly ascending) with difference step ``h``.
@@ -243,11 +220,11 @@ def backflow_scan(map_at: Callable[[float], np.ndarray], pairs: list[StatePair],
     grid = check_grid(grid)
     if not pairs:
         raise ValueError("no state pairs to scan")
-    shapes = sorted({p.rho1.shape for p in pairs})
-    if len(shapes) > 1:
-        raise ValueError(f"state pairs have mixed dimensions: shapes {shapes}")
-    deltas = np.stack([p.difference() for p in pairs])
-    sigma = np.empty((len(pairs), len(grid)))
+    deltas = pairs.states[:, 0] - pairs.states[:, 1]
+    # numpy takes one row times a matrix as a matrix-vector product, whose last
+    # bits differ from a matrix product's: a lone pair is evolved twice
+    deltas = deltas.repeat(2, axis=0) if len(pairs) == 1 else deltas
+    sigma = np.empty((len(deltas), len(grid)))
     for start in range(0, len(grid), _BLOCK):
         times = grid[start:start + _BLOCK].tolist()
         # forward difference for t < h, central otherwise
@@ -260,10 +237,11 @@ def backflow_scan(map_at: Callable[[float], np.ndarray], pairs: list[StatePair],
             raise ValueError(f"map at t={ends[k][side]!r} has non-finite entries")
         n_lo, n_hi = _trace_norms(apply_maps(mats, deltas)).transpose(1, 2, 0)
         sigma[:, start:start + _BLOCK] = (n_hi - n_lo) / denom
+    sigma = sigma[:len(pairs)]
     p_idx, t_idx = np.unravel_index(int(np.argmax(sigma)), sigma.shape)
     return BackflowReport(
         max_sigma=float(sigma[p_idx, t_idx]),
-        argmax_label=pairs[p_idx].label,
+        argmax_label=pairs.labels[p_idx],
         argmax_t=float(grid[t_idx]),
         sigma=sigma,
         pairs=pairs,

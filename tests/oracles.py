@@ -7,7 +7,7 @@ import numpy as np
 
 from divischeck import pauli_family as pf
 from divischeck.generator import PropagatedFamily, liouvillian, rk4_increment
-from divischeck.infoflow import EIGEN_FLOOR, StatePair
+from divischeck.infoflow import EIGEN_FLOOR
 from divischeck.linalg import PAULI
 from divischeck.superop import apply, choi, vec
 
@@ -111,15 +111,16 @@ def flow_column(map_at, deltas: np.ndarray, t: float, h: float,
     return (n_hi - n_lo) / denom
 
 
-def haar_orthogonal_pair(dim: int, rng: np.random.Generator, label: str = "") -> StatePair:
-    """Random orthogonal pure pair drawn on its own: two columns of a Haar
-    unitary, the QR factor of one complex Gaussian dim x 2 draw with its
-    phases fixed by the diagonal of R."""
+def haar_orthogonal_pair(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Random orthogonal pure pair drawn on its own, as the (2, dim, dim)
+    stack of its projectors: two columns of a Haar unitary, the QR factor of
+    one complex Gaussian dim x 2 draw with its phases fixed by the diagonal
+    of R."""
     z = rng.standard_normal((dim, 2)) + 1j * rng.standard_normal((dim, 2))
     q, r = np.linalg.qr(z)
     q = q * (np.diag(r) / np.abs(np.diag(r)))
     v1, v2 = q[:, 0] / np.linalg.norm(q[:, 0]), q[:, 1] / np.linalg.norm(q[:, 1])
-    return StatePair(np.outer(v1, v1.conj()), np.outer(v2, v2.conj()), label=label)
+    return np.stack([np.outer(v1, v1.conj()), np.outer(v2, v2.conj())])
 
 
 def _join(early: np.ndarray, late: np.ndarray) -> np.ndarray:

@@ -30,7 +30,9 @@ def _array_holders():
             "CP", divisibility.HOLDS, None, None, 0.0, witness=np.zeros(4)),
         "FirstOrderWitness": lambda: divisibility.FirstOrderWitness(
             1.0, np.eye(4), np.eye(4), np.zeros(4), np.zeros(4), -1.0, -1.0),
-        "BackflowReport": lambda: infoflow.BackflowReport(0.0, "pair", 0.0, np.zeros((1, 2)), []),
+        "BackflowReport": lambda: infoflow.BackflowReport(
+            0.0, "axis:z", 0.0, np.zeros((3, 2)), infoflow.pair_library(2)),
+        "StatePairs": lambda: infoflow.pair_library(2),
         "PositivityProbeResult": lambda: superop.PositivityProbeResult(
             0.0, np.zeros(4), 1, "no-violation-found"),
     }

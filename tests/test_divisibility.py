@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -72,6 +73,59 @@ def test_worst_map_is_not_a_view_of_the_family(scan):
     assert any(np.array_equal(report.worst_map, seg) for seg in segments)
     report.worst_map[...] = 0.0
     assert np.array_equal(family.segments, segments)
+
+
+SCANS = [dv.cp_divisibility_scan, lambda f: dv.tensor_p_divisibility_probe(f, restarts=2)]
+
+# (grid, segments, message): a family the scans must reject
+MALFORMED = {
+    # its Choi matrix is i times a Hermitian one: is_cp rejects this map
+    "not-hermiticity-preserving": (
+        [0.0, 1.0], 1j * so.identity(2)[None],
+        "segment 0 does not preserve Hermiticity: its Choi asymmetry 2.000e+00 exceeds "
+        "1e-10 * 1.000e+00"),
+    "non-finite": ([0.0, 1.0], np.full((1, 4, 4), math.nan + 0j),
+                   "family segments have non-finite entries"),
+    "too-few-segments": ([0.0, 0.5, 1.0], so.identity(2)[None],
+                         "3 grid times need 2 segments, got shape (1, 4, 4)"),
+}
+
+
+@pytest.mark.parametrize("scan", SCANS, ids=["cp", "tensor-p"])
+@pytest.mark.parametrize("grid, segments, message", MALFORMED.values(), ids=MALFORMED.keys())
+def test_scans_reject_a_malformed_family_before_any_work(monkeypatch, scan, grid, segments,
+                                                         message):
+    def no_walk(*args):
+        raise AssertionError("the scan walked a malformed family")
+
+    monkeypatch.setattr(dv, "_offset_stacks", no_walk)
+    family = gen.PropagatedFamily(np.array(grid), np.array([so.identity(2)] * len(grid)),
+                                  segments)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        scan(family)
+
+
+@pytest.mark.parametrize("scan", SCANS, ids=["cp", "tensor-p"])
+def test_scans_allow_hermiticity_within_the_relative_tolerance_of_is_cp(scan):
+    # (1 + i eps) I has Choi asymmetry 2 eps against the scale 1
+    def family(eps):
+        segs = (1.0 + 1j * eps) * so.identity(2)[None]
+        return gen.PropagatedFamily(np.array([0.0, 1.0]), np.array([so.identity(2)] * 2), segs)
+
+    assert scan(family(1e-11)).pairs_scanned == 1
+    so.is_cp(family(1e-11).segments[0])
+    with pytest.raises(ValueError, match="does not preserve Hermiticity"):
+        scan(family(1e-9))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        so.is_cp(family(1e-9).segments[0])
+
+
+@pytest.mark.parametrize("scan", SCANS, ids=["cp", "tensor-p"])
+def test_scans_of_a_one_time_grid_scan_nothing(scan):
+    family = semigroup_family(np.array([0.0]), 1.0)
+    assert family.segments.shape == (0, 4, 4)
+    report = scan(family)
+    assert (report.pairs_scanned, report.verdict, report.worst_map) == (0, dv.HOLDS, None)
 
 
 class TestTensorProbe:

@@ -27,9 +27,22 @@ def tensor_model_map(alpha):
     return at
 
 
+def one_pair(rho1, rho2, label="p"):
+    return iflow.StatePairs([[rho1, rho2]], [label])
+
+
 def z_pair():
-    return iflow.StatePair(np.diag([1.0, 0.0]).astype(complex),
-                           np.diag([0.0, 1.0]).astype(complex), label="z")
+    return one_pair(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), label="z")
+
+
+def differences(pairs):
+    return pairs.states[:, 0] - pairs.states[:, 1]
+
+
+def each_pair(pairs):
+    """Every pair of a set as a one-pair set of its own."""
+    return [iflow.StatePairs(pairs.states[k:k + 1], pairs.labels[k:k + 1])
+            for k in range(len(pairs))]
 
 
 # one bad qubit state per check, in the order the checks run
@@ -42,31 +55,40 @@ FAULTS = [
 FAULT_IDS = ["non-finite", "non-hermitian", "trace", "negative"]
 
 
-class TestStatePair:
+class TestStatePairs:
     def test_accepts_valid_states(self):
-        pair = z_pair()
-        np.testing.assert_allclose(pair.difference(), PAULI[3], atol=1e-15)
+        pairs = z_pair()
+        assert pairs.labels == ("z",)
+        assert pairs.states.shape == (1, 2, 2, 2) and pairs.states.dtype == complex
+        np.testing.assert_allclose(differences(pairs)[0], PAULI[3], atol=1e-15)
+
+    def test_holds_a_read_only_copy_of_the_checked_stack(self):
+        states = np.array([[np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]], dtype=complex)
+        pairs = iflow.StatePairs(states, ["z"])
+        states[0, 0] = math.nan
+        assert np.isfinite(pairs.states).all()
+        with pytest.raises(ValueError, match="read-only"):
+            pairs.states[0, 0] = math.nan
 
     def test_rejects_nonhermitian(self):
         bad = np.array([[0.5, 1.0], [0.0, 0.5]], dtype=complex)
         with pytest.raises(ValueError, match="Hermitian"):
-            iflow.StatePair(bad, np.eye(2, dtype=complex) / 2)
+            one_pair(bad, np.eye(2, dtype=complex) / 2)
 
     def test_rejects_wrong_trace(self):
         with pytest.raises(ValueError, match="trace"):
-            iflow.StatePair(np.eye(2, dtype=complex),
-                            np.eye(2, dtype=complex) / 2)
+            one_pair(np.eye(2, dtype=complex), np.eye(2, dtype=complex) / 2)
 
     def test_rejects_negative_states(self):
         bad = np.diag([1.5, -0.5]).astype(complex)
         with pytest.raises(ValueError, match="positive semidefinite"):
-            iflow.StatePair(bad, np.eye(2, dtype=complex) / 2)
+            one_pair(bad, np.eye(2, dtype=complex) / 2)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite_entries(self, bad):
         rho = np.array([[bad, 0.0], [0.0, 0.0]], dtype=complex)
-        with pytest.raises(ValueError, match="rho1 has non-finite entries"):
-            iflow.StatePair(rho, np.eye(2, dtype=complex) / 2)
+        with pytest.raises(ValueError, match="pair p rho1 has non-finite entries"):
+            one_pair(rho, np.eye(2, dtype=complex) / 2)
 
     @pytest.mark.parametrize("bad, message", FAULTS, ids=FAULT_IDS)
     @pytest.mark.parametrize("slot", [1, 2])
@@ -74,15 +96,40 @@ class TestStatePair:
         # both states are checked in one stacked pass; the message names the bad one
         good = np.eye(2, dtype=complex) / 2
         states = (bad, good) if slot == 1 else (good, bad)
-        with pytest.raises(ValueError, match=f"^rho{slot} {message}"):
-            iflow.StatePair(*states)
+        with pytest.raises(ValueError, match=f"^pair p rho{slot} {message}"):
+            one_pair(*states)
+
+    @pytest.mark.parametrize("states, labels", [
+        (np.zeros((2, 2, 2)), ["a", "b"]),
+        (np.zeros((1, 3, 2, 2)), ["a"]),
+        (np.zeros((1, 2, 2, 3)), ["a"]),
+        (np.zeros((1, 2, 2, 2)), ["a", "b"]),
+        (np.zeros(()), []),
+    ], ids=["no-slot-axis", "three-slots", "not-square", "label-count", "scalar"])
+    def test_rejects_a_stack_of_the_wrong_shape(self, states, labels):
+        n = len(labels)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{n} labeled state pairs need an ({n}, 2, d, d) stack, "
+                f"got shape {states.shape}")):
+            iflow.StatePairs(states, labels)
+
+    def test_join_keeps_both_sets_in_order(self):
+        a, b = iflow.pair_library(2, 2, seed=1), z_pair()
+        joined = a + b
+        assert joined.labels == a.labels + b.labels
+        np.testing.assert_array_equal(joined.states, np.concatenate([a.states, b.states]))
+        assert not joined.states.flags.writeable
+
+    def test_sets_of_different_dimensions_do_not_join(self):
+        with pytest.raises(ValueError, match="must match exactly"):
+            iflow.pair_library(2) + iflow.pair_library(4)
 
 
 class TestStackedStateCheck:
     @staticmethod
     def library_stack(dim, samples):
         pairs = iflow.pair_library(dim, samples, seed=3)
-        return np.stack([[p.rho1, p.rho2] for p in pairs]), [p.label for p in pairs]
+        return np.array(pairs.states), pairs.labels
 
     @pytest.mark.parametrize("bad, message", FAULTS, ids=FAULT_IDS)
     def test_names_the_first_bad_state_by_pair_label_and_slot(self, bad, message):
@@ -95,7 +142,7 @@ class TestStackedStateCheck:
                 stack[k + 1:] = bad
                 with pytest.raises(ValueError, match=f"^pair {re.escape(labels[k])} "
                                                      f"rho{slot} {message}"):
-                    iflow._check_states(stack, labels)
+                    iflow.StatePairs(stack, labels)
 
     def test_each_check_covers_the_whole_stack_before_the_next(self):
         # a non-Hermitian first state loses to a non-finite last one
@@ -103,13 +150,14 @@ class TestStackedStateCheck:
         states[0, 0], states[-1, 1] = FAULTS[1][0], FAULTS[0][0]
         with pytest.raises(ValueError,
                            match=f"^pair {re.escape(labels[-1])} rho2 has non-finite"):
-            iflow._check_states(states, labels)
+            iflow.StatePairs(states, labels)
 
     @pytest.mark.parametrize("dim, samples, count", [(4, 0, 13), (2, 0, 3), (3, 2, 2)])
     def test_library_counts(self, dim, samples, count):
         assert len(iflow.pair_library(dim, samples)) == count
 
-    def test_library_validates_its_haar_pairs_with_one_stacked_solve(self, monkeypatch):
+    def test_library_checks_each_family_and_each_join_with_one_stacked_solve(self,
+                                                                             monkeypatch):
         shapes = []
         eigvalsh = np.linalg.eigvalsh
 
@@ -120,8 +168,9 @@ class TestStackedStateCheck:
         monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
         assert len(iflow.pair_library(4, 100)) == 113
         # the Haar stack, then one solve each for the Bell, product and
-        # tilted-parity families
-        assert shapes == [(100, 2, 4, 4), (6, 2, 4, 4), (6, 2, 4, 4), (1, 2, 4, 4)]
+        # tilted-parity families and for each of the three joins, in order
+        assert shapes == [(100, 2, 4, 4), (6, 2, 4, 4), (6, 2, 4, 4), (12, 2, 4, 4),
+                          (1, 2, 4, 4), (13, 2, 4, 4), (113, 2, 4, 4)]
 
 
 def _eigenvalue(lo, hi):
@@ -186,7 +235,7 @@ class TestTraceNorms:
             dim, map_at = 2, single
         grid = np.array([0.0, 0.4, 1.3, 2.9])
         report = iflow.backflow_scan(map_at, iflow.pair_library(dim, 3, seed), grid)
-        deltas = np.stack([p.difference() for p in report.pairs])
+        deltas = differences(report.pairs)
         want = np.stack([flow_column(map_at, deltas, float(t), 1e-4) for t in grid], axis=1)
         np.testing.assert_allclose(report.sigma, want, rtol=0, atol=1e-10)
 
@@ -236,15 +285,40 @@ class TestTraceNorms:
                                      grid)
         assert len(calls) == 2 * len(grid)
         assert all(math.prod(shape[:-3]) <= 2 * iflow._BLOCK for shape in stacks)
-        deltas = np.stack([p.difference() for p in report.pairs])
+        deltas = differences(report.pairs)
         for k, t in enumerate(grid.tolist()):
             want = flow_column(map_at, deltas, t, 1e-4, norms=trace_norms_)
             np.testing.assert_array_equal(report.sigma[:, k], want)
 
 
+@st.composite
+def pair_sets(draw, dim):
+    """A nonempty run of consecutive pairs of a drawn library."""
+    pairs = iflow.pair_library(dim, draw(st.integers(0, 5)), draw(st.integers(0, 2**32 - 1)))
+    i = draw(st.integers(0, len(pairs) - 1))
+    j = draw(st.integers(i + 1, len(pairs)))
+    return iflow.StatePairs(pairs.states[i:j], pairs.labels[i:j])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([2, 4]).flatmap(lambda dim: st.tuples(pair_sets(dim), pair_sets(dim))),
+       pauli_dynamics())
+def test_scan_of_a_join_is_the_scans_of_its_parts(parts, single):
+    a, b = parts
+    if a.states.shape[-1] == 2:
+        map_at = single
+    else:
+        map_at = lambda t: so.tensor(single(t), single(t))  # noqa: E731
+    grid = np.array([0.0, 0.4, 1.3, 2.9, 3.1])  # two blocks
+    joined = iflow.backflow_scan(map_at, a + b, grid)
+    assert joined.pairs.labels == a.labels + b.labels
+    rows = [iflow.backflow_scan(map_at, part, grid).sigma for part in (a, b)]
+    np.testing.assert_array_equal(joined.sigma, np.concatenate(rows))
+
+
 def one_pair_flow(map_at, pair, times, h=1e-4):
-    """Flow rates of one pair at the given times, from a one-pair scan."""
-    return iflow.backflow_scan(map_at, [pair], np.atleast_1d(times), h=h).sigma[0]
+    """Flow rates of a one-pair set at the given times, from its scan."""
+    return iflow.backflow_scan(map_at, pair, np.atleast_1d(times), h=h).sigma[0]
 
 
 class TestInformationFlow:
@@ -262,7 +336,7 @@ class TestInformationFlow:
 
     def test_single_map_flow_never_positive(self):
         alpha = 0.6
-        for pair in iflow.pair_library(2, 10, seed=0)[3:]:
+        for pair in each_pair(iflow.pair_library(2, 10, seed=0))[3:]:
             assert np.all(one_pair_flow(model_map(alpha), pair, [0.2, 1.0, 3.0]) <= 1e-9)
 
     def test_forward_difference_near_origin(self):
@@ -270,7 +344,7 @@ class TestInformationFlow:
         alpha, h = 0.6, 1e-4
         pair = z_pair()
         (sigma,) = one_pair_flow(model_map(alpha), pair, 0.0, h=h)
-        (want,) = flow_column(model_map(alpha), pair.difference()[None], 0.0, h)
+        (want,) = flow_column(model_map(alpha), differences(pair), 0.0, h)
         assert sigma == pytest.approx(want, abs=1e-10)
         assert sigma == pytest.approx(2.0 * math.expm1(-2.0 * alpha * h) / h, rel=1e-9)
 
@@ -296,8 +370,7 @@ class TestInformationFlow:
     def test_trace_norm_monotone_for_single_map(self):
         alpha = 0.6
         grid = pf.default_grid(t_max=4.0, points=40)
-        for pair in iflow.pair_library(2, 5, seed=1)[3:]:
-            delta = pair.difference()
+        for delta in differences(iflow.pair_library(2, 5, seed=1))[3:]:
             norms = [np.abs(np.linalg.eigvalsh(
                 so.apply(pf.channel(float(t), alpha), delta))).sum() for t in grid]
             assert all(b <= a + 1e-12 for a, b in zip(norms, norms[1:]))
@@ -307,15 +380,16 @@ class TestPairLibraries:
     def test_bell_pairs_count_and_orthogonality(self):
         pairs = iflow.bell_pairs()
         assert len(pairs) == 6
-        for p in pairs:
-            assert abs(np.trace(p.rho1 @ p.rho2)) <= 1e-12
+        for rho1, rho2 in pairs.states:
+            assert abs(np.trace(rho1 @ rho2)) <= 1e-12
 
     def test_product_pairs(self):
         assert len(iflow.product_pairs()) == 6
 
     def test_tilted_parity_pair_is_mixed_and_valid(self):
-        (pair,) = iflow.tilted_parity_pairs()
-        for rho in (pair.rho1, pair.rho2):
+        pairs = iflow.tilted_parity_pairs()
+        assert pairs.labels == ("mixed:tilted-parity",)
+        for rho in pairs.states[0]:
             assert np.linalg.eigvalsh(rho)[0] >= -1e-12
             purity = float(np.real(np.trace(rho @ rho)))
             assert purity < 0.5  # genuinely mixed
@@ -324,18 +398,20 @@ class TestPairLibraries:
     def test_library_haar_pairs_match_the_per_pair_draw(self, dim):
         # one stacked draw and QR reproduce drawing and factoring pair by pair
         rng = np.random.default_rng(7)
-        want = [haar_orthogonal_pair(dim, rng, label=f"haar:{k}") for k in range(20)]
-        got = iflow.pair_library(dim, 20, seed=7)[-20:]
-        assert [p.label for p in got] == [p.label for p in want]
-        for a, b in zip(got, want):
-            np.testing.assert_array_equal(a.rho1, b.rho1)
-            np.testing.assert_array_equal(a.rho2, b.rho2)
+        want = np.stack([haar_orthogonal_pair(dim, rng) for _ in range(20)])
+        got = iflow.pair_library(dim, 20, seed=7)
+        assert got.labels[-20:] == tuple(f"haar:{k}" for k in range(20))
+        np.testing.assert_array_equal(got.states[-20:], want)
 
     def test_haar_pairs_deterministic_given_seed(self):
-        p1, p2 = (iflow.pair_library(4, 3, seed=5)[-3:] for _ in range(2))
-        for a, b in zip(p1, p2):
-            np.testing.assert_array_equal(a.rho1, b.rho1)
-            np.testing.assert_array_equal(a.rho2, b.rho2)
+        p1, p2 = (iflow.pair_library(4, 3, seed=5) for _ in range(2))
+        assert p1.labels == p2.labels
+        np.testing.assert_array_equal(p1.states, p2.states)
+
+    @pytest.mark.parametrize("dim", [1, 0, -2])
+    def test_rejects_a_dimension_without_an_orthogonal_pair(self, dim):
+        with pytest.raises(ValueError, match=rf"dimension at least 2, got {dim}$"):
+            iflow.pair_library(dim, 2)
 
 
 class TestBackflowScan:
@@ -364,14 +440,14 @@ class TestBackflowScan:
         r1 = iflow.backflow_scan(model_map(0.6), iflow.pair_library(2, 10, 4), grid)
         r2 = iflow.backflow_scan(model_map(0.6), iflow.pair_library(2, 10, 4), grid)
         np.testing.assert_array_equal(r1.sigma, r2.sigma)
-        assert [p.label for p in r1.pairs] == [p.label for p in r2.pairs]
+        assert r1.pairs.labels == r2.pairs.labels
 
     def test_one_pair_scans_match_the_full_scan(self):
         grid = np.array([0.0, 0.7, 1.9])
         report = iflow.backflow_scan(tensor_model_map(0.6), iflow.pair_library(4, 3, 6), grid)
-        for k, pair in enumerate(report.pairs):
-            np.testing.assert_allclose(one_pair_flow(tensor_model_map(0.6), pair, grid),
-                                       report.sigma[k], rtol=0, atol=1e-10)
+        for k, pair in enumerate(each_pair(report.pairs)):
+            np.testing.assert_array_equal(one_pair_flow(tensor_model_map(0.6), pair, grid),
+                                          report.sigma[k])
 
     @pytest.mark.parametrize("dim, labels", [
         (2, ["axis:z", "axis:x", "axis:y"]),
@@ -384,20 +460,15 @@ class TestBackflowScan:
     def test_scans_the_library_in_order(self, dim, labels):
         report = iflow.backflow_scan(lambda t: so.identity(dim), iflow.pair_library(dim),
                                      np.array([0.0, 1.0]))
-        assert [p.label for p in report.pairs] == labels
-        assert [p.label for p in iflow.pair_library(dim)] == labels
+        assert report.pairs.labels == tuple(labels)
+        assert iflow.pair_library(dim).labels == tuple(labels)
         assert report.sigma.shape == (len(labels), 2)
 
     def test_requires_pairs(self):
-        assert iflow.pair_library(3) == []
-        for pairs in (iflow.pair_library(3), []):
-            with pytest.raises(ValueError, match="no state pairs to scan"):
-                iflow.backflow_scan(lambda t: so.identity(3), pairs, np.array([0.0, 1.0]))
-
-    def test_rejects_pairs_of_mixed_dimension(self):
-        pairs = iflow.pair_library(2) + iflow.pair_library(4)
-        with pytest.raises(ValueError, match="state pairs have mixed dimensions"):
-            iflow.backflow_scan(lambda t: so.identity(2), pairs, np.array([0.0, 1.0]))
+        pairs = iflow.pair_library(3)
+        assert pairs.states.shape == (0, 2, 3, 3) and pairs.labels == ()
+        with pytest.raises(ValueError, match="no state pairs to scan"):
+            iflow.backflow_scan(lambda t: so.identity(3), pairs, np.array([0.0, 1.0]))
 
     def test_rejects_a_map_of_the_wrong_shape(self):
         message = "superoperator on dimension 2 needs a 4 x 4 matrix, got shape (2, 2, 4, 5)"

@@ -23,6 +23,7 @@ from typing import get_type_hints
 import numpy as np
 
 from . import __version__, divisibility, generator, infoflow, pauli_family, superop
+from .generator import RK4_REAL_LIMIT
 from .linalg import NumericalError
 
 __all__ = ["RunConfig", "main"]
@@ -40,7 +41,6 @@ DYNAMICS = {
                  lambda a: generator.qubit_rate_generator((0.0, 0.0, 0.0)), 0.0),
 }
 FORMATS = ("csv", "json")
-RK4_REAL_LIMIT = 2.785293563405282
 
 SCAN_HEADER = ["alpha", "t", "p0", "p1", "p2", "p3", "q0", "q1", "q2", "q3",
                "l1", "l3", "choi_min", "cp", "gamma3"]

@@ -1,9 +1,8 @@
 """Divisibility scans over map families and the first-order tensor witness.
 
-Scans take the two-time propagators V(t_j, t_i) of a propagated family
-from its integrated grid segments, never from an inverse, after checking
-the segments as one stack: one finite, Hermiticity-preserving map per grid
-step.  Both scans walk the pairs one way, as stacks of one diagonal offset
+Scans take the two-time propagators V(t_j, t_i) of a propagated family,
+checked when it was built, from its grid segments, never from an inverse.
+Both scans walk the pairs one way, as stacks of one diagonal offset
 k = j - i each: the segments for k = 1, and for wider pairs the product of
 the segments they span, one batched matmul per offset.  Each map is tested
 exactly for complete positivity (stacked Choi spectra), or by randomized
@@ -34,7 +33,6 @@ import numpy as np
 from . import superop
 from .generator import GeneratorSpec, PropagatedFamily, liouvillian, rk4_increment
 from .linalg import NumericalError, similarity_to_transpose
-from .superop import VIOLATED, identity, tensor
 
 __all__ = [
     "HOLDS",
@@ -48,6 +46,7 @@ __all__ = [
 ]
 
 HOLDS = "holds-on-grid"
+VIOLATED = "violated"
 
 
 @dataclass(eq=False)
@@ -68,24 +67,6 @@ class DivisibilityReport:
     witness_kind: str | None = None
     pairs_scanned: int = 0
     note: str = ""
-
-
-def _check_family(family: PropagatedFamily) -> None:
-    """Check a family's segments as one stack: one map per grid step, finite,
-    each with a Hermitian Choi matrix within the relative 1e-10 of ``is_cp``."""
-    segs, steps = np.asarray(family.segments), len(family.grid) - 1
-    if segs.ndim != 3 or len(segs) != steps:
-        raise ValueError(f"{steps + 1} grid times need {steps} segments, got shape {segs.shape}")
-    if not np.isfinite(segs).all():
-        raise ValueError("family segments have non-finite entries")
-    c = superop.choi(segs)
-    asym = np.abs(c - c.conj().swapaxes(1, 2)).max(axis=(1, 2))
-    scale = np.maximum(1.0, np.abs(c).max(axis=(1, 2)))
-    bad = asym > 1e-10 * scale
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise ValueError(f"segment {i} does not preserve Hermiticity: its Choi asymmetry "
-                         f"{asym[i]:.3e} exceeds 1e-10 * {scale[i]:.3e}")
 
 
 def _offset_stacks(family: PropagatedFamily, all_pairs: bool):
@@ -134,7 +115,6 @@ def cp_divisibility_scan(family: PropagatedFamily, tol: float = 1e-9,
     lowest pair; the lowest (value, i, j) over all offsets wins, so ties go
     to the first pair in i-major order.
     """
-    _check_family(family)
     best, worst_mat, witness, scanned = (np.inf, 0, 0), None, None, 0
     for k, stack in _offset_stacks(family, all_pairs):
         cmat = superop.choi(stack)
@@ -148,8 +128,7 @@ def cp_divisibility_scan(family: PropagatedFamily, tol: float = 1e-9,
 
 
 def tensor_p_divisibility_probe(family: PropagatedFamily, restarts: int = 100,
-                                steps: int = 500, tol: float = 1e-9,
-                                seed: int = 0,
+                                steps: int = 500, tol: float = 1e-9, seed: int = 0,
                                 all_pairs: bool = False) -> DivisibilityReport:
     """Randomized positivity search over tensor squares of intermediate maps.
 
@@ -161,16 +140,13 @@ def tensor_p_divisibility_probe(family: PropagatedFamily, restarts: int = 100,
     (i, j) is searched from seed ``SeedSequence([seed, i, j])`` whatever the
     walk.  The lowest (value, i, j) scanned is reported.
     """
-    _check_family(family)
     best, worst_mat, witness, scanned = (np.inf, 0, 0), None, None, 0
     pairs = ((i, i + k, mat) for k, stack in _offset_stacks(family, all_pairs)
              for i, mat in enumerate(stack))
     for i, j, mat in pairs:
         result = superop.positivity_probe(
-            tensor(mat, mat), restarts=restarts, steps=steps, tol=tol,
-            seed=np.random.SeedSequence([seed, i, j]).generate_state(1)[0],
-            stop_at=-tol,
-        )
+            superop.tensor(mat, mat), restarts=restarts, steps=steps, stop_at=-tol,
+            seed=np.random.SeedSequence([seed, i, j]).generate_state(1)[0])
         scanned += 1
         if (result.min_value, i, j) < best:
             best, worst_mat, witness = (result.min_value, i, j), mat, result.argmin_state
@@ -202,11 +178,11 @@ class FirstOrderWitness:
 def _tensor_liouvillian(g: GeneratorSpec):
     """Closure returning the matrix of L_t (x) id + id (x) L_t."""
     lmat_at = liouvillian(g)
-    ident = identity(g.dim)
+    ident = superop.identity(g.dim)
 
     def at(t: float) -> np.ndarray:
         single = lmat_at(t)
-        return tensor(single, ident) + tensor(ident, single)
+        return superop.tensor(single, ident) + superop.tensor(ident, single)
 
     return at
 

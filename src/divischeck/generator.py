@@ -31,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import pauli_family
+from . import pauli_family, superop
 from .linalg import check_grid, check_hermitian
 
 __all__ = [
@@ -229,11 +229,35 @@ class PropagatedFamily:
     """Maps on an ascending time grid starting at 0: ``maps`` is the
     (len(grid), n, n) stack of M(t_i), identity first, and ``segments`` the
     (len(grid) - 1, n, n) stack of the integrated propagators V(t_{i+1}, t_i).
+    Building one copies all three read-only and checks the segments once: one
+    finite map per step, each Choi matrix Hermitian within is_cp's relative 1e-10.
     """
 
     grid: np.ndarray
     maps: np.ndarray
     segments: np.ndarray
+
+    def __post_init__(self):
+        for name in ("grid", "maps", "segments"):   # copies: the check stays true
+            setattr(self, name, np.array(getattr(self, name)))
+            getattr(self, name).flags.writeable = False
+        segs, steps = self.segments, len(self.grid) - 1
+        if segs.ndim != 3 or len(segs) != steps:
+            raise ValueError(f"{steps + 1} grid times need {steps} segments, "
+                             f"got shape {segs.shape}")
+        if not np.isfinite(segs).all():
+            raise ValueError("family segments have non-finite entries")
+        c = superop.choi(segs)
+        asym = np.abs(c - c.conj().swapaxes(1, 2)).max(axis=(1, 2))
+        scale = np.maximum(1.0, np.abs(c).max(axis=(1, 2)))
+        bad = asym > 1e-10 * scale
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"segment {i} does not preserve Hermiticity: its Choi asymmetry "
+                             f"{asym[i]:.3e} exceeds 1e-10 * {scale[i]:.3e}")
+
+
+RK4_REAL_LIMIT = 2.785293563405282   # the root x > 0 of R(-x) = 1, R RK4's stability polynomial
 
 
 def rk4_increment(l_left: np.ndarray, l_mid: np.ndarray, l_right: np.ndarray,
@@ -313,7 +337,7 @@ def propagate(g: GeneratorSpec, grid, step: float) -> PropagatedFamily:
 
     RK4 stability is not checked here: h |lambda| must stay inside RK4's
     stability region for every eigenvalue lambda of every L(t), or the maps
-    grow without bound.  On the negative real axis the limit is 2.7853.
+    grow without bound; on the negative real axis h |lambda| <= RK4_REAL_LIMIT.
     Only the CLI checks this, for its ``--dynamics``: ``divisibility`` its
     RK4 step and ``witness`` its finite-difference step.
     """

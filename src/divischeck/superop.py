@@ -15,15 +15,15 @@ Mixing either convention with its alternative silently corrupts Choi
 spectra, so all conversions go through the helpers in this module.
 
 Complete positivity is decided exactly (Choi spectrum).  Plain positivity
-of a map is not decided here; instead :func:`positivity_probe` searches
-for a pure input state with a negative output eigenvalue.  It runs a batch
+of a map is not decided here; instead :func:`positivity_probe` measures the
+lowest output eigenvalue it finds over pure input states.  It runs a batch
 of random restarts through a seesaw: the output-side and the input-side
 vector alternate as exact lowest eigenvectors, of the map's output and of
 its dual's output, with an extrapolation step that speeds up the seesaw's
-linear convergence.  A probe can therefore *certify non-positivity*
-(constructively, with a witness state) but can only gather evidence in
-favour of positivity: a local search can miss the global minimum, and
-"no-violation-found" is never a certificate.
+linear convergence.  A negative value comes with the state that reproduces
+it, so it *certifies non-positivity*; a nonnegative one is evidence only,
+as a local search can miss the global minimum.  The probe names no
+verdict: its callers compare the value with their own tolerance.
 """
 from __future__ import annotations
 
@@ -35,9 +35,7 @@ import numpy as np
 from .linalg import RESIDUAL_TOL, NumericalError, check_hermitian, inverse
 
 __all__ = [
-    "HOLDS_NO_VIOLATION",
     "PositivityProbeResult",
-    "VIOLATED",
     "apply",
     "apply_maps",
     "choi",
@@ -49,9 +47,6 @@ __all__ = [
     "tensor",
     "vec",
 ]
-
-VIOLATED = "violated"
-HOLDS_NO_VIOLATION = "no-violation-found"
 
 # The seesaw stops once no restart has lowered its value by more than this
 # over one extrapolation cycle.
@@ -79,17 +74,13 @@ def _check_map(s, stack: bool = False) -> np.ndarray:
 
 @dataclass(eq=False)
 class PositivityProbeResult:
-    """Outcome of a randomized search for a positivity violation.
-
-    ``verdict`` is ``"violated"`` only when ``min_value < -tol``; the
-    reported state then reproduces ``min_value`` on re-evaluation.  The
-    opposite verdict, ``"no-violation-found"``, is evidence only.
-    """
+    """The lowest output eigenvalue ``min_value`` a randomized search found,
+    the pure input state ``argmin_state`` that reproduces it on re-evaluation,
+    and the ``restarts_used`` it counted."""
 
     min_value: float
     argmin_state: np.ndarray
     restarts_used: int
-    verdict: str
 
 
 def identity(dim: int) -> np.ndarray:
@@ -195,8 +186,7 @@ def _extrapolate(x0: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
     return x / np.linalg.norm(x, axis=1, keepdims=True)
 
 
-def positivity_probe(s, restarts: int = 100, steps: int = 500,
-                     tol: float = 1e-9, seed: int = 0,
+def positivity_probe(s, restarts: int = 100, steps: int = 500, seed: int = 0,
                      stop_at: float | None = None) -> PositivityProbeResult:
     """Minimize the smallest output eigenvalue over pure input states.
 
@@ -219,13 +209,15 @@ def positivity_probe(s, restarts: int = 100, steps: int = 500,
     the draw-order index of the first restart below ``stop_at``, and the
     witness is the best of the restarts up to that one.  Otherwise
     ``restarts_used == restarts``.  The reported ``min_value`` is
-    :func:`min_output_eigenvalue` of the returned state.
+    :func:`min_output_eigenvalue` of the returned state.  The map must be finite.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     if steps < 1:
         raise ValueError("steps must be >= 1")
     s = _check_map(s)
+    if not np.isfinite(s).all():
+        raise ValueError("map has non-finite entries")
     dual = s.conj().T
     margin = _ROUNDING * np.linalg.norm(s, 2)
     dim = math.isqrt(len(s))
@@ -254,9 +246,7 @@ def positivity_probe(s, restarts: int = 100, steps: int = 500,
     if stop_at is not None and values.min() < stop_at:
         used = int(np.argmax(values < stop_at)) + 1
     state = psi[int(np.argmin(values[:used]))]
-    min_value = min_output_eigenvalue(s, state)
-    verdict = VIOLATED if min_value < -tol else HOLDS_NO_VIOLATION
-    return PositivityProbeResult(min_value, state, used, verdict)
+    return PositivityProbeResult(min_output_eigenvalue(s, state), state, used)
 
 
 def intermediate(s_t, s_s) -> np.ndarray:
@@ -281,7 +271,9 @@ def min_output_eigenvalue(s, psi) -> float:
     """Smallest eigenvalue of the Hermitian part of S[|psi><psi|], psi
     normalized first: the quantity the positivity probe minimizes and the
     ``min_value`` it reports for its witness state."""
-    psi = np.asarray(psi, dtype=complex)
-    psi = psi / np.linalg.norm(psi)
+    s, psi = _check_map(s), np.asarray(psi, dtype=complex)
+    if not (np.isfinite(s).all() and 0 < (norm := np.linalg.norm(psi)) < math.inf):
+        raise ValueError("the map must be finite, and the state vector's norm finite and nonzero")
+    psi = psi / norm
     out = apply(s, np.outer(psi, psi.conj()))
     return float(np.linalg.eigvalsh(0.5 * (out + out.conj().T))[0])

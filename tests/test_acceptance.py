@@ -55,8 +55,7 @@ def test_criterion_3_tensor_square_positivity_evidence():
         for k, t in enumerate((0.5, 1.0, 2.0)):
             ch = pf.channel(t, alpha)
             big = so.tensor(ch, ch)
-            result = so.positivity_probe(big, restarts=100, steps=500,
-                                         tol=1e-9, seed=1000 + k)
+            result = so.positivity_probe(big, restarts=100, steps=500, seed=1000 + k)
             assert result.min_value >= -1e-9, (t, result.min_value)
 
 

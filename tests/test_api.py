@@ -34,7 +34,7 @@ def _array_holders():
             0.0, "axis:z", 0.0, np.zeros((3, 2)), infoflow.pair_library(2)),
         "StatePairs": lambda: infoflow.pair_library(2),
         "PositivityProbeResult": lambda: superop.PositivityProbeResult(
-            0.0, np.zeros(4), 1, "no-violation-found"),
+            0.0, np.zeros(4), 1),
     }
 
 

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from divischeck import cli
 from divischeck import divisibility as dv
 from divischeck import generator as gen
 from divischeck import pauli_family as pf
@@ -77,7 +78,7 @@ def test_worst_map_is_not_a_view_of_the_family(scan):
 
 SCANS = [dv.cp_divisibility_scan, lambda f: dv.tensor_p_divisibility_probe(f, restarts=2)]
 
-# (grid, segments, message): a family the scans must reject
+# (grid, segments, message): a family that cannot be built
 MALFORMED = {
     # its Choi matrix is i times a Hermitian one: is_cp rejects this map
     "not-hermiticity-preserving": (
@@ -91,22 +92,14 @@ MALFORMED = {
 }
 
 
-@pytest.mark.parametrize("scan", SCANS, ids=["cp", "tensor-p"])
 @pytest.mark.parametrize("grid, segments, message", MALFORMED.values(), ids=MALFORMED.keys())
-def test_scans_reject_a_malformed_family_before_any_work(monkeypatch, scan, grid, segments,
-                                                         message):
-    def no_walk(*args):
-        raise AssertionError("the scan walked a malformed family")
-
-    monkeypatch.setattr(dv, "_offset_stacks", no_walk)
-    family = gen.PropagatedFamily(np.array(grid), np.array([so.identity(2)] * len(grid)),
-                                  segments)
+def test_a_malformed_family_is_rejected_when_built(grid, segments, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        scan(family)
+        gen.PropagatedFamily(np.array(grid), np.array([so.identity(2)] * len(grid)), segments)
 
 
 @pytest.mark.parametrize("scan", SCANS, ids=["cp", "tensor-p"])
-def test_scans_allow_hermiticity_within_the_relative_tolerance_of_is_cp(scan):
+def test_families_allow_hermiticity_within_the_relative_tolerance_of_is_cp(scan):
     # (1 + i eps) I has Choi asymmetry 2 eps against the scale 1
     def family(eps):
         segs = (1.0 + 1j * eps) * so.identity(2)[None]
@@ -115,9 +108,44 @@ def test_scans_allow_hermiticity_within_the_relative_tolerance_of_is_cp(scan):
     assert scan(family(1e-11)).pairs_scanned == 1
     so.is_cp(family(1e-11).segments[0])
     with pytest.raises(ValueError, match="does not preserve Hermiticity"):
-        scan(family(1e-9))
+        family(1e-9)
     with pytest.raises(ValueError, match="not Hermitian"):
-        so.is_cp(family(1e-9).segments[0])
+        so.is_cp((1.0 + 1e-9j) * so.identity(2))
+
+
+def test_a_family_keeps_read_only_copies_of_its_arrays():
+    grid, maps = np.array([0.0, 1.0]), np.array([so.identity(2)] * 2)
+    segs = maps[1:].copy()
+    family = gen.PropagatedFamily(grid, maps, segs)
+    for name, own in (("grid", grid), ("maps", maps), ("segments", segs)):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(family, name)[...] = 0.0
+        own[...] = 2.0    # the caller's array stays writable, and the family's copy apart
+        assert not np.shares_memory(getattr(family, name), own)
+    assert family.grid.tolist() == [0.0, 1.0]
+    np.testing.assert_array_equal(family.segments, so.identity(2)[None])
+
+
+def test_a_divisibility_run_checks_its_family_once(monkeypatch, tmp_path):
+    # the family is checked when propagate builds it; neither scan checks it again,
+    # so the segments' Choi matrices are formed twice: by that check and by the CP scan
+    built, chois = [], []
+    post_init, choi = gen.PropagatedFamily.__post_init__, so.choi
+
+    def counted_post_init(family):
+        built.append(family)
+        post_init(family)
+
+    def recorded_choi(s):
+        chois.append(np.shape(s))
+        return choi(s)
+
+    monkeypatch.setattr(gen.PropagatedFamily, "__post_init__", counted_post_init)
+    monkeypatch.setattr(so, "choi", recorded_choi)
+    assert cli.main(["divisibility", "--alpha", "0.6", "--grid-points", "6", "--restarts", "2",
+                     "--output", str(tmp_path / "out")]) == 0
+    assert len(built) == 1
+    assert chois == [built[0].segments.shape] * 2
 
 
 @pytest.mark.parametrize("scan", SCANS, ids=["cp", "tensor-p"])
@@ -184,7 +212,7 @@ class TestTensorProbe:
         for i, j, inter in i_major_intermediates(family, True):
             maps[i, j] = inter
             direct[i, j] = so.positivity_probe(
-                so.tensor(inter, inter), restarts=3, steps=100, tol=tol,
+                so.tensor(inter, inter), restarts=3, steps=100,
                 seed=np.random.SeedSequence([seed, i, j]).generate_state(1)[0],
                 stop_at=-tol).min_value
         assert report.verdict == verdict
@@ -332,7 +360,7 @@ class TestCorollaryChain:
         # tensor square positive (evidence)
         ch = pf.channel(1.0, alpha)
         probe = so.positivity_probe(so.tensor(ch, ch), restarts=30, steps=300, seed=5)
-        assert probe.verdict == so.HOLDS_NO_VIOLATION
+        assert probe.min_value >= -1e-9
 
         # tensor-squared intermediates violated (constructive)
         family = model_family(grid, alpha)
@@ -503,3 +531,18 @@ class TestVerifyWitness:
         assert dv.verify_witness(g, w) / 1e-4 == pytest.approx(-0.75 * math.tanh(1.0), rel=1e-2)
         assert dv.verify_witness(g, later) / 1e-4 == pytest.approx(-0.75 * math.tanh(2.0),
                                                                    rel=1e-2)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.tuples(*[st.floats(-1.0, 1.0)] * 3), st.lists(st.floats(0.05, 0.5), min_size=1,
+       max_size=3), st.booleans(), st.integers(0, 2**32 - 1))
+def test_the_two_scans_of_one_family_never_contradict(rates, spans, all_pairs, seed):
+    # CP of a map makes its tensor square positive: wherever the probe finds a
+    # violation, the map is not CP, so the CP scan of the same pairs sees it too
+    grid = np.concatenate([[0.0], np.cumsum(spans)])
+    family = gen.propagate(gen.qubit_rate_generator(rates), grid, STEP)
+    probe = dv.tensor_p_divisibility_probe(family, restarts=4, steps=50, seed=seed,
+                                           all_pairs=all_pairs)
+    if probe.verdict == dv.VIOLATED:
+        assert np.linalg.eigvalsh(so.choi(probe.worst_map))[0] < 0
+        assert dv.cp_divisibility_scan(family, all_pairs=all_pairs).worst_value < 0

@@ -444,6 +444,14 @@ class TestPropagate:
         with pytest.raises(ValueError, match="spacing"):
             gen.propagate(g, np.array([0.0, 0.1, 0.2]), 0.5)
 
+    def test_rk4_real_limit_bounds_the_stable_steps_on_a_decay_rate(self):
+        # one RK4 step of dy/dt = -y multiplies y by R(-h), |R(-h)| <= 1 up to the limit
+        def gain(h):
+            return abs(1.0 + gen.rk4_increment(*[-np.eye(1)] * 3, h)[0, 0])
+
+        assert gain(gen.RK4_REAL_LIMIT) == pytest.approx(1.0, abs=1e-14)
+        assert gain(0.5 * gen.RK4_REAL_LIMIT) < 1.0 < gain(1.001 * gen.RK4_REAL_LIMIT)
+
     @pytest.mark.parametrize("grid, step, message", [
         ([0.0, math.nan], 0.01, "grid must be finite"),
         ([0.0, math.inf], 0.01, "grid must be finite"),

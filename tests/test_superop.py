@@ -267,23 +267,21 @@ class TestFlags:
 
 class TestPositivityProbe:
     def test_identity_clean(self):
-        result = so.positivity_probe(so.identity(2), restarts=10, steps=200,
-                                     tol=1e-9, seed=0)
-        assert result.verdict == so.HOLDS_NO_VIOLATION
+        result = so.positivity_probe(so.identity(2), restarts=10, steps=200, seed=0)
+        assert result.min_value >= -1e-9
         assert result.min_value >= -1e-12
 
     def test_tensor_square_of_model_positive(self):
         ch = pf.channel(1.0, 0.6)
         big = so.tensor(ch, ch)
-        result = so.positivity_probe(big, restarts=25, steps=400, tol=1e-9, seed=1)
-        assert result.verdict == so.HOLDS_NO_VIOLATION
+        result = so.positivity_probe(big, restarts=25, steps=400, seed=1)
         assert result.min_value >= -1e-9
 
     def test_finds_tensor_intermediate_violation(self):
         inter = intermediate_channel(1.2, 1.0, 0.6)
         big = so.tensor(inter, inter)
-        result = so.positivity_probe(big, restarts=40, steps=400, tol=1e-6, seed=2)
-        assert result.verdict == so.VIOLATED
+        result = so.positivity_probe(big, restarts=40, steps=400, seed=2)
+        assert result.min_value < -1e-6
         assert result.min_value < -1e-3
         again = so.min_output_eigenvalue(big, result.argmin_state)
         assert again == pytest.approx(result.min_value, abs=1e-10)
@@ -291,22 +289,27 @@ class TestPositivityProbe:
     def test_early_stop(self):
         inter = intermediate_channel(1.2, 1.0, 0.6)
         big = so.tensor(inter, inter)
-        result = so.positivity_probe(big, restarts=200, steps=400, tol=1e-6,
-                                     seed=3, stop_at=-1e-6)
-        assert result.verdict == so.VIOLATED
+        result = so.positivity_probe(big, restarts=200, steps=400, seed=3, stop_at=-1e-6)
+        assert result.min_value < -1e-6
         assert result.restarts_used < 200
 
     def test_restarts_used_without_and_with_stop_at(self):
         inter = intermediate_channel(1.2, 1.0, 0.6)
         big = so.tensor(inter, inter)
-        full = so.positivity_probe(big, restarts=50, steps=400, tol=1e-6, seed=3)
+        full = so.positivity_probe(big, restarts=50, steps=400, seed=3)
         assert full.restarts_used == 50
-        early = so.positivity_probe(big, restarts=50, steps=400, tol=1e-6, seed=3,
-                                    stop_at=-1e-6)
+        early = so.positivity_probe(big, restarts=50, steps=400, seed=3, stop_at=-1e-6)
         assert 1 <= early.restarts_used < 50
         assert early.min_value < -1e-6
         again = so.min_output_eigenvalue(big, early.argmin_state)
         assert again == pytest.approx(early.min_value, abs=1e-10)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+    def test_rejects_a_non_finite_map(self, bad):
+        big = so.tensor(so.identity(2), so.identity(2))
+        big[3, 5] = bad
+        with pytest.raises(ValueError, match="^map has non-finite entries$"):
+            so.positivity_probe(big, restarts=2, steps=2)
 
     @pytest.mark.parametrize("steps", [0, -1])
     def test_rejects_nonpositive_steps(self, steps):
@@ -338,7 +341,25 @@ class TestPositivityProbe:
             ok, _ = so.is_cp(ch)
             assert ok
             result = so.positivity_probe(ch, restarts=10, steps=200, seed=8)
-            assert result.verdict == so.HOLDS_NO_VIOLATION
+            assert result.min_value >= -1e-9
+
+
+class TestMinOutputEigenvalue:
+    MESSAGE = "^the map must be finite, and the state vector's norm finite and nonzero$"
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_a_non_finite_map(self, bad):
+        s = so.identity(2)
+        s[1, 2] = bad
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            so.min_output_eigenvalue(s, np.array([1.0, 0.0]))
+
+    # a nonzero psi whose norm underflows to 0 cannot be normalized either
+    @pytest.mark.parametrize("psi", [[0.0, 0.0], [math.nan, 1.0], [1.0, math.inf],
+                                     [1e-200, 0.0]], ids=["zero", "nan", "inf", "underflow"])
+    def test_rejects_a_state_without_a_finite_nonzero_norm(self, psi):
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            so.min_output_eigenvalue(so.identity(2), np.array(psi))
 
 
 class TestIntermediate:

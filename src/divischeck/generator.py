@@ -191,16 +191,23 @@ def liouvillian(g: GeneratorSpec) -> Callable[[float], np.ndarray]:
     then only contracts it with C(t) and adds the Hamiltonian part.  A fixed
     C is contracted once, here: without a Hamiltonian every call returns
     that one read-only matrix.  A callable C goes through the same
-    validation as a fixed one on every call, so a rate vector contracts as
-    its diagonal matrix, bit for bit, without a Hermiticity check: it
-    rewrites the diagonal slots of one flattened C kept by the closure.
+    validation as a fixed one on every call, except that a tuple of n
+    finite floats, as ``pauli_family.rates`` returns, is checked without an
+    array.  A rate vector gives a real L(t): it fills the diagonal slots of
+    one real flattened C kept by the closure, which contracts with the real
+    part of all n^2 dissipator rows (a shorter sum would round differently);
+    the diagonal rows are real in every Gell-Mann basis.  For qubits this
+    gives the bits of the complex contraction of diag(rates); a longer one
+    may differ in an entry's last bit, as real and complex BLAS kernels may
+    sum in different orders.  Every other C gives a complex L(t).
     """
     terms = _dissipator_terms(g)
     d = g.dim
     n = d * d - 1
     eye = np.eye(d, dtype=complex)
-    coeffs = np.zeros(n * n, dtype=complex)
-    diagonal = coeffs[::n + 1]
+    real_terms = terms.real.copy()   # contiguous, so matmul hands it to BLAS
+    rates = np.zeros(n * n)
+    diagonal = rates[::n + 1]
     fixed = None
     if not callable(g.kossakowski):
         fixed = (g.kossakowski.reshape(-1) @ terms).reshape(d * d, d * d)
@@ -210,10 +217,15 @@ def liouvillian(g: GeneratorSpec) -> Callable[[float], np.ndarray]:
 
     def at(t: float) -> np.ndarray:
         if fixed is None:
-            c = _coefficients(g.kossakowski(t), n, t)
-            if c.ndim == 1:
+            c = g.kossakowski(t)
+            if not (type(c) is tuple and len(c) == n
+                    and all(type(x) is float and math.isfinite(x) for x in c)):
+                c = _coefficients(c, n, t)
+            if type(c) is tuple or c.ndim == 1:
                 diagonal[:] = c
-            mat = ((coeffs if c.ndim == 1 else c.reshape(-1)) @ terms).reshape(d * d, d * d)
+                mat = (rates @ real_terms).reshape(d * d, d * d)
+            else:
+                mat = (c.reshape(-1) @ terms).reshape(d * d, d * d)
         else:
             mat = fixed
         if g.hamiltonian is not None:
@@ -266,9 +278,11 @@ def rk4_increment(l_left: np.ndarray, l_mid: np.ndarray, l_right: np.ndarray,
 
     ``l_left``, ``l_mid`` and ``l_right`` are L at t, t + h/2 and t + h; the
     step maps M to M + D M.  The L arguments may be stacks (..., n, n), one
-    step per leading index, and D is stacked alike.
+    step per leading index, and D is stacked alike.  Real L run in float64:
+    they only skip the products with zero imaginary parts that complex
+    arithmetic adds, and for qubits give the bits complex arithmetic gives.
     """
-    eye = np.eye(l_left.shape[-1], dtype=complex)
+    eye = np.eye(l_left.shape[-1], dtype=l_left.dtype)
     k1 = l_left
     k2 = l_mid @ (eye + 0.5 * h * k1)
     k3 = l_mid @ (eye + 0.5 * h * k2)
@@ -330,10 +344,12 @@ def propagate(g: GeneratorSpec, grid, step: float) -> PropagatedFamily:
     ``rk4_increment`` call forms its single D, the same tree multiplies k
     copies of it, and E is formed once per (h, k) and reused while L stays
     that object.  Every other stack takes the stacked tree, equal L values
-    included (the same bits).  The blocks fold into their segment's E the
+    included (the same bits).  A stack of real L, as a callable rate
+    vector without a Hamiltonian gives, runs in float64 (see
+    ``rk4_increment``).  The blocks fold into their segment's complex E the
     same way.  Each segment is recorded as I + E, and the map steps once
-    per segment, M <- M + E M.  Maps and segments are those of a
-    block-by-block loop over the segments, bit for bit.  Deterministic.
+    per segment, M <- M + E M.  Maps and segments are complex128, those of
+    a block-by-block loop over the segments, bit for bit.  Deterministic.
 
     RK4 stability is not checked here: h |lambda| must stay inside RK4's
     stability region for every eigenvalue lambda of every L(t), or the maps
@@ -348,8 +364,9 @@ def propagate(g: GeneratorSpec, grid, step: float) -> PropagatedFamily:
         raise ValueError("step must be finite")
     if step <= 0:
         raise ValueError(f"step must be positive, got {step}")
-    if len(grid) > 1 and step > np.min(np.diff(grid)) + 1e-12:
-        raise ValueError("step must not exceed the grid spacing")
+    if len(grid) > 1 and step > (spacing := float(np.min(np.diff(grid)))) + 1e-12:
+        raise ValueError(f"step must not exceed the grid spacing: step {step:g} "
+                         f"against the smallest spacing {spacing:g}")
 
     lmat = liouvillian(g)
     eye = np.eye(g.dim * g.dim, dtype=complex)

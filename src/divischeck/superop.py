@@ -272,7 +272,9 @@ def min_output_eigenvalue(s, psi) -> float:
     normalized first: the quantity the positivity probe minimizes and the
     ``min_value`` it reports for its witness state."""
     s, psi = _check_map(s), np.asarray(psi, dtype=complex)
-    if not (np.isfinite(s).all() and 0 < (norm := np.linalg.norm(psi)) < math.inf):
+    with np.errstate(over="ignore"):    # a norm past the largest double is rejected below
+        norm = np.linalg.norm(psi)
+    if not (np.isfinite(s).all() and 0 < norm < math.inf):
         raise ValueError("the map must be finite, and the state vector's norm finite and nonzero")
     psi = psi / norm
     out = apply(s, np.outer(psi, psi.conj()))

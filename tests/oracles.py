@@ -155,9 +155,10 @@ def segment_loop_propagate(g, grid, step: float, block: int = 64) -> PropagatedF
     multiplied out by a pairwise tree, or, when every L(t) of the block equals
     its left-end L, one increment squared (formed once per step size and
     length while L is one object), and the blocks joined into the segment's
-    E = P - I in order.  This is the loop ``generator.propagate`` ran before it
-    stacked short segments together; its maps and segments are bit for bit
-    the package's."""
+    E = P - I in order, each block in the dtype of its L (real for a rate
+    vector, through ``rk4_increment``).  This is the loop ``generator.propagate``
+    ran before it stacked short segments together; its maps and segments are
+    bit for bit the package's."""
     grid = np.asarray(grid, dtype=float)
     lmat = liouvillian(g)
     eye = np.eye(g.dim * g.dim, dtype=complex)

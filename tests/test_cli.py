@@ -173,6 +173,15 @@ class TestDivisibility:
         assert "the largest stable step is 0.000994748" in err
         assert not (tmp_path / "div.json").exists()
 
+    def test_rk4_step_past_the_grid_spacing_exits_2(self, tmp_path, capsys):
+        # the default grid's spacing is 0.025; the step is stable for the model
+        out = tmp_path / "div"
+        assert run(["divisibility", "--rk4-step", "0.5", "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert ("step must not exceed the grid spacing: step 0.5 against the smallest "
+                "spacing 0.025") in err
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("alpha, step", [("1400", "5e-4"), ("1000", "1e-3")])
     def test_stable_rk4_step_at_large_alpha(self, tmp_path, alpha, step):
         out = tmp_path / "div"

@@ -353,6 +353,26 @@ class TestLiouvillian:
         lhs = unvec(gen.liouvillian(g)(0.3) @ so.vec(x), 2)
         np.testing.assert_allclose(lhs, -1j * (h @ x - x @ h), atol=1e-14)
 
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_rate_vector_contracts_in_real_arithmetic(self, d):
+        # the diagonal dissipator rows are real in every Gell-Mann basis, so
+        # the real contraction is the complex one without its zero imaginary
+        # parts: the same bits for qubits, and within the rounding of a sum
+        # taken in another order for longer contractions
+        for seed in range(20):
+            rates = np.random.default_rng(seed).uniform(-0.5, 1.5, d * d - 1)
+            l_twin = gen.liouvillian(gen.GeneratorSpec(d, np.diag(rates).astype(complex)))(0.3)
+            assert l_twin.dtype == np.complex128 and not l_twin.imag.any()
+            for value in (tuple(rates.tolist()), rates):
+                l_rated = gen.liouvillian(gen.GeneratorSpec(d, lambda t: value))(0.3)
+                assert l_rated.dtype == np.float64
+                if d == 2:
+                    assert np.array_equal(l_rated, l_twin)
+                else:
+                    scale = np.abs(l_twin).max()
+                    np.testing.assert_allclose(l_rated, l_twin.real, rtol=0,
+                                               atol=4 * np.finfo(float).eps * scale)
+
 
 class TestPropagate:
     def test_zero_generator_stays_identity(self):
@@ -443,6 +463,12 @@ class TestPropagate:
             gen.propagate(g, np.array([0.5, 1.0]), 0.01)
         with pytest.raises(ValueError, match="spacing"):
             gen.propagate(g, np.array([0.0, 0.1, 0.2]), 0.5)
+
+    def test_step_past_the_grid_spacing_names_both(self):
+        message = (r"^step must not exceed the grid spacing: step 0\.15 "
+                   r"against the smallest spacing 0\.1$")
+        with pytest.raises(ValueError, match=message):
+            gen.propagate(gen.model_generator(1.0), np.array([0.0, 0.2, 0.3, 0.6]), 0.15)
 
     def test_rk4_real_limit_bounds_the_stable_steps_on_a_decay_rate(self):
         # one RK4 step of dy/dt = -y multiplies y by R(-h), |R(-h)| <= 1 up to the limit
@@ -685,6 +711,44 @@ def test_stacked_segments_match_the_segment_loop_bit_for_bit(g, grid_step):
     # packed stacks, long segments in several blocks, constant and varying L alike
     grid, step = grid_step
     assert_same_family(gen.propagate(g, grid, step), segment_loop_propagate(g, grid, step))
+
+
+def rate_twins(rates_at, drive=None):
+    """A generator with the callable rate vector ``rates_at`` and its twin
+    with the complex matrix diag(rates), both under a constant drive
+    ``drive`` sigma_1 unless ``drive`` is None."""
+    h = None if drive is None else (lambda t: drive * PAULI[1])
+    return (gen.GeneratorSpec(2, rates_at, hamiltonian=h),
+            gen.GeneratorSpec(2, lambda t: np.diag(rates_at(t)).astype(complex), hamiltonian=h))
+
+
+RATE_CALLABLES = st.one_of(RATES.map(lambda r: lambda t: r),
+                           RATES.map(lambda r: lambda t: np.array(r)),
+                           st.floats(0.05, 3.0).map(lambda a: lambda t: pf.rates(t, a)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(RATE_CALLABLES, st.one_of(st.none(), st.floats(0.0, 2.0)), packed_grids_and_steps())
+def test_rate_vectors_propagate_in_real_arithmetic_bit_for_bit(rates_at, drive, grid_step):
+    # without a Hamiltonian the RK4 stacks run in float64; the complex
+    # matrix twin gives the same maps and segments, bit for bit
+    grid, step = grid_step
+    rated, twin = rate_twins(rates_at, drive)
+    l_rated = gen.liouvillian(rated)(step)
+    assert l_rated.dtype == (np.float64 if drive is None else np.complex128)
+    assert gen.rk4_increment(l_rated, l_rated, l_rated, step).dtype == l_rated.dtype
+    assert gen.liouvillian(twin)(step).dtype == np.complex128
+    fam = gen.propagate(rated, grid, step)
+    assert fam.maps.dtype == fam.segments.dtype == np.complex128
+    assert_same_family(fam, gen.propagate(twin, grid, step))
+
+
+def test_model_on_the_default_grid_propagates_its_matrix_twins_family():
+    rated, twin = rate_twins(lambda t: pf.rates(t, 0.6))
+    grid = pf.default_grid()
+    fam = gen.propagate(rated, grid, 1e-3)
+    assert fam.maps.dtype == fam.segments.dtype == np.complex128
+    assert_same_family(fam, gen.propagate(twin, grid, 1e-3))
 
 
 @settings(max_examples=100, deadline=None)

@@ -354,9 +354,11 @@ class TestMinOutputEigenvalue:
         with pytest.raises(ValueError, match=self.MESSAGE):
             so.min_output_eigenvalue(s, np.array([1.0, 0.0]))
 
-    # a nonzero psi whose norm underflows to 0 cannot be normalized either
+    # a nonzero psi whose norm underflows to 0 cannot be normalized either,
+    # nor a finite psi whose norm overflows, which must raise no warning
     @pytest.mark.parametrize("psi", [[0.0, 0.0], [math.nan, 1.0], [1.0, math.inf],
-                                     [1e-200, 0.0]], ids=["zero", "nan", "inf", "underflow"])
+                                     [1e-200, 0.0], [1e200, 1e200]],
+                             ids=["zero", "nan", "inf", "underflow", "overflow"])
     def test_rejects_a_state_without_a_finite_nonzero_norm(self, psi):
         with pytest.raises(ValueError, match=self.MESSAGE):
             so.min_output_eigenvalue(so.identity(2), np.array(psi))

@@ -104,6 +104,16 @@ def _coefficients(value, n: int, t: float | None = None) -> np.ndarray:
     return c
 
 
+def _float_rates(c, n: int) -> bool:
+    """Whether c is a tuple of n finite Python floats, checked without an array."""
+    if type(c) is not tuple or len(c) != n:
+        return False
+    for x in c:
+        if type(x) is not float or not math.isfinite(x):
+            return False
+    return True
+
+
 def _as_matrix(c: np.ndarray) -> np.ndarray:
     """Validated C as a complex matrix, diag(rates) for a rate vector."""
     return np.diag(c).astype(complex) if c.ndim == 1 else c
@@ -187,51 +197,51 @@ def _dissipator_terms(g: GeneratorSpec) -> np.ndarray:
 def liouvillian(g: GeneratorSpec) -> Callable[[float], np.ndarray]:
     """Matrix form of the generator, as a cheap-to-evaluate closure.
 
-    The basis-dependent structure is assembled once per closure; each call
-    then only contracts it with C(t) and adds the Hamiltonian part.  A fixed
-    C is contracted once, here: without a Hamiltonian every call returns
-    that one read-only matrix.  A callable C goes through the same
-    validation as a fixed one on every call, except that a tuple of n
-    finite floats, as ``pauli_family.rates`` returns, is checked without an
-    array.  A rate vector gives a real L(t): it fills the diagonal slots of
-    one real flattened C kept by the closure, which contracts with the real
-    part of all n^2 dissipator rows (a shorter sum would round differently);
-    the diagonal rows are real in every Gell-Mann basis.  For qubits this
-    gives the bits of the complex contraction of diag(rates); a longer one
-    may differ in an entry's last bit, as real and complex BLAS kernels may
-    sum in different orders.  Every other C gives a complex L(t).
+    The basis-dependent structure, C and the Hamiltonian are read once per
+    closure; each call then only contracts the structure with C(t) and adds
+    the Hamiltonian part, into a fresh L(t).  A fixed C is contracted once,
+    here: without a Hamiltonian every call returns that one read-only
+    matrix.  A callable C goes through the same validation as a fixed one
+    on every call, except that a tuple of n finite Python floats, as
+    ``pauli_family.rates`` returns, is checked in a loop without an array.
+    A rate vector gives a real L(t): it fills the diagonal slots of one
+    real flattened C kept by the closure, which takes one ``np.dot`` with
+    the real part of all n^2 dissipator rows (a shorter sum would round
+    differently); the diagonal rows are real in every Gell-Mann basis.  For
+    qubits this gives the bits of the complex contraction of diag(rates); a
+    longer one may differ in an entry's last bit, as real and complex BLAS
+    kernels may sum in different orders.  Every other C gives a complex L(t).
     """
     terms = _dissipator_terms(g)
-    d = g.dim
-    n = d * d - 1
+    d, kossakowski, hamiltonian = g.dim, g.kossakowski, g.hamiltonian
+    n, dd = d * d - 1, d * d
+    fixed = None
+    if not callable(kossakowski):
+        fixed = (kossakowski.reshape(-1) @ terms).reshape(dd, dd)
+        fixed.flags.writeable = False
+        if hamiltonian is None:
+            return lambda t: fixed
     eye = np.eye(d, dtype=complex)
-    real_terms = terms.real.copy()   # contiguous, so matmul hands it to BLAS
+    real_terms = terms.real.copy()   # contiguous, so np.dot hands it to BLAS
     rates = np.zeros(n * n)
     diagonal = rates[::n + 1]
-    fixed = None
-    if not callable(g.kossakowski):
-        fixed = (g.kossakowski.reshape(-1) @ terms).reshape(d * d, d * d)
-        fixed.flags.writeable = False
-        if g.hamiltonian is None:
-            return lambda t: fixed
 
     def at(t: float) -> np.ndarray:
         if fixed is None:
-            c = g.kossakowski(t)
-            if not (type(c) is tuple and len(c) == n
-                    and all(type(x) is float and math.isfinite(x) for x in c)):
+            c = kossakowski(t)
+            if not _float_rates(c, n):
                 c = _coefficients(c, n, t)
             if type(c) is tuple or c.ndim == 1:
                 diagonal[:] = c
-                mat = (rates @ real_terms).reshape(d * d, d * d)
+                mat = np.dot(rates, real_terms).reshape(dd, dd)
             else:
-                mat = (c.reshape(-1) @ terms).reshape(d * d, d * d)
+                mat = (c.reshape(-1) @ terms).reshape(dd, dd)
         else:
             mat = fixed
-        if g.hamiltonian is not None:
-            h = check_hermitian(g.hamiltonian(t))
-            mat = mat + (-1j) * (np.kron(eye, h) - np.kron(h.T, eye))
-        return mat
+        if hamiltonian is None:
+            return mat
+        h = check_hermitian(hamiltonian(t))
+        return mat + (-1j) * (np.kron(eye, h) - np.kron(h.T, eye))
 
     return at
 

@@ -50,16 +50,19 @@ def check_hermitian(a, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
 
     Non-finite entries are rejected.  Returns the exactly Hermitian part
     (a + a†)/2 for downstream use so callers never propagate the asymmetric
-    rounding noise.  The scale max(1, max |a_ij|) is computed only when the
-    asymmetry exceeds ``rtol``, since below that it cannot exceed
-    ``rtol * scale``.
+    rounding noise.  The asymmetry max |a - a†| is read first.  Any
+    non-finite entry makes it inf or NaN, so only an asymmetry that is not
+    <= ``rtol`` leads on to the finiteness pass, which raises "non-finite"
+    before any "not Hermitian", and then to the scale max(1, max |a_ij|):
+    below ``rtol`` the asymmetry cannot exceed ``rtol * scale``.
     """
     a = _as_matrix(a)
-    if not np.isfinite(a).all():
-        raise ValueError("matrix has non-finite entries")
     adj = a.conj().T
-    asym = float(np.abs(a - adj).max(initial=0.0))
-    if asym > rtol:
+    with np.errstate(invalid="ignore"):     # inf - inf: NaN, caught below
+        asym = float(np.abs(a - adj).max(initial=0.0))
+    if not asym <= rtol:
+        if not np.isfinite(a).all():
+            raise ValueError("matrix has non-finite entries")
         scale = max(1.0, float(np.abs(a).max()))
         if asym > rtol * scale:
             raise ValueError(

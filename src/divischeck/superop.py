@@ -144,16 +144,26 @@ def is_cp(s, tol: float = 1e-9) -> tuple[bool, float]:
     hermiticity-preserving, otherwise the Choi matrix fails its
     Hermiticity check and the call is rejected.
     """
-    h = check_hermitian(choi(_check_map(s)), rtol=1e-10)
-    min_eig = float(np.linalg.eigvalsh(h)[0])
+    c = choi(s)
+    if c.ndim != 2:     # choi takes stacks, is_cp one map: reject as one map
+        _check_map(c)
+    min_eig = float(np.linalg.eigvalsh(check_hermitian(c, rtol=1e-10))[0])
     return min_eig >= -tol, min_eig
 
 
 def _lowest_eigenpairs(s: np.ndarray, states: np.ndarray):
     """Lowest eigenvalue and eigenvector of the Hermitian part of S[|v><v|],
-    for each row v of a (restarts, dim) stack, with one apply and one eigh."""
-    out = apply(s, states[:, :, None] * states.conj()[:, None, :])
-    w, v = np.linalg.eigh(0.5 * (out + out.conj().swapaxes(-1, -2)))
+    for each row v of a (restarts, dim) stack, with one matmul and one eigh.
+
+    ``s`` is a checked map.  Row r of the product is vec(S[|v><v|]), the
+    output's transpose Y flattened row by row.  Entry (j, i) of vec(|v><v|)
+    is v_i conj(v_j), in that operand order: with fused multiply-adds a
+    complex product may round differently with its factors swapped.
+    """
+    rows, dim = states.shape
+    vecs = (states[:, None, :] * states.conj()[:, :, None]).reshape(rows, dim * dim)
+    y = (vecs @ s.T).reshape(rows, dim, dim)
+    w, v = np.linalg.eigh(0.5 * (y.swapaxes(1, 2) + y.conj()))
     return w[:, 0], v[:, :, 0]
 
 
@@ -201,10 +211,10 @@ def positivity_probe(s, restarts: int = 100, steps: int = 500, seed: int = 0,
     that value never increases.
 
     All ``restarts`` random starts, drawn at once from
-    ``default_rng(seed)``, run as one stack through one ``apply`` and one
-    stacked ``eigh`` per step.  ``steps`` caps the number of sweeps; the
-    sweeps also end once no restart has improved by more than a fixed
-    threshold over the last extrapolation cycle.  ``stop_at`` ends them as
+    ``default_rng(seed)``, run as one stack through one matmul with the
+    map and one stacked ``eigh`` per step.  ``steps`` caps the number of
+    sweeps; the sweeps also end once no restart has improved by more than
+    a fixed threshold over the last extrapolation cycle.  ``stop_at`` ends them as
     soon as the best value drops below it: ``restarts_used`` is then 1 plus
     the draw-order index of the first restart below ``stop_at``, and the
     witness is the best of the restarts up to that one.  Otherwise

@@ -88,6 +88,16 @@ def is_hermiticity_preserving(s: np.ndarray, tol: float = 1e-10) -> bool:
     return max_asymmetry(choi(s)) <= tol
 
 
+def apply_lowest_eigenpairs(s: np.ndarray, states: np.ndarray):
+    """The positivity probe's step through ``apply``: lowest eigenvalue and
+    eigenvector of the Hermitian part of S[|v><v|] for each row v of a
+    (rows, dim) stack, the outer products v_i conj(v_j) built as matrices,
+    applied with the map's shape check and turned back by swapping axes."""
+    out = apply(s, states[:, :, None] * states.conj()[:, None, :])
+    w, v = np.linalg.eigh(0.5 * (out + out.conj().swapaxes(-1, -2)))
+    return w[:, 0], v[:, :, 0]
+
+
 def trace_norms(x: np.ndarray) -> np.ndarray:
     """Trace norms of a stack of near-Hermitian matrices: one batched
     ``eigvalsh`` of their Hermitian parts, eigenvalues below EIGEN_FLOOR

@@ -250,9 +250,12 @@ class TestGeneratorSpec:
         ((1.0, complex(1.0, 0.5), 1.0), "rates must be real, got dtype complex128"),
         ((1.0, math.nan, 1.0), "rates have non-finite entries"),
         ((1.0, math.inf, 1.0), "rates have non-finite entries"),
+        ((1.0, 1.0, -math.inf), "rates have non-finite entries"),
         ((1.0, 1.0), r"coefficient rate vector at t=0\.50*5? has shape \(2,\), expected \(3,\)"),
+        ((1.0, 1.0, 1.0, 1.0),
+         r"coefficient rate vector at t=0\.50*5? has shape \(4,\), expected \(3,\)"),
         (np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0]], dtype=complex), "matrix is not Hermitian"),
-    ], ids=["complex", "nan", "inf", "wrong-length", "non-hermitian"])
+    ], ids=["complex", "nan", "inf", "minus-inf", "wrong-length", "four-rates", "non-hermitian"])
     def test_closure_rejects_a_bad_value_after_valid_rates(self, bad, message):
         # valid rate vectors before t = 0.5 have filled the closure's coefficients
         g = gen.GeneratorSpec(2, lambda t: bad if t >= 0.5 else (0.6, 0.6, 0.2))
@@ -262,6 +265,18 @@ class TestGeneratorSpec:
             lmat(0.5)
         with pytest.raises(ValueError, match=message):
             gen.propagate(g, [0.0, 1.0], 0.01)
+
+    @pytest.mark.parametrize("value, twin", [
+        ((1, 2, -1), (1.0, 2.0, -1.0)),
+        ((1e308, 1e308, 0.0), np.array([1e308, 1e308, 0.0])),
+    ], ids=["ints", "huge"])
+    def test_closure_accepts_rates_beside_the_float_tuple(self, value, twin):
+        # ints take the array path and give the bits of the same floats; two
+        # rates whose sum overflows are each finite, so they are accepted
+        l_value = gen.liouvillian(gen.GeneratorSpec(2, lambda t: value))(0.5)
+        l_twin = gen.liouvillian(gen.GeneratorSpec(2, lambda t: twin))(0.5)
+        assert l_value.dtype == np.float64 and np.isfinite(l_value).all()
+        assert np.array_equal(l_value, l_twin)
 
     def test_switching_forms_match_the_matrix_twin(self):
         # rate vectors on [0, 0.1), [0.2, 0.3), ... and a non-diagonal matrix

@@ -28,8 +28,15 @@ class TestCheckHermitian:
         [[np.nan, 0.0], [0.0, 1.0]],
         [[np.inf, 0.0], [0.0, 1.0]],
         [[1.0, np.nan], [0.0, 1.0]],
-    ], ids=["nan", "inf", "offdiagonal-nan"])
+        [[1.0, np.inf], [0.0, 1.0]],
+        [[-np.inf, 0.0], [0.0, 1.0]],
+        [[complex(1.0, np.inf), 0.0], [0.0, 1.0]],
+        [[1.0, complex(0.0, np.nan)], [0.0, 1.0]],
+    ], ids=["nan", "inf", "offdiagonal-nan", "one-corner-inf", "diagonal-minus-inf",
+            "diagonal-imaginary-inf", "offdiagonal-imaginary-nan"])
     def test_rejects_nonfinite(self, bad):
+        # the asymmetry is read first: each placement must make it inf or
+        # NaN, so that the finiteness pass runs before any "not Hermitian"
         with pytest.raises(ValueError, match="non-finite"):
             check_hermitian(bad)
 

@@ -5,14 +5,16 @@ The loop builds below are the defining constructions of ``tensor`` and
 ``choi`` (column by column on the product operator basis, and the sum
 over matrix units); the reshaped versions must reproduce them bit for bit.
 """
+import math
+
 import numpy as np
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from divischeck import superop as so
-from divischeck.linalg import PAULI
-from oracles import apply_single, compose, map_dim, unvec
+from divischeck.linalg import PAULI, check_hermitian
+from oracles import apply_lowest_eigenpairs, apply_single, compose, map_dim, unvec
 
 DIMS = st.sampled_from([2, 3])
 ENTRIES = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False,
@@ -192,3 +194,39 @@ def test_probe_finds_unital_qubit_minimum(t, seed):
     assert value >= exact - 1e-12
     assume(sigma[0] - sigma[1] >= 1e-5)
     assert abs(value - exact) <= 1e-9
+
+
+def map_with_choi(c):
+    """The map whose Choi matrix is c: Hermiticity-preserving for Hermitian c."""
+    d = math.isqrt(len(c))
+    return c.reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(c.shape)
+
+
+@st.composite
+def probe_steps(draw):
+    """A map on d x d operators, d in {2, 3, 4}, Hermiticity-preserving or
+    not, and a stack of 1 to 7 state vectors: one row takes numpy's
+    matrix-vector path."""
+    d = draw(st.sampled_from([2, 3, 4]))
+    s = draw(maps(d))
+    if draw(st.booleans()):
+        s = map_with_choi(s + s.conj().T)
+    real = arrays(np.float64, (draw(st.integers(1, 7)), d), elements=ENTRIES)
+    return s, draw(real) + 1j * draw(real)
+
+
+@settings(max_examples=200, deadline=None)
+@given(probe_steps())
+def test_probe_step_is_the_apply_step_bit_for_bit(step):
+    s, states = step
+    got, want = so._lowest_eigenpairs(s, states), apply_lowest_eigenpairs(s, states)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.sampled_from([2, 3, 4]))
+def test_is_cp_reads_the_least_eigenvalue_of_the_checked_choi_matrix(data, d):
+    c = data.draw(maps(d))
+    s = map_with_choi(c + c.conj().T)
+    assert np.array_equal(so.choi(s), c + c.conj().T)
+    assert so.is_cp(s)[1] == np.linalg.eigvalsh(check_hermitian(so.choi(s), rtol=1e-10))[0]

@@ -83,8 +83,6 @@ class RunConfig:
     samples: int = field(default=100, metadata={"help": "random state pairs per scan"})
     fd_step: float = field(default=1e-4, metadata={
         "help": "finite-difference step for flow rates / witness checks"})
-    all_pairs: bool = field(default=False, metadata={
-        "help": "scan all grid pairs, shortest intervals first, not just consecutive"})
 
     def validate(self) -> None:
         if not self.alpha:
@@ -117,6 +115,10 @@ class RunConfig:
 
     def grid(self) -> np.ndarray:
         return pauli_family.default_grid(self.t_max, self.grid_points)
+
+
+# RunConfig's field types, its string annotations evaluated once
+_HINTS = get_type_hints(RunConfig)
 
 
 def _complex_vector(v: np.ndarray) -> dict:
@@ -168,8 +170,9 @@ def cmd_scan(cfg: RunConfig) -> tuple[list[str], dict]:
             non_cp_alphas.add(alpha)
         numbers = np.column_stack([pauli_family.pauli_weights(grid, alpha),
                                    pauli_family.squared_pauli_weights(grid, alpha), l[:, [0, 2]]])
-        for t, row, l_t, cp_t in zip(grid.tolist(), numbers.tolist(), l.tolist(), cp.tolist()):
-            _, choi_min = superop.is_cp(pauli_family.pauli_channel(*l_t))
+        channels = pauli_family.pauli_channel(l[:, 0], l[:, 1], l[:, 2])
+        for t, row, ch, cp_t in zip(grid.tolist(), numbers.tolist(), channels, cp.tolist()):
+            _, choi_min = superop.is_cp(ch)
             rows.append((alpha, t, *row, choi_min, cp_t, pauli_family.rates(t, alpha)[2]))
     if cfg.format == "csv":
         path = cfg.output_path + ".csv"
@@ -206,11 +209,9 @@ def cmd_divisibility(cfg: RunConfig) -> tuple[list[str], dict]:
     p_check = generator.p_divisibility_check_pauli(gen, grid, tol=cfg.tol)
 
     family = generator.propagate(gen, grid, cfg.rk4_step)
-    cp_scan = divisibility.cp_divisibility_scan(family, tol=cfg.tol,
-                                                all_pairs=cfg.all_pairs)
+    cp_scan = divisibility.cp_divisibility_scan(family, tol=cfg.tol)
     tensor_probe = divisibility.tensor_p_divisibility_probe(
-        family, restarts=cfg.restarts, steps=cfg.probe_steps, tol=cfg.tol,
-        seed=cfg.seed, all_pairs=cfg.all_pairs)
+        family, restarts=cfg.restarts, steps=cfg.probe_steps, tol=cfg.tol, seed=cfg.seed)
 
     reevaluated = None
     if tensor_probe.verdict == divisibility.VIOLATED:
@@ -359,17 +360,12 @@ def _build_parser() -> argparse.ArgumentParser:
     # the flags every command takes, built once and shared through ``parents``
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON file with RunConfig fields")
-    hints = get_type_hints(RunConfig)
     for f in fields(RunConfig):
         meta = f.metadata
-        flag = meta.get("flag", "--" + f.name.replace("_", "-"))
-        if hints[f.name] is bool:
-            common.add_argument(flag, action="store_true", default=None,
-                                dest=f.name, help=meta.get("help"))
-        else:
-            common.add_argument(flag, type=meta.get("parse", hints[f.name]),
-                                dest=f.name, choices=meta.get("choices"),
-                                metavar=meta.get("metavar"), help=meta.get("help"))
+        common.add_argument(meta.get("flag", "--" + f.name.replace("_", "-")),
+                            type=meta.get("parse", _HINTS[f.name]), dest=f.name,
+                            choices=meta.get("choices"), metavar=meta.get("metavar"),
+                            help=meta.get("help"))
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text) in COMMANDS.items():
         sub.add_parser(name, help=help_text, parents=[common])
@@ -380,12 +376,12 @@ def _cast(value, hint):
     """Strict conversion of a config value to the RunConfig field type.
 
     Numeric fields take numbers but never bools, and int fields only
-    integral ones; bool and str fields take exactly that JSON type.
+    integral ones; str fields take exactly a JSON string.
     """
     if hint == list[float]:
         return [_cast(a, float) for a in (value if isinstance(value, list) else [value])]
-    if hint is bool or hint is str:
-        if isinstance(value, hint):
+    if hint is str:
+        if isinstance(value, str):
             return value
     elif isinstance(value, (int, float)) and not isinstance(value, bool):
         if hint is float:
@@ -411,10 +407,9 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         flag_value = getattr(args, f.name, None)
         if flag_value is not None:
             values[f.name] = flag_value
-    hints = get_type_hints(RunConfig)
     for name in values:
         try:
-            values[name] = _cast(values[name], hints[name])
+            values[name] = _cast(values[name], _HINTS[name])
         except ValueError as exc:
             raise ValueError(f"config field {name!r} has an invalid value: {exc}")
     cfg = RunConfig(**values)

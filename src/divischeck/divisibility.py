@@ -1,15 +1,17 @@
 """Divisibility scans over map families and the first-order tensor witness.
 
-Scans take the two-time propagators V(t_j, t_i) of a propagated family,
-checked when it was built, from its grid segments, never from an inverse.
-Both scans walk the pairs one way, as stacks of one diagonal offset
-k = j - i each: the segments for k = 1, and for wider pairs the product of
-the segments they span, one batched matmul per offset.  Each map is tested
-exactly for complete positivity (stacked Choi spectra), or by randomized
-search for plain positivity of its tensor square, pair by pair.  A
-"violated" verdict always ships a witness that reproduces the reported
-value on ``worst_map``; a clean scan is only a statement about the grid and
-the search budget.
+Scans test the consecutive segments V(t_{i+1}, t_i) of a propagated family,
+checked when it was built, never a map formed from an inverse.  The
+segments decide every grid pair: V(t_j, t_i) is the product of the
+segments it spans, and both complete positivity and positivity of the
+tensor square (V2 V1 (x) V2 V1 = (V2 (x) V2)(V1 (x) V1)) are kept under
+composition, so a wider pair can only fail where a segment fails, up to
+rounding at ``tol``.  Each segment is tested exactly for complete
+positivity (stacked Choi spectra), or by randomized search for plain
+positivity of its tensor square, segment by segment.  A "violated" verdict
+always ships a witness that reproduces the reported value on
+``worst_map``; a clean scan is only a statement about the grid and the
+search budget.
 
 The witness construction makes the tensor-square positivity failure of a
 qubit generator explicit at first order.  Given C(s) with its most negative
@@ -69,33 +71,16 @@ class DivisibilityReport:
     note: str = ""
 
 
-def _offset_stacks(family: PropagatedFamily, all_pairs: bool):
-    """Yield ``(k, stack)`` lazily for the diagonal offsets k of the selected
-    grid pairs, offset 1 first, with stack[i] = V(t_{i+k}, t_i).
-
-    Offset 1 is the stack of integrated segments; each later offset is one
-    batched matmul, segs[i+k-1] @ V(t_{i+k-1}, t_i).  Consecutive pairs
-    stop after offset 1.
-    """
-    segs = stack = family.segments
-    for k in range(1, (len(segs) if all_pairs else min(len(segs), 1)) + 1):
-        if k > 1:
-            stack = segs[k - 1:] @ stack[:-1]
-        yield k, stack
-
-
-def _report(family: PropagatedFamily, kind: str, tol: float, scanned: int, best,
-            worst_mat, witness, witness_kind: str, note: str) -> DivisibilityReport:
-    """Report a scan's lowest ``best`` = (value, i, j) with a copy of that
-    pair's map ``worst_mat`` (maybe a view of the family's segments), a
-    violation below ``-tol``; (inf, 0, 0) and no matrix if nothing was scanned."""
-    value, i, j = best
+def _report(family: PropagatedFamily, kind: str, tol: float, scanned: int, value: float,
+            i: int | None, witness, witness_kind: str, note: str) -> DivisibilityReport:
+    """Report a scan's lowest ``value``, scored on segment i (None if no
+    segment was) with a copy of that segment, a violation below ``-tol``."""
     verdict = VIOLATED if value < -tol else HOLDS
     return DivisibilityReport(
         kind=kind,
         verdict=verdict,
-        worst_pair=None if worst_mat is None else (float(family.grid[i]), float(family.grid[j])),
-        worst_map=None if worst_mat is None else worst_mat.copy(),
+        worst_pair=None if i is None else (float(family.grid[i]), float(family.grid[i + 1])),
+        worst_map=None if i is None else family.segments[i].copy(),
         worst_value=float(value),
         witness=witness if verdict == VIOLATED else None,
         witness_kind=witness_kind if verdict == VIOLATED else None,
@@ -104,55 +89,48 @@ def _report(family: PropagatedFamily, kind: str, tol: float, scanned: int, best,
     )
 
 
-def cp_divisibility_scan(family: PropagatedFamily, tol: float = 1e-9,
-                         all_pairs: bool = False) -> DivisibilityReport:
-    """Exact CP test of every intermediate map on the selected grid pairs.
+def cp_divisibility_scan(family: PropagatedFamily, tol: float = 1e-9) -> DivisibilityReport:
+    """Exact CP test of every segment V(t_{i+1}, t_i) of the family.
 
-    Consecutive pairs by default (divisibility failures of the families
-    studied here already show at infinitesimal steps); ``all_pairs``
-    switches to the full upper-triangular pair set.  One stacked Choi
-    ``eigh`` decides each offset stack and its ``argmin`` names the offset's
-    lowest pair; the lowest (value, i, j) over all offsets wins, so ties go
-    to the first pair in i-major order.
+    The segments decide CP of every grid pair, as a product of CP maps is
+    CP (up to rounding at ``tol``).  One stacked Choi ``eigh`` tests them
+    all and its ``argmin`` names the lowest segment, the first one on ties.
     """
-    best, worst_mat, witness, scanned = (np.inf, 0, 0), None, None, 0
-    for k, stack in _offset_stacks(family, all_pairs):
-        cmat = superop.choi(stack)
-        w, v = np.linalg.eigh(0.5 * (cmat + cmat.conj().swapaxes(-1, -2)))
-        i = int(np.argmin(w[:, 0]))
-        scanned += len(stack)
-        if (w[i, 0], i, i + k) < best:
-            best, worst_mat, witness = (w[i, 0], i, i + k), stack[i], v[i, :, 0]
-    return _report(family, "CP", tol, scanned, best, worst_mat, witness, "choi-eigenvector",
-                   "exact Choi-spectrum test on the scanned pairs")
+    segs, note = family.segments, "exact Choi-spectrum test on the scanned pairs"
+    if not len(segs):
+        return _report(family, "CP", tol, 0, np.inf, None, None, "choi-eigenvector", note)
+    cmat = superop.choi(segs)
+    w, v = np.linalg.eigh(0.5 * (cmat + cmat.conj().swapaxes(-1, -2)))
+    i = int(np.argmin(w[:, 0]))
+    return _report(family, "CP", tol, len(segs), w[i, 0], i, v[i, :, 0], "choi-eigenvector", note)
 
 
 def tensor_p_divisibility_probe(family: PropagatedFamily, restarts: int = 100,
-                                steps: int = 500, tol: float = 1e-9, seed: int = 0,
-                                all_pairs: bool = False) -> DivisibilityReport:
-    """Randomized positivity search over tensor squares of intermediate maps.
+                                steps: int = 500, tol: float = 1e-9,
+                                seed: int = 0) -> DivisibilityReport:
+    """Randomized positivity search over tensor squares of the segments.
 
     For families whose coefficient matrix dips below zero somewhere, some
-    tensor-squared intermediate map fails positivity; the scan hunts for a
-    pure two-party state exposing that failure and reports it with the
-    violating (s, t) pair.  It walks the offset stacks pair by pair, so
-    shortest intervals first, and stops at the first violating pair; pair
-    (i, j) is searched from seed ``SeedSequence([seed, i, j])`` whatever the
-    walk.  The lowest (value, i, j) scanned is reported.
+    tensor-squared segment fails positivity; the scan hunts for a pure
+    two-party state exposing that failure and reports it with the violating
+    (s, t) pair.  The segments decide every grid pair, as tensor squares of
+    a product are the products of the tensor squares and positivity is kept
+    under composition (up to rounding at ``tol``).  Segments go in grid
+    order, segment i searched from seed ``SeedSequence([seed, i, i + 1])``,
+    and the scan stops at the first violating one; the lowest value scanned,
+    the first one on ties, is reported.
     """
-    best, worst_mat, witness, scanned = (np.inf, 0, 0), None, None, 0
-    pairs = ((i, i + k, mat) for k, stack in _offset_stacks(family, all_pairs)
-             for i, mat in enumerate(stack))
-    for i, j, mat in pairs:
+    best, worst, witness, scanned = np.inf, None, None, 0
+    for i, mat in enumerate(family.segments):
         result = superop.positivity_probe(
             superop.tensor(mat, mat), restarts=restarts, steps=steps, stop_at=-tol,
-            seed=np.random.SeedSequence([seed, i, j]).generate_state(1)[0])
+            seed=np.random.SeedSequence([seed, i, i + 1]).generate_state(1)[0])
         scanned += 1
-        if (result.min_value, i, j) < best:
-            best, worst_mat, witness = (result.min_value, i, j), mat, result.argmin_state
-        if best[0] < -tol:
+        if result.min_value < best:
+            best, worst, witness = result.min_value, i, result.argmin_state
+        if best < -tol:
             break
-    return _report(family, "tensor-P", tol, scanned, best, worst_mat, witness, "pure-state",
+    return _report(family, "tensor-P", tol, scanned, best, worst, witness, "pure-state",
                    "randomized search: a violation is certified by its witness, "
                    "a clean scan is evidence only")
 

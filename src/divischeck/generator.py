@@ -17,7 +17,7 @@ Divisibility criteria at the generator level:
 
 * C(t) >= 0 on a grid is sufficient for the intermediate maps between grid
   times to be completely positive (CP-divisibility, decided at grid
-  resolution only);
+  resolution only, or at every t for a fixed C);
 * for qubit generators with diagonal C(t) = diag(g1, g2, g3) over the Pauli
   basis, pairwise sums g_i + g_j >= 0 (i != j) characterize positivity of
   the intermediate maps (P-divisibility of the family).
@@ -443,7 +443,8 @@ def _grid_check(g: GeneratorSpec, grid, tol: float, criterion: str,
     ``values_of(cs, times)`` maps the (T, n, n) stack of C(t) at the T grid
     times to a (T, P) array, column p for ``pairs[p]`` (one column without
     pairs).  The first worst time, then pair, is kept on ties; the criterion
-    is satisfied when the minimum is at least ``-tol``.
+    is satisfied when the minimum is at least ``-tol``.  A fixed C decides
+    every t at once: neither criterion reads the Hamiltonian.
     """
     grid = check_grid(grid)
     times = [float(t) for t in grid]
@@ -452,6 +453,8 @@ def _grid_check(g: GeneratorSpec, grid, tol: float, criterion: str,
     worst_value = float(values[worst, column])
     spacing = float(np.max(np.diff(grid))) if len(grid) > 1 else math.inf
     where = f"grid resolution {spacing:g}" if len(grid) > 1 else f"t = {grid[0]:g}"
+    note = (f"verdict holds at {where} only" if callable(g.kossakowski)
+            else "verdict holds at every t: C does not depend on t")
     return GeneratorCheckReport(
         criterion=criterion,
         satisfied=worst_value >= -tol,
@@ -460,7 +463,7 @@ def _grid_check(g: GeneratorSpec, grid, tol: float, criterion: str,
         worst_pair=None if pairs is None else pairs[column],
         grid_points=len(grid),
         grid_spacing=spacing,
-        note=f"verdict holds at {where} only",
+        note=note,
     )
 
 

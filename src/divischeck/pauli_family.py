@@ -15,7 +15,8 @@ The Bloch picture: components 1 and 2 of the Bloch vector are scaled by
 exp(-a t) cosh(t)^a and component 3 by exp(-2 a t).  The only numerical
 hazard is cosh overflow at large t, avoided via log-cosh throughout.  The
 closed forms take one time or an array of times and return plain arrays,
-components on the last axis; ``rates`` and the channels take one time.
+components on the last axis; ``rates`` and the channels take one time,
+``pauli_channel`` one set of Bloch eigenvalues or arrays of them.
 """
 from __future__ import annotations
 
@@ -152,14 +153,18 @@ def cp_criterion(t, alpha: float) -> np.ndarray:
     return np.where(np.maximum(lhs_log, rhs_log) > 700.0, lhs_log >= rhs_log, direct)
 
 
-def pauli_channel(l1: float, l2: float, l3: float) -> np.ndarray:
+def pauli_channel(l1, l2, l3) -> np.ndarray:
     """Unital qubit channel with the given Bloch eigenvalues, as its 4 x 4
-    map matrix.
+    map matrix; eigenvalue arrays of one shape give a stack of that shape
+    + (4, 4).
 
     Spectral form on the (orthogonal) Pauli basis: the identity component
-    is fixed, sigma_k is scaled by l_k.
+    is fixed, sigma_k is scaled by l_k.  Each entry sums at most two nonzero
+    products, each exact, so a map has the same bits alone as in a stack.
     """
-    return (0.5 * np.array([1.0, l1, l2, l3]) @ _PAULI_PROJECTORS).reshape(4, 4)
+    shape = np.shape(l1)
+    l = np.array([np.ones(shape), l1, l2, l3]).reshape(4, -1).T
+    return (0.5 * l @ _PAULI_PROJECTORS).reshape(shape + (4, 4))
 
 
 def channel(t: float, alpha: float) -> np.ndarray:

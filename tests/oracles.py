@@ -208,20 +208,11 @@ def segment_loop_propagate(g, grid, step: float, block: int = 64) -> PropagatedF
     return PropagatedFamily(grid, np.array(maps), np.array(segments).reshape((-1,) + eye.shape))
 
 
-def i_major_intermediates(family: PropagatedFamily, all_pairs: bool):
-    """Yield ``(i, j, V(t_j, t_i))`` for the selected grid pairs, i-major.
-
-    Consecutive pairs are the integrated segments themselves; an all-pairs
-    row i chains them as segs[j-1] @ ... @ segs[i], one 2-d product per j.
-    This is the walk both divisibility scans took before they went by
-    offset stacks."""
+def i_major_intermediates(family: PropagatedFamily):
+    """Yield ``(i, i + 1, V(t_{i+1}, t_i))`` for the consecutive grid pairs,
+    in grid order: the integrated segments themselves, one 2-d map each."""
     for i, seg in enumerate(family.segments):
         yield i, i + 1, seg
-        if all_pairs:
-            mat = seg
-            for j in range(i + 2, len(family.grid)):
-                mat = family.segments[j - 1] @ mat
-                yield i, j, mat
 
 
 def pair_by_pair_cp_scan(pairs):

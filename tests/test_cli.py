@@ -150,18 +150,6 @@ class TestDivisibility:
         assert probe["verdict"] == "violated"
         assert probe["worst_value"] == payload["tensor_witness_reevaluated"]
 
-    def test_all_pairs_probe_witness_is_reevaluated(self, tmp_path):
-        # shortest intervals first: (t_0, t_1) holds, (t_1, t_2) violates
-        out = tmp_path / "div"
-        assert run(["divisibility", "--alpha", "0.6", "--all-pairs", "--grid-points", "8",
-                    "--output", str(out)]) == 0
-        payload = json.loads((tmp_path / "div.json").read_text())
-        probe = payload["tensor_p_divisibility_probe"]
-        assert probe["verdict"] == "violated"
-        assert probe["pairs_scanned"] == 2
-        assert payload["cp_divisibility_scan"]["pairs_scanned"] == 9 * 8 // 2
-        assert abs(payload["tensor_witness_reevaluated"] - probe["worst_value"]) <= 1e-9
-
     def test_rk4_step_outside_stability_interval_exits_2(self, tmp_path, capsys):
         # step x rate = 1e-3 x 2 x 1400 = 2.8 lies past RK4's real-axis limit
         out = tmp_path / "div"
@@ -435,11 +423,13 @@ class TestConfigAndErrors:
         assert config["grid_points"] == 6 and type(config["grid_points"]) is int
         assert config["t_max"] == 2.0 and type(config["t_max"]) is float
 
-    def test_unknown_config_field(self, tmp_path, capsys):
+    # the scans take no all-pairs option: the consecutive segments decide every pair
+    @pytest.mark.parametrize("name", ["alhpa", "all_pairs"])
+    def test_unknown_config_field(self, tmp_path, capsys, name):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"alhpa": 1.0}))
+        cfg.write_text(json.dumps({name: 1.0}))
         assert run(["scan", "--config", str(cfg)]) == 2
-        assert "unknown config fields" in capsys.readouterr().err
+        assert f"unknown config fields: [{name!r}]" in capsys.readouterr().err
 
     @pytest.mark.parametrize("raw", [
         pytest.param({"grid_points": "many"}, id="grid_points-string"),
@@ -448,8 +438,6 @@ class TestConfigAndErrors:
         pytest.param({"seed": True}, id="seed-bool"),
         pytest.param({"tol": True}, id="tol-bool"),
         pytest.param({"alpha": [0.6, False]}, id="alpha-bool"),
-        pytest.param({"all_pairs": "false"}, id="all_pairs-string"),
-        pytest.param({"all_pairs": 0}, id="all_pairs-int"),
         pytest.param({"format": 1}, id="format-int"),
     ])
     def test_mistyped_config_value(self, tmp_path, capsys, raw):
@@ -528,10 +516,15 @@ class TestConfigAndErrors:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
-    def test_usage_error_exits_2(self):
+    @pytest.mark.parametrize("argv, message", [
+        (["scan", "--format", "xml"], "argument --format: invalid choice"),
+        (["divisibility", "--all-pairs"], "unrecognized arguments: --all-pairs"),
+    ], ids=["invalid-choice", "removed-flag"])
+    def test_usage_error_exits_2(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
-            run(["scan", "--format", "xml"])
+            run(argv)
         assert exc.value.code == 2
+        assert message in capsys.readouterr().err
 
 
 class TestFlagsMirrorRunConfig:
@@ -553,16 +546,13 @@ class TestFlagsMirrorRunConfig:
             "rk4_step": 5e-3, "restarts": 2, "probe_steps": 50, "tol": 1e-6,
             "seed": 3, "output_path": str(tmp_path / "div"), "format": "json",
             "s": 0.5, "dynamics": "semigroup", "samples": 7, "fd_step": 2e-4,
-            "all_pairs": True,
         }
         defaults = asdict(cli.RunConfig())
         assert all(expected[k] != defaults[k] for k in defaults)
         flags = {a.dest: a.option_strings for a in self._actions("divisibility")}
         argv = ["divisibility"]
         for name, value in expected.items():
-            if value is True:
-                argv += flags[name]
-            elif isinstance(value, list):
+            if isinstance(value, list):
                 argv += flags[name] + [",".join(map(str, value))]
             else:
                 argv += flags[name] + [str(value)]
@@ -570,17 +560,20 @@ class TestFlagsMirrorRunConfig:
         assert json.loads(capsys.readouterr().out)["config"] == expected
 
 
-def test_main_builds_the_parser_once_and_keeps_no_flags(tmp_path, capsys):
+def test_main_builds_the_parser_once_and_keeps_no_flags(monkeypatch, tmp_path, capsys):
+    # RunConfig's field types are evaluated once, at import: parsing and
+    # casting read that table, not the annotations
+    monkeypatch.setattr(cli, "get_type_hints", None)
     cli._build_parser.cache_clear()
     out = str(tmp_path / "scan")
     assert run(["scan", "--alpha", "0.5", "--grid-points", "3", "--seed", "5",
-                "--all-pairs", "--output", out]) == 0
+                "--output", out]) == 0
     first = json.loads(capsys.readouterr().out)["config"]
     assert run(["scan", "--alpha", "0.5", "--output", out]) == 0
     second = json.loads(capsys.readouterr().out)["config"]
     assert cli._build_parser.cache_info().misses == 1
     defaults = asdict(cli.RunConfig())
-    for name, value in {"grid_points": 3, "seed": 5, "all_pairs": True}.items():
+    for name, value in {"grid_points": 3, "seed": 5}.items():
         assert first[name] == value != defaults[name] == second[name]
 
 
@@ -607,7 +600,7 @@ def strict_json(text):
     ["scan", "--alpha", "0.5,8e307", "--grid-points", "4", "--format", "json"],
     ["divisibility", "--alpha", "0.6", "--grid-points", "4", "--restarts", "2"],
     ["divisibility", "--dynamics", "semigroup", "--alpha", "0.6", "--grid-points", "4",
-     "--restarts", "2", "--all-pairs"],
+     "--restarts", "2"],
     ["witness", "--alpha", "0.75"],
     ["infoflow", "--alpha", "0.6", "--grid-points", "4", "--samples", "2"],
     ["infoflow", "--dynamics", "identity", "--grid-points", "4", "--samples", "2"],

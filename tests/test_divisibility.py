@@ -56,18 +56,12 @@ class TestCpDivisibilityScan:
         assert report.verdict == dv.HOLDS
         assert report.witness is None
 
-    def test_all_pairs_mode(self):
-        grid = pf.default_grid(t_max=1.0, points=6)
-        report = dv.cp_divisibility_scan(model_family(grid, 0.6), all_pairs=True)
-        assert report.pairs_scanned == 6 * 7 // 2
-        assert report.verdict == dv.VIOLATED
-
 
 @pytest.mark.parametrize("scan", [dv.cp_divisibility_scan,
                                   lambda f: dv.tensor_p_divisibility_probe(f, restarts=2)],
                          ids=["cp", "tensor-p"])
 def test_worst_map_is_not_a_view_of_the_family(scan):
-    # offset 1 scans the family's own segment stack; the report owns its map
+    # the scans test the family's own segment stack; the report owns its map
     family = model_family(pf.default_grid(t_max=1.0, points=4), 0.6)
     segments = family.segments.copy()
     report = scan(family)
@@ -186,12 +180,12 @@ class TestTensorProbe:
         assert r1.worst_value == r2.worst_value
         assert r1.worst_pair == r2.worst_pair
 
-    def test_all_pairs_scan_short_intervals_first(self):
+    def test_scan_stops_at_the_first_violating_segment(self):
         # (t_0, t_1) is the map itself, whose tensor square is positive for
-        # alpha >= 1/2; the next shortest pair (t_1, t_2) already violates
+        # alpha >= 1/2; the next segment (t_1, t_2) already violates
         grid = pf.default_grid(t_max=1.0, points=8)
         report = dv.tensor_p_divisibility_probe(model_family(grid, 0.6), restarts=10,
-                                                steps=200, seed=0, all_pairs=True)
+                                                steps=200, seed=0)
         assert report.verdict == dv.VIOLATED
         assert report.worst_pair == (float(grid[1]), float(grid[2]))
         assert report.pairs_scanned == 2
@@ -200,16 +194,15 @@ class TestTensorProbe:
         (model_family, 0.6, dv.VIOLATED), (semigroup_family, 1.0, dv.HOLDS),
     ], ids=["violated", "clean"])
     def test_reported_value_is_the_pair_seeded_probe(self, family_of, alpha, verdict):
-        # pair (i, j) is searched from SeedSequence([seed, i, j]) whatever the
-        # walk: the report is the lowest (value, i, j) of those searches over
-        # the pairs it scanned; a clean scan scans all n(n-1)/2 of them, and
-        # the model violates on a consecutive pair, reached first
+        # segment i is searched from SeedSequence([seed, i, i + 1]): the report
+        # is the lowest (value, i) of those searches over the segments it
+        # scanned; a clean scan scans all of them, a violated one stops there
         grid = pf.default_grid(t_max=1.0, points=5)
         family, seed, tol = family_of(grid, alpha), 4, 1e-9
         report = dv.tensor_p_divisibility_probe(family, restarts=3, steps=100, tol=tol,
-                                                seed=seed, all_pairs=True)
+                                                seed=seed)
         maps, direct = {}, {}
-        for i, j, inter in i_major_intermediates(family, True):
+        for i, j, inter in i_major_intermediates(family):
             maps[i, j] = inter
             direct[i, j] = so.positivity_probe(
                 so.tensor(inter, inter), restarts=3, steps=100,
@@ -220,7 +213,7 @@ class TestTensorProbe:
         assert report.worst_value == direct[i, j]
         assert np.array_equal(report.worst_map, maps[i, j])
         if report.verdict == dv.HOLDS:
-            assert report.pairs_scanned == len(direct) == 6 * 5 // 2
+            assert report.pairs_scanned == len(direct) == 5
             assert (report.worst_value, i, j) == min((v, *pair) for pair, v in direct.items())
         else:
             assert (j - i, report.pairs_scanned) == (1, i + 1)
@@ -255,32 +248,23 @@ GRIDS = st.lists(st.floats(0.01, 1.0), min_size=1, max_size=5).map(
 
 
 @settings(max_examples=25, deadline=None)
-@given(GRIDS, st.floats(0.3, 2.0), st.booleans())
-def test_intermediates_match_the_closed_form(grid, alpha, all_pairs):
-    # every offset stack, k = 1 first, holds V(t_{i+k}, t_i) at row i: the
-    # closed form to rounding, and the i-major running product bit for bit
+@given(GRIDS, st.floats(0.3, 2.0))
+def test_intermediates_match_the_closed_form(grid, alpha):
+    # segment i holds V(t_{i+1}, t_i), the closed form to rounding, and the
+    # CP scan tests each of them once
     family = model_family(grid, alpha)
-    n = len(grid)
-    reference = {(i, j): inter for i, j, inter in i_major_intermediates(family, all_pairs)}
-    stacks = list(dv._offset_stacks(family, all_pairs))
-    assert [k for k, _ in stacks] == list(range(1, n if all_pairs else 2))
-    for k, stack in stacks:
-        assert stack.shape == (n - k, 4, 4)
-        for i, mat in enumerate(stack):
-            expected = intermediate_channel(float(grid[i + k]), float(grid[i]), alpha)
-            np.testing.assert_allclose(mat, expected, rtol=0, atol=1e-12)
-            assert np.array_equal(mat, reference.pop((i, i + k)))
-    assert reference == {}
-    selected = n * (n - 1) // 2 if all_pairs else n - 1
-    report = dv.cp_divisibility_scan(family, all_pairs=all_pairs)
-    assert report.pairs_scanned == selected
+    assert family.segments.shape == (len(grid) - 1, 4, 4)
+    for i, mat in enumerate(family.segments):
+        expected = intermediate_channel(float(grid[i + 1]), float(grid[i]), alpha)
+        np.testing.assert_allclose(mat, expected, rtol=0, atol=1e-12)
+    assert dv.cp_divisibility_scan(family).pairs_scanned == len(grid) - 1
 
 
-def assert_matches_pair_by_pair_scan(family, all_pairs):
-    """The stacked CP scan reports the per-pair reference's lowest pair, its
-    map and witness bit for bit."""
-    report = dv.cp_divisibility_scan(family, all_pairs=all_pairs)
-    value, (i, j), inter, vector = pair_by_pair_cp_scan(i_major_intermediates(family, all_pairs))
+def assert_matches_pair_by_pair_scan(family):
+    """The stacked CP scan reports the per-segment reference's lowest
+    segment, its map and witness bit for bit."""
+    report = dv.cp_divisibility_scan(family)
+    value, (i, j), inter, vector = pair_by_pair_cp_scan(i_major_intermediates(family))
     assert report.worst_value == value
     assert report.worst_pair == (float(family.grid[i]), float(family.grid[j]))
     assert np.array_equal(report.worst_map, inter)
@@ -293,8 +277,7 @@ def assert_matches_pair_by_pair_scan(family, all_pairs):
 
 def driven_family(grid, alpha):
     """A rotating drive over fixed rates, one of them negative: its segments
-    do not commute, and its lowest Choi eigenvalue often lies on a wide pair,
-    so the order of every product shows."""
+    differ from one another and do not commute."""
     g = gen.GeneratorSpec(2, (alpha, 0.5 * alpha, -0.2 * alpha), hamiltonian=lambda t: (
         math.cos(3.0 * t) * PAULI[1] + math.sin(3.0 * t) * PAULI[3]))
     return gen.propagate(g, grid, STEP)
@@ -302,44 +285,34 @@ def driven_family(grid, alpha):
 
 @settings(max_examples=25, deadline=None)
 @given(GRIDS, st.floats(0.3, 2.0),
-       st.sampled_from([model_family, semigroup_family, driven_family]), st.booleans())
-def test_stacked_cp_scan_matches_the_pair_by_pair_scan(grid, alpha, family_of, all_pairs):
-    assert_matches_pair_by_pair_scan(family_of(grid, alpha), all_pairs)
+       st.sampled_from([model_family, semigroup_family, driven_family]))
+def test_stacked_cp_scan_matches_the_pair_by_pair_scan(grid, alpha, family_of):
+    assert_matches_pair_by_pair_scan(family_of(grid, alpha))
 
 
-@pytest.mark.parametrize("segments, all_pairs, pair", [
-    # every pair of one offset is the same map: the first one wins
-    (["transpose", "transpose", "transpose"], False, (0.0, 1.0)),
-    # V(t_2, t_0) = T I and V(t_2, t_1) = T tie at -1, and (0, 2) comes
-    # first in i-major order although its offset is scanned second
-    (["identity", "transpose"], True, (0.0, 2.0)),
-    # V(t_1, t_0) = T and V(t_2, t_0) = I T tie at -1 in one row, and the
-    # shorter pair comes first in i-major order and is scanned first
-    (["transpose", "identity"], True, (0.0, 1.0)),
-], ids=["consecutive", "all-pairs", "all-pairs-one-row"])
-def test_stacked_cp_scan_keeps_the_first_pair_on_exact_ties(segments, all_pairs, pair):
+@pytest.mark.parametrize("segments, pair", [
+    # every segment is the same map: the first one wins
+    (["transpose", "transpose", "transpose"], (0.0, 1.0)),
+    # the transposes after a CP segment tie at -1: the first of them wins
+    (["identity", "transpose", "transpose"], (1.0, 2.0)),
+], ids=["all-equal", "after-a-cp-segment"])
+def test_stacked_cp_scan_keeps_the_first_pair_on_exact_ties(segments, pair):
     eye = np.eye(4, dtype=complex)
     maps = {"identity": eye, "transpose": eye[[0, 2, 1, 3]]}
     segs = np.array([maps[name] for name in segments])
     grid = np.arange(len(segs) + 1, dtype=float)
     family = gen.PropagatedFamily(grid, np.array([so.identity(2)] * len(grid)), segs)
-    report = assert_matches_pair_by_pair_scan(family, all_pairs)
+    report = assert_matches_pair_by_pair_scan(family)
     assert report.worst_pair == pair
     assert report.worst_value == pytest.approx(-1.0)
 
 
-def test_stacked_cp_scan_finds_a_wide_pair_of_non_commuting_segments():
-    grid = np.linspace(0.0, 1.0, 6)
-    report = assert_matches_pair_by_pair_scan(driven_family(grid, 0.6), True)
-    assert report.worst_pair[1] - report.worst_pair[0] > 0.2 + 1e-12
-
-
-def test_stacked_cp_scan_on_tied_offsets():
-    # a fixed semigroup on a dyadic grid: every pair of one offset is one map
+def test_stacked_cp_scan_on_equal_segments():
+    # a fixed semigroup on a dyadic grid: every segment is one map
     grid = np.arange(7) / 8
     family = semigroup_family(grid, 0.6)
     assert all(np.array_equal(seg, family.segments[0]) for seg in family.segments)
-    report = assert_matches_pair_by_pair_scan(family, True)
+    report = assert_matches_pair_by_pair_scan(family)
     assert report.worst_pair[0] == 0.0
 
 
@@ -535,14 +508,29 @@ class TestVerifyWitness:
 
 @settings(max_examples=20, deadline=None)
 @given(st.tuples(*[st.floats(-1.0, 1.0)] * 3), st.lists(st.floats(0.05, 0.5), min_size=1,
-       max_size=3), st.booleans(), st.integers(0, 2**32 - 1))
-def test_the_two_scans_of_one_family_never_contradict(rates, spans, all_pairs, seed):
+       max_size=3), st.integers(0, 2**32 - 1))
+def test_the_two_scans_of_one_family_never_contradict(rates, spans, seed):
     # CP of a map makes its tensor square positive: wherever the probe finds a
-    # violation, the map is not CP, so the CP scan of the same pairs sees it too
+    # violation, the map is not CP, so the CP scan of the same segments sees it too
     grid = np.concatenate([[0.0], np.cumsum(spans)])
     family = gen.propagate(gen.qubit_rate_generator(rates), grid, STEP)
-    probe = dv.tensor_p_divisibility_probe(family, restarts=4, steps=50, seed=seed,
-                                           all_pairs=all_pairs)
+    probe = dv.tensor_p_divisibility_probe(family, restarts=4, steps=50, seed=seed)
     if probe.verdict == dv.VIOLATED:
         assert np.linalg.eigvalsh(so.choi(probe.worst_map))[0] < 0
-        assert dv.cp_divisibility_scan(family, all_pairs=all_pairs).worst_value < 0
+        assert dv.cp_divisibility_scan(family).worst_value < 0
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.tuples(*[st.floats(0.0, 2.0)] * 3), st.lists(st.floats(0.05, 0.5), min_size=1,
+       max_size=3), st.integers(0, 2**32 - 1))
+def test_a_family_of_nonnegative_fixed_rates_passes_every_check(rates, spans, seed):
+    # C >= 0 at every t: both generator criteria hold, and its segments are
+    # CP semigroup steps, so neither map scan may report a violation
+    grid = np.concatenate([[0.0], np.cumsum(spans)])
+    g = gen.qubit_rate_generator(rates)
+    assert gen.cp_divisibility_check(g, grid).satisfied
+    assert gen.p_divisibility_check_pauli(g, grid).satisfied
+    family = gen.propagate(g, grid, STEP)
+    assert dv.cp_divisibility_scan(family).verdict == dv.HOLDS
+    assert dv.tensor_p_divisibility_probe(family, restarts=4, steps=50,
+                                          seed=seed).verdict == dv.HOLDS

@@ -908,6 +908,20 @@ def test_grid_checks_report_the_largest_gap(check):
 
 
 @CHECKS
+@pytest.mark.parametrize("rates, satisfied", [((1.0, 1.0, 1.0), True), ((1.0, 1.0, -1.5), False)],
+                         ids=["satisfied", "violated"])
+@pytest.mark.parametrize("grid", [[0.0, 0.001, 5.0], [1.0]], ids=["gapped", "one-time"])
+def test_grid_checks_of_a_fixed_c_hold_at_every_t(check, rates, satisfied, grid):
+    # C is the same at every t, and a Hamiltonian enters neither criterion:
+    # the grid samples nothing, whatever its gaps
+    g = gen.GeneratorSpec(2, rates, hamiltonian=lambda t: t * PAULI[3])
+    report = check(g, np.array(grid))
+    assert report.satisfied is satisfied
+    assert report.note == "verdict holds at every t: C does not depend on t"
+    assert check(gen.qubit_rate_generator(lambda t: rates), np.array(grid)).note.endswith(" only")
+
+
+@CHECKS
 def test_grid_checks_on_one_time_name_that_time(check):
     report = check(gen.qubit_rate_generator(dipping_rates), np.array([1.0]))
     assert report.grid_points == 1

@@ -287,6 +287,19 @@ class TestChannel:
         assert np.array_equal(pf.pauli_channel(l1, l2, l3),
                               loop_pauli_channel(l1, l2, l3))
 
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.tuples(EIGENVALUES, EIGENVALUES, EIGENVALUES), min_size=1, max_size=8))
+    def test_a_stack_of_pauli_channels_is_the_maps_one_by_one(self, eigenvalues):
+        l = np.array(eigenvalues)
+        stack = pf.pauli_channel(l[:, 0], l[:, 1], l[:, 2])
+        assert stack.shape == (len(l), 4, 4)
+        for mat, l_k in zip(stack, eigenvalues):
+            assert np.array_equal(mat, pf.pauli_channel(*l_k))
+        # any shape of eigenvalue arrays: the stack keeps it
+        grid = l[None].repeat(2, axis=0)
+        assert np.array_equal(pf.pauli_channel(grid[..., 0], grid[..., 1], grid[..., 2]),
+                              stack[None].repeat(2, axis=0))
+
 
 class TestIntermediateChannel:
     def test_trivial_cases(self):

@@ -7,8 +7,10 @@ segments it spans, and both complete positivity and positivity of the
 tensor square (V2 V1 (x) V2 V1 = (V2 (x) V2)(V1 (x) V1)) are kept under
 composition, so a wider pair can only fail where a segment fails, up to
 rounding at ``tol``.  Each segment is tested exactly for complete
-positivity (stacked Choi spectra), or by randomized search for plain
-positivity of its tensor square, segment by segment.  A "violated" verdict
+positivity (the spectra of the Choi stack the family keeps), or by
+randomized search for plain positivity of its tensor square, segment by
+segment, the least CP segment first: a CP map has a positive tensor square,
+so only a segment that is not CP can fail.  A "violated" verdict
 always ships a witness that reproduces the reported value on
 ``worst_map``; a clean scan is only a statement about the grid and the
 search budget.
@@ -93,16 +95,16 @@ def cp_divisibility_scan(family: PropagatedFamily, tol: float = 1e-9) -> Divisib
     """Exact CP test of every segment V(t_{i+1}, t_i) of the family.
 
     The segments decide CP of every grid pair, as a product of CP maps is
-    CP (up to rounding at ``tol``).  One stacked Choi ``eigh`` tests them
-    all and its ``argmin`` names the lowest segment, the first one on ties.
+    CP (up to rounding at ``tol``).  One stacked ``eigh`` of the Choi stack
+    the family formed when it was built tests them all, and its ``argmin``
+    names the lowest segment, the first one on ties.
     """
-    segs, note = family.segments, "exact Choi-spectrum test on the scanned pairs"
-    if not len(segs):
+    n, note = len(family.segments), "exact Choi-spectrum test on the scanned pairs"
+    if not n:
         return _report(family, "CP", tol, 0, np.inf, None, None, "choi-eigenvector", note)
-    cmat = superop.choi(segs)
-    w, v = np.linalg.eigh(0.5 * (cmat + cmat.conj().swapaxes(-1, -2)))
+    w, v = np.linalg.eigh(family.choi)
     i = int(np.argmin(w[:, 0]))
-    return _report(family, "CP", tol, len(segs), w[i, 0], i, v[i, :, 0], "choi-eigenvector", note)
+    return _report(family, "CP", tol, n, w[i, 0], i, v[i, :, 0], "choi-eigenvector", note)
 
 
 def tensor_p_divisibility_probe(family: PropagatedFamily, restarts: int = 100,
@@ -115,13 +117,17 @@ def tensor_p_divisibility_probe(family: PropagatedFamily, restarts: int = 100,
     two-party state exposing that failure and reports it with the violating
     (s, t) pair.  The segments decide every grid pair, as tensor squares of
     a product are the products of the tensor squares and positivity is kept
-    under composition (up to rounding at ``tol``).  Segments go in grid
-    order, segment i searched from seed ``SeedSequence([seed, i, i + 1])``,
-    and the scan stops at the first violating one; the lowest value scanned,
-    the first one on ties, is reported.
+    under composition (up to rounding at ``tol``).  A CP segment has a CP,
+    hence positive, tensor square, so segments go in ascending order of their
+    lowest Choi eigenvalue, the least CP first and grid order on ties.
+    Segment i is searched from seed ``SeedSequence([seed, i, i + 1])``, and
+    the scan stops at the first violating one; the lowest value scanned, the
+    first one visited on ties, is reported.
     """
     best, worst, witness, scanned = np.inf, None, None, 0
-    for i, mat in enumerate(family.segments):
+    order = np.argsort(np.linalg.eigvalsh(family.choi)[:, 0], kind="stable")
+    for i in order.tolist():
+        mat = family.segments[i]
         result = superop.positivity_probe(
             superop.tensor(mat, mat), restarts=restarts, steps=steps, stop_at=-tol,
             seed=np.random.SeedSequence([seed, i, i + 1]).generate_state(1)[0])

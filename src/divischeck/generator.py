@@ -253,11 +253,14 @@ class PropagatedFamily:
     (len(grid) - 1, n, n) stack of the integrated propagators V(t_{i+1}, t_i).
     Building one copies all three read-only and checks the segments once: one
     finite map per step, each Choi matrix Hermitian within is_cp's relative 1e-10.
+    The check keeps ``choi``, the read-only stack of the segments' Choi
+    matrices made exactly Hermitian, 0.5 (C + C†), for the scans to solve.
     """
 
     grid: np.ndarray
     maps: np.ndarray
     segments: np.ndarray
+    choi: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         for name in ("grid", "maps", "segments"):   # copies: the check stays true
@@ -270,13 +273,16 @@ class PropagatedFamily:
         if not np.isfinite(segs).all():
             raise ValueError("family segments have non-finite entries")
         c = superop.choi(segs)
-        asym = np.abs(c - c.conj().swapaxes(1, 2)).max(axis=(1, 2))
+        adjoint = c.conj().swapaxes(1, 2)
+        asym = np.abs(c - adjoint).max(axis=(1, 2))
         scale = np.maximum(1.0, np.abs(c).max(axis=(1, 2)))
         bad = asym > 1e-10 * scale
         if bad.any():
             i = int(np.argmax(bad))
             raise ValueError(f"segment {i} does not preserve Hermiticity: its Choi asymmetry "
                              f"{asym[i]:.3e} exceeds 1e-10 * {scale[i]:.3e}")
+        self.choi = 0.5 * (c + adjoint)
+        self.choi.flags.writeable = False
 
 
 RK4_REAL_LIMIT = 2.785293563405282   # the root x > 0 of R(-x) = 1, R RK4's stability polynomial

@@ -220,11 +220,15 @@ def backflow_scan(map_at: Callable[[float], np.ndarray], pairs: StatePairs,
     grid = check_grid(grid)
     if not pairs:
         raise ValueError("no state pairs to scan")
+    n = len(pairs)
     deltas = pairs.states[:, 0] - pairs.states[:, 1]
-    # numpy takes one row times a matrix as a matrix-vector product, whose last
-    # bits differ from a matrix product's: a lone pair is evolved twice
-    deltas = deltas.repeat(2, axis=0) if len(pairs) == 1 else deltas
-    sigma = np.empty((len(deltas), len(grid)))
+    # numpy takes one row as a matrix-vector product, and some OpenBLAS kernels
+    # round an odd last row apart: an odd stack is evolved with a copy of its
+    # last row, dropped before the trace norms, so a row's bits do not depend on
+    # the stack (checked on Haswell, SkylakeX, Zen, Sandybridge, Nehalem,
+    # Prescott and Atom)
+    deltas = np.concatenate([deltas, deltas[-1:]]) if n % 2 else deltas
+    sigma = np.empty((n, len(grid)))
     for start in range(0, len(grid), _BLOCK):
         times = grid[start:start + _BLOCK].tolist()
         # forward difference for t < h, central otherwise
@@ -235,9 +239,8 @@ def backflow_scan(map_at: Callable[[float], np.ndarray], pairs: StatePairs,
         if bad.any():
             k, side = np.argwhere(bad)[0]
             raise ValueError(f"map at t={ends[k][side]!r} has non-finite entries")
-        n_lo, n_hi = _trace_norms(apply_maps(mats, deltas)).transpose(1, 2, 0)
+        n_lo, n_hi = _trace_norms(apply_maps(mats, deltas)[:, :, :n]).transpose(1, 2, 0)
         sigma[:, start:start + _BLOCK] = (n_hi - n_lo) / denom
-    sigma = sigma[:len(pairs)]
     p_idx, t_idx = np.unravel_index(int(np.argmax(sigma)), sigma.shape)
     return BackflowReport(
         max_sigma=float(sigma[p_idx, t_idx]),

@@ -6,10 +6,11 @@ import math
 import numpy as np
 
 from divischeck import pauli_family as pf
+from divischeck.divisibility import HOLDS, VIOLATED, DivisibilityReport
 from divischeck.generator import PropagatedFamily, liouvillian, rk4_increment
 from divischeck.infoflow import EIGEN_FLOOR
 from divischeck.linalg import PAULI
-from divischeck.superop import apply, choi, vec
+from divischeck.superop import apply, choi, positivity_probe, tensor, vec
 
 
 def generator_eigenvalues(t: float, alpha: float) -> tuple[float, float, float, float]:
@@ -227,3 +228,41 @@ def pair_by_pair_cp_scan(pairs):
         if best is None or w[0] < best[0]:
             best = (w[0], (i, j), inter, v[:, 0])
     return best
+
+
+def seeded_segment_probe(family: PropagatedFamily, i: int, restarts: int, steps: int,
+                         tol: float, seed: int):
+    """The positivity probe of segment i's tensor square, searched from seed
+    ``SeedSequence([seed, i, i + 1])`` and stopped below ``-tol``."""
+    seg = family.segments[i]
+    return positivity_probe(tensor(seg, seg), restarts=restarts, steps=steps, stop_at=-tol,
+                            seed=np.random.SeedSequence([seed, i, i + 1]).generate_state(1)[0])
+
+
+def grid_order_tensor_probe(family: PropagatedFamily, restarts: int, steps: int,
+                            tol: float = 1e-9, seed: int = 0) -> DivisibilityReport:
+    """Reference tensor-square probe that walks the segments in grid order:
+    each segment's seeded search, a stop at the first violating segment, and
+    the lowest value scanned reported, the first one on ties."""
+    best, worst, witness, scanned = np.inf, None, None, 0
+    for i in range(len(family.segments)):
+        result = seeded_segment_probe(family, i, restarts, steps, tol, seed)
+        scanned += 1
+        if result.min_value < best:
+            best, worst, witness = result.min_value, i, result.argmin_state
+        if best < -tol:
+            break
+    verdict = VIOLATED if best < -tol else HOLDS
+    return DivisibilityReport(
+        kind="tensor-P",
+        verdict=verdict,
+        worst_pair=None if worst is None else (float(family.grid[worst]),
+                                               float(family.grid[worst + 1])),
+        worst_map=None if worst is None else family.segments[worst].copy(),
+        worst_value=float(best),
+        witness=witness if verdict == VIOLATED else None,
+        witness_kind="pure-state" if verdict == VIOLATED else None,
+        pairs_scanned=scanned,
+        note="randomized search: a violation is certified by its witness, "
+             "a clean scan is evidence only",
+    )

@@ -14,7 +14,13 @@ from divischeck import generator as gen
 from divischeck import pauli_family as pf
 from divischeck import superop as so
 from divischeck.linalg import PAULI
-from oracles import i_major_intermediates, intermediate_channel, pair_by_pair_cp_scan
+from oracles import (
+    grid_order_tensor_probe,
+    i_major_intermediates,
+    intermediate_channel,
+    pair_by_pair_cp_scan,
+    seeded_segment_probe,
+)
 
 STEP = 1e-3
 ENTRIES = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
@@ -121,8 +127,8 @@ def test_a_family_keeps_read_only_copies_of_its_arrays():
 
 
 def test_a_divisibility_run_checks_its_family_once(monkeypatch, tmp_path):
-    # the family is checked when propagate builds it; neither scan checks it again,
-    # so the segments' Choi matrices are formed twice: by that check and by the CP scan
+    # the family is checked when propagate builds it and keeps the Choi stack its
+    # check forms; neither scan checks it again or forms that stack anew
     built, chois = [], []
     post_init, choi = gen.PropagatedFamily.__post_init__, so.choi
 
@@ -139,7 +145,7 @@ def test_a_divisibility_run_checks_its_family_once(monkeypatch, tmp_path):
     assert cli.main(["divisibility", "--alpha", "0.6", "--grid-points", "6", "--restarts", "2",
                      "--output", str(tmp_path / "out")]) == 0
     assert len(built) == 1
-    assert chois == [built[0].segments.shape] * 2
+    assert chois == [built[0].segments.shape]
 
 
 @pytest.mark.parametrize("scan", SCANS, ids=["cp", "tensor-p"])
@@ -181,14 +187,14 @@ class TestTensorProbe:
         assert r1.worst_pair == r2.worst_pair
 
     def test_scan_stops_at_the_first_violating_segment(self):
-        # (t_0, t_1) is the map itself, whose tensor square is positive for
-        # alpha >= 1/2; the next segment (t_1, t_2) already violates
+        # the walk starts at the least CP segment, the CP scan's worst one,
+        # and its tensor square already violates: the scan stops there
         grid = pf.default_grid(t_max=1.0, points=8)
-        report = dv.tensor_p_divisibility_probe(model_family(grid, 0.6), restarts=10,
-                                                steps=200, seed=0)
+        family = model_family(grid, 0.6)
+        report = dv.tensor_p_divisibility_probe(family, restarts=10, steps=200, seed=0)
         assert report.verdict == dv.VIOLATED
-        assert report.worst_pair == (float(grid[1]), float(grid[2]))
-        assert report.pairs_scanned == 2
+        assert report.worst_pair == dv.cp_divisibility_scan(family).worst_pair
+        assert report.pairs_scanned == 1
 
     @pytest.mark.parametrize("family_of, alpha, verdict", [
         (model_family, 0.6, dv.VIOLATED), (semigroup_family, 1.0, dv.HOLDS),
@@ -196,7 +202,8 @@ class TestTensorProbe:
     def test_reported_value_is_the_pair_seeded_probe(self, family_of, alpha, verdict):
         # segment i is searched from SeedSequence([seed, i, i + 1]): the report
         # is the lowest (value, i) of those searches over the segments it
-        # scanned; a clean scan scans all of them, a violated one stops there
+        # scanned; a clean scan scans all of them, a violated one stops at its
+        # segment, scanned after those below it in the stable Choi order
         grid = pf.default_grid(t_max=1.0, points=5)
         family, seed, tol = family_of(grid, alpha), 4, 1e-9
         report = dv.tensor_p_divisibility_probe(family, restarts=3, steps=100, tol=tol,
@@ -216,7 +223,9 @@ class TestTensorProbe:
             assert report.pairs_scanned == len(direct) == 5
             assert (report.worst_value, i, j) == min((v, *pair) for pair, v in direct.items())
         else:
-            assert (j - i, report.pairs_scanned) == (1, i + 1)
+            order = np.argsort(np.linalg.eigvalsh(family.choi)[:, 0], kind="stable")
+            rank = order.tolist().index(i)
+            assert (j - i, report.pairs_scanned) == (1, rank + 1)
 
 
 class TestStiffSemigroup:
@@ -518,6 +527,38 @@ def test_the_two_scans_of_one_family_never_contradict(rates, spans, seed):
     if probe.verdict == dv.VIOLATED:
         assert np.linalg.eigvalsh(so.choi(probe.worst_map))[0] < 0
         assert dv.cp_divisibility_scan(family).worst_value < 0
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.floats(0.3, 1.5).map(gen.model_generator)
+       | st.tuples(*[st.floats(-1.0, 1.0)] * 3).map(gen.qubit_rate_generator),
+       st.lists(st.floats(0.05, 0.5), min_size=1, max_size=5), st.integers(2, 3),
+       st.integers(0, 2**32 - 1))
+def test_the_choi_ordered_probe_keeps_the_grid_order_verdict(g, spans, restarts, seed):
+    # each segment's seeded search does not depend on the walk's order: the
+    # verdict and a clean report are the grid-order walk's, and a violated
+    # report names the first segment in Choi order whose search violates
+    grid, tol = np.concatenate([[0.0], np.cumsum(spans)]), 1e-9
+    family = gen.propagate(g, grid, STEP)
+    report = dv.tensor_p_divisibility_probe(family, restarts=restarts, steps=50, tol=tol,
+                                            seed=seed)
+    reference = grid_order_tensor_probe(family, restarts, 50, tol, seed)
+    assert report.verdict == reference.verdict
+    if report.verdict == dv.HOLDS:
+        for f in dataclasses.fields(dv.DivisibilityReport):
+            mine, theirs = getattr(report, f.name), getattr(reference, f.name)
+            assert np.array_equal(mine, theirs) if f.name == "worst_map" else mine == theirs
+        return
+    lowest = np.linalg.eigvalsh(family.choi)[:, 0]
+    i = int(np.searchsorted(grid, report.worst_pair[0]))
+    assert lowest[i] < 0
+    order = np.argsort(lowest, kind="stable").tolist()
+    rank = order.index(i)
+    assert report.pairs_scanned == rank + 1
+    assert report.worst_value == seeded_segment_probe(family, i, restarts, 50, tol,
+                                                      seed).min_value < -tol
+    for k in order[:rank]:
+        assert seeded_segment_probe(family, k, restarts, 50, tol, seed).min_value >= -tol
 
 
 @settings(max_examples=20, deadline=None)

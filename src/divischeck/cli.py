@@ -70,8 +70,6 @@ class RunConfig:
     grid_points: int = 200
     rk4_step: float = 1e-3
     restarts: int = 100
-    probe_steps: int = field(default=500, metadata={
-        "help": "maximum seesaw sweeps per positivity probe"})
     tol: float = 1e-9
     seed: int = 0
     output_path: str = field(default="divischeck-out", metadata={
@@ -99,7 +97,7 @@ class RunConfig:
         for name in ("t_max", "rk4_step", "tol", "fd_step"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        for name in ("grid_points", "restarts", "probe_steps", "samples"):
+        for name in ("grid_points", "restarts", "samples"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be a positive integer")
         if self.grid_points < 2:
@@ -211,7 +209,7 @@ def cmd_divisibility(cfg: RunConfig) -> tuple[list[str], dict]:
     family = generator.propagate(gen, grid, cfg.rk4_step)
     cp_scan = divisibility.cp_divisibility_scan(family, tol=cfg.tol)
     tensor_probe = divisibility.tensor_p_divisibility_probe(
-        family, restarts=cfg.restarts, steps=cfg.probe_steps, tol=cfg.tol, seed=cfg.seed)
+        family, restarts=cfg.restarts, tol=cfg.tol, seed=cfg.seed)
 
     reevaluated = None
     if tensor_probe.verdict == divisibility.VIOLATED:

@@ -126,12 +126,14 @@ class GeneratorSpec:
     ``kossakowski`` is the Hermitian (d^2-1) x (d^2-1) coefficient matrix
     or, for a diagonal C, its real length-(d^2-1) rate vector; either form
     may be fixed or a callable t -> C(t), and a callable may return either
-    form.  ``hamiltonian`` is keyword-only.  ``basis`` is not an input: it
-    is the read-only Gell-Mann stack C refers to.  One validation takes
-    either form to the matrix C (diag(rates) for a rate vector): a fixed C
-    once, on construction, stored read-only; a callable C(t) on every
-    evaluation.  A matrix must be finite, Hermitian and of the right shape;
-    a rate vector needs only the right length and real, finite entries.
+    form.  ``hamiltonian``, keyword-only, is a callable t -> H(t), checked
+    Hermitian and (d, d) on every L(t) evaluation.  ``basis`` is not an
+    input: it is the read-only Gell-Mann stack C refers to.  One validation
+    takes either form to the matrix C (diag(rates) for a rate vector): a
+    fixed C once, on construction, stored read-only; a callable C(t) on
+    every evaluation.  A matrix must be finite, Hermitian and of the right
+    shape; a rate vector needs only the right length and real, finite
+    entries.
     """
 
     dim: int
@@ -241,6 +243,8 @@ def liouvillian(g: GeneratorSpec) -> Callable[[float], np.ndarray]:
         if hamiltonian is None:
             return mat
         h = check_hermitian(hamiltonian(t))
+        if h.shape != (d, d):
+            raise ValueError(f"Hamiltonian at t={t} has shape {h.shape}, expected {(d, d)}")
         return mat + (-1j) * (np.kron(eye, h) - np.kron(h.T, eye))
 
     return at
@@ -252,9 +256,10 @@ class PropagatedFamily:
     (len(grid), n, n) stack of M(t_i), identity first, and ``segments`` the
     (len(grid) - 1, n, n) stack of the integrated propagators V(t_{i+1}, t_i).
     Building one copies all three read-only and checks the segments once: one
-    finite map per step, each Choi matrix Hermitian within is_cp's relative 1e-10.
-    The check keeps ``choi``, the read-only stack of the segments' Choi
-    matrices made exactly Hermitian, 0.5 (C + C†), for the scans to solve.
+    finite map per step, and the Choi stack through ``check_hermitian`` with
+    is_cp's ``superop.CHOI_RTOL``, each matrix against its own scale.  The
+    check keeps ``choi``, the read-only stack of the segments' Choi matrices
+    made exactly Hermitian, 0.5 (C + C†), for the scans to solve.
     """
 
     grid: np.ndarray
@@ -272,16 +277,10 @@ class PropagatedFamily:
                              f"got shape {segs.shape}")
         if not np.isfinite(segs).all():
             raise ValueError("family segments have non-finite entries")
-        c = superop.choi(segs)
-        adjoint = c.conj().swapaxes(1, 2)
-        asym = np.abs(c - adjoint).max(axis=(1, 2))
-        scale = np.maximum(1.0, np.abs(c).max(axis=(1, 2)))
-        bad = asym > 1e-10 * scale
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise ValueError(f"segment {i} does not preserve Hermiticity: its Choi asymmetry "
-                             f"{asym[i]:.3e} exceeds 1e-10 * {scale[i]:.3e}")
-        self.choi = 0.5 * (c + adjoint)
+        try:
+            self.choi = check_hermitian(superop.choi(segs), rtol=superop.CHOI_RTOL)
+        except ValueError as err:   # the stack index of a Choi matrix is its segment's
+            raise ValueError(f"family segment Choi {err}") from None
         self.choi.flags.writeable = False
 
 

@@ -36,39 +36,35 @@ class NumericalError(ArithmeticError):
     """A residual or conditioning contract could not be met."""
 
 
-def _as_matrix(a, square: bool = True) -> np.ndarray:
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2:
-        raise ValueError(f"expected a matrix, got array of shape {a.shape}")
-    if square and a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    return a
-
-
 def check_hermitian(a, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
-    """Validate Hermiticity within ``rtol`` (relative to max entry size).
+    """Validate Hermiticity of a matrix or of each matrix in a stack (..., n, n).
 
-    Non-finite entries are rejected.  Returns the exactly Hermitian part
-    (a + a†)/2 for downstream use so callers never propagate the asymmetric
-    rounding noise.  The asymmetry max |a - a†| is read first.  Any
-    non-finite entry makes it inf or NaN, so only an asymmetry that is not
-    <= ``rtol`` leads on to the finiteness pass, which raises "non-finite"
-    before any "not Hermitian", and then to the scale max(1, max |a_ij|):
-    below ``rtol`` the asymmetry cannot exceed ``rtol * scale``.
+    Matrix k fails when its asymmetry max |a_k - a_k†| exceeds
+    ``rtol * max(1, max |a_k|)``, its own scale, and the error names the first
+    failing matrix in C order; non-finite entries are rejected.  Returns the
+    exactly Hermitian part (a + a†)/2, so callers never propagate the
+    asymmetric rounding noise.  The stack's asymmetry is read first: a
+    non-finite entry makes it inf or NaN, and below ``rtol`` no matrix can
+    fail, so only a larger one leads on to the finiteness pass, which raises
+    before any "not Hermitian", and to the per-matrix scales.
     """
-    a = _as_matrix(a)
-    adj = a.conj().T
+    a = np.asarray(a, dtype=complex)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
+    adj = a.conj().swapaxes(-1, -2)
     with np.errstate(invalid="ignore"):     # inf - inf: NaN, caught below
         asym = float(np.abs(a - adj).max(initial=0.0))
     if not asym <= rtol:
         if not np.isfinite(a).all():
             raise ValueError("matrix has non-finite entries")
-        scale = max(1.0, float(np.abs(a).max()))
-        if asym > rtol * scale:
-            raise ValueError(
-                f"matrix is not Hermitian: max asymmetry {asym:.3e} exceeds "
-                f"{rtol:.1e} * {scale:.3e}"
-            )
+        asym = np.abs(a - adj).max(axis=(-2, -1))
+        scale = np.maximum(1.0, np.abs(a).max(axis=(-2, -1)))
+        bad = asym > rtol * scale
+        if bad.any():
+            k = np.unravel_index(np.argmax(bad), bad.shape)
+            at = f" {list(map(int, k))}" if k else ""
+            raise ValueError(f"matrix{at} is not Hermitian: max asymmetry {asym[k]:.3e} "
+                             f"exceeds {rtol:.1e} * {scale[k]:.3e}")
     return 0.5 * (a + adj)
 
 
@@ -92,7 +88,9 @@ def inverse(a) -> np.ndarray:
     Raises :class:`NumericalError` when the condition estimate exceeds
     ``CONDITION_LIMIT`` or when ``||A A^-1 - I||_F`` ends up above 1e-8.
     """
-    a = _as_matrix(a)
+    a = np.asarray(a, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
     cond = float(np.linalg.cond(a))
     if not np.isfinite(cond) or cond > CONDITION_LIMIT:
         raise NumericalError(
@@ -120,7 +118,7 @@ def similarity_to_transpose(m) -> np.ndarray:
     exactly.  Non-finite entries and other shapes are rejected, and U meets
     ``||m.T - U m U^-1||_F <= RESIDUAL_TOL * max(1, ||m||_F)``.
     """
-    m = _as_matrix(m, square=False)
+    m = np.asarray(m, dtype=complex)
     if m.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
     if not np.isfinite(m).all():

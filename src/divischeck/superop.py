@@ -48,6 +48,8 @@ __all__ = [
     "vec",
 ]
 
+CHOI_RTOL = 1e-10   # a Choi matrix's Hermiticity tolerance, for is_cp and family checks
+
 # The seesaw stops once no restart has lowered its value by more than this
 # over one extrapolation cycle.
 _SEESAW_GAIN = 1e-13
@@ -147,7 +149,7 @@ def is_cp(s, tol: float = 1e-9) -> tuple[bool, float]:
     c = choi(s)
     if c.ndim != 2:     # choi takes stacks, is_cp one map: reject as one map
         _check_map(c)
-    min_eig = float(np.linalg.eigvalsh(check_hermitian(c, rtol=1e-10))[0])
+    min_eig = float(np.linalg.eigvalsh(check_hermitian(c, rtol=CHOI_RTOL))[0])
     return min_eig >= -tol, min_eig
 
 

@@ -125,8 +125,7 @@ class TestDivisibility:
     def test_model_report(self, tmp_path):
         out = tmp_path / "div"
         code = run(["divisibility", "--alpha", "0.6", "--t-max", "2.0",
-                    "--grid-points", "40", "--restarts", "40",
-                    "--probe-steps", "300", "--tol", "1e-6",
+                    "--grid-points", "40", "--restarts", "40", "--tol", "1e-6",
                     "--rk4-step", "5e-3", "--seed", "1", "--output", str(out)])
         assert code == 0
         payload = json.loads((tmp_path / "div.json").read_text())
@@ -183,8 +182,7 @@ class TestDivisibility:
         out = tmp_path / "div"
         code = run(["divisibility", "--alpha", "2.0", "--dynamics", "semigroup",
                     "--t-max", "1.0", "--grid-points", "10", "--restarts", "5",
-                    "--probe-steps", "150", "--rk4-step", "5e-3",
-                    "--output", str(out)])
+                    "--rk4-step", "5e-3", "--output", str(out)])
         assert code == 0
         payload = json.loads((tmp_path / "div.json").read_text())
         assert payload["cp_divisibility_check"]["satisfied"] is True
@@ -230,8 +228,7 @@ class TestDynamicsTable:
         out = tmp_path / "div"
         assert run(["divisibility", "--dynamics", name, "--alpha", "0.6",
                     "--t-max", "1.0", "--grid-points", "6", "--restarts", "3",
-                    "--probe-steps", "50", "--rk4-step", "5e-3",
-                    "--output", str(out)]) == 0
+                    "--rk4-step", "5e-3", "--output", str(out)]) == 0
         payload = json.loads((tmp_path / "div.json").read_text())
         assert payload["dynamics"] == name
         # only the model's rates go negative
@@ -423,8 +420,9 @@ class TestConfigAndErrors:
         assert config["grid_points"] == 6 and type(config["grid_points"]) is int
         assert config["t_max"] == 2.0 and type(config["t_max"]) is float
 
-    # the scans take no all-pairs option: the consecutive segments decide every pair
-    @pytest.mark.parametrize("name", ["alhpa", "all_pairs"])
+    # the scans take no all-pairs option: the consecutive segments decide every
+    # pair; the probe's sweep cap is no option either: it stops on convergence
+    @pytest.mark.parametrize("name", ["alhpa", "all_pairs", "probe_steps"])
     def test_unknown_config_field(self, tmp_path, capsys, name):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({name: 1.0}))
@@ -543,7 +541,7 @@ class TestFlagsMirrorRunConfig:
     def test_every_flag_reaches_the_config(self, tmp_path, capsys):
         expected = {
             "alpha": [0.7], "t_max": 1.0, "grid_points": 4,
-            "rk4_step": 5e-3, "restarts": 2, "probe_steps": 50, "tol": 1e-6,
+            "rk4_step": 5e-3, "restarts": 2, "tol": 1e-6,
             "seed": 3, "output_path": str(tmp_path / "div"), "format": "json",
             "s": 0.5, "dynamics": "semigroup", "samples": 7, "fd_step": 2e-4,
         }

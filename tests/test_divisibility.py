@@ -83,8 +83,8 @@ MALFORMED = {
     # its Choi matrix is i times a Hermitian one: is_cp rejects this map
     "not-hermiticity-preserving": (
         [0.0, 1.0], 1j * so.identity(2)[None],
-        "segment 0 does not preserve Hermiticity: its Choi asymmetry 2.000e+00 exceeds "
-        "1e-10 * 1.000e+00"),
+        "family segment Choi matrix [0] is not Hermitian: max asymmetry 2.000e+00 exceeds "
+        "1.0e-10 * 1.000e+00"),
     "non-finite": ([0.0, 1.0], np.full((1, 4, 4), math.nan + 0j),
                    "family segments have non-finite entries"),
     "too-few-segments": ([0.0, 0.5, 1.0], so.identity(2)[None],
@@ -107,10 +107,24 @@ def test_families_allow_hermiticity_within_the_relative_tolerance_of_is_cp(scan)
 
     assert scan(family(1e-11)).pairs_scanned == 1
     so.is_cp(family(1e-11).segments[0])
-    with pytest.raises(ValueError, match="does not preserve Hermiticity"):
+    beyond = "is not Hermitian: max asymmetry 2.000e-09 exceeds 1.0e-10 * 1.000e+00"
+    with pytest.raises(ValueError) as err:
         family(1e-9)
-    with pytest.raises(ValueError, match="not Hermitian"):
+    assert str(err.value) == f"family segment Choi matrix [0] {beyond}"
+    with pytest.raises(ValueError) as err:
         so.is_cp((1.0 + 1e-9j) * so.identity(2))
+    assert str(err.value) == f"matrix {beyond}"
+
+
+def test_each_segment_is_held_to_its_own_scale():
+    # segment 0's Choi entries of 1e3 must not lift the bound of segment 1,
+    # whose asymmetry 2e-9 exceeds 1e-10 * 1 but not 1e-10 * 1e3; segment 2
+    # fails under either scale, so a wrong index or a global scale names it
+    segs = np.array([1e3, 1.0 + 1e-9j, 1.0 + 1e-3j])[:, None, None] * so.identity(2)
+    with pytest.raises(ValueError) as err:
+        gen.PropagatedFamily(np.arange(4.0), np.array([so.identity(2)] * 4), segs)
+    assert str(err.value) == ("family segment Choi matrix [1] is not Hermitian: max asymmetry "
+                              "2.000e-09 exceeds 1.0e-10 * 1.000e+00")
 
 
 def test_a_family_keeps_read_only_copies_of_its_arrays():

@@ -368,6 +368,16 @@ class TestLiouvillian:
         lhs = unvec(gen.liouvillian(g)(0.3) @ so.vec(x), 2)
         np.testing.assert_allclose(lhs, -1j * (h @ x - x @ h), atol=1e-14)
 
+    @pytest.mark.parametrize("shape", [(3, 3), (1, 1), (2, 2, 2)], ids=["3x3", "1x1", "stack"])
+    def test_rejects_a_hamiltonian_of_the_wrong_shape(self, shape):
+        # each is Hermitian, matrix by matrix, so only the shape check stops it
+        g = gen.GeneratorSpec(2, (0.5, 0.5, 0.5), hamiltonian=lambda t: np.ones(shape))
+        for t, call in ((0.5, lambda: gen.liouvillian(g)(0.5)),
+                        (0.0, lambda: gen.propagate(g, [0.0, 1.0], 0.01))):
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == f"Hamiltonian at t={t} has shape {shape}, expected (2, 2)"
+
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_rate_vector_contracts_in_real_arithmetic(self, d):
         # the diagonal dissipator rows are real in every Gell-Mann basis, so

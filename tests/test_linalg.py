@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,10 +15,60 @@ from divischeck.linalg import (
 from oracles import max_asymmetry
 
 
+@st.composite
+def perturbed_stacks(draw):
+    """(rtol, stack): a (k, n, n) or (j, k, n, n) stack of Hermitian matrices,
+    n in 1-4, one of them scaled to entries near 1e3, and some pushed to an
+    asymmetry just below or just above their own bound rtol * max(1, max |a|)."""
+    n = draw(st.integers(1, 4))
+    lead = draw(st.lists(st.integers(1, 3), min_size=1, max_size=2))
+    rtol = draw(st.sampled_from([1e-12, 1e-10]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal((*lead, n, n)) + 1j * rng.standard_normal((*lead, n, n))
+    stack = 0.5 * (x + x.conj().swapaxes(-1, -2))    # exactly Hermitian
+    ks = list(np.ndindex(*lead))
+    stack[draw(st.sampled_from(ks))] *= 1e3
+    for k in ks:
+        factor = draw(st.sampled_from([None, 0.9, 1.1]))
+        if factor is None:
+            continue
+        bound = rtol * max(1.0, np.abs(stack[k]).max())
+        p, q = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        # off the diagonal d adds d to the asymmetry, on it i d adds 2 d
+        stack[k][p, q] += factor * bound if p != q else 0.5j * factor * bound
+    return rtol, stack
+
+
 class TestCheckHermitian:
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError, match="square"):
             check_hermitian(np.ones((2, 3)))
+
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 2, 3), (3, 2, 2, 1)])
+    def test_rejects_a_stack_that_is_not_square(self, shape):
+        with pytest.raises(ValueError, match=rf"^expected a square matrix or a stack of them, "
+                                             rf"got shape {re.escape(str(shape))}$"):
+            check_hermitian(np.zeros(shape))
+
+    @settings(max_examples=300, deadline=None)
+    @given(perturbed_stacks())
+    def test_a_stack_is_checked_matrix_by_matrix(self, rtol_stack):
+        # each matrix against its own scale: the stack's result is the stack of
+        # the single results, and its error the first single error, indexed
+        rtol, stack = rtol_stack
+        singles, first = [], None
+        for k in np.ndindex(*stack.shape[:-2]):
+            try:
+                singles.append(check_hermitian(stack[k], rtol))
+            except ValueError as err:
+                first = first or str(err).replace("matrix", f"matrix {list(k)}", 1)
+        if first is None:
+            assert np.array_equal(check_hermitian(stack, rtol),
+                                  np.reshape(singles, stack.shape))
+        else:
+            with pytest.raises(ValueError) as err:
+                check_hermitian(stack, rtol)
+            assert str(err.value) == first
 
     def test_rejects_nonhermitian_with_diagnostic(self):
         bad = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -72,6 +124,12 @@ class TestInverse:
     def test_rejects_ill_conditioned(self):
         with pytest.raises(NumericalError):
             inverse(np.diag([1.0, 1e-13]))
+
+    @pytest.mark.parametrize("shape", [(2,), (2, 3), (2, 2, 2)])
+    def test_rejects_a_non_square_matrix(self, shape):
+        with pytest.raises(ValueError, match=rf"^expected a square matrix, got shape "
+                                             rf"{re.escape(str(shape))}$"):
+            inverse(np.ones(shape))
 
 
 PAULI_COEFFS = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
@@ -145,8 +203,9 @@ class TestSimilarityToTranspose:
 
     def test_rejects_non_2x2(self):
         m = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]])
-        with pytest.raises(ValueError, match="2x2"):
-            similarity_to_transpose(m)
+        for bad in (m, np.ones(4), np.ones((1, 2, 2))):
+            with pytest.raises(ValueError, match="2x2"):
+                similarity_to_transpose(bad)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
     def test_rejects_nonfinite(self, bad):

@@ -250,16 +250,25 @@ def liouvillian(g: GeneratorSpec) -> Callable[[float], np.ndarray]:
     return at
 
 
+def _origin_grid(grid) -> np.ndarray:
+    """The time grid of a family, checked by ``check_grid`` and to start at 0."""
+    grid = check_grid(grid)
+    if abs(grid[0]) > 1e-12:
+        raise ValueError(f"grid must start at 0, got {grid[0]}")
+    return grid
+
+
 @dataclass(eq=False)
 class PropagatedFamily:
     """Maps on an ascending time grid starting at 0: ``maps`` is the
     (len(grid), n, n) stack of M(t_i), identity first, and ``segments`` the
     (len(grid) - 1, n, n) stack of the integrated propagators V(t_{i+1}, t_i).
-    Building one copies all three read-only and checks the segments once: one
-    finite map per step, and the Choi stack through ``check_hermitian`` with
-    is_cp's ``superop.CHOI_RTOL``, each matrix against its own scale.  The
-    check keeps ``choi``, the read-only stack of the segments' Choi matrices
-    made exactly Hermitian, 0.5 (C + C†), for the scans to solve.
+    Building one copies all three read-only and checks them once: the grid
+    as ``propagate`` does, the stacks' shapes, their finiteness, and the
+    segments' Choi stack through ``check_hermitian`` with is_cp's
+    ``superop.CHOI_RTOL``, each matrix against its own scale.  The check
+    keeps ``choi``, the read-only stack of the segments' Choi matrices made
+    exactly Hermitian, 0.5 (C + C†), for the scans to solve.
     """
 
     grid: np.ndarray
@@ -268,15 +277,20 @@ class PropagatedFamily:
     choi: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        self.grid = _origin_grid(self.grid)
         for name in ("grid", "maps", "segments"):   # copies: the check stays true
             setattr(self, name, np.array(getattr(self, name)))
             getattr(self, name).flags.writeable = False
-        segs, steps = self.segments, len(self.grid) - 1
+        maps, segs, steps = self.maps, self.segments, len(self.grid) - 1
         if segs.ndim != 3 or len(segs) != steps:
             raise ValueError(f"{steps + 1} grid times need {steps} segments, "
                              f"got shape {segs.shape}")
-        if not np.isfinite(segs).all():
-            raise ValueError("family segments have non-finite entries")
+        if maps.shape != (steps + 1,) + segs.shape[1:]:
+            raise ValueError(f"{steps + 1} grid times need {steps + 1} maps of shape "
+                             f"{segs.shape[1:]}, got shape {maps.shape}")
+        for name, stack in (("segments", segs), ("maps", maps)):
+            if not np.isfinite(stack).all():
+                raise ValueError(f"family {name} have non-finite entries")
         try:
             self.choi = check_hermitian(superop.choi(segs), rtol=superop.CHOI_RTOL)
         except ValueError as err:   # the stack index of a Choi matrix is its segment's
@@ -372,9 +386,7 @@ def propagate(g: GeneratorSpec, grid, step: float) -> PropagatedFamily:
     Only the CLI checks this, for its ``--dynamics``: ``divisibility`` its
     RK4 step and ``witness`` its finite-difference step.
     """
-    grid = check_grid(grid)
-    if abs(grid[0]) > 1e-12:
-        raise ValueError(f"grid must start at 0, got {grid[0]}")
+    grid = _origin_grid(grid)
     if not math.isfinite(step):
         raise ValueError("step must be finite")
     if step <= 0:

@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .linalg import PAULI, check_grid
-from .superop import _check_map, apply_maps
+from .superop import apply
 
 __all__ = [
     "BackflowReport",
@@ -234,12 +234,13 @@ def backflow_scan(map_at: Callable[[float], np.ndarray], pairs: StatePairs,
         # forward difference for t < h, central otherwise
         ends = [(t, t + h) if t < h else (t - h, t + h) for t in times]
         denom = np.array([h if t < h else 2.0 * h for t in times])
-        mats = _check_map([[map_at(t_lo), map_at(t_hi)] for t_lo, t_hi in ends], stack=True)
-        bad = ~np.isfinite(mats).all(axis=(-2, -1))
+        mats = np.array([[map_at(t_lo), map_at(t_hi)] for t_lo, t_hi in ends], dtype=complex)
+        # only finite maps reach apply, which checks their shape
+        bad = ~np.isfinite(mats).all(axis=tuple(range(2, mats.ndim)))
         if bad.any():
             k, side = np.argwhere(bad)[0]
             raise ValueError(f"map at t={ends[k][side]!r} has non-finite entries")
-        n_lo, n_hi = _trace_norms(apply_maps(mats, deltas)[:, :, :n]).transpose(1, 2, 0)
+        n_lo, n_hi = _trace_norms(apply(mats, deltas)[:, :, :n]).transpose(1, 2, 0)
         sigma[:, start:start + _BLOCK] = (n_hi - n_lo) / denom
     p_idx, t_idx = np.unravel_index(int(np.argmax(sigma)), sigma.shape)
     return BackflowReport(

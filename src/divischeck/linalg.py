@@ -41,23 +41,20 @@ def check_hermitian(a, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
 
     Matrix k fails when its asymmetry max |a_k - a_k†| exceeds
     ``rtol * max(1, max |a_k|)``, its own scale, and the error names the first
-    failing matrix in C order; non-finite entries are rejected.  Returns the
-    exactly Hermitian part (a + a†)/2, so callers never propagate the
-    asymmetric rounding noise.  The stack's asymmetry is read first: a
-    non-finite entry makes it inf or NaN, and below ``rtol`` no matrix can
-    fail, so only a larger one leads on to the finiteness pass, which raises
-    before any "not Hermitian", and to the per-matrix scales.
+    failing matrix in C order; non-finite entries are rejected first.  Returns
+    the exactly Hermitian part (a + a†)/2, so callers never propagate the
+    asymmetric rounding noise.  Below ``rtol`` no matrix can fail, so only a
+    stack whose largest asymmetry exceeds it leads on to the per-matrix scales.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix has non-finite entries")
     adj = a.conj().swapaxes(-1, -2)
-    with np.errstate(invalid="ignore"):     # inf - inf: NaN, caught below
-        asym = float(np.abs(a - adj).max(initial=0.0))
-    if not asym <= rtol:
-        if not np.isfinite(a).all():
-            raise ValueError("matrix has non-finite entries")
-        asym = np.abs(a - adj).max(axis=(-2, -1))
+    asym = np.abs(a - adj)
+    if asym.max(initial=0.0) > rtol:
+        asym = asym.max(axis=(-2, -1))
         scale = np.maximum(1.0, np.abs(a).max(axis=(-2, -1)))
         bad = asym > rtol * scale
         if bad.any():

@@ -1,7 +1,8 @@
 """Maps as dense matrices acting on column-vectorized operators.
 
 A map on d x d operators is a complex (d^2, d^2) numpy array, d the integer
-square root of its last axis, and a stack of maps is (..., d^2, d^2).
+square root of its last axis.  :func:`apply` and :func:`choi` also take a
+stack of maps (..., d^2, d^2); every other function takes one map.
 
 Conventions, fixed package-wide:
 
@@ -20,10 +21,10 @@ lowest output eigenvalue it finds over pure input states.  It runs a batch
 of random restarts through a seesaw: the output-side and the input-side
 vector alternate as exact lowest eigenvectors, of the map's output and of
 its dual's output, with an extrapolation step that speeds up the seesaw's
-linear convergence.  A negative value comes with the state that reproduces
-it, so it *certifies non-positivity*; a nonnegative one is evidence only,
-as a local search can miss the global minimum.  The probe names no
-verdict: its callers compare the value with their own tolerance.
+linear convergence.  The lowest value of the batch comes with the state that
+reproduces it: a negative one *certifies non-positivity*; a nonnegative one
+is evidence only, as a local search can miss the global minimum.  The probe
+names no verdict: its callers compare the value with their own tolerance.
 """
 from __future__ import annotations
 
@@ -37,7 +38,6 @@ from .linalg import RESIDUAL_TOL, NumericalError, check_hermitian, inverse
 __all__ = [
     "PositivityProbeResult",
     "apply",
-    "apply_maps",
     "choi",
     "identity",
     "intermediate",
@@ -76,9 +76,9 @@ def _check_map(s, stack: bool = False) -> np.ndarray:
 
 @dataclass(eq=False)
 class PositivityProbeResult:
-    """The lowest output eigenvalue ``min_value`` a randomized search found,
-    the pure input state ``argmin_state`` that reproduces it on re-evaluation,
-    and the ``restarts_used`` it counted."""
+    """The lowest output eigenvalue ``min_value`` a randomized search found in
+    its whole batch of ``restarts_used`` restarts, each run through every
+    sweep, and the pure input state ``argmin_state`` that reproduces it."""
 
     min_value: float
     argmin_state: np.ndarray
@@ -91,21 +91,14 @@ def identity(dim: int) -> np.ndarray:
 
 
 def apply(s, x) -> np.ndarray:
-    """Apply the map to one dim x dim operator or a stack (..., dim, dim)."""
-    return apply_maps(_check_map(s), x)
-
-
-def apply_maps(mats: np.ndarray, x) -> np.ndarray:
-    """Apply a stack of map matrices (..., d^2, d^2) to one d x d operator or
-    a stack (n, d, d): every map acts on every operator, and the result has
-    shape ``mats.shape[:-2] + x.shape``.
-    """
-    x = np.asarray(x, dtype=complex)
+    """Apply a map, or a stack of maps (..., d^2, d^2), to one d x d operator
+    or a stack (n, d, d): every map acts on every operator, and the result
+    has shape ``s.shape[:-2] + x.shape``."""
+    mats, x = _check_map(s, stack=True), np.asarray(x, dtype=complex)
     dim = math.isqrt(mats.shape[-1])
     if x.shape[-2:] != (dim, dim):
-        raise ValueError(
-            f"operator shape {x.shape} does not match superoperator dimension {dim}"
-        )
+        raise ValueError(f"operator shape {x.shape} does not match superoperator "
+                         f"dimension {dim}")
     # column stacking of each operator is the row-major flattening of its transpose
     vecs = x.swapaxes(-1, -2).reshape(*x.shape[:-2], -1)
     out = vecs @ mats.swapaxes(-1, -2)
@@ -216,12 +209,11 @@ def positivity_probe(s, restarts: int = 100, steps: int = 500, seed: int = 0,
     ``default_rng(seed)``, run as one stack through one matmul with the
     map and one stacked ``eigh`` per step.  ``steps`` caps the number of
     sweeps; the sweeps also end once no restart has improved by more than
-    a fixed threshold over the last extrapolation cycle.  ``stop_at`` ends them as
-    soon as the best value drops below it: ``restarts_used`` is then 1 plus
-    the draw-order index of the first restart below ``stop_at``, and the
-    witness is the best of the restarts up to that one.  Otherwise
-    ``restarts_used == restarts``.  The reported ``min_value`` is
-    :func:`min_output_eigenvalue` of the returned state.  The map must be finite.
+    a fixed threshold over the last extrapolation cycle, or as soon as the
+    best value drops below ``stop_at``.  The returned state is the restart
+    with the lowest value when the sweeps end, and ``restarts_used`` is
+    ``restarts``.  The reported ``min_value`` is :func:`min_output_eigenvalue`
+    of that state.  The map must be finite.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
@@ -254,11 +246,8 @@ def positivity_probe(s, restarts: int = 100, steps: int = 500, seed: int = 0,
         if stop_at is not None and values.min() < stop_at:
             break
 
-    used = restarts
-    if stop_at is not None and values.min() < stop_at:
-        used = int(np.argmax(values < stop_at)) + 1
-    state = psi[int(np.argmin(values[:used]))]
-    return PositivityProbeResult(min_output_eigenvalue(s, state), state, used)
+    state = psi[int(np.argmin(values))]
+    return PositivityProbeResult(min_output_eigenvalue(s, state), state, restarts)
 
 
 def intermediate(s_t, s_s) -> np.ndarray:

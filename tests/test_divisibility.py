@@ -89,6 +89,9 @@ MALFORMED = {
                    "family segments have non-finite entries"),
     "too-few-segments": ([0.0, 0.5, 1.0], so.identity(2)[None],
                          "3 grid times need 2 segments, got shape (1, 4, 4)"),
+    "descending-grid": ([0.0, -0.5, -1.0], np.array([so.identity(2)] * 2),
+                        "grid must be strictly ascending"),
+    "grid-not-from-0": ([1.0, 2.0], so.identity(2)[None], "grid must start at 0, got 1.0"),
 }
 
 
@@ -96,6 +99,25 @@ MALFORMED = {
 def test_a_malformed_family_is_rejected_when_built(grid, segments, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         gen.PropagatedFamily(np.array(grid), np.array([so.identity(2)] * len(grid)), segments)
+
+
+# (maps, message) on a 5-point grid with 4 identity segments
+MALFORMED_MAPS = {
+    "too-few-maps": (np.array([so.identity(2)] * 2),
+                     "5 grid times need 5 maps of shape (4, 4), got shape (2, 4, 4)"),
+    "maps-of-another-dimension": (np.array([so.identity(3)] * 5),
+                                  "5 grid times need 5 maps of shape (4, 4), got shape (5, 9, 9)"),
+    "not-a-stack": (np.zeros(3, dtype=complex),
+                    "5 grid times need 5 maps of shape (4, 4), got shape (3,)"),
+    "non-finite": (np.full((5, 4, 4), math.nan + 0j), "family maps have non-finite entries"),
+}
+
+
+@pytest.mark.parametrize("maps, message", MALFORMED_MAPS.values(), ids=MALFORMED_MAPS.keys())
+def test_a_family_with_malformed_maps_is_rejected_when_built(maps, message):
+    grid = np.linspace(0.0, 1.0, 5)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        gen.PropagatedFamily(grid, maps, np.array([so.identity(2)] * 4))
 
 
 @pytest.mark.parametrize("scan", SCANS, ids=["cp", "tensor-p"])

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import superop
-from .generator import GeneratorSpec, PropagatedFamily, liouvillian, rk4_increment
+from .generator import GeneratorSpec, PropagatedFamily, check_rk4_step, liouvillian, rk4_increment
 from .linalg import NumericalError, similarity_to_transpose
 
 __all__ = [
@@ -159,16 +159,10 @@ class FirstOrderWitness:
     c_min: float
 
 
-def _tensor_liouvillian(g: GeneratorSpec):
-    """Closure returning the matrix of L_t (x) id + id (x) L_t."""
-    lmat_at = liouvillian(g)
-    ident = superop.identity(g.dim)
-
-    def at(t: float) -> np.ndarray:
-        single = lmat_at(t)
-        return superop.tensor(single, ident) + superop.tensor(ident, single)
-
-    return at
+def _tensor_generator(single: np.ndarray, d: int) -> np.ndarray:
+    """The matrix of L (x) id + id (x) L, from that of L on d x d operators."""
+    ident = superop.identity(d)
+    return superop.tensor(single, ident) + superop.tensor(ident, single)
 
 
 def first_order_witness(g: GeneratorSpec, s: float) -> FirstOrderWitness:
@@ -209,7 +203,7 @@ def first_order_witness(g: GeneratorSpec, s: float) -> FirstOrderWitness:
             f"witness vectors failed orthogonality: |<phi|psi>| = {overlap:.3e}"
         )
 
-    t2 = _tensor_liouvillian(g)(s)
+    t2 = _tensor_generator(liouvillian(g)(s), g.dim)
     rho = np.outer(psi, psi.conj())
     out = superop.apply(t2, rho)
     delta_rate = float(np.real(np.vdot(phi, out @ phi)))
@@ -226,13 +220,17 @@ def verify_witness(g: GeneratorSpec, w: FirstOrderWitness, dt: float = 1e-4) -> 
     the tensor propagator over [s, s + dt], s = ``w.s``.
 
     Returns <phi| T_{s+dt,s} [|psi><psi|] |phi>, which should agree with
-    dt * delta_rate up to O(dt^2).
+    dt * delta_rate up to O(dt^2).  ``check_rk4_step`` rejects ``dt`` first,
+    from the pairwise sums of L(s)'s eigenvalues: the tensor generator's.
     """
     if not math.isfinite(w.s):
         raise ValueError(f"witness time s must be finite, got {w.s}")
     if not 0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
-    t2 = _tensor_liouvillian(g)
-    dm = rk4_increment(t2(w.s), t2(w.s + 0.5 * dt), t2(w.s + dt), dt)
+    ls = list(map(liouvillian(g), (w.s, w.s + 0.5 * dt, w.s + dt)))
+    eig = np.linalg.eigvals(ls[0])
+    with np.errstate(over="ignore"):   # a sum past the float range is an infinite rate
+        check_rk4_step(dt, [w.s], eig[:, None] + eig, "the tensor generator")
+    dm = rk4_increment(*(_tensor_generator(l, g.dim) for l in ls), dt)
     out = superop.apply(np.eye(len(dm), dtype=complex) + dm, np.outer(w.psi, w.psi.conj()))
     return float(np.real(np.vdot(w.phi, out @ w.phi)))

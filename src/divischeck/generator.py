@@ -38,6 +38,7 @@ __all__ = [
     "GeneratorCheckReport",
     "GeneratorSpec",
     "PropagatedFamily",
+    "check_rk4_step",
     "cp_divisibility_check",
     "gell_mann_basis",
     "liouvillian",
@@ -56,6 +57,9 @@ __all__ = [
 # would round every increment against I's units.
 _BLOCK = 64
 _STACK = 128
+# Substeps ``propagate`` takes at most, all segments together: at 6-9 us each
+# (2-core Xeon), one to two minutes.  It refuses more before evaluating any L.
+MAX_RK4_SUBSTEPS = 10**7
 
 
 def gell_mann_basis(d: int) -> np.ndarray:
@@ -301,6 +305,20 @@ class PropagatedFamily:
 RK4_REAL_LIMIT = 2.785293563405282   # the root x > 0 of R(-x) = 1, R RK4's stability polynomial
 
 
+def check_rk4_step(step: float, times, eigenvalues, of: str) -> None:
+    """Reject ``step`` when RK4 is unstable on ``of``, whose eigenvalues at
+    ``times[i]`` are ``eigenvalues[i]``: step x r must stay within
+    RK4_REAL_LIMIT for the fastest decay rate r, minus the least real part.
+    Imaginary parts, as a Hamiltonian gives, are not checked."""
+    real = np.real(eigenvalues).reshape(len(times), -1).min(axis=1)
+    i, rate = int(np.argmin(real)), -float(real.min())
+    if step * rate > RK4_REAL_LIMIT:
+        raise ValueError(f"step {step:g} is outside RK4's stability interval for the decay "
+                         f"rate {rate:g} of {of} at t={times[i]:g} (step x rate > "
+                         f"{RK4_REAL_LIMIT:.4f}); the largest stable step is "
+                         f"{RK4_REAL_LIMIT / rate:.6g}")
+
+
 def rk4_increment(l_left: np.ndarray, l_mid: np.ndarray, l_right: np.ndarray,
                   h: float) -> np.ndarray:
     """Increment D of one classical RK4 step of d/dt M = L_t M over [t, t + h].
@@ -336,6 +354,12 @@ def _tree(d: np.ndarray) -> np.ndarray:
     return d[..., 0, :, :]
 
 
+def _substeps(grid: np.ndarray, step: float) -> np.ndarray:
+    """The substep count of each grid segment, the fewest of size at most
+    ``step``, as floats (inf where span / step overflows)."""
+    return np.maximum(1.0, np.ceil(np.diff(grid) / step - 1e-12))
+
+
 def _stacks(grid: np.ndarray, step: float):
     """Yield the RK4 blocks of ``propagate`` in stacks.  A block (t0, h,
     start, k, last) is substeps start .. start + k - 1, of size h, of the
@@ -343,8 +367,7 @@ def _stacks(grid: np.ndarray, step: float):
     blocks of at most _BLOCK substeps; consecutive blocks with equal k
     share stacks of at most _STACK substeps."""
     stack = []
-    for t0, t1 in zip(grid[:-1], grid[1:]):
-        nsub = max(1, math.ceil(float(t1 - t0) / step - 1e-12))
+    for t0, t1, nsub in zip(grid[:-1], grid[1:], _substeps(grid, step).astype(int).tolist()):
         for start in range(0, nsub, _BLOCK):
             k = min(_BLOCK, nsub - start)
             if stack and (k != stack[0][3] or (len(stack) + 1) * k > _STACK):
@@ -355,6 +378,7 @@ def _stacks(grid: np.ndarray, step: float):
         yield stack
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def propagate(g: GeneratorSpec, grid, step: float) -> PropagatedFamily:
     """Integrate d/dt M_t = L_t M_t with fixed-step classical RK4.
 
@@ -380,11 +404,11 @@ def propagate(g: GeneratorSpec, grid, step: float) -> PropagatedFamily:
     per segment, M <- M + E M.  Maps and segments are complex128, those of
     a block-by-block loop over the segments, bit for bit.  Deterministic.
 
-    RK4 stability is not checked here: h |lambda| must stay inside RK4's
-    stability region for every eigenvalue lambda of every L(t), or the maps
-    grow without bound; on the negative real axis h |lambda| <= RK4_REAL_LIMIT.
-    Only the CLI checks this, for its ``--dynamics``: ``divisibility`` its
-    RK4 step and ``witness`` its finite-difference step.
+    RK4 stability is checked at grid resolution: ``check_rk4_step`` reads
+    one stacked ``eigvals`` of the L values the loop evaluated at the grid
+    times, and rejects ``step`` before the family is built; the loop runs
+    without overflow warnings, so an unstable step raises that error only.
+    A grid needing more than MAX_RK4_SUBSTEPS substeps is refused at once.
     """
     grid = _origin_grid(grid)
     if not math.isfinite(step):
@@ -394,6 +418,9 @@ def propagate(g: GeneratorSpec, grid, step: float) -> PropagatedFamily:
     if len(grid) > 1 and step > (spacing := float(np.min(np.diff(grid)))) + 1e-12:
         raise ValueError(f"step must not exceed the grid spacing: step {step:g} "
                          f"against the smallest spacing {spacing:g}")
+    if (total := _substeps(grid, step).sum()) > MAX_RK4_SUBSTEPS:
+        raise ValueError(f"the grid needs {total:.0f} RK4 substeps of at most {step:g}, "
+                         f"more than the bound MAX_RK4_SUBSTEPS = {MAX_RK4_SUBSTEPS}")
 
     lmat = liouvillian(g)
     eye = np.eye(g.dim * g.dim, dtype=complex)
@@ -402,6 +429,7 @@ def propagate(g: GeneratorSpec, grid, step: float) -> PropagatedFamily:
     segments = np.empty((len(grid) - 1,) + eye.shape, dtype=complex)
     maps[0], j = eye, 0     # j: segments recorded so far
     l_left = lmat(float(grid[0]))
+    ends = [l_left]   # L at the grid times, for the stability check
     powers, powers_of = {}, None   # (h, k) -> E of (I + D)^k, D the increment of powers_of
     for stack in _stacks(grid, step):
         k, hs = stack[0][3], [h for _, h, *_ in stack]
@@ -424,13 +452,15 @@ def propagate(g: GeneratorSpec, grid, step: float) -> PropagatedFamily:
                                     right_stack.reshape(shape),
                                     np.array(hs)[:, None, None, None]))
         l_left = rights[-1]
-        for (*_, last), block in zip(stack, d):
+        for (*_, last), block, right in zip(stack, d, rights[k - 1::k]):   # each block's last L
             e = _join(e, block)
             if last:
                 segments[j] = eye + e
                 maps[j + 1] = maps[j] + e @ maps[j]
+                ends.append(right)
                 j += 1
                 e = np.zeros_like(eye)
+    check_rk4_step(step, grid, np.linalg.eigvals(np.array(ends)), "L(t)")
     return PropagatedFamily(grid, maps, segments)
 
 

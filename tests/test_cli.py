@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -196,20 +197,31 @@ class TestDynamicsTable:
     """Every ``--dynamics`` name, through every command that takes it."""
 
     def test_channel_is_the_map_its_generator_integrates_to(self, name):
-        channel, make_generator, _ = cli.DYNAMICS[name]
+        channel, make_generator = cli.DYNAMICS[name]
         grid = np.linspace(0.0, 1.0, 5)
         family = generator.propagate(make_generator(0.6), grid, 1e-3)
         for t, m in zip(grid, family.maps):
             np.testing.assert_allclose(m, channel(float(t), 0.6), atol=1e-10)
 
-    def test_decay_rate_is_the_fastest_of_a_real_spectrum(self, name):
-        # the divisibility command's RK4 step guard rests on this rate
-        _, make_generator, decay_per_alpha = cli.DYNAMICS[name]
-        lmat = generator.liouvillian(make_generator(0.6))
-        for t in (0.0, 0.5, 3.0):
-            eig = np.linalg.eigvals(lmat(t))
-            assert np.abs(eig.imag).max() <= 1e-12
-            assert -eig.real.min() == pytest.approx(decay_per_alpha * 0.6, abs=1e-12)
+    def test_divisibility_steps_around_the_largest_stable_step(self, tmp_path, capsys, name):
+        # the step an unstable run reports as the largest stable one passes
+        # just below and fails just above, from the generator's own spectrum
+        def divisibility(step, stem):
+            return run(["divisibility", "--dynamics", name, "--alpha", "1400",
+                        "--grid-points", "4", "--restarts", "2", "--rk4-step", step,
+                        "--output", str(tmp_path / stem)])
+
+        if name == "identity":
+            # nothing decays: every step up to the grid spacing is stable
+            spacing = np.diff(cli.RunConfig(grid_points=4).grid()).min()
+            assert divisibility(repr(float(spacing)), "spacing") == 0
+            return
+        assert divisibility("1e-3", "unstable") == 2
+        reported = re.search(r"the largest stable step is (\S+)$", capsys.readouterr().err)
+        largest = float(reported.group(1))
+        assert divisibility(repr(largest * (1 - 1e-5)), "below") == 0
+        assert divisibility(repr(largest * (1 + 1e-5)), "above") == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["below.json"]
 
     def test_scan_takes_the_model_only(self, tmp_path, capsys, name):
         # the scan tabulates the model's closed forms; any other --dynamics
@@ -273,20 +285,21 @@ class TestWitness:
         assert checks[0]["dt"] == pytest.approx(1e-4)
         assert checks[1]["dt"] == pytest.approx(5e-5)
 
-    @pytest.mark.parametrize("alpha, code", [("6900", 0), ("7000", 2), ("1e300", 2)])
+    @pytest.mark.parametrize("alpha, code", [("6900", 0), ("7000", 2), ("1e300", 2),
+                                             ("8e307", 2)])
     def test_fd_step_outside_the_tensor_stability_interval_exits_2(self, tmp_path, capsys,
                                                                    alpha, code):
         # the tensor generator decays at twice the model's 2 alpha:
         # fd_step x 4 alpha = 2.76 for alpha 6900 and 2.8 for 7000, around
-        # RK4's real-axis limit 2.7853
+        # RK4's real-axis limit 2.7853; for 8e307, 4 alpha overflows to inf
         out = tmp_path / "wit"
         assert run(["witness", "--alpha", alpha, "--output", str(out)]) == code
         captured = capsys.readouterr()
         if code == 0:
             assert math.isfinite(json.loads(captured.out)["summary"]["halving_ratio"])
         else:
-            assert (f"fd_step 0.0001 is outside RK4's stability interval for the decay "
-                    f"rate 4 x {float(alpha):g} of the tensor generator") in captured.err
+            assert (f"step 0.0001 is outside RK4's stability interval for the decay "
+                    f"rate {4 * float(alpha):g} of the tensor generator at t=1") in captured.err
             assert not list(tmp_path.iterdir())
 
     def test_s_zero_rejected(self, tmp_path, capsys):
@@ -490,6 +503,17 @@ class TestConfigAndErrors:
         # pytest's filterwarnings = error turns any RuntimeWarning into a failure
         assert run(argv + ["--output", str(tmp_path / "x")]) == 0
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("dynamics", ["model", "semigroup"])
+    def test_huge_valid_alpha_rejects_the_rk4_step_without_warnings(self, tmp_path, capsys,
+                                                                    dynamics):
+        # L decays at 2 alpha = 1.6e308: the maps overflow before the check
+        # rejects the step, and pytest's filterwarnings = error catches any warning
+        assert run(["divisibility", "--dynamics", dynamics, "--alpha", "8e307",
+                    "--grid-points", "4", "--output", str(tmp_path / "x")]) == 2
+        assert ("outside RK4's stability interval for the decay rate 1.6e+308"
+                in capsys.readouterr().err)
+        assert not list(tmp_path.iterdir())
 
     def test_empty_alpha_list_exits_2(self, tmp_path, capsys):
         assert run(["scan", "--alpha", ",", "--output", str(tmp_path / "x")]) == 2

@@ -532,6 +532,18 @@ class TestVerifyWitness:
         with pytest.raises(ValueError, match="dt must be positive and finite"):
             dv.verify_witness(g, w, dt=math.inf)
 
+    def test_rejects_a_dt_outside_the_tensor_generators_stability_interval(self):
+        # the model's L(s) decays at 2 alpha at fastest, its tensor generator
+        # at 4 alpha: dt x 28,000 = 2.8 lies past RK4's real-axis limit
+        g = gen.model_generator(7000.0)
+        w = dv.first_order_witness(g, 1.0)
+        message = (r"^step 0\.0001 is outside RK4's stability interval for the decay rate "
+                   r"28000 of the tensor generator at t=1 .* the largest stable step is "
+                   r"9\.94748e-05$")
+        with pytest.raises(ValueError, match=message):
+            dv.verify_witness(g, w, dt=1e-4)
+        assert math.isfinite(dv.verify_witness(g, w, dt=9.9e-5))
+
     @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_witness_time(self, s):
         # a fixed C never looks at t, so only the time check can refuse s

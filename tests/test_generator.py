@@ -1,9 +1,10 @@
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -503,6 +504,46 @@ class TestPropagate:
         assert gain(gen.RK4_REAL_LIMIT) == pytest.approx(1.0, abs=1e-14)
         assert gain(0.5 * gen.RK4_REAL_LIMIT) < 1.0 < gain(1.001 * gen.RK4_REAL_LIMIT)
 
+    def test_rejects_an_unstable_step_instead_of_growing_the_maps(self):
+        # rates 1400 decay at 2800: step x rate = 2.8 lies past RK4's
+        # real-axis limit, where the default grid's maps reached entries of
+        # 1.3e48; the overflowing loop warns of nothing
+        g = gen.qubit_rate_generator((1400.0, 1400.0, 1400.0))
+        message = (r"^step 0\.001 is outside RK4's stability interval for the decay rate "
+                   r"2800 of L\(t\) at t=.* the largest stable step is 0\.000994748$")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                gen.propagate(g, pf.default_grid(), 1e-3)
+
+    @pytest.mark.parametrize("grid, step, count", [
+        ([0.0, 1.25, 2.5, 5.0], 1e-9, "5000000000"),
+        ([0.0, 1e9], 1e-3, "1000000000000"),
+        ([0.0, 1.0], 1e-320, "inf"),
+    ], ids=["tiny-step", "long-grid", "step-overflows-the-count"])
+    def test_refuses_a_run_past_the_substep_bound_before_evaluating_l(self, grid, step,
+                                                                      count):
+        calls = []
+
+        def rates(t):
+            calls.append(t)
+            return (0.5, 0.5, 0.5)
+
+        message = (rf"^the grid needs {count} RK4 substeps of at most {step:g}, more than "
+                   rf"the bound MAX_RK4_SUBSTEPS = 10000000$")
+        with pytest.raises(ValueError, match=message):
+            gen.propagate(gen.qubit_rate_generator(rates), np.array(grid), step)
+        assert calls == []
+
+    def test_substep_bound_counts_by_the_stacks_rounding(self, monkeypatch):
+        # 0.4 / 0.1 and 0.6 / 0.1 land within 1e-12 of 4 and 6: ten
+        # substeps, at the bound; a step of 0.0999 takes 5 + 7
+        monkeypatch.setattr(gen, "MAX_RK4_SUBSTEPS", 10)
+        g = gen.qubit_rate_generator((0.5, 0.5, 0.5))
+        assert len(gen.propagate(g, np.array([0.0, 0.4, 1.0]), 0.1).maps) == 3
+        with pytest.raises(ValueError, match="needs 12 RK4 substeps"):
+            gen.propagate(g, np.array([0.0, 0.4, 1.0]), 0.0999)
+
     @pytest.mark.parametrize("grid, step, message", [
         ([0.0, math.nan], 0.01, "grid must be finite"),
         ([0.0, math.inf], 0.01, "grid must be finite"),
@@ -705,14 +746,38 @@ def test_fixed_generator_matches_callable_twin_bit_for_bit(rates, spans):
 
 
 @settings(max_examples=40, deadline=None)
-@given(RATES, st.integers(1, 64), st.integers(1, 6), st.integers(1, 50))
+@given(RATES, st.integers(1, 59), st.integers(1, 6), st.integers(1, 50))
 def test_fixed_generator_repeats_its_segment_bit_for_bit(rates, ticks, segments, substeps):
-    # dyadic grid spacing: every segment has the same span, substeps and L
+    # dyadic grid spacing: every segment has the same span, substeps and L;
+    # a step of at most 59/64 on decay rates of at most 3 is stable for RK4
     spacing = ticks / 64
     grid = np.arange(segments + 1) * spacing
     fam = gen.propagate(gen.qubit_rate_generator(rates), grid, spacing / substeps)
     for seg in fam.segments[1:]:
         assert np.array_equal(seg, fam.segments[0])
+
+
+@settings(max_examples=500, deadline=None)
+@given(RATES.filter(lambda r: max(r[0] + r[1], r[0] + r[2], r[1] + r[2]) >= 0.1),
+       st.floats(2.7, 2.9))
+def test_propagate_rejects_a_step_exactly_where_one_rk4_step_amplifies(rates, x):
+    # a real spectrum <= 0 and a step of x over the fastest decay rate.  One
+    # step I + D keeps the trace mode at 1 for every h, so its spectral radius
+    # exceeds 1 iff that of its Bloch matrix on the traceless operators does.
+    # Draws within 1e-9 of 1 are skipped
+    h = x / max(rates[0] + rates[1], rates[0] + rates[2], rates[1] + rates[2])
+    lmat = gen.liouvillian(gen.qubit_rate_generator(rates))(0.0)
+    paulis = np.array([p.reshape(-1, order="F") for p in PAULI[1:]]).T
+    bloch = 0.5 * paulis.conj().T @ (np.eye(4) + gen.rk4_increment(lmat, lmat, lmat, h)) @ paulis
+    radius = np.abs(np.linalg.eigvals(bloch)).max()
+    assume(abs(radius - 1.0) > 1e-9)
+    try:
+        gen.propagate(gen.qubit_rate_generator(rates), np.array([0.0, h]), h)
+    except ValueError as err:
+        assert "outside RK4's stability interval" in str(err)
+        assert radius > 1.0
+    else:
+        assert radius < 1.0
 
 
 @st.composite

@@ -43,7 +43,7 @@ print(f"delta_rate = {w.delta_rate:.10f}  (analytic -a tanh s = "
       f"{-alpha * np.tanh(s):.10f})")
 
 print()
-print("Finite-step verification (one RK4 step of the tensor propagator):")
+print("Finite-step verification (the tensor square of one RK4 step of L):")
 for dt in (1e-4, 5e-5):
     value = dv.verify_witness(g, w, dt=dt)
     prediction = dt * w.delta_rate

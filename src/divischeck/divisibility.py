@@ -22,6 +22,9 @@ take the unitary U with M.T = U M U^-1, and set Phi† = U, Psi = M U^-1.
 Regrouped into unit vectors psi, phi on the doubled space, they are an
 orthogonal pair whose tensor-square matrix element leaves zero at rate
 2 <u|C(s)|u> / (||Psi||^2 ||Phi||^2) = c_min (||Psi||^2 = 1, ||Phi||^2 = 2).
+The finite-dt check evaluates the pair on V (x) V for one RK4 step V of L,
+the kind of map the tensor probe tests, with the one RK4 step and stability
+check ``generator.propagate`` uses.
 
 Regrouping convention: the (a, b) entry of a d x d matrix becomes vector
 component a*d + b (row-major).  This is deliberately *not* the column
@@ -159,18 +162,13 @@ class FirstOrderWitness:
     c_min: float
 
 
-def _tensor_generator(single: np.ndarray, d: int) -> np.ndarray:
-    """The matrix of L (x) id + id (x) L, from that of L on d x d operators."""
-    ident = superop.identity(d)
-    return superop.tensor(single, ident) + superop.tensor(ident, single)
-
-
 def first_order_witness(g: GeneratorSpec, s: float) -> FirstOrderWitness:
     """Build the orthogonal pair exposing a negative C(s) eigenvalue.
 
     Requires a qubit generator whose C(s) has a negative eigenvalue; the
     most negative one, c_min, is used.  The returned ``delta_rate`` is
-    evaluated directly on the tensor generator and comes out as c_min.
+    evaluated directly on the tensor generator L(s) (x) id + id (x) L(s)
+    and comes out as c_min.
     """
     if g.dim != 2:
         raise ValueError("the first-order witness is built for qubit generators only")
@@ -203,9 +201,9 @@ def first_order_witness(g: GeneratorSpec, s: float) -> FirstOrderWitness:
             f"witness vectors failed orthogonality: |<phi|psi>| = {overlap:.3e}"
         )
 
-    t2 = _tensor_generator(liouvillian(g)(s), g.dim)
-    rho = np.outer(psi, psi.conj())
-    out = superop.apply(t2, rho)
+    single, ident = liouvillian(g)(s), superop.identity(g.dim)
+    out = superop.apply(superop.tensor(single, ident) + superop.tensor(ident, single),
+                        np.outer(psi, psi.conj()))
     delta_rate = float(np.real(np.vdot(phi, out @ phi)))
     if delta_rate >= 0:
         raise NumericalError(
@@ -216,21 +214,21 @@ def first_order_witness(g: GeneratorSpec, s: float) -> FirstOrderWitness:
 
 
 def verify_witness(g: GeneratorSpec, w: FirstOrderWitness, dt: float = 1e-4) -> float:
-    """Finite-dt check of a witness at its own time: one RK4 step I + D of
-    the tensor propagator over [s, s + dt], s = ``w.s``.
+    """Finite-dt check of a witness at its own time, on V (x) V for one RK4
+    step V = I + D of L over [s, s + dt], s = ``w.s``: the tensor square of
+    a segment, as the map scans test it.
 
-    Returns <phi| T_{s+dt,s} [|psi><psi|] |phi>, which should agree with
+    Returns <phi| (V (x) V)[|psi><psi|] |phi>, which should agree with
     dt * delta_rate up to O(dt^2).  ``check_rk4_step`` rejects ``dt`` first,
-    from the pairwise sums of L(s)'s eigenvalues: the tensor generator's.
+    from L(s)'s eigenvalues: those of V (x) V are products of V's, so it is
+    stable iff V is.
     """
     if not math.isfinite(w.s):
         raise ValueError(f"witness time s must be finite, got {w.s}")
     if not 0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
     ls = list(map(liouvillian(g), (w.s, w.s + 0.5 * dt, w.s + dt)))
-    eig = np.linalg.eigvals(ls[0])
-    with np.errstate(over="ignore"):   # a sum past the float range is an infinite rate
-        check_rk4_step(dt, [w.s], eig[:, None] + eig, "the tensor generator")
-    dm = rk4_increment(*(_tensor_generator(l, g.dim) for l in ls), dt)
-    out = superop.apply(np.eye(len(dm), dtype=complex) + dm, np.outer(w.psi, w.psi.conj()))
+    check_rk4_step(dt, [w.s], np.linalg.eigvals(ls[0]))
+    v = np.eye(len(ls[0])) + rk4_increment(*ls, dt)
+    out = superop.apply(superop.tensor(v, v), np.outer(w.psi, w.psi.conj()))
     return float(np.real(np.vdot(w.phi, out @ w.phi)))

@@ -302,21 +302,55 @@ class PropagatedFamily:
         self.choi.flags.writeable = False
 
 
-RK4_REAL_LIMIT = 2.785293563405282   # the root x > 0 of R(-x) = 1, R RK4's stability polynomial
+# One RK4 step multiplies a mode of eigenvalue lam by R(step lam), R RK4's
+# stability polynomial.  A gain |R| up to _MAX_GAIN is rounding, and every
+# z with Re z <= 0 and |z| > _REACH lies outside RK4's region, whose
+# farthest left-half-plane point is 2.96, at arg z = 1.71.
+_MAX_GAIN = 1.0 + 1e-12
+_REACH = 3.0
 
 
-def check_rk4_step(step: float, times, eigenvalues, of: str) -> None:
-    """Reject ``step`` when RK4 is unstable on ``of``, whose eigenvalues at
-    ``times[i]`` are ``eigenvalues[i]``: step x r must stay within
-    RK4_REAL_LIMIT for the fastest decay rate r, minus the least real part.
-    Imaginary parts, as a Hamiltonian gives, are not checked."""
-    real = np.real(eigenvalues).reshape(len(times), -1).min(axis=1)
-    i, rate = int(np.argmin(real)), -float(real.min())
-    if step * rate > RK4_REAL_LIMIT:
-        raise ValueError(f"step {step:g} is outside RK4's stability interval for the decay "
-                         f"rate {rate:g} of {of} at t={times[i]:g} (step x rate > "
-                         f"{RK4_REAL_LIMIT:.4f}); the largest stable step is "
-                         f"{RK4_REAL_LIMIT / rate:.6g}")
+def _rk4_gain(z: np.ndarray) -> np.ndarray:
+    """|R(z)|, R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, for |z| <= _REACH."""
+    return np.abs(1.0 + z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0))))
+
+
+def _rk4_reach(u: np.ndarray) -> np.ndarray:
+    """x* of each left-half-plane direction u, |u| = 1: on that ray the gain
+    is within _MAX_GAIN exactly on [0, x*].  Bisection on [0, _REACH]."""
+    lo, hi = np.zeros(u.shape), np.full(u.shape, _REACH)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        inside = _rk4_gain(mid * u) <= _MAX_GAIN
+        lo, hi = np.where(inside, mid, lo), np.where(inside, hi, mid)
+    return lo
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def check_rk4_step(step: float, times, eigenvalues) -> None:
+    """Reject ``step`` when one RK4 step amplifies a mode of L(t) that does
+    not grow, the eigenvalues of L(``times[i]``) being ``eigenvalues[i]``.
+
+    An eigenvalue lam with Re lam <= 1e-12 |lam| fails when
+    |R(step lam)| > _MAX_GAIN or |step lam| > _REACH, so R never
+    overflows; a non-finite one fails too, and growing modes are not
+    checked.  The error names the time and the largest stable step, the
+    least x*(arg lam) / |lam| (see ``_rk4_reach``).
+    """
+    lam = np.asarray(eigenvalues).reshape(len(times), -1)
+    size = np.abs(lam)
+    checked = ~(lam.real > 1e-12 * size)
+    far = size > _REACH / step
+    gain = _rk4_gain(step * np.where(far, 0.0, lam))
+    if not (~np.isfinite(lam) | checked & (far | (gain > _MAX_GAIN))).any():
+        return
+    limit = np.where(checked & (size > 0), _rk4_reach(lam / size) / size, np.inf)
+    limit[~np.isfinite(lam)] = 0.0
+    i = int(np.argmin(limit.min(axis=1)))
+    reason = (f"the largest stable step is {limit[i].min():.6g}" if np.isfinite(lam[i]).all()
+              else "an eigenvalue of L(t) there is not finite")
+    raise ValueError(f"step {step:g} is outside RK4's stability region for L(t) "
+                     f"at t={times[i]:g}; {reason}")
 
 
 def rk4_increment(l_left: np.ndarray, l_mid: np.ndarray, l_right: np.ndarray,
@@ -404,10 +438,11 @@ def propagate(g: GeneratorSpec, grid, step: float) -> PropagatedFamily:
     per segment, M <- M + E M.  Maps and segments are complex128, those of
     a block-by-block loop over the segments, bit for bit.  Deterministic.
 
-    RK4 stability is checked at grid resolution: ``check_rk4_step`` reads
-    one stacked ``eigvals`` of the L values the loop evaluated at the grid
-    times, and rejects ``step`` before the family is built; the loop runs
-    without overflow warnings, so an unstable step raises that error only.
+    RK4 stability is checked at grid resolution, over RK4's whole region:
+    ``check_rk4_step`` reads one stacked ``eigvals`` of the L values the
+    loop evaluated at the grid times (NaN for an L that overflowed), and
+    rejects ``step`` before the family is built; the loop runs without
+    overflow warnings, so an unstable step raises that error only.
     A grid needing more than MAX_RK4_SUBSTEPS substeps is refused at once.
     """
     grid = _origin_grid(grid)
@@ -460,7 +495,10 @@ def propagate(g: GeneratorSpec, grid, step: float) -> PropagatedFamily:
                 ends.append(right)
                 j += 1
                 e = np.zeros_like(eye)
-    check_rk4_step(step, grid, np.linalg.eigvals(np.array(ends)), "L(t)")
+    ends = np.array(ends)
+    finite = np.isfinite(ends).all(axis=(1, 2))   # eigvals refuses the others
+    eig = np.linalg.eigvals(np.where(finite[:, None, None], ends, 0.0))
+    check_rk4_step(step, grid, np.where(finite[:, None], eig, np.nan))
     return PropagatedFamily(grid, maps, segments)
 
 

@@ -157,7 +157,7 @@ class TestDivisibility:
                     "--grid-points", "4", "--output", str(out)])
         assert code == 2
         err = capsys.readouterr().err
-        assert "outside RK4's stability interval" in err
+        assert "outside RK4's stability region" in err
         assert "the largest stable step is 0.000994748" in err
         assert not (tmp_path / "div.json").exists()
 
@@ -285,21 +285,22 @@ class TestWitness:
         assert checks[0]["dt"] == pytest.approx(1e-4)
         assert checks[1]["dt"] == pytest.approx(5e-5)
 
-    @pytest.mark.parametrize("alpha, code", [("6900", 0), ("7000", 2), ("1e300", 2),
+    @pytest.mark.parametrize("alpha, code", [("13900", 0), ("13950", 2), ("1e300", 2),
                                              ("8e307", 2)])
     def test_fd_step_outside_the_tensor_stability_interval_exits_2(self, tmp_path, capsys,
                                                                    alpha, code):
-        # the tensor generator decays at twice the model's 2 alpha:
-        # fd_step x 4 alpha = 2.76 for alpha 6900 and 2.8 for 7000, around
-        # RK4's real-axis limit 2.7853; for 8e307, 4 alpha overflows to inf
+        # the check steps L itself, whose tensor square is stable iff it is:
+        # fd_step x 2 alpha = 2.78 for alpha 13900 and 2.79 for 13950, around
+        # RK4's real-axis limit 2.7853; 2 alpha = 1.6e308 for 8e307
         out = tmp_path / "wit"
         assert run(["witness", "--alpha", alpha, "--output", str(out)]) == code
         captured = capsys.readouterr()
         if code == 0:
             assert math.isfinite(json.loads(captured.out)["summary"]["halving_ratio"])
         else:
-            assert (f"step 0.0001 is outside RK4's stability interval for the decay "
-                    f"rate {4 * float(alpha):g} of the tensor generator at t=1") in captured.err
+            assert (f"step 0.0001 is outside RK4's stability region for L(t) at t=1; the "
+                    f"largest stable step is {2.785293563405282 / (2 * float(alpha)):.6g}"
+                    ) in captured.err
             assert not list(tmp_path.iterdir())
 
     def test_s_zero_rejected(self, tmp_path, capsys):
@@ -511,8 +512,8 @@ class TestConfigAndErrors:
         # rejects the step, and pytest's filterwarnings = error catches any warning
         assert run(["divisibility", "--dynamics", dynamics, "--alpha", "8e307",
                     "--grid-points", "4", "--output", str(tmp_path / "x")]) == 2
-        assert ("outside RK4's stability interval for the decay rate 1.6e+308"
-                in capsys.readouterr().err)
+        assert ("outside RK4's stability region for L(t) at t=0; the largest stable step "
+                "is 1.74081e-308" in capsys.readouterr().err)
         assert not list(tmp_path.iterdir())
 
     def test_empty_alpha_list_exits_2(self, tmp_path, capsys):

@@ -532,14 +532,14 @@ class TestVerifyWitness:
         with pytest.raises(ValueError, match="dt must be positive and finite"):
             dv.verify_witness(g, w, dt=math.inf)
 
-    def test_rejects_a_dt_outside_the_tensor_generators_stability_interval(self):
-        # the model's L(s) decays at 2 alpha at fastest, its tensor generator
-        # at 4 alpha: dt x 28,000 = 2.8 lies past RK4's real-axis limit
-        g = gen.model_generator(7000.0)
+    def test_rejects_a_dt_outside_rk4s_stability_region_for_l(self):
+        # the model's L(s) decays at 2 alpha at fastest, and the tensor square
+        # of its step is stable iff the step is: dt x 28,000 = 2.8 lies past
+        # RK4's real-axis limit
+        g = gen.model_generator(14000.0)
         w = dv.first_order_witness(g, 1.0)
-        message = (r"^step 0\.0001 is outside RK4's stability interval for the decay rate "
-                   r"28000 of the tensor generator at t=1 .* the largest stable step is "
-                   r"9\.94748e-05$")
+        message = (r"^step 0\.0001 is outside RK4's stability region for L\(t\) at t=1; "
+                   r"the largest stable step is 9\.94748e-05$")
         with pytest.raises(ValueError, match=message):
             dv.verify_witness(g, w, dt=1e-4)
         assert math.isfinite(dv.verify_witness(g, w, dt=9.9e-5))
@@ -551,6 +551,30 @@ class TestVerifyWitness:
         w = dataclasses.replace(dv.first_order_witness(g, 1.0), s=s)
         with pytest.raises(ValueError, match="witness time s must be finite"):
             dv.verify_witness(g, w)
+
+    @staticmethod
+    def value_on(segment, w):
+        """<phi| (V (x) V)[|psi><psi|] |phi> on the tensor square of a segment."""
+        out = so.apply(so.tensor(segment, segment), np.outer(w.psi, w.psi.conj()))
+        return float(np.real(np.vdot(w.phi, out @ w.phi)))
+
+    @pytest.mark.parametrize("dt", [1e-4, 3e-3])
+    def test_checks_the_tensor_square_of_a_segment_bit_for_bit(self, dt):
+        # a fixed C: the one-segment family from s = 0 takes the very RK4
+        # step the check takes, and the map scans test its tensor square
+        g = gen.qubit_rate_generator((1.0, 1.0, -0.3))
+        w = dv.first_order_witness(g, 0.0)
+        segment = gen.propagate(g, [0.0, dt], dt).segments[0]
+        assert dv.verify_witness(g, w, dt=dt) == self.value_on(segment, w)
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.6, 0.75])
+    def test_checks_the_tensor_square_of_the_models_segment(self, alpha):
+        # the segment [1, 1 + dt] spans (1 + dt) - 1, not dt, so the two
+        # agree to rounding only
+        g, dt = gen.model_generator(alpha), 1e-4
+        w = dv.first_order_witness(g, 1.0)
+        segment = gen.propagate(g, [0.0, 1.0, 1.0 + dt], dt).segments[1]
+        assert abs(dv.verify_witness(g, w, dt=dt) - self.value_on(segment, w)) <= 2e-16
 
     def test_checks_the_witness_at_its_own_time(self):
         g = gen.model_generator(0.75)

@@ -497,24 +497,61 @@ class TestPropagate:
             gen.propagate(gen.model_generator(1.0), np.array([0.0, 0.2, 0.3, 0.6]), 0.15)
 
     def test_rk4_real_limit_bounds_the_stable_steps_on_a_decay_rate(self):
-        # one RK4 step of dy/dt = -y multiplies y by R(-h), |R(-h)| <= 1 up to the limit
+        # one RK4 step of dy/dt = -y multiplies y by R(-h), |R(-h)| <= 1 up to
+        # the root of R(-x) = 1, which the check gives as the largest stable step
+        limit = 2.785293563405282
+
         def gain(h):
             return abs(1.0 + gen.rk4_increment(*[-np.eye(1)] * 3, h)[0, 0])
 
-        assert gain(gen.RK4_REAL_LIMIT) == pytest.approx(1.0, abs=1e-14)
-        assert gain(0.5 * gen.RK4_REAL_LIMIT) < 1.0 < gain(1.001 * gen.RK4_REAL_LIMIT)
+        assert gain(limit) == pytest.approx(1.0, abs=1e-14)
+        assert gain(0.5 * limit) < 1.0 < gain(1.001 * limit)
+        gen.check_rk4_step(limit, [0.0], [-1.0])
+        with pytest.raises(ValueError, match=r"the largest stable step is 2\.78529$"):
+            gen.check_rk4_step(1.001 * limit, [0.0], [-1.0])
 
     def test_rejects_an_unstable_step_instead_of_growing_the_maps(self):
         # rates 1400 decay at 2800: step x rate = 2.8 lies past RK4's
         # real-axis limit, where the default grid's maps reached entries of
         # 1.3e48; the overflowing loop warns of nothing
         g = gen.qubit_rate_generator((1400.0, 1400.0, 1400.0))
-        message = (r"^step 0\.001 is outside RK4's stability interval for the decay rate "
-                   r"2800 of L\(t\) at t=.* the largest stable step is 0\.000994748$")
+        message = (r"^step 0\.001 is outside RK4's stability region for L\(t\) at t=0; "
+                   r"the largest stable step is 0\.000994748$")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=message):
                 gen.propagate(g, pf.default_grid(), 1e-3)
+
+    @pytest.mark.parametrize("omega, limit", [(1400.0, None), (1450.0, "0.00097537"),
+                                              (2000.0, "0.000707133")])
+    def test_checks_a_strong_drive_over_rk4s_whole_region(self, omega, limit):
+        # eigenvalues -0.2 +- 2 omega i: the decay alone is far inside RK4's
+        # real-axis limit, but a step of 1e-3 leaves the region near the
+        # imaginary axis, at about 2 sqrt 2 / (2 omega).  At 1450 the maps
+        # reached entries of 2.2e7, and at 2000 they overflowed
+        g = gen.GeneratorSpec(2, [0.1, 0.1, 0.1], hamiltonian=lambda t: omega * PAULI[1])
+        grid = np.linspace(0.0, 0.1, 5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if limit is None:
+                assert np.abs(gen.propagate(g, grid, 1e-3).maps).max() <= 1.0 + 1e-9
+            else:
+                with pytest.raises(ValueError, match=(
+                        r"^step 0\.001 is outside RK4's stability region for L\(t\) at t=0; "
+                        rf"the largest stable step is {limit}$")):
+                    gen.propagate(g, grid, 1e-3)
+
+    def test_rejects_a_step_on_a_non_finite_spectrum(self):
+        # rates of 1e308 overflow L itself, whose eigenvalues then count as NaN
+        g = gen.qubit_rate_generator((1e308, 1e308, 1e308))
+        message = (r"^step 0\.001 is outside RK4's stability region for L\(t\) at t=0; "
+                   r"an eigenvalue of L\(t\) there is not finite$")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                gen.propagate(g, np.array([0.0, 0.1]), 1e-3)
+        with pytest.raises(ValueError, match="not finite"):
+            gen.check_rk4_step(1e-3, [0.0], [complex(-1.0, math.inf)])
 
     @pytest.mark.parametrize("grid, step, count", [
         ([0.0, 1.25, 2.5, 5.0], 1e-9, "5000000000"),
@@ -759,22 +796,25 @@ def test_fixed_generator_repeats_its_segment_bit_for_bit(rates, ticks, segments,
 
 @settings(max_examples=500, deadline=None)
 @given(RATES.filter(lambda r: max(r[0] + r[1], r[0] + r[2], r[1] + r[2]) >= 0.1),
-       st.floats(2.7, 2.9))
-def test_propagate_rejects_a_step_exactly_where_one_rk4_step_amplifies(rates, x):
-    # a real spectrum <= 0 and a step of x over the fastest decay rate.  One
-    # step I + D keeps the trace mode at 1 for every h, so its spectral radius
-    # exceeds 1 iff that of its Bloch matrix on the traceless operators does.
-    # Draws within 1e-9 of 1 are skipped
-    h = x / max(rates[0] + rates[1], rates[0] + rates[2], rates[1] + rates[2])
-    lmat = gen.liouvillian(gen.qubit_rate_generator(rates))(0.0)
+       st.floats(0.0, 4.0), st.floats(2.6, 3.0))
+def test_propagate_rejects_a_step_exactly_where_one_rk4_step_amplifies(rates, omega, x):
+    # fixed rates under a constant drive omega sigma_x: a spectrum at Re <= 0,
+    # and a step of x over its largest |lam|, around where every ray leaves
+    # RK4's region (2.79 on the real axis, 2.83 on the imaginary one, 2.96 at
+    # most).  One step I + D keeps the trace mode at 1 for every h, so its
+    # spectral radius exceeds 1 iff that of its Bloch matrix on the traceless
+    # operators does.  Draws within 1e-9 of 1 are skipped
+    g = gen.GeneratorSpec(2, rates, hamiltonian=lambda t: omega * PAULI[1])
+    lmat = gen.liouvillian(g)(0.0)
+    h = x / np.abs(np.linalg.eigvals(lmat)).max()
     paulis = np.array([p.reshape(-1, order="F") for p in PAULI[1:]]).T
     bloch = 0.5 * paulis.conj().T @ (np.eye(4) + gen.rk4_increment(lmat, lmat, lmat, h)) @ paulis
     radius = np.abs(np.linalg.eigvals(bloch)).max()
     assume(abs(radius - 1.0) > 1e-9)
     try:
-        gen.propagate(gen.qubit_rate_generator(rates), np.array([0.0, h]), h)
+        gen.propagate(g, np.array([0.0, h]), h)
     except ValueError as err:
-        assert "outside RK4's stability interval" in str(err)
+        assert "outside RK4's stability region" in str(err)
         assert radius > 1.0
     else:
         assert radius < 1.0

@@ -186,13 +186,18 @@ def cmd_scan(cfg: RunConfig) -> tuple[list[str], dict]:
 
 
 def cmd_divisibility(cfg: RunConfig) -> tuple[list[str], dict]:
+    # every grid segment takes at least one RK4 substep: refuse a grid past
+    # propagate's bound before any work sized by the grid
+    if cfg.grid_points > generator.MAX_RK4_SUBSTEPS:
+        raise ValueError(f"the grid needs at least {cfg.grid_points} RK4 substeps, one per "
+                         f"segment, more than the bound MAX_RK4_SUBSTEPS = "
+                         f"{generator.MAX_RK4_SUBSTEPS}")
     alpha = cfg.alpha[0]
     grid = cfg.grid()
     gen = DYNAMICS[cfg.dynamics][1](alpha)
+    family = generator.propagate(gen, grid, cfg.rk4_step)
     cp_check = generator.cp_divisibility_check(gen, grid, tol=cfg.tol)
     p_check = generator.p_divisibility_check_pauli(gen, grid, tol=cfg.tol)
-
-    family = generator.propagate(gen, grid, cfg.rk4_step)
     cp_scan = divisibility.cp_divisibility_scan(family, tol=cfg.tol)
     tensor_probe = divisibility.tensor_p_divisibility_probe(
         family, restarts=cfg.restarts, tol=cfg.tol, seed=cfg.seed)

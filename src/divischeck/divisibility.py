@@ -98,16 +98,16 @@ def cp_divisibility_scan(family: PropagatedFamily, tol: float = 1e-9) -> Divisib
     """Exact CP test of every segment V(t_{i+1}, t_i) of the family.
 
     The segments decide CP of every grid pair, as a product of CP maps is
-    CP (up to rounding at ``tol``).  One stacked ``eigh`` of the Choi stack
-    the family formed when it was built tests them all, and its ``argmin``
-    names the lowest segment, the first one on ties.
+    CP (up to rounding at ``tol``).  The ``argmin`` of the family's
+    ``choi_min`` names the lowest segment, the first one on ties, and its
+    row of ``choi_vectors`` is the witness.
     """
     n, note = len(family.segments), "exact Choi-spectrum test on the scanned pairs"
     if not n:
         return _report(family, "CP", tol, 0, np.inf, None, None, "choi-eigenvector", note)
-    w, v = np.linalg.eigh(family.choi)
-    i = int(np.argmin(w[:, 0]))
-    return _report(family, "CP", tol, n, w[i, 0], i, v[i, :, 0], "choi-eigenvector", note)
+    i = int(np.argmin(family.choi_min))
+    return _report(family, "CP", tol, n, family.choi_min[i], i, family.choi_vectors[i].copy(),
+                   "choi-eigenvector", note)
 
 
 def tensor_p_divisibility_probe(family: PropagatedFamily, restarts: int = 100,
@@ -121,14 +121,14 @@ def tensor_p_divisibility_probe(family: PropagatedFamily, restarts: int = 100,
     (s, t) pair.  The segments decide every grid pair, as tensor squares of
     a product are the products of the tensor squares and positivity is kept
     under composition (up to rounding at ``tol``).  A CP segment has a CP,
-    hence positive, tensor square, so segments go in ascending order of their
-    lowest Choi eigenvalue, the least CP first and grid order on ties.
+    hence positive, tensor square, so segments go in ascending order of the
+    family's ``choi_min``, the least CP first and grid order on ties.
     Segment i is searched from seed ``SeedSequence([seed, i, i + 1])``, and
     the scan stops at the first violating one; the lowest value scanned, the
     first one visited on ties, is reported.
     """
     best, worst, witness, scanned = np.inf, None, None, 0
-    order = np.argsort(np.linalg.eigvalsh(family.choi)[:, 0], kind="stable")
+    order = np.argsort(family.choi_min, kind="stable")
     for i in order.tolist():
         mat = family.segments[i]
         result = superop.positivity_probe(
@@ -168,7 +168,8 @@ def first_order_witness(g: GeneratorSpec, s: float) -> FirstOrderWitness:
     Requires a qubit generator whose C(s) has a negative eigenvalue; the
     most negative one, c_min, is used.  The returned ``delta_rate`` is
     evaluated directly on the tensor generator L(s) (x) id + id (x) L(s)
-    and comes out as c_min.
+    and comes out as c_min; a rate that is not negative, such as the NaN
+    of an overflow, raises NumericalError.
     """
     if g.dim != 2:
         raise ValueError("the first-order witness is built for qubit generators only")
@@ -201,13 +202,15 @@ def first_order_witness(g: GeneratorSpec, s: float) -> FirstOrderWitness:
             f"witness vectors failed orthogonality: |<phi|psi>| = {overlap:.3e}"
         )
 
-    single, ident = liouvillian(g)(s), superop.identity(g.dim)
-    out = superop.apply(superop.tensor(single, ident) + superop.tensor(ident, single),
-                        np.outer(psi, psi.conj()))
-    delta_rate = float(np.real(np.vdot(phi, out @ phi)))
-    if delta_rate >= 0:
+    ident = superop.identity(g.dim)
+    with np.errstate(over="ignore", invalid="ignore"):   # an overflow's NaN is refused below
+        single = liouvillian(g)(s)
+        out = superop.apply(superop.tensor(single, ident) + superop.tensor(ident, single),
+                            np.outer(psi, psi.conj()))
+        delta_rate = float(np.real(np.vdot(phi, out @ phi)))
+    if not delta_rate < 0:
         raise NumericalError(
-            f"witness construction produced a nonnegative rate {delta_rate:.3e} "
+            f"witness construction produced a rate {delta_rate:.3e} that is not negative "
             f"despite C(s) eigenvalue {c_min:.3e}"
         )
     return FirstOrderWitness(float(s), u, m, psi, phi, delta_rate, c_min)

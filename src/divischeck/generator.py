@@ -270,15 +270,17 @@ class PropagatedFamily:
     Building one copies all three read-only and checks them once: the grid
     as ``propagate`` does, the stacks' shapes, their finiteness, and the
     segments' Choi stack through ``check_hermitian`` with is_cp's
-    ``superop.CHOI_RTOL``, each matrix against its own scale.  The check
-    keeps ``choi``, the read-only stack of the segments' Choi matrices made
-    exactly Hermitian, 0.5 (C + C†), for the scans to solve.
+    ``superop.CHOI_RTOL``, each matrix against its own scale.  One stacked
+    ``eigh`` of that stack made exactly Hermitian, 0.5 (C + C†), keeps each
+    segment's lowest Choi eigenvalue, read-only ``choi_min`` (n,), and its
+    eigenvector, read-only ``choi_vectors`` (n, d^2), for both scans.
     """
 
     grid: np.ndarray
     maps: np.ndarray
     segments: np.ndarray
-    choi: np.ndarray = field(init=False, repr=False)
+    choi_min: np.ndarray = field(init=False, repr=False)
+    choi_vectors: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.grid = _origin_grid(self.grid)
@@ -296,22 +298,23 @@ class PropagatedFamily:
             if not np.isfinite(stack).all():
                 raise ValueError(f"family {name} have non-finite entries")
         try:
-            self.choi = check_hermitian(superop.choi(segs), rtol=superop.CHOI_RTOL)
+            choi = check_hermitian(superop.choi(segs), rtol=superop.CHOI_RTOL)
         except ValueError as err:   # the stack index of a Choi matrix is its segment's
             raise ValueError(f"family segment Choi {err}") from None
-        self.choi.flags.writeable = False
+        w, v = np.linalg.eigh(choi)
+        self.choi_min, self.choi_vectors = w[:, 0].copy(), v[:, :, 0].copy()
+        self.choi_min.flags.writeable = self.choi_vectors.flags.writeable = False
 
 
 # One RK4 step multiplies a mode of eigenvalue lam by R(step lam), R RK4's
-# stability polynomial.  A gain |R| up to _MAX_GAIN is rounding, and every
-# z with Re z <= 0 and |z| > _REACH lies outside RK4's region, whose
-# farthest left-half-plane point is 2.96, at arg z = 1.71.
+# stability polynomial; a gain |R| up to _MAX_GAIN is rounding.  RK4's region
+# reaches |z| = 2.96 at most, at arg z = 1.71: _REACH bounds ``_rk4_reach``.
 _MAX_GAIN = 1.0 + 1e-12
 _REACH = 3.0
 
 
 def _rk4_gain(z: np.ndarray) -> np.ndarray:
-    """|R(z)|, R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, for |z| <= _REACH."""
+    """|R(z)|, R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24; inf or NaN past overflow."""
     return np.abs(1.0 + z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0))))
 
 
@@ -331,18 +334,16 @@ def check_rk4_step(step: float, times, eigenvalues) -> None:
     """Reject ``step`` when one RK4 step amplifies a mode of L(t) that does
     not grow, the eigenvalues of L(``times[i]``) being ``eigenvalues[i]``.
 
-    An eigenvalue lam with Re lam <= 1e-12 |lam| fails when
-    |R(step lam)| > _MAX_GAIN or |step lam| > _REACH, so R never
-    overflows; a non-finite one fails too, and growing modes are not
-    checked.  The error names the time and the largest stable step, the
+    Growing modes, Re lam > 1e-12 |lam|, are not checked; every other lam
+    must pass one test, |R(step lam)| <= _MAX_GAIN.  Such a z = step lam
+    beyond |z| = 3 has a gain above 1.1, a huge or non-finite one inf or NaN:
+    both fail.  The error names the time and the largest stable step, the
     least x*(arg lam) / |lam| (see ``_rk4_reach``).
     """
     lam = np.asarray(eigenvalues).reshape(len(times), -1)
     size = np.abs(lam)
     checked = ~(lam.real > 1e-12 * size)
-    far = size > _REACH / step
-    gain = _rk4_gain(step * np.where(far, 0.0, lam))
-    if not (~np.isfinite(lam) | checked & (far | (gain > _MAX_GAIN))).any():
+    if not (checked & ~(_rk4_gain(step * lam) <= _MAX_GAIN)).any():
         return
     limit = np.where(checked & (size > 0), _rk4_reach(lam / size) / size, np.inf)
     limit[~np.isfinite(lam)] = 0.0

@@ -135,13 +135,11 @@ def choi(s) -> np.ndarray:
 def is_cp(s, tol: float = 1e-9) -> tuple[bool, float]:
     """Complete positivity test: min Choi eigenvalue >= -tol.
 
-    Returns (verdict, min eigenvalue).  The input must be
-    hermiticity-preserving, otherwise the Choi matrix fails its
+    Returns (verdict, min eigenvalue).  The input must be one
+    hermiticity-preserving map, otherwise the Choi matrix fails its
     Hermiticity check and the call is rejected.
     """
-    c = choi(s)
-    if c.ndim != 2:     # choi takes stacks, is_cp one map: reject as one map
-        _check_map(c)
+    c = choi(_check_map(s))
     min_eig = float(np.linalg.eigvalsh(check_hermitian(c, rtol=CHOI_RTOL))[0])
     return min_eig >= -tol, min_eig
 

@@ -170,6 +170,29 @@ class TestDivisibility:
                 "spacing 0.025") in err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("points, message", [
+        ("1001", "the grid needs at least 1001 RK4 substeps, one per segment, more than the "
+                 "bound MAX_RK4_SUBSTEPS = 1000"),
+        ("1000", "the grid needs 5000 RK4 substeps of at most 0.001, more than the bound "
+                 "MAX_RK4_SUBSTEPS = 1000"),
+    ], ids=["more-segments-than-the-bound", "as-many-segments-as-the-bound"])
+    def test_an_over_budget_grid_exits_2_before_any_c_of_t(self, tmp_path, capsys,
+                                                           monkeypatch, points, message):
+        # each segment takes at least one substep: a grid of more segments
+        # than the bound is refused before it is built, and any other goes to
+        # propagate, whose refusal comes before both generator checks
+        grids, rates = [], []
+        default_grid, model_rates = pauli_family.default_grid, pauli_family.rates
+        monkeypatch.setattr(generator, "MAX_RK4_SUBSTEPS", 1000)
+        monkeypatch.setattr(pauli_family, "default_grid",
+                            lambda *a: grids.append(a) or default_grid(*a))
+        monkeypatch.setattr(pauli_family, "rates", lambda *a: rates.append(a) or model_rates(*a))
+        assert run(["divisibility", "--alpha", "0.6", "--grid-points", points,
+                    "--output", str(tmp_path / "div")]) == 2
+        assert capsys.readouterr().err == f"divischeck: error: {message}\n"
+        assert (len(grids), rates) == (points == "1000", [])
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("alpha, step", [("1400", "5e-4"), ("1000", "1e-3")])
     def test_stable_rk4_step_at_large_alpha(self, tmp_path, alpha, step):
         out = tmp_path / "div"

@@ -13,7 +13,7 @@ from divischeck import divisibility as dv
 from divischeck import generator as gen
 from divischeck import pauli_family as pf
 from divischeck import superop as so
-from divischeck.linalg import PAULI
+from divischeck.linalg import PAULI, NumericalError
 from oracles import (
     grid_order_tensor_probe,
     i_major_intermediates,
@@ -158,14 +158,18 @@ def test_a_family_keeps_read_only_copies_of_its_arrays():
             getattr(family, name)[...] = 0.0
         own[...] = 2.0    # the caller's array stays writable, and the family's copy apart
         assert not np.shares_memory(getattr(family, name), own)
+    for name in ("choi_min", "choi_vectors"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(family, name)[...] = 0.0
     assert family.grid.tolist() == [0.0, 1.0]
     np.testing.assert_array_equal(family.segments, so.identity(2)[None])
 
 
 def test_a_divisibility_run_checks_its_family_once(monkeypatch, tmp_path):
-    # the family is checked when propagate builds it and keeps the Choi stack its
-    # check forms; neither scan checks it again or forms that stack anew
-    built, chois = [], []
+    # the family is checked when propagate builds it and solves the Choi stack its
+    # check forms once; neither scan checks it again, forms that stack anew or
+    # solves a spectrum of it
+    built, chois, solved = [], [], []
     post_init, choi = gen.PropagatedFamily.__post_init__, so.choi
 
     def counted_post_init(family):
@@ -176,18 +180,61 @@ def test_a_divisibility_run_checks_its_family_once(monkeypatch, tmp_path):
         chois.append(np.shape(s))
         return choi(s)
 
+    def recording(solver):
+        def recorded(a, *args, **kwargs):
+            solved.append(np.shape(a))
+            return solver(a, *args, **kwargs)
+        return recorded
+
     monkeypatch.setattr(gen.PropagatedFamily, "__post_init__", counted_post_init)
     monkeypatch.setattr(so, "choi", recorded_choi)
+    for name in ("eigh", "eigvalsh", "eig", "eigvals"):
+        monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg, name)))
     assert cli.main(["divisibility", "--alpha", "0.6", "--grid-points", "6", "--restarts", "2",
                      "--output", str(tmp_path / "out")]) == 0
     assert len(built) == 1
     assert chois == [built[0].segments.shape]
+    assert solved.count(built[0].segments.shape) == 1   # the probe solves (2, 4, 4) stacks
+
+
+# (generator, grid) of families whose CP scan and probe read one choi_min
+CHOI_FAMILIES = {
+    "rates-negative": (gen.qubit_rate_generator((1.0, 0.5, -0.3)), np.linspace(0.0, 0.5, 6)),
+    "rates-positive": (gen.qubit_rate_generator((0.2, 0.7, 1.1)), np.linspace(0.0, 0.5, 6)),
+    "rates-one-zero": (gen.qubit_rate_generator((0.0, 0.4, 0.4)), np.linspace(0.0, 0.5, 6)),
+    "model-0.6": (gen.model_generator(0.6), pf.default_grid(2.0, 40)),
+    "model-1.3": (gen.model_generator(1.3), pf.default_grid(2.0, 40)),
+}
+
+
+@pytest.mark.parametrize("g, grid", CHOI_FAMILIES.values(), ids=CHOI_FAMILIES.keys())
+def test_both_scans_read_the_familys_one_choi_spectrum(monkeypatch, g, grid):
+    # the CP scan's worst value is choi_min's least, bit for bit, and its
+    # witness that segment's row of choi_vectors; the probe visits that
+    # segment first
+    family = gen.propagate(g, grid, STEP)
+    report = dv.cp_divisibility_scan(family)
+    i = int(np.argmin(family.choi_min))
+    assert report.worst_value == family.choi_min.min()
+    assert report.worst_pair == (grid[i], grid[i + 1])
+    if report.verdict == dv.VIOLATED:
+        assert np.array_equal(report.witness, family.choi_vectors[i])
+    probed, probe = [], so.positivity_probe
+
+    def recorded_probe(s, **kwargs):
+        probed.append(s)
+        return probe(s, **kwargs)
+
+    monkeypatch.setattr(so, "positivity_probe", recorded_probe)
+    dv.tensor_p_divisibility_probe(family, restarts=2, steps=20)
+    assert np.array_equal(probed[0], so.tensor(family.segments[i], family.segments[i]))
 
 
 @pytest.mark.parametrize("scan", SCANS, ids=["cp", "tensor-p"])
 def test_scans_of_a_one_time_grid_scan_nothing(scan):
     family = semigroup_family(np.array([0.0]), 1.0)
     assert family.segments.shape == (0, 4, 4)
+    assert (family.choi_min.shape, family.choi_vectors.shape) == ((0,), (0, 4))
     report = scan(family)
     assert (report.pairs_scanned, report.verdict, report.worst_map) == (0, dv.HOLDS, None)
 
@@ -259,7 +306,7 @@ class TestTensorProbe:
             assert report.pairs_scanned == len(direct) == 5
             assert (report.worst_value, i, j) == min((v, *pair) for pair, v in direct.items())
         else:
-            order = np.argsort(np.linalg.eigvalsh(family.choi)[:, 0], kind="stable")
+            order = np.argsort(family.choi_min, kind="stable")
             rank = order.tolist().index(i)
             assert (j - i, report.pairs_scanned) == (1, rank + 1)
 
@@ -490,6 +537,14 @@ class TestFirstOrderWitness:
         with pytest.raises(ValueError):
             dv.first_order_witness(semi, 1.0)
 
+    @pytest.mark.parametrize("rates", [(1e308, 1e308, -1e308), (-1e308, -1e308, -1e308)],
+                             ids=["sum-overflows", "l-overflows"])
+    def test_refuses_an_overflowing_rate_without_a_warning(self, rates):
+        # L or the tensor generator overflows: the rate would be NaN; the
+        # suite's filterwarnings = error turns any overflow warning into a failure
+        with pytest.raises(NumericalError, match=r"produced a rate nan that is not negative"):
+            dv.first_order_witness(gen.qubit_rate_generator(rates), 0.0)
+
     @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_time(self, s):
         # a fixed C has a negative eigenvalue at every s, non-finite ones too
@@ -621,7 +676,7 @@ def test_the_choi_ordered_probe_keeps_the_grid_order_verdict(g, spans, restarts,
             mine, theirs = getattr(report, f.name), getattr(reference, f.name)
             assert np.array_equal(mine, theirs) if f.name == "worst_map" else mine == theirs
         return
-    lowest = np.linalg.eigvalsh(family.choi)[:, 0]
+    lowest = family.choi_min
     i = int(np.searchsorted(grid, report.worst_pair[0]))
     assert lowest[i] < 0
     order = np.argsort(lowest, kind="stable").tolist()

@@ -550,8 +550,33 @@ class TestPropagate:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=message):
                 gen.propagate(g, np.array([0.0, 0.1]), 1e-3)
-        with pytest.raises(ValueError, match="not finite"):
-            gen.check_rk4_step(1e-3, [0.0], [complex(-1.0, math.inf)])
+
+    def test_one_gain_test_rejects_every_step_past_rk4s_region(self):
+        # RK4's region lies within |z| <= 2.96: on 2,001 rays from the
+        # positive imaginary axis round the left half-plane to the negative
+        # one, every z = step lam with |z| in (3, 1e300] has a gain above
+        # _MAX_GAIN, or an inf or NaN one once R overflows, and no warning
+        rays = np.exp(1j * np.linspace(0.5 * math.pi, 1.5 * math.pi, 2001))
+        radii = np.concatenate([[np.nextafter(3.0, 4.0)], np.geomspace(3.0, 1e300, 400)[1:]])
+        z = rays[:, None] * radii
+        assert (z.real <= 1e-12 * np.abs(z)).all()   # every one is checked
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert not (gen._rk4_gain(z) <= gen._MAX_GAIN).any()
+            for lam in z[::100, [0, 200, -1]].ravel():
+                with pytest.raises(ValueError, match="outside RK4's stability region"):
+                    gen.check_rk4_step(1.0, [0.0], [lam])
+
+    @pytest.mark.parametrize("lam", [
+        math.nan, math.inf, -math.inf, complex(math.inf, -1.0), complex(-math.inf, -math.inf),
+        complex(math.nan, 1.0), complex(0.0, math.inf), complex(-1.0, math.inf),
+    ])
+    def test_one_gain_test_rejects_every_non_finite_eigenvalue(self, lam):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"an eigenvalue of L\(t\) there is not finite$"):
+                gen.check_rk4_step(1e-3, [0.0, 0.5], [[-1.0, -2.0], [lam, -1.0]])
 
     @pytest.mark.parametrize("grid, step, count", [
         ([0.0, 1.25, 2.5, 5.0], 1e-9, "5000000000"),

@@ -289,6 +289,9 @@ def _flow_report_payload(report: infoflow.BackflowReport) -> dict:
 
 
 def cmd_infoflow(cfg: RunConfig) -> tuple[list[str], dict]:
+    # refuse a scan past its bound before any pair is drawn or the grid is
+    # built: the two-qubit family, the larger, has the fixed library and the samples
+    infoflow.check_flow_samples(len(infoflow.pair_library(4)) + cfg.samples, cfg.grid_points + 1)
     alpha = cfg.alpha[0]
     grid = cfg.grid()
     channel = DYNAMICS[cfg.dynamics][0]

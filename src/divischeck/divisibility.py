@@ -223,15 +223,16 @@ def verify_witness(g: GeneratorSpec, w: FirstOrderWitness, dt: float = 1e-4) -> 
 
     Returns <phi| (V (x) V)[|psi><psi|] |phi>, which should agree with
     dt * delta_rate up to O(dt^2).  ``check_rk4_step`` rejects ``dt`` first,
-    from L(s)'s eigenvalues: those of V (x) V are products of V's, so it is
-    stable iff V is.
+    on all three L values of the step, L(s), L(s + dt/2) and L(s + dt): the
+    eigenvalues of V (x) V are products of V's, so it is stable iff V is.
     """
     if not math.isfinite(w.s):
         raise ValueError(f"witness time s must be finite, got {w.s}")
     if not 0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
-    ls = list(map(liouvillian(g), (w.s, w.s + 0.5 * dt, w.s + dt)))
-    check_rk4_step(dt, [w.s], np.linalg.eigvals(ls[0]))
+    times = (w.s, w.s + 0.5 * dt, w.s + dt)
+    ls = np.array(list(map(liouvillian(g), times)))
+    check_rk4_step(dt, times, ls)
     v = np.eye(len(ls[0])) + rk4_increment(*ls, dt)
     out = superop.apply(superop.tensor(v, v), np.outer(w.psi, w.psi.conj()))
     return float(np.real(np.vdot(w.phi, out @ w.phi)))

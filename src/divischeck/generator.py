@@ -309,8 +309,13 @@ class PropagatedFamily:
 # One RK4 step multiplies a mode of eigenvalue lam by R(step lam), R RK4's
 # stability polynomial; a gain |R| up to _MAX_GAIN is rounding.  RK4's region
 # reaches |z| = 2.96 at most, at arg z = 1.71: _REACH bounds ``_rk4_reach``.
+# Its least reach over the checked half-plane is 2.6156, at arg z = 0.682 pi,
+# so every z there with |z| <= _CLEAR passes: as the spectral radius of an
+# n x n L is at most ||L||_inf <= n max |L_ij|, so does every step with
+# step n max |L_ij| <= _CLEAR.
 _MAX_GAIN = 1.0 + 1e-12
 _REACH = 3.0
+_CLEAR = 2.6
 
 
 def _rk4_gain(z: np.ndarray) -> np.ndarray:
@@ -330,17 +335,24 @@ def _rk4_reach(u: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def check_rk4_step(step: float, times, eigenvalues) -> None:
+def check_rk4_step(step: float, times, ls) -> None:
     """Reject ``step`` when one RK4 step amplifies a mode of L(t) that does
-    not grow, the eigenvalues of L(``times[i]``) being ``eigenvalues[i]``.
+    not grow, L(``times[i]``) being ``ls[i]`` of the stack ``ls`` (T, n, n).
 
-    Growing modes, Re lam > 1e-12 |lam|, are not checked; every other lam
-    must pass one test, |R(step lam)| <= _MAX_GAIN.  Such a z = step lam
-    beyond |z| = 3 has a gain above 1.1, a huge or non-finite one inf or NaN:
-    both fail.  The error names the time and the largest stable step, the
-    least x*(arg lam) / |lam| (see ``_rk4_reach``).
+    A stack with step n max |L_ij| <= _CLEAR is stable and is cleared
+    without an eigensolve; any other, NaN or inf included, goes to one
+    stacked ``eigvals``, a non-finite L giving NaN eigenvalues.  Growing modes,
+    Re lam > 1e-12 |lam|, are not checked; every other lam must pass one
+    test, |R(step lam)| <= _MAX_GAIN.  Such a z = step lam beyond |z| = 3 has
+    a gain above 1.1, a huge or non-finite one inf or NaN: both fail.  The
+    error names the time and the largest stable step, the least
+    x*(arg lam) / |lam| (see ``_rk4_reach``).
     """
-    lam = np.asarray(eigenvalues).reshape(len(times), -1)
+    if step * np.shape(ls)[-1] * np.abs(ls).max() <= _CLEAR:   # n max |L_ij| >= ||L||_inf
+        return
+    finite = np.isfinite(ls).all(axis=(1, 2))   # eigvals refuses the others
+    lam = np.where(finite[:, None], np.linalg.eigvals(np.where(finite[:, None, None], ls, 0)),
+                   np.nan)
     size = np.abs(lam)
     checked = ~(lam.real > 1e-12 * size)
     if not (checked & ~(_rk4_gain(step * lam) <= _MAX_GAIN)).any():
@@ -439,12 +451,13 @@ def propagate(g: GeneratorSpec, grid, step: float) -> PropagatedFamily:
     per segment, M <- M + E M.  Maps and segments are complex128, those of
     a block-by-block loop over the segments, bit for bit.  Deterministic.
 
-    RK4 stability is checked at grid resolution, over RK4's whole region:
-    ``check_rk4_step`` reads one stacked ``eigvals`` of the L values the
-    loop evaluated at the grid times (NaN for an L that overflowed), and
-    rejects ``step`` before the family is built; the loop runs without
-    overflow warnings, so an unstable step raises that error only.
-    A grid needing more than MAX_RK4_SUBSTEPS substeps is refused at once.
+    RK4 stability is checked on every L the loop evaluates, over RK4's
+    whole region: ``check_rk4_step`` takes L at t = 0 first, then each
+    stack's L values before its increments are formed (a constant stack's
+    one L is the L already checked).  A norm bound clears most of them
+    without an eigensolve.  The loop runs without overflow warnings, so an
+    unstable step raises that error only.  A grid needing more than
+    MAX_RK4_SUBSTEPS substeps is refused at once.
     """
     grid = _origin_grid(grid)
     if not math.isfinite(step):
@@ -465,14 +478,14 @@ def propagate(g: GeneratorSpec, grid, step: float) -> PropagatedFamily:
     segments = np.empty((len(grid) - 1,) + eye.shape, dtype=complex)
     maps[0], j = eye, 0     # j: segments recorded so far
     l_left = lmat(float(grid[0]))
-    ends = [l_left]   # L at the grid times, for the stability check
+    check_rk4_step(step, grid[:1], l_left[None])
     powers, powers_of = {}, None   # (h, k) -> E of (I + D)^k, D the increment of powers_of
     for stack in _stacks(grid, step):
         k, hs = stack[0][3], [h for _, h, *_ in stack]
         times = [(t0 + i * h, h) for t0, h, start, *_ in stack for i in range(start, start + k)]
-        mids = [lmat(t + 0.5 * h) for t, h in times]
-        rights = [lmat(t + h) for t, h in times]
-        if all(lm is l_left for lm in mids + rights):
+        at = [t + 0.5 * h for t, h in times] + [t + h for t, h in times]   # mids, then rights
+        ls = list(map(lmat, at))
+        if all(lm is l_left for lm in ls):
             if powers_of is not l_left:
                 powers, powers_of = {}, l_left
             for h in hs:
@@ -481,25 +494,22 @@ def propagate(g: GeneratorSpec, grid, step: float) -> PropagatedFamily:
                     powers[h, k] = _tree(np.broadcast_to(d, (k,) + d.shape))
             d = [powers[h, k] for h in hs]
         else:
-            mid_stack, right_stack = np.array(mids), np.array(rights)
+            stacked = np.array(ls)
+            check_rk4_step(step, at, stacked)
+            mid_stack, right_stack = stacked[:len(times)], stacked[len(times):]
             lefts = np.concatenate([l_left[None], right_stack[:-1]])
             shape = (len(stack), k) + l_left.shape
             d = _tree(rk4_increment(lefts.reshape(shape), mid_stack.reshape(shape),
                                     right_stack.reshape(shape),
                                     np.array(hs)[:, None, None, None]))
-        l_left = rights[-1]
-        for (*_, last), block, right in zip(stack, d, rights[k - 1::k]):   # each block's last L
+        l_left = ls[-1]
+        for (*_, last), block in zip(stack, d):
             e = _join(e, block)
             if last:
                 segments[j] = eye + e
                 maps[j + 1] = maps[j] + e @ maps[j]
-                ends.append(right)
                 j += 1
                 e = np.zeros_like(eye)
-    ends = np.array(ends)
-    finite = np.isfinite(ends).all(axis=(1, 2))   # eigvals refuses the others
-    eig = np.linalg.eigvals(np.where(finite[:, None, None], ends, 0.0))
-    check_rk4_step(step, grid, np.where(finite[:, None], eig, np.nan))
     return PropagatedFamily(grid, maps, segments)
 
 

@@ -28,14 +28,15 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import PAULI, check_grid
-from .superop import apply
+from .linalg import PAULI, check_grid, hermitian_faults
+from .superop import CHOI_RTOL, apply, choi
 
 __all__ = [
     "BackflowReport",
     "StatePairs",
     "backflow_scan",
     "bell_pairs",
+    "check_flow_samples",
     "pair_library",
     "product_pairs",
     "qubit_axis_pairs",
@@ -49,6 +50,9 @@ EIGEN_FLOOR = 1e-13
 #: two-qubit block of the default scan evolves 113 differences under 8 maps
 #: (about 0.23 MB), and larger blocks cost resident memory.
 _BLOCK = 4
+#: (pair, time) samples one back-flow scan takes at most, each family on its
+#: own: the default two-qubit scan takes 113 x 201 = 22,713.
+MAX_FLOW_SAMPLES = 10**7
 
 
 @dataclass(eq=False)
@@ -194,6 +198,14 @@ def pair_library(dim: int, samples: int = 0, seed: int = 0) -> StatePairs:
     return haar
 
 
+def check_flow_samples(pairs: int, times: int) -> None:
+    """Refuse a scan of ``pairs`` state pairs over ``times`` grid times that
+    takes more than MAX_FLOW_SAMPLES (pair, time) samples."""
+    if pairs * times > MAX_FLOW_SAMPLES:
+        raise ValueError(f"the scan needs {pairs * times} (pair, time) samples, more than "
+                         f"the bound MAX_FLOW_SAMPLES = {MAX_FLOW_SAMPLES}")
+
+
 @dataclass(eq=False)
 class BackflowReport:
     """Full distribution of flow-rate samples over (pair, time)."""
@@ -205,14 +217,25 @@ class BackflowReport:
     pairs: StatePairs = field(repr=False)
 
 
+def _refuse(ends: list, bad: np.ndarray | None, fault: str) -> None:
+    """Name the first map of a block that ``bad`` marks, by its time in ``ends``."""
+    if bad is not None and bad.any():
+        k, side = np.argwhere(bad)[0]
+        raise ValueError(f"map at t={ends[k][side]!r} {fault}")
+
+
 def backflow_scan(map_at: Callable[[float], np.ndarray], pairs: StatePairs,
                   grid, h: float = 1e-4) -> BackflowReport:
     """Scan flow rates of the given state ``pairs``, in order, over a grid
     (nonempty, finite and strictly ascending) with difference step ``h``.
 
-    The grid is walked in blocks of at most ``_BLOCK`` times.  The two maps
-    of each time's finite difference are built one ``map_at`` call at a
-    time, and each block applies all its maps to every pair difference in
+    A scan of more than MAX_FLOW_SAMPLES (pair, time) samples is refused
+    before any map is built.  The grid is walked in blocks of at most
+    ``_BLOCK`` times.  The two maps of each time's finite difference are
+    built one ``map_at`` call at a time; a map that is not finite, or not
+    Hermiticity-preserving (its Choi matrix not Hermitian within
+    ``superop.CHOI_RTOL`` of its own scale, is_cp's rule), is refused by
+    its time.  Each block applies all its maps to every pair difference in
     one stacked product and takes their trace norms in one call.
     """
     if not 0 < h < math.inf:
@@ -221,6 +244,7 @@ def backflow_scan(map_at: Callable[[float], np.ndarray], pairs: StatePairs,
     if not pairs:
         raise ValueError("no state pairs to scan")
     n = len(pairs)
+    check_flow_samples(n, len(grid))
     deltas = pairs.states[:, 0] - pairs.states[:, 1]
     # numpy takes one row as a matrix-vector product, and some OpenBLAS kernels
     # round an odd last row apart: an odd stack is evolved with a copy of its
@@ -235,11 +259,12 @@ def backflow_scan(map_at: Callable[[float], np.ndarray], pairs: StatePairs,
         ends = [(t, t + h) if t < h else (t - h, t + h) for t in times]
         denom = np.array([h if t < h else 2.0 * h for t in times])
         mats = np.array([[map_at(t_lo), map_at(t_hi)] for t_lo, t_hi in ends], dtype=complex)
-        # only finite maps reach apply, which checks their shape
-        bad = ~np.isfinite(mats).all(axis=tuple(range(2, mats.ndim)))
-        if bad.any():
-            k, side = np.argwhere(bad)[0]
-            raise ValueError(f"map at t={ends[k][side]!r} has non-finite entries")
+        # only finite maps reach choi, which checks their shape
+        _refuse(ends, ~np.isfinite(mats).all(axis=tuple(range(2, mats.ndim))),
+                "has non-finite entries")
+        c = choi(mats)
+        _refuse(ends, hermitian_faults(c, c.conj().swapaxes(-1, -2), CHOI_RTOL),
+                "is not Hermiticity-preserving")
         n_lo, n_hi = _trace_norms(apply(mats, deltas)[:, :, :n]).transpose(1, 2, 0)
         sigma[:, start:start + _BLOCK] = (n_hi - n_lo) / denom
     p_idx, t_idx = np.unravel_index(int(np.argmax(sigma)), sigma.shape)

@@ -14,6 +14,7 @@ __all__ = [
     "NumericalError",
     "check_grid",
     "check_hermitian",
+    "hermitian_faults",
     "inverse",
     "similarity_to_transpose",
 ]
@@ -36,15 +37,26 @@ class NumericalError(ArithmeticError):
     """A residual or conditioning contract could not be met."""
 
 
+def hermitian_faults(a: np.ndarray, adj: np.ndarray, rtol: float) -> np.ndarray | None:
+    """Which matrices of a finite stack ``a`` (..., n, n), with adjoint
+    ``adj``, are not Hermitian: a mask, True where the asymmetry
+    max |a_k - a_k†| exceeds ``rtol * max(1, max |a_k|)``, its own scale.
+    Below ``rtol`` no matrix can fail, so a stack whose largest asymmetry is
+    within it gives None before any per-matrix scale is taken.
+    """
+    asym = np.abs(a - adj)
+    if asym.max(initial=0.0) <= rtol:
+        return None
+    return asym.max(axis=(-2, -1)) > rtol * np.maximum(1.0, np.abs(a).max(axis=(-2, -1)))
+
+
 def check_hermitian(a, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
     """Validate Hermiticity of a matrix or of each matrix in a stack (..., n, n).
 
-    Matrix k fails when its asymmetry max |a_k - a_k†| exceeds
-    ``rtol * max(1, max |a_k|)``, its own scale, and the error names the first
+    Matrix k fails by ``hermitian_faults``, and the error names the first
     failing matrix in C order; non-finite entries are rejected first.  Returns
     the exactly Hermitian part (a + a†)/2, so callers never propagate the
-    asymmetric rounding noise.  Below ``rtol`` no matrix can fail, so only a
-    stack whose largest asymmetry exceeds it leads on to the per-matrix scales.
+    asymmetric rounding noise.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
@@ -52,16 +64,13 @@ def check_hermitian(a, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
     if not np.isfinite(a).all():
         raise ValueError("matrix has non-finite entries")
     adj = a.conj().swapaxes(-1, -2)
-    asym = np.abs(a - adj)
-    if asym.max(initial=0.0) > rtol:
-        asym = asym.max(axis=(-2, -1))
-        scale = np.maximum(1.0, np.abs(a).max(axis=(-2, -1)))
-        bad = asym > rtol * scale
-        if bad.any():
-            k = np.unravel_index(np.argmax(bad), bad.shape)
-            at = f" {list(map(int, k))}" if k else ""
-            raise ValueError(f"matrix{at} is not Hermitian: max asymmetry {asym[k]:.3e} "
-                             f"exceeds {rtol:.1e} * {scale[k]:.3e}")
+    bad = hermitian_faults(a, adj, rtol)
+    if bad is not None and bad.any():
+        k = np.unravel_index(np.argmax(bad), bad.shape)
+        at = f" {list(map(int, k))}" if k else ""
+        raise ValueError(f"matrix{at} is not Hermitian: max asymmetry "
+                         f"{np.abs(a[k] - adj[k]).max():.3e} exceeds {rtol:.1e} * "
+                         f"{max(1.0, np.abs(a[k]).max()):.3e}")
     return 0.5 * (a + adj)
 
 

@@ -349,6 +349,27 @@ def flow_reports(monkeypatch):
 
 
 class TestInfoflow:
+    @pytest.mark.parametrize("bound", [22712, 22713])
+    def test_refuses_a_scan_past_its_sample_bound_before_drawing_a_pair(
+            self, tmp_path, capsys, monkeypatch, bound):
+        # the default two-qubit scan takes (13 library + 100 drawn) pairs x
+        # 201 grid times = 22,713 samples, counted before any pair is drawn
+        draws = []
+        library = cli.infoflow.pair_library
+        monkeypatch.setattr(cli.infoflow, "MAX_FLOW_SAMPLES", bound)
+        monkeypatch.setattr(cli.infoflow, "pair_library",
+                            lambda dim, samples=0, seed=0: draws.append(samples)
+                            or library(dim, samples, seed))
+        code = run(["infoflow", "--output", str(tmp_path / "flow")])
+        if bound == 22712:
+            assert code == 2
+            assert capsys.readouterr().err == (
+                "divischeck: error: the scan needs 22713 (pair, time) samples, more than the "
+                "bound MAX_FLOW_SAMPLES = 22712\n")
+            assert not any(draws) and not list(tmp_path.iterdir())
+        else:
+            assert code == 0 and draws == [0, 100, 100]
+
     def test_model_superactivation_summary(self, tmp_path):
         out = tmp_path / "flow"
         code = run(["infoflow", "--alpha", "0.6", "--t-max", "3.0",

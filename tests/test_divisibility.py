@@ -599,6 +599,18 @@ class TestVerifyWitness:
             dv.verify_witness(g, w, dt=1e-4)
         assert math.isfinite(dv.verify_witness(g, w, dt=9.9e-5))
 
+    def test_rejects_a_dt_past_a_rate_jump_inside_the_step(self):
+        # L(s) is mild, but L(s + dt/2) and L(s + dt) decay at 2e5: checked on
+        # L(s) alone, the step gave 75,333 where the first-order value is -1e-4
+        g = gen.qubit_rate_generator(
+            lambda t: (1.0, 1.0, -1.0) if t < 1.00004 else (1e5, 1e5, -1e5))
+        w = dv.first_order_witness(g, 1.0)
+        message = (r"^step 0\.0001 is outside RK4's stability region for L\(t\) at "
+                   r"t=1\.00005; the largest stable step is 1\.39265e-05$")
+        with pytest.raises(ValueError, match=message):
+            dv.verify_witness(g, w, dt=1e-4)
+        assert dv.verify_witness(g, w, dt=1e-5) == pytest.approx(-1e-5, rel=1e-3)
+
     @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_witness_time(self, s):
         # a fixed C never looks at t, so only the time check can refuse s

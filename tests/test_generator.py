@@ -498,7 +498,8 @@ class TestPropagate:
 
     def test_rk4_real_limit_bounds_the_stable_steps_on_a_decay_rate(self):
         # one RK4 step of dy/dt = -y multiplies y by R(-h), |R(-h)| <= 1 up to
-        # the root of R(-x) = 1, which the check gives as the largest stable step
+        # the root of R(-x) = 1, which the check gives as the largest stable
+        # step for the 1 x 1 L = -1
         limit = 2.785293563405282
 
         def gain(h):
@@ -506,9 +507,9 @@ class TestPropagate:
 
         assert gain(limit) == pytest.approx(1.0, abs=1e-14)
         assert gain(0.5 * limit) < 1.0 < gain(1.001 * limit)
-        gen.check_rk4_step(limit, [0.0], [-1.0])
+        gen.check_rk4_step(limit, [0.0], [-np.eye(1)])
         with pytest.raises(ValueError, match=r"the largest stable step is 2\.78529$"):
-            gen.check_rk4_step(1.001 * limit, [0.0], [-1.0])
+            gen.check_rk4_step(1.001 * limit, [0.0], [-np.eye(1)])
 
     def test_rejects_an_unstable_step_instead_of_growing_the_maps(self):
         # rates 1400 decay at 2800: step x rate = 2.8 lies past RK4's
@@ -555,7 +556,8 @@ class TestPropagate:
         # RK4's region lies within |z| <= 2.96: on 2,001 rays from the
         # positive imaginary axis round the left half-plane to the negative
         # one, every z = step lam with |z| in (3, 1e300] has a gain above
-        # _MAX_GAIN, or an inf or NaN one once R overflows, and no warning
+        # _MAX_GAIN, or an inf or NaN one once R overflows, and no warning;
+        # the check takes each as the 1 x 1 L = lam
         rays = np.exp(1j * np.linspace(0.5 * math.pi, 1.5 * math.pi, 2001))
         radii = np.concatenate([[np.nextafter(3.0, 4.0)], np.geomspace(3.0, 1e300, 400)[1:]])
         z = rays[:, None] * radii
@@ -566,17 +568,65 @@ class TestPropagate:
                 assert not (gen._rk4_gain(z) <= gen._MAX_GAIN).any()
             for lam in z[::100, [0, 200, -1]].ravel():
                 with pytest.raises(ValueError, match="outside RK4's stability region"):
-                    gen.check_rk4_step(1.0, [0.0], [lam])
+                    gen.check_rk4_step(1.0, [0.0], [[[lam]]])
 
     @pytest.mark.parametrize("lam", [
         math.nan, math.inf, -math.inf, complex(math.inf, -1.0), complex(-math.inf, -math.inf),
         complex(math.nan, 1.0), complex(0.0, math.inf), complex(-1.0, math.inf),
     ])
     def test_one_gain_test_rejects_every_non_finite_eigenvalue(self, lam):
+        # a diagonal L's eigenvalues are its entries
+        ls = [np.diag([-1.0, -2.0]), np.diag([lam, -1.0])]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=r"an eigenvalue of L\(t\) there is not finite$"):
-                gen.check_rk4_step(1e-3, [0.0, 0.5], [[-1.0, -2.0], [lam, -1.0]])
+            with pytest.raises(ValueError, match=r"at t=0\.5; an eigenvalue of L\(t\) there "
+                                                 r"is not finite$"):
+                gen.check_rk4_step(1e-3, [0.0, 0.5], ls)
+
+    def test_clear_bound_lies_inside_rk4s_region(self):
+        # a stack is cleared without an eigensolve when step n max |L_ij| <=
+        # _CLEAR, which bounds every |step lam|: on 100,001 rays round the
+        # checked half-plane, and the two edges of its 1e-12 sliver, every z
+        # with |z| <= _CLEAR has a gain within _MAX_GAIN, and no warning
+        rays = np.concatenate([np.exp(1j * np.linspace(0.5 * math.pi, 1.5 * math.pi, 100_001)),
+                               [complex(1e-12, 1.0), complex(1e-12, -1.0)]])
+        assert (rays.real <= 1e-12 * np.abs(rays)).all()   # every one is checked
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for r in np.linspace(0.0, gen._CLEAR, 53):
+                assert (gen._rk4_gain(r * rays) <= gen._MAX_GAIN).all()
+            assert gen._rk4_gain(gen._CLEAR * rays).max() < 0.99
+            assert gen._rk4_reach(rays).min() == pytest.approx(2.6156, abs=1e-4)
+
+    def test_a_norm_past_the_bound_only_sends_l_to_its_spectrum(self):
+        # a non-normal L with both eigenvalues -1: step n max |L_ij| is 2e6,
+        # far past _CLEAR, yet the step is stable, and the eigensolve says so
+        ls = np.array([[[-1.0, 1e6], [0.0, -1.0]]])
+        gen.check_rk4_step(1.0, [0.0], ls)
+        with pytest.raises(ValueError, match=r"at t=0; the largest stable step is 2\.78529$"):
+            gen.check_rk4_step(2.8, [0.0], ls)
+
+    def test_rejects_a_pulse_between_grid_times(self):
+        # rates of 3e3 on [0.4, 0.45] lie wholly inside the one segment
+        # [0, 0.5]: a check of L at the grid times alone passed them, and the
+        # maps reached entries of 8.4e66
+        g = gen.qubit_rate_generator(
+            lambda t: (3e3, 3e3, 3e3) if 0.4 <= t <= 0.45 else (1.0, 1.0, -1.0))
+        message = (r"^step 0\.001 is outside RK4's stability region for L\(t\) at t=0\.4005; "
+                   r"the largest stable step is 0\.000464216$")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                gen.propagate(g, np.linspace(0.0, 1.0, 3), 1e-3)
+
+    def test_a_default_model_run_solves_no_spectrum_for_stability(self, monkeypatch):
+        # step n max |L_ij| stays far below _CLEAR on every stack
+        calls = []
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a) or eigvals(a))
+        gen.propagate(gen.model_generator(0.6), pf.default_grid(), 1e-3)
+        gen.propagate(gen.qubit_rate_generator((0.6, 0.6, 0.6)), pf.default_grid(5.0, 20), 1e-3)
+        assert calls == []
 
     @pytest.mark.parametrize("grid, step, count", [
         ([0.0, 1.25, 2.5, 5.0], 1e-9, "5000000000"),

@@ -491,6 +491,36 @@ class TestBackflowScan:
         with pytest.raises(ValueError, match=rf"map at t={t_bad!r} has non-finite entries"):
             iflow.backflow_scan(map_at, iflow.pair_library(4 if squared else 2, 2), grid)
 
+    @pytest.mark.parametrize("dim, map_at, t_bad", [
+        (2, lambda t: 1j * so.identity(2) * (1 + t), 0.0),
+        # only entry (1, 4) of the map's matrix moves with t
+        (4, lambda t: so.identity(4) + t * np.outer(np.eye(16)[1], np.eye(16)[4]), 1e-4),
+    ], ids=["qubit", "two-qubit"])
+    def test_rejects_a_map_that_is_not_hermiticity_preserving(self, dim, map_at, t_bad):
+        # the trace norms read only lower triangles: such maps gave numbers,
+        # max_sigma 2.000000000002 and 0.5027, instead of an error
+        grid = np.linspace(0.0, 1.0, 5)
+        with pytest.raises(ValueError, match=rf"^map at t={t_bad!r} is not "
+                                             r"Hermiticity-preserving$"):
+            iflow.backflow_scan(map_at, iflow.pair_library(dim, 3), grid)
+
+    def test_refuses_a_scan_past_its_sample_bound_before_any_map(self, monkeypatch):
+        calls = []
+
+        def map_at(t):
+            calls.append(t)
+            return pf.channel(t, 0.6)
+
+        pairs, grid = iflow.pair_library(2, 2), np.linspace(0.0, 1.0, 5)
+        monkeypatch.setattr(iflow, "MAX_FLOW_SAMPLES", 25)
+        assert iflow.backflow_scan(map_at, pairs, grid).sigma.shape == (5, 5)
+        calls.clear()
+        monkeypatch.setattr(iflow, "MAX_FLOW_SAMPLES", 24)
+        with pytest.raises(ValueError, match=r"^the scan needs 25 \(pair, time\) samples, more "
+                                             r"than the bound MAX_FLOW_SAMPLES = 24$"):
+            iflow.backflow_scan(map_at, pairs, grid)
+        assert calls == []
+
     def test_rejects_negative_samples(self):
         with pytest.raises(ValueError, match="samples must be nonnegative"):
             iflow.pair_library(2, samples=-1)

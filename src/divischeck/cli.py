@@ -44,6 +44,9 @@ SCAN_HEADER = ["alpha", "t", "p0", "p1", "p2", "p3", "q0", "q1", "q2", "q3",
                "l1", "l3", "choi_min", "cp", "gamma3"]
 INFOFLOW_HEADER = ["pair_id", "t", "sigma_single", "sigma_tensor"]
 _SCAN_ROW = "%.17g," * 13 + "%s,%.17g\n"  # 13 numbers, the cp word, gamma3
+# Rows ``scan`` writes at most, all alphas together: under a minute at 33 us a
+# row (46 us as JSON), each holding about 1 KB until written (2-core Xeon).
+MAX_SCAN_ROWS = 10**6
 
 
 def _parse_alpha(text: str) -> list[float]:
@@ -155,6 +158,9 @@ def cmd_scan(cfg: RunConfig) -> tuple[list[str], dict]:
     if cfg.dynamics != "model":
         raise ValueError(f"scan tabulates the model's closed forms only, got --dynamics "
                          f"{cfg.dynamics}")
+    if (total := len(cfg.alpha) * (cfg.grid_points + 1)) > MAX_SCAN_ROWS:
+        raise ValueError(f"the scan needs {total} rows, more than the bound "
+                         f"MAX_SCAN_ROWS = {MAX_SCAN_ROWS}")
     grid = cfg.grid()
     rows = []
     non_cp_alphas = set()
@@ -186,12 +192,13 @@ def cmd_scan(cfg: RunConfig) -> tuple[list[str], dict]:
 
 
 def cmd_divisibility(cfg: RunConfig) -> tuple[list[str], dict]:
-    # every grid segment takes at least one RK4 substep: refuse a grid past
-    # propagate's bound before any work sized by the grid
+    # every grid segment takes at least one RK4 substep, and the probe walks
+    # every segment: refuse a grid past either bound before any work sized by it
     if cfg.grid_points > generator.MAX_RK4_SUBSTEPS:
         raise ValueError(f"the grid needs at least {cfg.grid_points} RK4 substeps, one per "
                          f"segment, more than the bound MAX_RK4_SUBSTEPS = "
                          f"{generator.MAX_RK4_SUBSTEPS}")
+    superop.check_probe_restarts(cfg.grid_points, cfg.restarts)
     alpha = cfg.alpha[0]
     grid = cfg.grid()
     gen = DYNAMICS[cfg.dynamics][1](alpha)

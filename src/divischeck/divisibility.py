@@ -17,11 +17,12 @@ search budget.
 
 The witness construction makes the tensor-square positivity failure of a
 qubit generator explicit at first order.  Given C(s) with its most negative
-eigenvalue c_min along u, build the traceless M with Tr(M F_i) = conj(u_i),
-take the unitary U with M.T = U M U^-1, and set Phi† = U, Psi = M U^-1.
-Regrouped into unit vectors psi, phi on the doubled space, they are an
-orthogonal pair whose tensor-square matrix element leaves zero at rate
-2 <u|C(s)|u> / (||Psi||^2 ||Phi||^2) = c_min (||Psi||^2 = 1, ||Phi||^2 = 2).
+eigenvalue c_min along u, build the traceless M with Tr(M F_i) = conj(u_i)
+and set Phi = sigma_y, Psi = M sigma_y.  Regrouped into unit vectors, phi is
+the singlet up to a global phase and psi = sqrt(2) (M (x) I) phi, orthogonal
+to it as Tr M = 0.  As sigma_y M sigma_y = -M.T for traceless M,
+<phi|F_i (x) I|psi> = -<phi|I (x) F_i|psi> = conj(u_i)/sqrt(2); the rate is
+quadratic in them, so it is <u|C(s)|u> = c_min, with or without a Hamiltonian.
 The finite-dt check evaluates the pair on V (x) V for one RK4 step V of L,
 the kind of map the tensor probe tests, with the one RK4 step and stability
 check ``generator.propagate`` uses.
@@ -39,7 +40,7 @@ import numpy as np
 
 from . import superop
 from .generator import GeneratorSpec, PropagatedFamily, check_rk4_step, liouvillian, rk4_increment
-from .linalg import NumericalError, similarity_to_transpose
+from .linalg import PAULI, NumericalError, check_tol
 
 __all__ = [
     "HOLDS",
@@ -102,6 +103,7 @@ def cp_divisibility_scan(family: PropagatedFamily, tol: float = 1e-9) -> Divisib
     ``choi_min`` names the lowest segment, the first one on ties, and its
     row of ``choi_vectors`` is the witness.
     """
+    check_tol(tol)
     n, note = len(family.segments), "exact Choi-spectrum test on the scanned pairs"
     if not n:
         return _report(family, "CP", tol, 0, np.inf, None, None, "choi-eigenvector", note)
@@ -125,8 +127,11 @@ def tensor_p_divisibility_probe(family: PropagatedFamily, restarts: int = 100,
     family's ``choi_min``, the least CP first and grid order on ties.
     Segment i is searched from seed ``SeedSequence([seed, i, i + 1])``, and
     the scan stops at the first violating one; the lowest value scanned, the
-    first one visited on ties, is reported.
+    first one visited on ties, is reported.  A walk of more than
+    ``superop.MAX_PROBE_RESTARTS`` restarts is refused before the first probe.
     """
+    check_tol(tol)
+    superop.check_probe_restarts(len(family.segments), restarts)
     best, worst, witness, scanned = np.inf, None, None, 0
     order = np.argsort(family.choi_min, kind="stable")
     for i in order.tolist():
@@ -189,11 +194,8 @@ def first_order_witness(g: GeneratorSpec, s: float) -> FirstOrderWitness:
     # orthonormality; Tr M = 0 follows from the tracelessness of every F_i.
     m = np.einsum("i,iba->ab", np.conj(u), g.basis.conj())
 
-    umat = similarity_to_transpose(m)
-    phi_mat = umat.conj().T           # Phi with Phi† = U
-    psi_mat = m @ phi_mat             # U^-1 = U† for the unitary U
-    psi = psi_mat.reshape(-1)         # row-major regrouping
-    phi = phi_mat.reshape(-1)
+    psi = (m @ PAULI[2]).reshape(-1)    # Psi = M sigma_y, regrouped row-major
+    phi = PAULI[2].reshape(-1)          # Phi = sigma_y: the singlet, up to a phase
     psi = psi / np.linalg.norm(psi)
     phi = phi / np.linalg.norm(phi)
     overlap = abs(np.vdot(phi, psi))

@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from . import pauli_family, superop
-from .linalg import check_grid, check_hermitian
+from .linalg import check_grid, check_hermitian, check_tol
 
 __all__ = [
     "GeneratorCheckReport",
@@ -542,6 +542,7 @@ def _grid_check(g: GeneratorSpec, grid, tol: float, criterion: str,
     is satisfied when the minimum is at least ``-tol``.  A fixed C decides
     every t at once: neither criterion reads the Hamiltonian.
     """
+    check_tol(tol)
     grid = check_grid(grid)
     times = [float(t) for t in grid]
     values = values_of(np.array([g.coefficient_matrix(t) for t in times]), times)

@@ -14,18 +14,21 @@ __all__ = [
     "NumericalError",
     "check_grid",
     "check_hermitian",
+    "check_tol",
     "hermitian_faults",
     "inverse",
     "similarity_to_transpose",
 ]
 
-#: Pauli matrices, identity first.
+#: Pauli matrices, identity first; read-only, as every module shares them.
 PAULI = (
     np.eye(2, dtype=complex),
     np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
     np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
     np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
 )
+for _sigma in PAULI:
+    _sigma.flags.writeable = False
 
 HERMITICITY_RTOL = 1e-12
 RESIDUAL_TOL = 1e-8
@@ -86,6 +89,12 @@ def check_grid(grid) -> np.ndarray:
     if np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be strictly ascending")
     return grid
+
+
+def check_tol(tol: float) -> None:
+    """Refuse a verdict tolerance that is not finite and nonnegative."""
+    if not 0 <= tol < np.inf:
+        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
 
 
 def inverse(a) -> np.ndarray:

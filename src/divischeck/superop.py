@@ -33,11 +33,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import RESIDUAL_TOL, NumericalError, check_hermitian, inverse
+from .linalg import RESIDUAL_TOL, NumericalError, check_hermitian, check_tol, inverse
 
 __all__ = [
     "PositivityProbeResult",
     "apply",
+    "check_probe_restarts",
     "choi",
     "identity",
     "intermediate",
@@ -56,6 +57,9 @@ _SEESAW_GAIN = 1e-13
 # A smaller drop than this fraction of the map's norm is rounding noise; the
 # restart keeps its state.
 _ROUNDING = 1e-14
+# Restarts one probe walk runs at most, all its maps together: about a minute
+# at 0.1-0.6 ms each (2-core Xeon); the default 200 segments x 100 take 10 s.
+MAX_PROBE_RESTARTS = 10**5
 
 
 def vec(x) -> np.ndarray:
@@ -139,6 +143,7 @@ def is_cp(s, tol: float = 1e-9) -> tuple[bool, float]:
     hermiticity-preserving map, otherwise the Choi matrix fails its
     Hermiticity check and the call is rejected.
     """
+    check_tol(tol)
     c = choi(_check_map(s))
     min_eig = float(np.linalg.eigvalsh(check_hermitian(c, rtol=CHOI_RTOL))[0])
     return min_eig >= -tol, min_eig
@@ -189,6 +194,14 @@ def _extrapolate(x0: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
     return x / np.linalg.norm(x, axis=1, keepdims=True)
 
 
+def check_probe_restarts(maps: int, restarts: int) -> None:
+    """Refuse a probe walk over ``maps`` maps, ``restarts`` restarts each,
+    that runs more than MAX_PROBE_RESTARTS restarts."""
+    if maps * restarts > MAX_PROBE_RESTARTS:
+        raise ValueError(f"the probe walk needs {maps * restarts} restarts, more than the "
+                         f"bound MAX_PROBE_RESTARTS = {MAX_PROBE_RESTARTS}")
+
+
 def positivity_probe(s, restarts: int = 100, steps: int = 500, seed: int = 0,
                      stop_at: float | None = None) -> PositivityProbeResult:
     """Minimize the smallest output eigenvalue over pure input states.
@@ -213,8 +226,9 @@ def positivity_probe(s, restarts: int = 100, steps: int = 500, seed: int = 0,
     ``restarts``.  The reported ``min_value`` is :func:`min_output_eigenvalue`
     of that state.  The map must be finite.
     """
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
+    if not 1 <= restarts <= MAX_PROBE_RESTARTS:
+        raise ValueError(f"restarts must be >= 1 and at most the bound MAX_PROBE_RESTARTS = "
+                         f"{MAX_PROBE_RESTARTS}, got {restarts}")
     if steps < 1:
         raise ValueError("steps must be >= 1")
     s = _check_map(s)

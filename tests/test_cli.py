@@ -122,7 +122,49 @@ class TestScan:
                     assert record[name] == float(cell)
 
 
+    @pytest.mark.parametrize("bound", [803, 804])
+    def test_refuses_a_table_past_its_row_bound_before_building_the_grid(
+            self, tmp_path, capsys, monkeypatch, bound):
+        # four alphas x 201 grid times = 804 rows, counted before the grid is built
+        grids = []
+        default_grid = pauli_family.default_grid
+        monkeypatch.setattr(cli, "MAX_SCAN_ROWS", bound)
+        monkeypatch.setattr(pauli_family, "default_grid",
+                            lambda *a: grids.append(a) or default_grid(*a))
+        code = run(["scan", "--alpha", "0.5,0.75,1.0,1.5", "--output", str(tmp_path / "scan")])
+        if bound == 803:
+            assert code == 2
+            assert capsys.readouterr().err == (
+                "divischeck: error: the scan needs 804 rows, more than the bound "
+                "MAX_SCAN_ROWS = 803\n")
+            assert grids == [] and not list(tmp_path.iterdir())
+        else:
+            assert code == 0 and len(grids) == 1
+
+
 class TestDivisibility:
+    @pytest.mark.parametrize("bound", [79, 80])
+    def test_refuses_a_probe_walk_past_its_restart_bound_before_building_the_grid(
+            self, tmp_path, capsys, monkeypatch, bound):
+        # 20 segments x 4 restarts = 80 restarts, counted before the grid is built
+        grids, families = [], []
+        default_grid, propagate = pauli_family.default_grid, generator.propagate
+        monkeypatch.setattr(superop, "MAX_PROBE_RESTARTS", bound)
+        monkeypatch.setattr(pauli_family, "default_grid",
+                            lambda *a: grids.append(a) or default_grid(*a))
+        monkeypatch.setattr(generator, "propagate",
+                            lambda *a: families.append(a) or propagate(*a))
+        code = run(["divisibility", "--dynamics", "semigroup", "--alpha", "0.6",
+                    "--grid-points", "20", "--restarts", "4", "--output", str(tmp_path / "div")])
+        if bound == 79:
+            assert code == 2
+            assert capsys.readouterr().err == (
+                "divischeck: error: the probe walk needs 80 restarts, more than the bound "
+                "MAX_PROBE_RESTARTS = 79\n")
+            assert (grids, families) == ([], []) and not list(tmp_path.iterdir())
+        else:
+            assert code == 0 and (len(grids), len(families)) == (1, 1)
+
     def test_model_report(self, tmp_path):
         out = tmp_path / "div"
         code = run(["divisibility", "--alpha", "0.6", "--t-max", "2.0",

@@ -239,6 +239,65 @@ def test_scans_of_a_one_time_grid_scan_nothing(scan):
     assert (report.pairs_scanned, report.verdict, report.worst_map) == (0, dv.HOLDS, None)
 
 
+@pytest.fixture(scope="module")
+def violating_family():
+    # the model at alpha = 0.6 on [0, 1]: none of its 10 segments is CP
+    return model_family(np.linspace(0.0, 1.0, 11), 0.6)
+
+
+# each library verdict that takes a tol -> (its verdict at tol, that verdict at
+# tol = 0 on the violating family)
+TOL_ENTRIES = {
+    "is_cp": (lambda family, tol: so.is_cp(so.identity(2), tol=tol)[0], True),
+    "cp_divisibility_check": (lambda family, tol: gen.cp_divisibility_check(
+        gen.model_generator(0.6), family.grid, tol=tol).satisfied, False),
+    "p_divisibility_check_pauli": (lambda family, tol: gen.p_divisibility_check_pauli(
+        gen.model_generator(0.6), family.grid, tol=tol).satisfied, True),
+    "cp_divisibility_scan": (lambda family, tol: dv.cp_divisibility_scan(
+        family, tol=tol).verdict, dv.VIOLATED),
+    "tensor_p_divisibility_probe": (lambda family, tol: dv.tensor_p_divisibility_probe(
+        family, restarts=2, tol=tol).verdict, dv.VIOLATED),
+}
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-9], ids=["nan", "inf", "negative"])
+@pytest.mark.parametrize("entry", [e for e, _ in TOL_ENTRIES.values()], ids=TOL_ENTRIES.keys())
+def test_every_verdict_refuses_a_tol_that_is_not_finite_and_nonnegative(
+        monkeypatch, violating_family, entry, tol):
+    # a NaN tol made both scans report "holds-on-grid" on segments that all
+    # fail; the refusal comes before any C(t), Choi matrix or probe
+    def work(*args, **kwargs):
+        raise AssertionError("work done before the tol check")
+
+    monkeypatch.setattr(gen.GeneratorSpec, "coefficient_matrix", work)
+    monkeypatch.setattr(so, "choi", work)
+    monkeypatch.setattr(so, "positivity_probe", work)
+    with pytest.raises(ValueError,
+                       match=f"^{re.escape(f'tol must be finite and nonnegative, got {tol}')}$"):
+        entry(violating_family, tol)
+
+
+@pytest.mark.parametrize("entry, verdict", TOL_ENTRIES.values(), ids=TOL_ENTRIES.keys())
+def test_every_verdict_takes_a_zero_tol(violating_family, entry, verdict):
+    assert entry(violating_family, 0.0) == verdict
+
+
+def test_the_probe_refuses_a_walk_past_its_restart_bound_before_the_first_probe(
+        monkeypatch, violating_family):
+    # 10 segments x 3 restarts = 30 restarts in the walk
+    probes = []
+    probe = so.positivity_probe
+    monkeypatch.setattr(so, "positivity_probe", lambda *a, **k: probes.append(a) or probe(*a, **k))
+    monkeypatch.setattr(so, "MAX_PROBE_RESTARTS", 29)
+    with pytest.raises(ValueError, match=r"^the probe walk needs 30 restarts, more than the "
+                                         r"bound MAX_PROBE_RESTARTS = 29$"):
+        dv.tensor_p_divisibility_probe(violating_family, restarts=3)
+    assert probes == []
+    monkeypatch.setattr(so, "MAX_PROBE_RESTARTS", 30)
+    report = dv.tensor_p_divisibility_probe(violating_family, restarts=3)
+    assert report.verdict == dv.VIOLATED and len(probes) == report.pairs_scanned
+
+
 class TestTensorProbe:
     def test_model_violated_with_reproducible_witness(self):
         grid = pf.default_grid(t_max=2.0, points=40)
@@ -446,16 +505,13 @@ class TestFirstOrderWitness:
 
     def test_rate_consistent_with_coefficient_expectation(self):
         # delta_rate = 2 <u|C|u> / (|Psi|^2 |Phi|^2) for unnormalized Psi, Phi
-        from divischeck.linalg import similarity_to_transpose
-
         g = gen.model_generator(0.75)
         s = 1.0
         w = dv.first_order_witness(g, s)
         c = g.coefficient_matrix(s)
         expectation = float(np.real(np.vdot(w.u, c @ w.u)))
-        umat = similarity_to_transpose(w.m)
-        psi_mat = w.m @ np.linalg.inv(umat)
-        phi_mat = umat.conj().T
+        psi_mat = w.m @ PAULI[2]
+        phi_mat = PAULI[2]
         norms = np.linalg.norm(psi_mat) ** 2 * np.linalg.norm(phi_mat) ** 2
         assert w.delta_rate == pytest.approx(2 * expectation / norms, abs=1e-8)
 
@@ -486,8 +542,9 @@ class TestFirstOrderWitness:
     @given(arrays(np.float64, (2, 3, 3), elements=ENTRIES),
            st.none() | arrays(np.float64, 3, elements=ENTRIES))
     def test_rate_is_the_most_negative_coefficient(self, parts, field):
-        # the unitary transpose similarity gives every qubit witness the full
-        # rate c_min, with or without a Hamiltonian
+        # sigma_y M sigma_y = -M.T gives every qubit witness the full rate
+        # c_min, with or without a Hamiltonian, on the singlet phi and
+        # psi = sqrt(2) (M (x) I) phi, both up to one global phase
         c = parts[0] + 1j * parts[1]
         c = 0.5 * (c + c.conj().T)
         assume(np.linalg.eigvalsh(c)[0] <= -1e-3)
@@ -496,6 +553,12 @@ class TestFirstOrderWitness:
         w = dv.first_order_witness(g, 0.7)
         assert abs(w.delta_rate - w.c_min) <= 1e-10 * abs(w.c_min)
         assert abs(np.vdot(w.phi, w.psi)) <= 1e-10
+        singlet = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
+        phase = np.vdot(singlet, w.phi)
+        assert abs(abs(phase) - 1.0) <= 1e-12
+        np.testing.assert_allclose(w.phi, phase * singlet, atol=1e-12)
+        np.testing.assert_allclose(w.psi, phase * math.sqrt(2.0) * np.kron(w.m, np.eye(2))
+                                   @ singlet, atol=1e-12)
 
     def test_nilpotent_m(self):
         # the most negative C eigenvector (1, i, 0)/sqrt(2) makes M a

@@ -103,6 +103,15 @@ class TestCheckHermitian:
         assert str(err.value) == msg
 
 
+@pytest.mark.parametrize("k", range(4))
+def test_pauli_matrices_are_read_only(k):
+    # every module shares them: an edit would change every later pair library
+    # and witness
+    with pytest.raises(ValueError, match="read-only"):
+        PAULI[k][0, 0] = 2.0
+    assert PAULI[k][0, 0] == (0.0 if k in (1, 2) else 1.0)
+
+
 class TestInverse:
     def test_identity(self):
         np.testing.assert_allclose(inverse(np.eye(3)), np.eye(3))

@@ -340,6 +340,21 @@ class TestPositivityProbe:
         with pytest.raises(ValueError, match="^map has non-finite entries$"):
             so.positivity_probe(big, restarts=2, steps=2)
 
+    @pytest.mark.parametrize("restarts", [0, 4])
+    def test_rejects_restarts_outside_one_to_the_bound(self, monkeypatch, restarts):
+        draws = []
+        default_rng = so.np.random.default_rng
+        monkeypatch.setattr(so.np.random, "default_rng",
+                            lambda seed: draws.append(seed) or default_rng(seed))
+        monkeypatch.setattr(so, "MAX_PROBE_RESTARTS", 3)
+        big = so.tensor(so.identity(2), so.identity(2))
+        with pytest.raises(ValueError, match=rf"^restarts must be >= 1 and at most the bound "
+                                             rf"MAX_PROBE_RESTARTS = 3, got {restarts}$"):
+            so.positivity_probe(big, restarts=restarts, steps=2)
+        assert draws == []
+        assert so.positivity_probe(big, restarts=3, steps=2).restarts_used == 3
+        assert draws == [0]
+
     @pytest.mark.parametrize("steps", [0, -1])
     def test_rejects_nonpositive_steps(self, steps):
         big = so.tensor(so.identity(2), so.identity(2))

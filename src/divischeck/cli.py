@@ -45,8 +45,10 @@ SCAN_HEADER = ["alpha", "t", "p0", "p1", "p2", "p3", "q0", "q1", "q2", "q3",
 INFOFLOW_HEADER = ["pair_id", "t", "sigma_single", "sigma_tensor"]
 _SCAN_ROW = "%.17g," * 13 + "%s,%.17g\n"  # 13 numbers, the cp word, gamma3
 # Rows ``scan`` writes at most, all alphas together: under a minute at 33 us a
-# row (46 us as JSON), each holding about 1 KB until written (2-core Xeon).
+# row (46 us as JSON), each holding about 1 KB until written (2-core Xeon): the
+# CSV writes _SCAN_BLOCK grid times at a time, a JSON payload all rows at once.
 MAX_SCAN_ROWS = 10**6
+_SCAN_BLOCK = 1000
 
 
 def _parse_alpha(text: str) -> list[float]:
@@ -154,7 +156,31 @@ def _divisibility_report_payload(report: divisibility.DivisibilityReport) -> dic
     }
 
 
+def _scan_blocks(alphas: list[float], grid: np.ndarray, non_cp_alphas: set):
+    """The scan's rows, alpha by alpha, as one list per block of at most
+    ``_SCAN_BLOCK`` grid times; each alpha with a non-CP row joins
+    ``non_cp_alphas``.  The closed forms are elementwise, so a row has the
+    same bits in any block, and each row's map gets its own ``is_cp`` call."""
+    for alpha in alphas:
+        for start in range(0, len(grid), _SCAN_BLOCK):
+            times = grid[start:start + _SCAN_BLOCK]
+            l = pauli_family.bloch_eigenvalues(times, alpha)
+            cp = pauli_family.cp_criterion(times, alpha)
+            if not cp.all():
+                non_cp_alphas.add(alpha)
+            numbers = np.column_stack([pauli_family.pauli_weights(times, alpha),
+                                       pauli_family.squared_pauli_weights(times, alpha),
+                                       l[:, [0, 2]]])
+            channels = pauli_family.pauli_channel(l[:, 0], l[:, 1], l[:, 2])
+            yield [(alpha, t, *row, superop.is_cp(ch)[1], cp_t, pauli_family.rates(t, alpha)[2])
+                   for t, row, ch, cp_t in zip(times.tolist(), numbers.tolist(), channels,
+                                               cp.tolist())]
+
+
 def cmd_scan(cfg: RunConfig) -> tuple[list[str], dict]:
+    """Tabulate the model's closed forms and exact CP test over (alpha, t).
+    The CSV is computed and written in blocks of ``_SCAN_BLOCK`` grid times;
+    the JSON payload is one list, so its rows are held until it is written."""
     if cfg.dynamics != "model":
         raise ValueError(f"scan tabulates the model's closed forms only, got --dynamics "
                          f"{cfg.dynamics}")
@@ -162,29 +188,18 @@ def cmd_scan(cfg: RunConfig) -> tuple[list[str], dict]:
         raise ValueError(f"the scan needs {total} rows, more than the bound "
                          f"MAX_SCAN_ROWS = {MAX_SCAN_ROWS}")
     grid = cfg.grid()
-    rows = []
     non_cp_alphas = set()
-    for alpha in cfg.alpha:
-        # each closed form once over the grid; the rows zip their columns
-        l = pauli_family.bloch_eigenvalues(grid, alpha)
-        cp = pauli_family.cp_criterion(grid, alpha)
-        if not cp.all():
-            non_cp_alphas.add(alpha)
-        numbers = np.column_stack([pauli_family.pauli_weights(grid, alpha),
-                                   pauli_family.squared_pauli_weights(grid, alpha), l[:, [0, 2]]])
-        channels = pauli_family.pauli_channel(l[:, 0], l[:, 1], l[:, 2])
-        for t, row, ch, cp_t in zip(grid.tolist(), numbers.tolist(), channels, cp.tolist()):
-            _, choi_min = superop.is_cp(ch)
-            rows.append((alpha, t, *row, choi_min, cp_t, pauli_family.rates(t, alpha)[2]))
+    blocks = _scan_blocks(cfg.alpha, grid, non_cp_alphas)
     if cfg.format == "csv":
         path = cfg.output_path + ".csv"
-        _write_csv(path, SCAN_HEADER, (_SCAN_ROW % (*row[:13], "true" if row[13] else "false",
-                                                   row[14]) for row in rows))
+        _write_csv(path, SCAN_HEADER, ("".join(
+            _SCAN_ROW % (*row[:13], "true" if row[13] else "false", row[14]) for row in rows)
+            for rows in blocks))
     else:
         path = cfg.output_path + ".json"
-        _write_json(path, [dict(zip(SCAN_HEADER, row)) for row in rows])
+        _write_json(path, [dict(zip(SCAN_HEADER, row)) for rows in blocks for row in rows])
     summary = {
-        "rows": len(rows),
+        "rows": total,
         "alphas": cfg.alpha,
         "non_cp_alphas": sorted(non_cp_alphas),
     }

@@ -50,6 +50,10 @@ EIGEN_FLOOR = 1e-13
 #: two-qubit block of the default scan evolves 113 differences under 8 maps
 #: (about 0.23 MB), and larger blocks cost resident memory.
 _BLOCK = 4
+#: the difference step's floor, times max(1, |t|) over the grid: the norms round
+#: by a few 1e-16 and t +- h by 1e-16 |t|, noise that swamps the rates below it
+#: (the default qubit scan reads a false back-flow of +1.1e-3 at h = 1e-13).
+FD_STEP_FLOOR = 1e-8
 #: (pair, time) samples one back-flow scan takes at most, each family on its
 #: own: the default two-qubit scan takes 113 x 201 = 22,713.
 MAX_FLOW_SAMPLES = 10**7
@@ -229,29 +233,28 @@ def backflow_scan(map_at: Callable[[float], np.ndarray], pairs: StatePairs,
     """Scan flow rates of the given state ``pairs``, in order, over a grid
     (nonempty, finite and strictly ascending) with difference step ``h``.
 
-    A scan of more than MAX_FLOW_SAMPLES (pair, time) samples is refused
-    before any map is built.  The grid is walked in blocks of at most
-    ``_BLOCK`` times.  The two maps of each time's finite difference are
-    built one ``map_at`` call at a time; a map that is not finite, or not
-    Hermiticity-preserving (its Choi matrix not Hermitian within
-    ``superop.CHOI_RTOL`` of its own scale, is_cp's rule), is refused by
-    its time.  Each block applies all its maps to every pair difference in
-    one stacked product and takes their trace norms in one call.
+    A step ``h`` below FD_STEP_FLOOR x max(1, |t|) over the grid, or a scan
+    of more than MAX_FLOW_SAMPLES (pair, time) samples, is refused before any
+    map is built.  The grid is walked in blocks of at most ``_BLOCK`` times.
+    The two maps of each time's finite difference are built one ``map_at``
+    call at a time; a map that is not finite, or not Hermiticity-preserving
+    (its Choi matrix not Hermitian within ``superop.CHOI_RTOL`` of its own
+    scale, is_cp's rule), is refused by its time.  Each block applies all
+    its maps to every pair difference in one ``superop.apply``, each row's
+    bits the same in any stack, and takes their trace norms in one call.
     """
     if not 0 < h < math.inf:
         raise ValueError(f"step h must be positive and finite, got {h}")
     grid = check_grid(grid)
+    floor = FD_STEP_FLOOR * max(1.0, float(np.abs(grid).max()))
+    if h < floor:
+        raise ValueError(f"step h={h!r} is below the floor {floor!r} = FD_STEP_FLOOR x "
+                         f"max(1, |t|) over the grid, where rounding swamps the rates")
     if not pairs:
         raise ValueError("no state pairs to scan")
     n = len(pairs)
     check_flow_samples(n, len(grid))
     deltas = pairs.states[:, 0] - pairs.states[:, 1]
-    # numpy takes one row as a matrix-vector product, and some OpenBLAS kernels
-    # round an odd last row apart: an odd stack is evolved with a copy of its
-    # last row, dropped before the trace norms, so a row's bits do not depend on
-    # the stack (checked on Haswell, SkylakeX, Zen, Sandybridge, Nehalem,
-    # Prescott and Atom)
-    deltas = np.concatenate([deltas, deltas[-1:]]) if n % 2 else deltas
     sigma = np.empty((n, len(grid)))
     for start in range(0, len(grid), _BLOCK):
         times = grid[start:start + _BLOCK].tolist()
@@ -265,7 +268,7 @@ def backflow_scan(map_at: Callable[[float], np.ndarray], pairs: StatePairs,
         c = choi(mats)
         _refuse(ends, hermitian_faults(c, c.conj().swapaxes(-1, -2), CHOI_RTOL),
                 "is not Hermiticity-preserving")
-        n_lo, n_hi = _trace_norms(apply(mats, deltas)[:, :, :n]).transpose(1, 2, 0)
+        n_lo, n_hi = _trace_norms(apply(mats, deltas)).transpose(1, 2, 0)
         sigma[:, start:start + _BLOCK] = (n_hi - n_lo) / denom
     p_idx, t_idx = np.unravel_index(int(np.argmax(sigma)), sigma.shape)
     return BackflowReport(

@@ -94,19 +94,30 @@ def identity(dim: int) -> np.ndarray:
     return np.eye(dim * dim, dtype=complex)
 
 
+def _rows_times(rows: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """``rows @ mats`` for a stack of rows (n, k), padded with copies of its last
+    row to a multiple of six: numpy multiplies one row as a matrix-vector
+    product, and OpenBLAS rounds the odd last row (Sandybridge, Nehalem) or
+    the rows after the last full block of six (Haswell, Zen) apart."""
+    n = len(rows)
+    padded = np.empty((n + -n % 6, rows.shape[1]), rows.dtype)
+    padded[:n], padded[n:] = rows, rows[-1:]
+    return (padded @ mats)[..., :n, :]
+
+
 def apply(s, x) -> np.ndarray:
     """Apply a map, or a stack of maps (..., d^2, d^2), to one d x d operator
-    or a stack (n, d, d): every map acts on every operator, and the result
-    has shape ``s.shape[:-2] + x.shape``."""
+    or a stack (..., d, d): every map acts on every operator, bit for bit as on
+    it alone, and the result has shape ``s.shape[:-2] + x.shape``."""
     mats, x = _check_map(s, stack=True), np.asarray(x, dtype=complex)
     dim = math.isqrt(mats.shape[-1])
     if x.shape[-2:] != (dim, dim):
         raise ValueError(f"operator shape {x.shape} does not match superoperator "
                          f"dimension {dim}")
     # column stacking of each operator is the row-major flattening of its transpose
-    vecs = x.swapaxes(-1, -2).reshape(*x.shape[:-2], -1)
-    out = vecs @ mats.swapaxes(-1, -2)
-    return out.reshape(*out.shape[:-1], dim, dim).swapaxes(-1, -2)
+    vecs = x.swapaxes(-1, -2).reshape(-1, dim * dim)
+    out = _rows_times(vecs, mats.swapaxes(-1, -2))
+    return out.reshape(mats.shape[:-2] + x.shape).swapaxes(-1, -2)
 
 
 def tensor(s1, s2) -> np.ndarray:
@@ -153,14 +164,14 @@ def _lowest_eigenpairs(s: np.ndarray, states: np.ndarray):
     """Lowest eigenvalue and eigenvector of the Hermitian part of S[|v><v|],
     for each row v of a (restarts, dim) stack, with one matmul and one eigh.
 
-    ``s`` is a checked map.  Row r of the product is vec(S[|v><v|]), the
-    output's transpose Y flattened row by row.  Entry (j, i) of vec(|v><v|)
-    is v_i conj(v_j), in that operand order: with fused multiply-adds a
-    complex product may round differently with its factors swapped.
+    ``s`` is a checked map; the product is :func:`apply`'s.  Row r of it is
+    vec(S[|v><v|]), the output's transpose Y flattened row by row.  Entry
+    (j, i) of vec(|v><v|) is v_i conj(v_j), in that operand order: with fused
+    multiply-adds a complex product may round differently with its factors swapped.
     """
     rows, dim = states.shape
     vecs = (states[:, None, :] * states.conj()[:, :, None]).reshape(rows, dim * dim)
-    y = (vecs @ s.T).reshape(rows, dim, dim)
+    y = _rows_times(vecs, s.T).reshape(rows, dim, dim)
     w, v = np.linalg.eigh(0.5 * (y.swapaxes(1, 2) + y.conj()))
     return w[:, 0], v[:, :, 0]
 

@@ -122,6 +122,32 @@ class TestScan:
                     assert record[name] == float(cell)
 
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_blocks_of_seven_grid_times_write_the_same_bytes(self, tmp_path, monkeypatch, fmt):
+        # 31 grid times per alpha: four full blocks of seven and one of three
+        argv = ["scan", "--alpha", "0.5,1.5", "--grid-points", "30", "--format", fmt]
+        assert run(argv + ["--output", str(tmp_path / "whole")]) == 0
+        calls = []
+        is_cp = superop.is_cp
+        monkeypatch.setattr(cli, "_SCAN_BLOCK", 7)
+        monkeypatch.setattr(superop, "is_cp", lambda s, *a: calls.append(s) or is_cp(s, *a))
+        assert run(argv + ["--output", str(tmp_path / "blocks")]) == 0
+        assert ((tmp_path / f"blocks.{fmt}").read_bytes()
+                == (tmp_path / f"whole.{fmt}").read_bytes())
+        assert len(calls) == 2 * 31
+
+    def test_csv_peak_memory_is_one_block(self, tmp_path, monkeypatch, capsys):
+        # 2,001 rows held in one list before writing would take about 2 MB
+        monkeypatch.setattr(cli, "_SCAN_BLOCK", 100)
+        tracemalloc.start()
+        try:
+            code = run(["scan", "--grid-points", "2000", "--output", str(tmp_path / "scan")])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 1e6
+
     @pytest.mark.parametrize("bound", [803, 804])
     def test_refuses_a_table_past_its_row_bound_before_building_the_grid(
             self, tmp_path, capsys, monkeypatch, bound):
@@ -178,8 +204,8 @@ class TestDivisibility:
         probe = payload["tensor_p_divisibility_probe"]
         assert probe["verdict"] == "violated"
         assert probe["worst_pair"][0] > 0.0
-        again = payload["tensor_witness_reevaluated"]
-        assert abs(again - probe["worst_value"]) <= 1e-9
+        # the probe reports the value its witness reproduces, bit for bit
+        assert payload["tensor_witness_reevaluated"] == probe["worst_value"]
 
     def test_probe_value_is_what_its_witness_reproduces(self, tmp_path):
         # at this config a value taken from the probe's iterate without

@@ -353,10 +353,14 @@ class TestInformationFlow:
         (1.0, math.inf, "step h must be positive and finite"),
         (math.nan, 1e-4, "grid must be finite"),
         (math.inf, 1e-4, "grid must be finite"),
-    ], ids=["h-zero", "h-inf", "t-nan", "t-inf"])
+        (1.0, 1e-16, r"^step h=1e-16 is below the floor 1e-08 = FD_STEP_FLOOR x max\(1, \|t\|\) "
+                     r"over the grid, where rounding swamps the rates$"),
+        (1e9, 9.9, r"^step h=9\.9 is below the floor 10\.0 = FD_STEP_FLOOR x "),
+    ], ids=["h-zero", "h-inf", "t-nan", "t-inf", "h-below-floor", "h-below-floor-at-large-t"])
     def test_rejects_bad_time_or_step(self, t, h, message):
+        # each is refused before any map is built
         with pytest.raises(ValueError, match=message):
-            one_pair_flow(lambda t: so.identity(2), z_pair(), t, h=h)
+            one_pair_flow(lambda t: pytest.fail(f"map built at t={t}"), z_pair(), t, h=h)
 
     def test_finite_difference_second_order(self):
         alpha = 0.6

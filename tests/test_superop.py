@@ -1,3 +1,4 @@
+import functools
 import math
 import re
 
@@ -145,6 +146,48 @@ class TestApply:
         for idx in np.ndindex(4, 3):
             np.testing.assert_allclose(out[idx], so.apply(ch, stack[idx]),
                                        rtol=0, atol=1e-13)
+
+
+@functools.cache
+def model_segment_squared():
+    """The tensor square of the model's propagated segment over [1.0, 1.25]."""
+    segment = propagate(model_generator(0.6), np.array([0.0, 1.0, 1.25]), 1e-3).segments[1]
+    return so.tensor(segment, segment)
+
+
+class TestRowsOfAStack:
+    """A map times an operator stack gives each operator the bits it gets alone:
+    numpy multiplies one row as a matrix-vector product, and OpenBLAS kernels
+    round some rows apart by their place in a stack."""
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["one-map", "three-maps"])
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_apply_gives_each_operator_its_bits_alone(self, d, lead, n):
+        rng = np.random.default_rng([d, len(lead), n])
+        shape = lead + (d * d, d * d)
+        maps = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        x = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
+        out = so.apply(maps, x)
+        for k in range(n):
+            assert np.array_equal(out[..., k, :, :], so.apply(maps, x[k]))
+            assert np.array_equal(out[..., k:k + 1, :, :], so.apply(maps, x[k:k + 1]))
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("kind", ["random", "model-segment-squared"])
+    def test_the_probe_step_gives_each_state_its_bits_alone(self, kind, n):
+        rng = np.random.default_rng([n, len(kind)])
+        if kind == "random":
+            s = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+        else:
+            s = model_segment_squared()
+        states = rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4))
+        states /= np.linalg.norm(states, axis=1, keepdims=True)
+        values, vectors = so._lowest_eigenpairs(s, states)
+        for k in range(n):
+            value, vector = so._lowest_eigenpairs(s, states[k:k + 1])
+            assert value[0] == values[k]
+            assert np.array_equal(vector[0], vectors[k])
 
 
 class TestCompose:
